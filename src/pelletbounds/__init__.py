@@ -5,7 +5,7 @@ exact interior counts, for P(z) = A_n z^n + ... + A_0 with complex matrix
 coefficients, under any of the induced 1-, infinity-, or 2-norms.  Includes
 the companion-squaring variation (bounds through a half-degree polynomial
 with doubled blocks), the 2x2 embedding of lacunary scalar polynomials, a
-brute-force eigenvalue oracle for verification, and seeded experiment
+brute-force eigenvalue oracle with containment checks, and seeded experiment
 harnesses comparing the bound families on random ensembles.
 """
 

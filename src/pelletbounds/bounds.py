@@ -30,7 +30,6 @@ from .matpoly import (
     OddDegreeError,
     left_precondition,
     monicize,
-    q_reciprocal,
     reciprocal,
     shift_by_z,
     square_repartition,
@@ -86,6 +85,19 @@ def _coeff_norms(p: MatrixPolynomial, kind: NormKind) -> np.ndarray:
     return np.array([norm(c, kind) for c in p.coeffs])
 
 
+def _pivot_profile(p: MatrixPolynomial, j: int, kind: NormKind, precondition: bool,
+                   norms: np.ndarray | None = None):
+    """Coefficient norms and nu = 1/||A_j^-1|| of the radial polynomial that
+    pivots on A_j, or those of A_j^-1 P (where nu = 1) with ``precondition``.
+    ``norms`` passes P's own coefficient norms when the caller has them.
+    Raises SingularMatrixError when A_j is singular."""
+    if precondition:
+        return _coeff_norms(left_precondition(p, j), kind), 1.0
+    if norms is None:
+        norms = _coeff_norms(p, kind)
+    return norms, inv_norm_inv(p.coeffs[j], kind)
+
+
 def cauchy_bounds(p: MatrixPolynomial, kind, precondition: bool = False) -> CauchyBounds:
     """Generalized Cauchy bounds R (all |eig| <= R) and r (all |eig| >= r).
 
@@ -99,15 +111,11 @@ def cauchy_bounds(p: MatrixPolynomial, kind, precondition: bool = False) -> Cauc
     """
     kind = NormKind.coerce(kind)
     variant = VARIANT_PRECONDITIONED if precondition else VARIANT_PLAIN
+    plain_norms = None if precondition else _coeff_norms(p, kind)
 
     upper = None
     try:
-        if precondition:
-            norms = _coeff_norms(left_precondition(p, p.n), kind)
-            nu = 1.0
-        else:
-            norms = _coeff_norms(p, kind)
-            nu = inv_norm_inv(p.coeffs[-1], kind)
+        norms, nu = _pivot_profile(p, p.n, kind, precondition, plain_norms)
         if not np.any(norms[:-1] > 0.0):
             upper = 0.0  # P = A_n z^n: every eigenvalue sits at the origin
         else:
@@ -120,12 +128,7 @@ def cauchy_bounds(p: MatrixPolynomial, kind, precondition: bool = False) -> Cauc
 
     lower = None
     try:
-        if precondition:
-            norms = _coeff_norms(left_precondition(p, 0), kind)
-            nu = 1.0
-        else:
-            norms = _coeff_norms(p, kind)
-            nu = inv_norm_inv(p.coeffs[0], kind)
+        norms, nu = _pivot_profile(p, 0, kind, precondition, plain_norms)
         coeffs = list(norms)
         coeffs[0] = 0.0
         roots = positive_roots(SignedRadialPolynomial(coeffs, 0, nu))
@@ -175,18 +178,18 @@ def pellet_gap(p: MatrixPolynomial, k: int, kind, precondition: bool = False) ->
     if not 1 <= k <= p.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} for degree {p.n}")
     variant = VARIANT_PRECONDITIONED if precondition else VARIANT_PLAIN
-    if precondition:
-        norms = _coeff_norms(left_precondition(p, k), kind)
-        nu = 1.0
-    else:
-        norms = _coeff_norms(p, kind)
-        nu = inv_norm_inv(p.coeffs[k], kind)
+    norms, nu = _pivot_profile(p, k, kind, precondition)
     return _radial_gap(norms, nu, k, k * p.m, kind, variant)
 
 
-def _squared_base(p: MatrixPolynomial, use_reciprocal: bool):
-    """Monicize/reciprocate/shift per the squared-variant recipe and return
-    (Q-ready polynomial, variant tag)."""
+def squared_polynomial(p: MatrixPolynomial, use_reciprocal: bool) -> tuple:
+    """The companion-squared polynomial Q of P (or Q_R of its reciprocal)
+    and its variant tag.
+
+    P is monicized if needed, replaced by its reciprocal for Q_R, shifted
+    by z if its degree is odd, and then squared; the tag records each step
+    taken.  Raises SingularMatrixError when a required pivot is singular.
+    """
     tag = VARIANT_SQUARED_QR if use_reciprocal else VARIANT_SQUARED_Q
     if not p.is_monic():
         p = monicize(p)
@@ -195,7 +198,7 @@ def _squared_base(p: MatrixPolynomial, use_reciprocal: bool):
     if base.n % 2 != 0:
         base = shift_by_z(base)
         tag += "+shifted"
-    return base, tag
+    return square_repartition(base), tag
 
 
 def squared_bounds(p: MatrixPolynomial, kind, use_reciprocal: bool = False,
@@ -212,8 +215,7 @@ def squared_bounds(p: MatrixPolynomial, kind, use_reciprocal: bool = False,
     step (j=0 sharpens the lower bound).
     """
     kind = NormKind.coerce(kind)
-    base, tag = _squared_base(p, use_reciprocal)
-    q = square_repartition(base)
+    q, tag = squared_polynomial(p, use_reciprocal)
     if precondition_index is not None:
         q = left_precondition(q, precondition_index)
         tag += f"+B{precondition_index}-preconditioned"
@@ -254,11 +256,7 @@ def squared_gap(p: MatrixPolynomial, k_even: int, kind,
     variant = VARIANT_SQUARED_Q
     if precondition:
         variant += "+B-preconditioned"
-        norms = _coeff_norms(left_precondition(q, kq), kind)
-        nu = 1.0
-    else:
-        norms = _coeff_norms(q, kind)
-        nu = inv_norm_inv(q.coeffs[kq], kind)
+    norms, nu = _pivot_profile(q, kq, kind, precondition)
     variant += monic_suffix
     res = _radial_gap(norms, nu, kq, k_even * p.m, kind, variant)
     sqrt = lambda v: None if v is None else float(np.sqrt(v))
@@ -278,5 +276,5 @@ __all__ = [
     "pellet_gap",
     "squared_bounds",
     "squared_gap",
-    "q_reciprocal",
+    "squared_polynomial",
 ]

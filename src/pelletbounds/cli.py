@@ -177,12 +177,7 @@ def _cmd_gap(args) -> int:
 
 def _cmd_square(args) -> int:
     p = _load_polynomial(args)
-    if not p.is_monic():
-        p = matpoly.monicize(p)
-    base = matpoly.reciprocal(p) if args.variant == "qr" else p
-    if base.n % 2 != 0:
-        base = matpoly.shift_by_z(base)
-    q = matpoly.square_repartition(base)
+    q, _ = bounds_mod.squared_polynomial(p, use_reciprocal=(args.variant == "qr"))
     _emit(matpoly.to_json(q), args.out)
     return EXIT_OK
 

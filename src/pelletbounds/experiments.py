@@ -1,10 +1,13 @@
 """Seeded random ensembles and table emission for the four benchmark studies.
 
-Each example draws a family of random (matrix) polynomials, computes a set
-of competing bound variants per trial, verifies every reported bound or gap
-against the brute-force eigenvalue oracle (a failed check aborts the run),
-and aggregates ratio means, standard deviations, best-bound frequencies and
-gap tallies into tables:
+Each example draws a family of random (matrix) polynomials and computes a
+set of competing bound variants per trial, with one oracle eigensolve per
+trial.  Two tallies verify every reported bound or gap with the oracle's
+containment checks (a violation raises ``SoundnessError`` and aborts the
+run) and aggregate it: ``_BoundRatios`` keeps radius-to-truth ratios, skip
+and best-bound counts (ex1, ex4), and ``_GapPair`` keeps the gap
+frequencies, width ratios and every-k counts of a pair of gap variants
+(ex2, ex3, ex4), and emits their frequency and ratio tables:
 
 * ex1 -- degree-10 polynomials with random m x m coefficients; Cauchy upper
   bounds from P vs its companion-squared Q, and lower bounds from P, Q, the
@@ -29,11 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import GAP, UPPER_ONLY, cauchy_bounds, pellet_gap, squared_bounds, squared_gap
+from .bounds import GAP, cauchy_bounds, pellet_gap, squared_bounds, squared_gap
 from .embed import LacunaryPolynomial, embed_even, to_scalar
 from .linalg import NormKind, SingularMatrixError
 from .matpoly import MatrixPolynomial, scalar_polynomial
-from .oracle import DEFAULT_BOUNDARY_TOL, EigenReport, count_in_annulus, count_in_disk, eigen_oracle
+from .oracle import EigenReport, check_gap, check_lower, check_upper, eigen_oracle
 
 EXAMPLE_IDS = ("ex1", "ex2", "ex3", "ex4")
 
@@ -50,10 +53,6 @@ _EX2_BLOCK = 25
 _EX2_K = 12
 _EX3_DEGREE = 20
 _EX3_KS = (4, 12)
-
-
-class SoundnessError(Exception):
-    """A reported bound or gap failed its oracle containment check."""
 
 
 @dataclass(frozen=True)
@@ -251,35 +250,7 @@ def gen_ex4(rng: np.random.Generator, n: int) -> LacunaryPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# oracle containment (hard assertions: a violation aborts the run)
-
-def _check_upper(rep: EigenReport, value: float, label: str) -> None:
-    if value < rep.max_modulus * (1.0 - DEFAULT_BOUNDARY_TOL):
-        raise SoundnessError(f"{label}: upper bound {value} < max modulus {rep.max_modulus}")
-
-
-def _check_lower(rep: EigenReport, value: float, label: str) -> None:
-    if value > rep.min_modulus * (1.0 + DEFAULT_BOUNDARY_TOL):
-        raise SoundnessError(f"{label}: lower bound {value} > min modulus {rep.min_modulus}")
-
-
-def _check_gap(rep: EigenReport, gap, label: str) -> None:
-    if gap.status == UPPER_ONLY:
-        _check_upper(rep, gap.x1, label)
-        return
-    if gap.status != GAP:
-        return
-    inside = count_in_disk(rep, gap.x1)
-    if inside != gap.eig_count_inside:
-        raise SoundnessError(
-            f"{label}: {inside} eigenvalues inside |z| <= {gap.x1}, claimed {gap.eig_count_inside}")
-    stray = count_in_annulus(rep, gap.x1, gap.x2)
-    if stray:
-        raise SoundnessError(f"{label}: {stray} eigenvalues inside the annulus ({gap.x1}, {gap.x2})")
-
-
-# ---------------------------------------------------------------------------
-# aggregation helpers
+# tallies: every value is checked against the oracle before it is counted
 
 def _mean_std(values):
     if not values:
@@ -288,17 +259,6 @@ def _mean_std(values):
         return float(values[0]), 0.0
     arr = np.asarray(values, dtype=float)
     return float(arr.mean()), float(arr.std(ddof=1))
-
-
-def _ratio_stats(ratios, best: int, skipped: int) -> TrialStats:
-    mean, std = _mean_std(ratios)
-    return TrialStats(mean_ratio_percent=mean, std_percent=std, best_count=best, skipped=skipped)
-
-
-def _gap_stats(widths_pct, total: int, only: int, skipped: int) -> TrialStats:
-    mean, std = _mean_std(widths_pct)
-    return TrialStats(gap_total=total, gap_only=only, gap_ratio_mean=mean,
-                      gap_ratio_std=std, skipped=skipped)
 
 
 def _pct(count: int, denom: int) -> float:
@@ -316,6 +276,138 @@ def _best_index(values, names, maximize: bool):
     return None if best is None else names[best]
 
 
+class _BoundRatios:
+    """Upper or lower radii of named variants over trials.
+
+    Each radius is kept as a percent of the true extreme modulus; an absent
+    one (singular coefficient) counts as skipped.  Per trial, the tightest
+    of the ``best_of`` variants wins, ties toward the first listed.
+    """
+
+    def __init__(self, upper: bool, names, best_of=()):
+        self.upper = upper
+        self.best_of = best_of
+        self.ratios = {v: [] for v in names}
+        self.skipped = dict.fromkeys(names, 0)
+        self.best = dict.fromkeys(names, 0)
+
+    def add(self, rep: EigenReport, values: dict, label: str) -> None:
+        for name, ratios in self.ratios.items():
+            value = values[name]
+            if value is None:
+                self.skipped[name] += 1
+            elif self.upper:
+                check_upper(rep, value, f"{label} upper {name}")
+                ratios.append(100.0 * value / rep.max_modulus)
+            else:
+                check_lower(rep, value, f"{label} lower {name}")
+                ratios.append(100.0 * value / rep.min_modulus)
+        win = _best_index([values[v] for v in self.best_of], self.best_of, maximize=not self.upper)
+        if win is not None:
+            self.best[win] += 1
+
+    def stats(self) -> dict:
+        out = {}
+        for v, ratios in self.ratios.items():
+            mean, std = _mean_std(ratios)
+            out[v] = TrialStats(mean_ratio_percent=mean, std_percent=std,
+                                best_count=self.best[v], skipped=self.skipped[v])
+        return out
+
+
+class _GapPair:
+    """Pellet gaps of two competing variants, a and b, over trials at each k.
+
+    Per k: each side's gap widths as a percent of the true gap, the gaps
+    only one side found, singular-pivot skips, and how often b's gap is the
+    wider when both found one.  Across all k: the trials in which a side
+    found a gap at every k, and those in which the other side did not.
+    ``m`` is the block size, so a gap at k encloses k*m eigenvalues.
+    ``wider`` names the b-wider share in both the stats and the ratio table;
+    by default they are ``pct_b_wider`` and ``pct_gap_<b>_gt_<a>``.
+    """
+
+    def __init__(self, names, ks, m: int = 1, wider: str | None = None):
+        a, b = names
+        self.names, self.ks, self.m = names, ks, m
+        self.wider = (wider, wider) if wider else ("pct_b_wider", f"pct_gap_{b}_gt_{a}")
+        self.widths = {(side, k): [] for side in (0, 1) for k in ks}
+        self.only = dict.fromkeys(self.widths, 0)
+        self.skipped = dict.fromkeys(self.widths, 0)
+        self.both = dict.fromkeys(ks, 0)
+        self.b_wider = dict.fromkeys(ks, 0)
+        self.every_k = [0, 0]
+        self.every_k_only = [0, 0]
+
+    def add(self, rep: EigenReport, gap_fns, label: str) -> None:
+        """Tally one trial; ``gap_fns[side](k)`` returns that side's GapResult
+        or raises SingularMatrixError when its pivot is singular."""
+        found = set()
+        for k in self.ks:
+            actual = rep.moduli[k * self.m] - rep.moduli[k * self.m - 1]
+            width = {}
+            for side, fn in enumerate(gap_fns):
+                try:
+                    gap = fn(k)
+                except SingularMatrixError:
+                    self.skipped[side, k] += 1
+                    continue
+                check_gap(rep, gap, f"{label} k={k} {self.names[side]}")
+                if gap.status == GAP:
+                    width[side] = gap.x2 - gap.x1
+                    self.widths[side, k].append(100.0 * width[side] / actual)
+                    found.add((side, k))
+            if len(width) == 1:
+                (side,) = width
+                self.only[side, k] += 1
+            elif len(width) == 2:
+                self.both[k] += 1
+                if width[1] > width[0]:
+                    self.b_wider[k] += 1
+        every = [all((side, k) in found for k in self.ks) for side in (0, 1)]
+        for side in (0, 1):
+            if every[side]:
+                self.every_k[side] += 1
+                if not every[1 - side]:
+                    self.every_k_only[side] += 1
+
+    def _side(self, side: int, k: int) -> TrialStats:
+        mean, std = _mean_std(self.widths[side, k])
+        return TrialStats(gap_total=len(self.widths[side, k]), gap_only=self.only[side, k],
+                          gap_ratio_mean=mean, gap_ratio_std=std, skipped=self.skipped[side, k])
+
+    def stats(self, k: int) -> dict:
+        a, b = self.names
+        return {a: self._side(0, k), b: self._side(1, k),
+                self.wider[0]: _pct(self.b_wider[k], self.both[k])}
+
+    def tables(self, freq_name: str, ratio_name: str, key: str, rows) -> list:
+        """Frequency and ratio tables with one row per (key value, k) in ``rows``."""
+        a, b = self.names
+        freq = ResultTable(freq_name, [key] + [f"{v}_{col}" for col in ("total", "only", "skipped")
+                                               for v in (a, b)])
+        ratio = ResultTable(ratio_name, [key, f"{a}_mean", f"{a}_std", f"{b}_mean", f"{b}_std",
+                                         self.wider[1]])
+        for value, k in rows:
+            sa, sb = self._side(0, k), self._side(1, k)
+            freq.rows.append([value, sa.gap_total, sb.gap_total, sa.gap_only, sb.gap_only,
+                              sa.skipped, sb.skipped])
+            ratio.rows.append([value, sa.gap_ratio_mean, sa.gap_ratio_std,
+                               sb.gap_ratio_mean, sb.gap_ratio_std, _pct(self.b_wider[k], self.both[k])])
+        return [freq, ratio]
+
+    def every_k_stats(self) -> dict:
+        a, b = self.names
+        return {a: self.every_k[0], b: self.every_k[1],
+                f"{a}_only": self.every_k_only[0], f"{b}_only": self.every_k_only[1]}
+
+    def every_k_table(self, name: str) -> ResultTable:
+        a, b = self.names
+        tab = ResultTable(name, [f"{a}_both", f"{b}_both", f"{a}_both_only", f"{b}_both_only"])
+        tab.rows.append([*self.every_k, *self.every_k_only])
+        return tab
+
+
 # ---------------------------------------------------------------------------
 # ex1: Cauchy upper/lower bound comparison
 
@@ -326,194 +418,68 @@ _EX1_LOWER = ("P", "Q", "A0invP", "B0invQ", "QR")
 _EX1_LOWER_BEST = ("A0invP", "B0invQ", "QR")
 
 
+def _lower_or_none(bound_fn, *args, **kwargs):
+    """Lower radius of a variant whose transform needs a nonsingular pivot."""
+    try:
+        return bound_fn(*args, **kwargs).lower
+    except SingularMatrixError:
+        return None
+
+
 def _run_ex1(cfg: ExperimentConfig) -> ExperimentResult:
     kinds = cfg.resolved_kinds
-    acc = {kind: {"upper": {v: [] for v in _EX1_UPPER},
-                  "lower": {v: [] for v in _EX1_LOWER},
-                  "upper_best": {v: 0 for v in _EX1_UPPER},
-                  "lower_best": {v: 0 for v in _EX1_LOWER_BEST},
-                  "upper_skip": {v: 0 for v in _EX1_UPPER},
-                  "lower_skip": {v: 0 for v in _EX1_LOWER}}
-           for kind in kinds}
+    tallies = {kind: {"upper": _BoundRatios(True, _EX1_UPPER, _EX1_UPPER),
+                      "lower": _BoundRatios(False, _EX1_LOWER, _EX1_LOWER_BEST)}
+               for kind in kinds}
 
     for t in range(cfg.trials):
         p = gen_ex1(trial_rng(cfg.seed, t), cfg.m, cfg.scale_per_entry)
         rep = eigen_oracle(p)
         for kind in kinds:
-            uppers, lowers = {}, {}
             cb = cauchy_bounds(p, kind)
-            uppers["P"], lowers["P"] = cb.upper, cb.lower
             sq = squared_bounds(p, kind)
-            uppers["Q"], lowers["Q"] = sq.upper, sq.lower
-            try:
-                lowers["A0invP"] = cauchy_bounds(p, kind, precondition=True).lower
-            except SingularMatrixError:
-                lowers["A0invP"] = None
-            try:
-                lowers["B0invQ"] = squared_bounds(p, kind, precondition_index=0).lower
-            except SingularMatrixError:
-                lowers["B0invQ"] = None
-            try:
-                lowers["QR"] = squared_bounds(p, kind, use_reciprocal=True).lower
-            except SingularMatrixError:
-                lowers["QR"] = None
-
-            a = acc[kind]
-            for name in _EX1_UPPER:
-                value = uppers[name]
-                if value is None:
-                    a["upper_skip"][name] += 1
-                    continue
-                _check_upper(rep, value, f"ex1 trial {t} upper {name} {kind.value}")
-                a["upper"][name].append(100.0 * value / rep.max_modulus)
-            for name in _EX1_LOWER:
-                value = lowers[name]
-                if value is None:
-                    a["lower_skip"][name] += 1
-                    continue
-                _check_lower(rep, value, f"ex1 trial {t} lower {name} {kind.value}")
-                a["lower"][name].append(100.0 * value / rep.min_modulus)
-            win = _best_index([uppers[v] for v in _EX1_UPPER], _EX1_UPPER, maximize=False)
-            if win is not None:
-                a["upper_best"][win] += 1
-            win = _best_index([lowers[v] for v in _EX1_LOWER_BEST], _EX1_LOWER_BEST, maximize=True)
-            if win is not None:
-                a["lower_best"][win] += 1
+            lowers = {"P": cb.lower, "Q": sq.lower,
+                      "A0invP": _lower_or_none(cauchy_bounds, p, kind, precondition=True),
+                      "B0invQ": _lower_or_none(squared_bounds, p, kind, precondition_index=0),
+                      "QR": _lower_or_none(squared_bounds, p, kind, use_reciprocal=True)}
+            label = f"ex1 trial {t} {kind.value}"
+            tallies[kind]["upper"].add(rep, {"P": cb.upper, "Q": sq.upper}, label)
+            tallies[kind]["lower"].add(rep, lowers, label)
 
     stats, tables = {}, []
     for kind in kinds:
-        a = acc[kind]
-        upper_stats = {v: _ratio_stats(a["upper"][v], a["upper_best"][v], a["upper_skip"][v])
-                       for v in _EX1_UPPER}
-        lower_stats = {v: _ratio_stats(a["lower"][v], a["lower_best"].get(v, 0), a["lower_skip"][v])
-                       for v in _EX1_LOWER}
-        stats[kind.value] = {"upper": upper_stats, "lower": lower_stats}
-
-        tab = ResultTable(f"ex1_upper_m{cfg.m}_{kind.value}",
-                          ["variant", "mean_ratio_percent", "std_percent", "best_count", "skipped"])
-        for v in _EX1_UPPER:
-            s = upper_stats[v]
-            tab.rows.append([v, s.mean_ratio_percent, s.std_percent, s.best_count, s.skipped])
-        tables.append(tab)
-
-        tab = ResultTable(f"ex1_lower_m{cfg.m}_{kind.value}",
-                          ["variant", "mean_ratio_percent", "std_percent", "best_count", "skipped"])
-        for v in _EX1_LOWER:
-            s = lower_stats[v]
-            tab.rows.append([v, s.mean_ratio_percent, s.std_percent, s.best_count, s.skipped])
-        tables.append(tab)
-
+        stats[kind.value] = {}
+        for side, tally in tallies[kind].items():
+            side_stats = stats[kind.value][side] = tally.stats()
+            tab = ResultTable(f"ex1_{side}_m{cfg.m}_{kind.value}",
+                              ["variant", "mean_ratio_percent", "std_percent", "best_count", "skipped"])
+            tab.rows = [[v, s.mean_ratio_percent, s.std_percent, s.best_count, s.skipped]
+                        for v, s in side_stats.items()]
+            tables.append(tab)
     return ExperimentResult(cfg, tables, stats)
 
 
 # ---------------------------------------------------------------------------
 # ex2: Pellet gap detection, plain and preconditioned pairs
 
-def _gap_width(gap) -> float | None:
-    return (gap.x2 - gap.x1) if (gap is not None and gap.status == GAP) else None
-
-
-def _run_gap_pairs(cfg, ks, make_instance, make_report, pair_variants):
-    """Common tally loop for the gap-comparison studies.
-
-    ``pair_variants`` maps a pair label to (name_a, name_b, fn_a, fn_b) where
-    each fn(instance, k) returns a GapResult or raises SingularMatrixError.
-    Returns per-(pair, k) tallies plus per-variant both-k counts.
-    """
-    tallies = {(pair, k): {"a": [], "b": [], "a_total": 0, "b_total": 0,
-                           "a_only": 0, "b_only": 0, "both": 0, "b_wider": 0,
-                           "a_skip": 0, "b_skip": 0}
-               for pair in pair_variants for k in ks}
-    both_k = {(pair, side): 0 for pair in pair_variants for side in "ab"}
-    both_k_only = {(pair, side): 0 for pair in pair_variants for side in "ab"}
-
-    for t in range(cfg.trials):
-        inst = make_instance(trial_rng(cfg.seed, t))
-        rep, km_of = make_report(inst)
-        gapped = {}
-        for pair, (name_a, name_b, fn_a, fn_b) in pair_variants.items():
-            for k in ks:
-                tal = tallies[(pair, k)]
-                km = km_of(k)
-                actual = rep.moduli[km] - rep.moduli[km - 1]
-                widths = {}
-                for side, name, fn in (("a", name_a, fn_a), ("b", name_b, fn_b)):
-                    try:
-                        gap = fn(inst, k)
-                    except SingularMatrixError:
-                        tal[f"{side}_skip"] += 1
-                        gapped[(pair, side, k)] = False
-                        continue
-                    _check_gap(rep, gap, f"{cfg.example_id} trial {t} k={k} {name}")
-                    width = _gap_width(gap)
-                    gapped[(pair, side, k)] = width is not None
-                    if width is not None:
-                        tal[f"{side}_total"] += 1
-                        tal[side].append(100.0 * width / actual)
-                        widths[side] = width
-                if gapped.get((pair, "a", k)) and not gapped.get((pair, "b", k)):
-                    tal["a_only"] += 1
-                if gapped.get((pair, "b", k)) and not gapped.get((pair, "a", k)):
-                    tal["b_only"] += 1
-                if gapped.get((pair, "a", k)) and gapped.get((pair, "b", k)):
-                    tal["both"] += 1
-                    if widths["b"] > widths["a"]:
-                        tal["b_wider"] += 1
-        for pair in pair_variants:
-            for side in "ab":
-                hit_all = all(gapped.get((pair, side, k)) for k in ks)
-                other = all(gapped.get((pair, "b" if side == "a" else "a", k)) for k in ks)
-                if hit_all:
-                    both_k[(pair, side)] += 1
-                    if not other:
-                        both_k_only[(pair, side)] += 1
-    return tallies, both_k, both_k_only
-
-
 def _run_ex2(cfg: ExperimentConfig) -> ExperimentResult:
     kind = cfg.resolved_kinds[0]
-    k = _EX2_K
+    pairs = {"plain": (False, _GapPair(("P", "Q"), (_EX2_K,), m=_EX2_BLOCK)),
+             "preconditioned": (True, _GapPair(("AkinvP", "BkinvQ"), (_EX2_K,), m=_EX2_BLOCK))}
 
-    pair_variants = {
-        "plain": ("P", "Q",
-                  lambda p, k: pellet_gap(p, k, kind),
-                  lambda p, k: squared_gap(p, k, kind)),
-        "preconditioned": ("AkinvP", "BkinvQ",
-                           lambda p, k: pellet_gap(p, k, kind, precondition=True),
-                           lambda p, k: squared_gap(p, k, kind, precondition=True)),
-    }
-    tallies, _, _ = _run_gap_pairs(
-        cfg, (k,),
-        make_instance=lambda rng: gen_ex2(rng, cfg.eta),
-        make_report=lambda p: (eigen_oracle(p), lambda kk: kk * _EX2_BLOCK),
-        pair_variants=pair_variants,
-    )
+    for t in range(cfg.trials):
+        p = gen_ex2(trial_rng(cfg.seed, t), cfg.eta)
+        rep = eigen_oracle(p)
+        for pre, gaps in pairs.values():
+            gaps.add(rep, (lambda k: pellet_gap(p, k, kind, precondition=pre),
+                           lambda k: squared_gap(p, k, kind, precondition=pre)), f"ex2 trial {t}")
 
     stats, tables = {}, []
-    for pair, (name_a, name_b, _, _) in pair_variants.items():
-        tal = tallies[(pair, k)]
-        stats[pair] = {
-            name_a: _gap_stats(tal["a"], tal["a_total"], tal["a_only"], tal["a_skip"]),
-            name_b: _gap_stats(tal["b"], tal["b_total"], tal["b_only"], tal["b_skip"]),
-            "pct_b_wider": _pct(tal["b_wider"], tal["both"]),
-        }
+    for pair, (_, gaps) in pairs.items():
+        stats[pair] = gaps.stats(_EX2_K)
         suffix = "" if pair == "plain" else "_preconditioned"
-        tab = ResultTable(f"ex2_gap_frequency{suffix}",
-                          ["eta", f"{name_a}_total", f"{name_b}_total",
-                           f"{name_a}_only", f"{name_b}_only",
-                           f"{name_a}_skipped", f"{name_b}_skipped"])
-        tab.rows.append([cfg.eta, tal["a_total"], tal["b_total"], tal["a_only"], tal["b_only"],
-                         tal["a_skip"], tal["b_skip"]])
-        tables.append(tab)
-        tab = ResultTable(f"ex2_gap_ratio{suffix}",
-                          ["eta", f"{name_a}_mean", f"{name_a}_std",
-                           f"{name_b}_mean", f"{name_b}_std",
-                           f"pct_gap_{name_b}_gt_{name_a}"])
-        ma, sa = _mean_std(tal["a"])
-        mb, sb = _mean_std(tal["b"])
-        tab.rows.append([cfg.eta, ma, sa, mb, sb, _pct(tal["b_wider"], tal["both"])])
-        tables.append(tab)
-
+        tables += gaps.tables(f"ex2_gap_frequency{suffix}", f"ex2_gap_ratio{suffix}", "eta",
+                              [(cfg.eta, _EX2_K)])
     return ExperimentResult(cfg, tables, stats)
 
 
@@ -522,67 +488,37 @@ def _run_ex2(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_ex3(cfg: ExperimentConfig) -> ExperimentResult:
     kind = cfg.resolved_kinds[0]
-    pair_variants = {
-        "ex3": ("p", "BkinvQ",
-                lambda p, k: pellet_gap(p, k, kind),
-                lambda p, k: squared_gap(p, k, kind, precondition=True)),
-    }
-    tallies, both_k, both_k_only = _run_gap_pairs(
-        cfg, _EX3_KS,
-        make_instance=gen_ex3,
-        make_report=lambda p: (eigen_oracle(p), lambda kk: kk),
-        pair_variants=pair_variants,
-    )
+    gaps = _GapPair(("p", "BkinvQ"), _EX3_KS)
 
-    stats, tables = {}, []
-    freq = ResultTable("ex3_gap_frequency",
-                       ["k", "p_total", "BkinvQ_total", "p_only", "BkinvQ_only",
-                        "p_skipped", "BkinvQ_skipped"])
-    ratio = ResultTable("ex3_gap_ratio",
-                        ["k", "p_mean", "p_std", "BkinvQ_mean", "BkinvQ_std",
-                         "pct_gap_BkinvQ_gt_p"])
-    for k in _EX3_KS:
-        tal = tallies[("ex3", k)]
-        stats[k] = {
-            "p": _gap_stats(tal["a"], tal["a_total"], tal["a_only"], tal["a_skip"]),
-            "BkinvQ": _gap_stats(tal["b"], tal["b_total"], tal["b_only"], tal["b_skip"]),
-            "pct_b_wider": _pct(tal["b_wider"], tal["both"]),
-        }
-        freq.rows.append([k, tal["a_total"], tal["b_total"], tal["a_only"], tal["b_only"],
-                          tal["a_skip"], tal["b_skip"]])
-        ma, sa = _mean_std(tal["a"])
-        mb, sb = _mean_std(tal["b"])
-        ratio.rows.append([k, ma, sa, mb, sb, _pct(tal["b_wider"], tal["both"])])
-    both = ResultTable("ex3_both_k",
-                       ["p_both", "BkinvQ_both", "p_both_only", "BkinvQ_both_only"])
-    both.rows.append([both_k[("ex3", "a")], both_k[("ex3", "b")],
-                      both_k_only[("ex3", "a")], both_k_only[("ex3", "b")]])
-    stats["both_k"] = {"p": both_k[("ex3", "a")], "BkinvQ": both_k[("ex3", "b")],
-                       "p_only": both_k_only[("ex3", "a")], "BkinvQ_only": both_k_only[("ex3", "b")]}
-    tables.extend([freq, ratio, both])
+    for t in range(cfg.trials):
+        p = gen_ex3(trial_rng(cfg.seed, t))
+        rep = eigen_oracle(p)
+        gaps.add(rep, (lambda k: pellet_gap(p, k, kind),
+                       lambda k: squared_gap(p, k, kind, precondition=True)), f"ex3 trial {t}")
+
+    stats = {k: gaps.stats(k) for k in _EX3_KS}
+    stats["both_k"] = gaps.every_k_stats()
+    tables = gaps.tables("ex3_gap_frequency", "ex3_gap_ratio", "k", [(k, k) for k in _EX3_KS])
+    tables.append(gaps.every_k_table("ex3_both_k"))
     return ExperimentResult(cfg, tables, stats)
 
 
 # ---------------------------------------------------------------------------
 # ex4: scalar vs lacunary-embedding bounds and gaps
 
+_EX4_BOUNDS = ("upper_scalar", "upper_matrix", "lower_scalar", "lower_matrix")
+_EX4_BETTER = ("pct_upper_better", "pct_lower_better", "pct_both_better")
+
+
 def _run_ex4(cfg: ExperimentConfig) -> ExperimentResult:
     kind = cfg.resolved_kinds[0]
     n = cfg.n
     ks = (2, n - 2)
-
-    bacc = {name: [] for name in ("upper_scalar", "upper_matrix", "lower_scalar", "lower_matrix")}
-    bskip = {name: 0 for name in bacc}
+    upper = _BoundRatios(True, _EX4_BOUNDS[:2])
+    lower = _BoundRatios(False, _EX4_BOUNDS[2:])
+    gaps = _GapPair(("scalar", "matrix"), ks, wider="pct_matrix_wider")
     upper_better = lower_better = both_better = 0
     both_present = 0
-
-    # The bound and gap comparisons share one instance stream, so run a
-    # single loop rather than reusing _run_gap_pairs.
-    gap_tal = {k: {"a": [], "b": [], "a_total": 0, "b_total": 0, "a_only": 0,
-                   "b_only": 0, "both": 0, "b_wider": 0, "a_skip": 0, "b_skip": 0}
-               for k in ks}
-    both_k = {"a": 0, "b": 0}
-    both_k_only = {"a": 0, "b": 0}
 
     for t in range(cfg.trials):
         lac = gen_ex4(trial_rng(cfg.seed, t), n)
@@ -592,111 +528,33 @@ def _run_ex4(cfg: ExperimentConfig) -> ExperimentResult:
 
         su = cauchy_bounds(ps, kind)
         mu = cauchy_bounds(qe, kind)
-        values = {"upper_scalar": su.upper, "upper_matrix": mu.upper,
-                  "lower_scalar": su.lower, "lower_matrix": mu.lower}
-        for name, value in values.items():
-            if value is None:
-                bskip[name] += 1
-                continue
-            if name.startswith("upper"):
-                _check_upper(rep, value, f"ex4 trial {t} {name}")
-                bacc[name].append(100.0 * value / rep.max_modulus)
-            else:
-                _check_lower(rep, value, f"ex4 trial {t} {name}")
-                bacc[name].append(100.0 * value / rep.min_modulus)
-        if None not in values.values():
+        label = f"ex4 trial {t}"
+        upper.add(rep, {"upper_scalar": su.upper, "upper_matrix": mu.upper}, label)
+        lower.add(rep, {"lower_scalar": su.lower, "lower_matrix": mu.lower}, label)
+        if None not in (su.upper, mu.upper, su.lower, mu.lower):
             both_present += 1
-            up = values["upper_matrix"] < values["upper_scalar"]
-            lo = values["lower_matrix"] > values["lower_scalar"]
+            up = mu.upper < su.upper
+            lo = mu.lower > su.lower
             upper_better += up
             lower_better += lo
             both_better += up and lo
+        gaps.add(rep, (lambda k: pellet_gap(ps, k, kind),
+                       lambda k: pellet_gap(qe, k // 2, kind)), label)
 
-        gapped = {}
-        for k in ks:
-            tal = gap_tal[k]
-            actual = rep.moduli[k] - rep.moduli[k - 1]
-            widths = {}
-            for side, fn in (("a", lambda: pellet_gap(ps, k, kind)),
-                             ("b", lambda: pellet_gap(qe, k // 2, kind))):
-                try:
-                    gap = fn()
-                except SingularMatrixError:
-                    tal[f"{side}_skip"] += 1
-                    gapped[(side, k)] = False
-                    continue
-                _check_gap(rep, gap, f"ex4 trial {t} k={k} {'scalar' if side == 'a' else 'matrix'}")
-                width = _gap_width(gap)
-                gapped[(side, k)] = width is not None
-                if width is not None:
-                    tal[f"{side}_total"] += 1
-                    tal[side].append(100.0 * width / actual)
-                    widths[side] = width
-            if gapped.get(("a", k)) and not gapped.get(("b", k)):
-                tal["a_only"] += 1
-            if gapped.get(("b", k)) and not gapped.get(("a", k)):
-                tal["b_only"] += 1
-            if gapped.get(("a", k)) and gapped.get(("b", k)):
-                tal["both"] += 1
-                if widths["b"] > widths["a"]:
-                    tal["b_wider"] += 1
-        for side in "ab":
-            hit_all = all(gapped.get((side, k)) for k in ks)
-            other = all(gapped.get(("b" if side == "a" else "a", k)) for k in ks)
-            if hit_all:
-                both_k[side] += 1
-                if not other:
-                    both_k_only[side] += 1
+    bounds = {**upper.stats(), **lower.stats()}
+    for name, count in zip(_EX4_BETTER, (upper_better, lower_better, both_better)):
+        bounds[name] = _pct(count, both_present)
+    stats = {"bounds": bounds, "gaps": {k: gaps.stats(k) for k in ks},
+             "both_k": gaps.every_k_stats()}
 
-    stats = {"bounds": {name: _ratio_stats(bacc[name], 0, bskip[name]) for name in bacc}}
-    stats["bounds"]["pct_upper_better"] = _pct(upper_better, both_present)
-    stats["bounds"]["pct_lower_better"] = _pct(lower_better, both_present)
-    stats["bounds"]["pct_both_better"] = _pct(both_better, both_present)
-    stats["gaps"] = {}
-    for k in ks:
-        tal = gap_tal[k]
-        stats["gaps"][k] = {
-            "scalar": _gap_stats(tal["a"], tal["a_total"], tal["a_only"], tal["a_skip"]),
-            "matrix": _gap_stats(tal["b"], tal["b_total"], tal["b_only"], tal["b_skip"]),
-            "pct_matrix_wider": _pct(tal["b_wider"], tal["both"]),
-        }
-    stats["both_k"] = {"scalar": both_k["a"], "matrix": both_k["b"],
-                       "scalar_only": both_k_only["a"], "matrix_only": both_k_only["b"]}
-
-    tables = []
-    tab = ResultTable(f"ex4_bounds_n{n}",
-                      ["n", "upper_scalar_mean", "upper_scalar_std",
-                       "upper_matrix_mean", "upper_matrix_std",
-                       "lower_scalar_mean", "lower_scalar_std",
-                       "lower_matrix_mean", "lower_matrix_std",
-                       "pct_upper_better", "pct_lower_better", "pct_both_better"])
-    us = _mean_std(bacc["upper_scalar"])
-    um = _mean_std(bacc["upper_matrix"])
-    ls = _mean_std(bacc["lower_scalar"])
-    lm = _mean_std(bacc["lower_matrix"])
-    tab.rows.append([n, us[0], us[1], um[0], um[1], ls[0], ls[1], lm[0], lm[1],
-                     _pct(upper_better, both_present), _pct(lower_better, both_present),
-                     _pct(both_better, both_present)])
-    tables.append(tab)
-
-    freq = ResultTable(f"ex4_gap_frequency_n{n}",
-                       ["k", "scalar_total", "matrix_total", "scalar_only", "matrix_only",
-                        "scalar_skipped", "matrix_skipped"])
-    ratio = ResultTable(f"ex4_gap_ratio_n{n}",
-                        ["k", "scalar_mean", "scalar_std", "matrix_mean", "matrix_std",
-                         "pct_matrix_wider"])
-    for k in ks:
-        tal = gap_tal[k]
-        freq.rows.append([k, tal["a_total"], tal["b_total"], tal["a_only"], tal["b_only"],
-                          tal["a_skip"], tal["b_skip"]])
-        ma, sa = _mean_std(tal["a"])
-        mb, sb = _mean_std(tal["b"])
-        ratio.rows.append([k, ma, sa, mb, sb, _pct(tal["b_wider"], tal["both"])])
-    both = ResultTable(f"ex4_both_k_n{n}",
-                       ["scalar_both", "matrix_both", "scalar_both_only", "matrix_both_only"])
-    both.rows.append([both_k["a"], both_k["b"], both_k_only["a"], both_k_only["b"]])
-    tables.extend([freq, ratio, both])
-
+    tab = ResultTable(f"ex4_bounds_n{n}", ["n"] + [f"{v}_{col}" for v in _EX4_BOUNDS
+                                                   for col in ("mean", "std")] + list(_EX4_BETTER))
+    tab.rows.append([n] + [x for v in _EX4_BOUNDS
+                           for x in (bounds[v].mean_ratio_percent, bounds[v].std_percent)]
+                    + [bounds[name] for name in _EX4_BETTER])
+    tables = [tab] + gaps.tables(f"ex4_gap_frequency_n{n}", f"ex4_gap_ratio_n{n}", "k",
+                                 [(k, k) for k in ks])
+    tables.append(gaps.every_k_table(f"ex4_both_k_n{n}"))
     return ExperimentResult(cfg, tables, stats)
 
 

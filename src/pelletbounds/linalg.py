@@ -2,7 +2,10 @@
 
 Matrices are plain 2-D ``numpy`` arrays of ``complex128``.  Every public
 entry point validates its input through :func:`as_matrix`, which rejects
-non-finite entries, so downstream code can assume clean data.
+non-finite entries, so downstream code can assume clean data.  The 2-norm
+is the largest singular value from LAPACK's SVD: a 2-norm bound is sound
+only if the norm is never underestimated, which rules out iterations that
+can stop at a smaller singular value.
 """
 
 from __future__ import annotations
@@ -16,9 +19,6 @@ import scipy.linalg
 # Pivot threshold is relative to the infinity norm so the singularity test
 # is invariant under uniform scaling of the matrix.
 SINGULARITY_RTOL = 1e-13
-
-TWO_NORM_TOL = 1e-12
-TWO_NORM_MAXITER = 10000
 
 EIGEN_DIM_CAP = 2000
 
@@ -65,44 +65,6 @@ def identity(m: int) -> np.ndarray:
     return np.eye(m, dtype=np.complex128)
 
 
-def _two_norm(a: np.ndarray) -> float:
-    """Largest singular value via power iteration on A*A.
-
-    Uses a fixed pseudo-random start vector (deterministic across calls) and
-    a residual-based stopping test.  Falls back to a full SVD on stagnation:
-    either the hard iteration cap, or the residual failing to shrink over a
-    window, which happens when the top singular values are clustered.
-    """
-    rng = np.random.default_rng(0x5EED)
-    n = a.shape[1]
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    frob = np.linalg.norm(a)
-    if frob == 0.0:
-        return 0.0
-    ah = a.conj().T
-    window, last = 25, np.inf
-    for it in range(TWO_NORM_MAXITER):
-        g = a @ v
-        theta = np.real(np.vdot(g, g))  # Rayleigh quotient of A*A
-        w = ah @ g
-        wn = np.linalg.norm(w)
-        if wn == 0.0:
-            # start vector landed in the null space; restart
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            continue
-        resid = np.linalg.norm(w - theta * v)
-        if resid <= TWO_NORM_TOL * theta:
-            return float(np.sqrt(theta))
-        if it % window == window - 1:
-            if resid > 0.25 * last:
-                break  # stagnating; clustered spectrum
-            last = resid
-        v = w / wn
-    return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
 def norm(a, kind) -> float:
     """Induced matrix norm of the requested kind."""
     arr = as_matrix(a)
@@ -111,7 +73,7 @@ def norm(a, kind) -> float:
         return float(np.abs(arr).sum(axis=0).max())
     if kind is NormKind.INF:
         return float(np.abs(arr).sum(axis=1).max())
-    return _two_norm(arr)
+    return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
 def _lu_factor_checked(a: np.ndarray):

@@ -1,9 +1,11 @@
-"""Brute-force eigenvalue ground truth and region counting.
+"""Brute-force eigenvalue ground truth, region counting and containment checks.
 
 The oracle computes all nm eigenvalues of a matrix polynomial by sending the
 monicized polynomial through its block companion matrix and a dense
-eigensolver.  Bounds and gaps produced elsewhere in the library are verified
-against these values with small relative slack at region boundaries.
+eigensolver.  ``check_upper``, ``check_lower`` and ``check_gap`` verify a
+reported radius or annulus against these values with relative slack
+``DEFAULT_BOUNDARY_TOL`` at region boundaries and raise ``SoundnessError``
+on a violation; the experiments and the acceptance suite both use them.
 """
 
 from __future__ import annotations
@@ -12,10 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import GAP, UPPER_ONLY, GapResult
 from .linalg import EIGEN_DIM_CAP, eigenvalues
 from .matpoly import MatrixPolynomial, companion, monicize
 
 DEFAULT_BOUNDARY_TOL = 1e-9
+
+
+class SoundnessError(Exception):
+    """A reported bound or gap failed its oracle containment check."""
 
 
 @dataclass(frozen=True)
@@ -64,3 +71,38 @@ def count_in_annulus(rep: EigenReport, x1: float, x2: float,
     inner = rep.moduli > x1 * (1.0 + tol)
     outer = rep.moduli < x2 * (1.0 - tol)
     return int(np.count_nonzero(inner & outer))
+
+
+def check_upper(rep: EigenReport, value: float, label: str) -> None:
+    """Require every eigenvalue modulus to be <= value * (1 + tol)."""
+    if not rep.max_modulus <= value * (1.0 + DEFAULT_BOUNDARY_TOL):
+        raise SoundnessError(f"{label}: upper bound {value} < max modulus {rep.max_modulus}")
+
+
+def check_lower(rep: EigenReport, value: float, label: str) -> None:
+    """Require value <= min modulus * (1 + tol)."""
+    if not value <= rep.min_modulus * (1.0 + DEFAULT_BOUNDARY_TOL):
+        raise SoundnessError(f"{label}: lower bound {value} > min modulus {rep.min_modulus}")
+
+
+def check_gap(rep: EigenReport, gap: GapResult, label: str) -> bool:
+    """Verify a Pellet result; returns whether it claimed anything.
+
+    An ``upper-only`` result is checked as an upper bound.  A ``gap`` must
+    have exactly its claimed count inside |z| <= x1 and no modulus inside
+    the annulus, both counted at the default boundary slack.  ``nogap``
+    claims nothing.
+    """
+    if gap.status == UPPER_ONLY:
+        check_upper(rep, gap.x1, label)
+        return True
+    if gap.status != GAP:
+        return False
+    inside = count_in_disk(rep, gap.x1)
+    if inside != gap.eig_count_inside:
+        raise SoundnessError(
+            f"{label}: {inside} eigenvalues inside |z| <= {gap.x1}, claimed {gap.eig_count_inside}")
+    stray = count_in_annulus(rep, gap.x1, gap.x2)
+    if stray:
+        raise SoundnessError(f"{label}: {stray} eigenvalues inside the annulus ({gap.x1}, {gap.x2})")
+    return True

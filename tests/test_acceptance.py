@@ -20,8 +20,6 @@ from pelletbounds import (
     SignedRadialPolynomial,
     SingularMatrixError,
     cauchy_bounds,
-    count_in_annulus,
-    count_in_disk,
     eigen_oracle,
     embed_even,
     embed_odd,
@@ -37,12 +35,12 @@ from pelletbounds import (
     to_scalar,
     trial_rng,
 )
+from pelletbounds.oracle import check_gap, check_lower, check_upper
 
 from conftest import max_match_distance
 
 KINDS = (NormKind.ONE, NormKind.INF, NormKind.TWO)
 SEED = 20260810
-TOL = 1e-9
 
 
 def report(num, name, ok, detail=""):
@@ -55,28 +53,6 @@ def report(num, name, ok, detail=""):
 
 def _rand_matrix(rng, m, scale=1.0):
     return scale * (rng.uniform(-1, 1, (m, m)) + 1j * rng.uniform(-1, 1, (m, m)))
-
-
-def _check_cauchy(rep, cb):
-    claims = 0
-    if cb.upper is not None:
-        claims += 1
-        assert rep.max_modulus <= cb.upper * (1 + TOL), (rep.max_modulus, cb)
-    if cb.lower is not None:
-        claims += 1
-        assert rep.min_modulus >= cb.lower * (1 - TOL), (rep.min_modulus, cb)
-    return claims
-
-
-def _check_gap(rep, g):
-    if g.status == "upper-only":
-        assert rep.max_modulus <= g.x1 * (1 + TOL), g
-        return 1
-    if g.status != GAP:
-        return 0
-    assert count_in_disk(rep, g.x1, TOL) == g.eig_count_inside, g
-    assert count_in_annulus(rep, g.x1, g.x2, TOL) == 0, g
-    return 1
 
 
 def test_criterion_1_soundness_sweep():
@@ -98,27 +74,27 @@ def test_criterion_1_soundness_sweep():
         p = MatrixPolynomial(coeffs)
         rep = eigen_oracle(p)
 
-        for pre in (False, True):
+        radii = [cauchy_bounds(p, kind, precondition=pre) for pre in (False, True)]
+        for opts in ({"use_reciprocal": False}, {"use_reciprocal": True}, {"precondition_index": 0}):
             try:
-                claims += _check_cauchy(rep, cauchy_bounds(p, kind, precondition=pre))
+                radii.append(squared_bounds(p, kind, **opts))
             except SingularMatrixError:
                 pass
-        for use_rec in (False, True):
-            try:
-                claims += _check_cauchy(rep, squared_bounds(p, kind, use_reciprocal=use_rec))
-            except SingularMatrixError:
-                pass
-        try:
-            claims += _check_cauchy(rep, squared_bounds(p, kind, precondition_index=0))
-        except SingularMatrixError:
-            pass
+        label = f"instance {i} {kind.value}"
+        for cb in radii:
+            if cb.upper is not None:
+                check_upper(rep, cb.upper, f"{label} {cb.variant}")
+                claims += 1
+            if cb.lower is not None:
+                check_lower(rep, cb.lower, f"{label} {cb.variant}")
+                claims += 1
         for k in range(1, n):
             for pre in (False, True):
                 try:
                     g = pellet_gap(p, k, kind, precondition=pre)
                 except SingularMatrixError:
                     continue
-                got = _check_gap(rep, g)
+                got = check_gap(rep, g, f"{label} k={k} {g.variant}")
                 claims += got
                 gaps += got
         if n % 2 == 0 and n >= 4:
@@ -128,7 +104,7 @@ def test_criterion_1_soundness_sweep():
                         g = squared_gap(p, k_even, kind, precondition=pre)
                     except SingularMatrixError:
                         continue
-                    got = _check_gap(rep, g)
+                    got = check_gap(rep, g, f"{label} k={k_even} {g.variant}")
                     claims += got
                     gaps += got
     elapsed = time.time() - t0

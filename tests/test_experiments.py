@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,3 +183,19 @@ def test_markdown_and_json_outputs():
     assert "ex1_upper_m1_one" in obj["tables"]
     rows = obj["tables"]["ex1_upper_m1_one"]["rows"]
     assert rows[0][0] == "P"
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, cfg", [
+    ("ex1_m2_trials12_seed3.csv",
+     ExperimentConfig("ex1", trials=12, seed=3, m=2, norm_kinds=("one", "inf", "two"))),
+    ("ex2_trials2_seed5.csv", ExperimentConfig("ex2", trials=2, seed=5)),
+    ("ex3_trials60_seed1.csv", ExperimentConfig("ex3", trials=60, seed=1)),
+    ("ex4_n20_trials40_seed4.csv", ExperimentConfig("ex4", trials=40, seed=4, n=20)),
+])
+def test_csv_matches_golden(name, cfg):
+    # any change to an ensemble, a tally or the number format shows here
+    expected = (GOLDEN / name).read_text()
+    assert run_experiment(cfg).to_csv() == expected

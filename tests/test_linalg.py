@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from pelletbounds import (
+    MatrixPolynomial,
     NormKind,
     SingularMatrixError,
+    cauchy_bounds,
     eigenvalues,
     inv_norm_inv,
     inverse,
@@ -27,11 +29,30 @@ def test_norm_two_diagonal():
     assert norm(np.diag([3.0, -4.0]), "two") == pytest.approx(4.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 7, 20])
+def _power_iteration_trap():
+    """A = 10 w w* + 0.5 v0 v0* with v0 the normalised default_rng(0x5EED)
+    complex start vector and w orthogonal to v0: a power iteration started
+    at v0 stops at once on the singular value 0.5 instead of 10."""
+    rng = np.random.default_rng(0x5EED)
+    v0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    v0 /= np.linalg.norm(v0)
+    e0 = np.eye(4)[0]
+    w = e0 - np.vdot(v0, e0) * v0
+    w /= np.linalg.norm(w)
+    return 10.0 * np.outer(w, w.conj()) + 0.5 * np.outer(v0, v0.conj())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 20, "power_trap"])
 def test_norm_two_matches_svd(rng, m):
-    a = rand_matrix(rng, m, scale=3.0)
+    a = _power_iteration_trap() if m == "power_trap" else rand_matrix(rng, m, scale=3.0)
     expected = np.linalg.svd(a, compute_uv=False)[0]
     assert norm(a, "two") == pytest.approx(expected, rel=1e-10)
+
+
+def test_power_trap_cauchy_upper_covers_spectrum():
+    # P(z) = A + I z has eigenvalues -eig(A), the largest of modulus 10
+    p = MatrixPolynomial([_power_iteration_trap(), np.eye(4)])
+    assert cauchy_bounds(p, "two").upper >= 10.0 * (1 - 1e-9)
 
 
 def test_norm_zero_iff_zero_matrix(rng):

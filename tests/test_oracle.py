@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from pelletbounds import (
+    GAP,
+    NO_GAP,
+    UPPER_ONLY,
+    GapResult,
     MatrixPolynomial,
     NormKind,
     SingularMatrixError,
@@ -12,7 +16,7 @@ from pelletbounds import (
     norm,
     scalar_polynomial,
 )
-from pelletbounds.oracle import EigenReport
+from pelletbounds.oracle import EigenReport, SoundnessError, check_gap, check_lower, check_upper
 
 from conftest import rand_poly
 
@@ -76,3 +80,29 @@ def test_disk_annulus_sum_rule(rng):
     middle = count_in_annulus(rep, x1, x2)
     beyond = int(np.count_nonzero(rep.moduli >= x2 * (1 - 1e-9)))
     assert inside + middle + beyond == rep.count
+
+
+def _gap(status, x1=None, x2=None, count=None):
+    return GapResult(k=1, status=status, x1=x1, x2=x2, eig_count_inside=count,
+                     norm_kind=NormKind.ONE, variant="plain")
+
+
+@pytest.mark.parametrize("moduli, check", [
+    ([1.0, 2.0], lambda rep: check_upper(rep, 2.0 * (1 - 2e-9), "upper")),
+    ([1.0, 2.0], lambda rep: check_lower(rep, 1.0 * (1 + 2e-9), "lower")),
+    ([1.0, 2.0], lambda rep: check_gap(rep, _gap(GAP, 1.5, 1.9, count=2), "count")),
+    ([1.0, 1.5, 2.0], lambda rep: check_gap(rep, _gap(GAP, 1.2, 1.9, count=1), "annulus")),
+    ([1.0, 2.0], lambda rep: check_gap(rep, _gap(UPPER_ONLY, 2.0 * (1 - 2e-9)), "upper-only")),
+], ids=["upper", "lower", "gap_count", "gap_annulus", "upper_only"])
+def test_verifier_rejects_violations(moduli, check):
+    with pytest.raises(SoundnessError):
+        check(report(moduli))
+
+
+def test_verifier_slack_and_claims():
+    rep = report([1.0, 2.0])
+    check_upper(rep, 2.0 * (1 - 5e-10), "upper")
+    check_lower(rep, 1.0 * (1 + 5e-10), "lower")
+    assert check_gap(rep, _gap(GAP, 1.0 * (1 - 5e-10), 2.0 * (1 + 5e-10), count=1), "gap")
+    assert check_gap(rep, _gap(UPPER_ONLY, 2.0 * (1 - 5e-10)), "upper-only")
+    assert check_gap(rep, _gap(NO_GAP), "nogap") is False
