@@ -82,7 +82,8 @@ class GapResult:
 
 
 def _coeff_norms(p: MatrixPolynomial, kind: NormKind) -> np.ndarray:
-    return np.array([norm(c, kind) for c in p.coeffs])
+    """||A_0||, ..., ||A_n|| in one reduction over the coefficient stack."""
+    return norm(p.stack, kind)
 
 
 def _pivot_profile(p: MatrixPolynomial, j: int, kind: NormKind, precondition: bool,
@@ -240,11 +241,6 @@ def squared_gap(p: MatrixPolynomial, k_even: int, kind,
     ``precondition`` the query runs on B_{k_even/2}^-1 Q.
     """
     kind = NormKind.coerce(kind)
-    if not p.is_monic():
-        p = monicize(p)
-        monic_suffix = "+monicized"
-    else:
-        monic_suffix = ""
     if p.n % 2 != 0:
         raise OddDegreeError("squared_gap needs an even degree")
     if k_even % 2 != 0:
@@ -252,12 +248,10 @@ def squared_gap(p: MatrixPolynomial, k_even: int, kind,
     if not 2 <= k_even <= p.n - 2:
         raise ValueError(f"need 2 <= k <= n-2, got k={k_even} for degree {p.n}")
     kq = k_even // 2
-    q = square_repartition(p)
-    variant = VARIANT_SQUARED_Q
+    q, variant = squared_polynomial(p, use_reciprocal=False)
     if precondition:
         variant += "+B-preconditioned"
     norms, nu = _pivot_profile(q, kq, kind, precondition)
-    variant += monic_suffix
     res = _radial_gap(norms, nu, kq, k_even * p.m, kind, variant)
     sqrt = lambda v: None if v is None else float(np.sqrt(v))
     return GapResult(k=k_even, status=res.status, x1=sqrt(res.x1), x2=sqrt(res.x2),

@@ -1,20 +1,21 @@
 """Dense complex matrix primitives: induced norms, inverses, eigenvalues.
 
-Matrices are plain 2-D ``numpy`` arrays of ``complex128``.  Every public
-entry point validates its input through :func:`as_matrix`, which rejects
-non-finite entries, so downstream code can assume clean data.  The 2-norm
-is the largest singular value from LAPACK's SVD: a 2-norm bound is sound
-only if the norm is never underestimated, which rules out iterations that
-can stop at a smaller singular value.
+Matrices are plain 2-D ``numpy`` arrays of ``complex128``; ``norm`` and the
+right-hand side of ``left_solve`` also take a 3-D stack of such matrices,
+which is how a matrix polynomial's coefficients travel.  Every public entry
+point validates its input and rejects non-finite entries, so downstream
+code can assume clean data.  The 2-norm is the largest singular value from
+LAPACK's SVD: a 2-norm bound is sound only if the norm is never
+underestimated, which rules out iterations that can stop at a smaller
+singular value.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 # Pivot threshold is relative to the infinity norm so the singularity test
 # is invariant under uniform scaling of the matrix.
@@ -46,14 +47,20 @@ class NormKind(enum.Enum):
         return cls(str(value).lower())
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate and normalize input to a finite 2-D complex128 array."""
+def _as_finite(a, ndims) -> np.ndarray:
+    """``a`` as a complex128 array with a dimension count in ``ndims``, no
+    empty axis and only finite entries; ValueError otherwise."""
     arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if arr.ndim not in ndims or 0 in arr.shape:
+        raise ValueError(f"expected a {' or '.join(map(str, ndims))}-D array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
+
+
+def as_matrix(a) -> np.ndarray:
+    """Validate and normalize input to a finite 2-D complex128 array."""
+    return _as_finite(a, (2,))
 
 
 def _require_square(a: np.ndarray) -> None:
@@ -65,36 +72,49 @@ def identity(m: int) -> np.ndarray:
     return np.eye(m, dtype=np.complex128)
 
 
-def norm(a, kind) -> float:
-    """Induced matrix norm of the requested kind."""
-    arr = as_matrix(a)
-    kind = NormKind.coerce(kind)
+def norm(a, kind):
+    """Induced matrix norm of the requested kind.
+
+    For a 2-D matrix this is a float; for a stack of shape (k, m, m) it is
+    the array of the k norms, taken in one reduction (one batched SVD for
+    the 2-norm).
+    """
+    arr = _as_finite(a, (2, 3))
+    norms = _norms(arr, NormKind.coerce(kind))
+    return float(norms) if arr.ndim == 2 else norms
+
+
+def _norms(arr: np.ndarray, kind: NormKind):
+    """Norms over the last two axes of a validated array."""
     if kind is NormKind.ONE:
-        return float(np.abs(arr).sum(axis=0).max())
+        return np.abs(arr).sum(axis=-2).max(axis=-1)
     if kind is NormKind.INF:
-        return float(np.abs(arr).sum(axis=1).max())
-    return float(np.linalg.svd(arr, compute_uv=False)[0])
+        return np.abs(arr).sum(axis=-1).max(axis=-1)
+    return np.linalg.svd(arr, compute_uv=False)[..., 0]
 
 
 def _lu_factor_checked(a: np.ndarray):
-    """Pivoted LU factorization, raising SingularMatrixError on a small pivot."""
+    """Pivoted LU factorization (LAPACK getrf of a validated complex128
+    matrix), raising SingularMatrixError on a small pivot."""
     scale = float(np.abs(a).sum(axis=1).max())
     if scale == 0.0:
         raise SingularMatrixError("zero matrix")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    lu, piv, _ = lapack.zgetrf(a)
     if np.abs(np.diag(lu)).min() < SINGULARITY_RTOL * scale:
         raise SingularMatrixError("matrix is numerically singular")
     return lu, piv
+
+
+def _lu_solve(factors, b: np.ndarray) -> np.ndarray:
+    """x with a @ x = b, given ``factors = _lu_factor_checked(a)``."""
+    return lapack.zgetrs(*factors, b)[0]
 
 
 def inverse(a) -> np.ndarray:
     """Explicit inverse from the pivoted LU factorization."""
     arr = as_matrix(a)
     _require_square(arr)
-    lu, piv = _lu_factor_checked(arr)
-    return scipy.linalg.lu_solve((lu, piv), identity(arr.shape[0]), check_finite=False)
+    return _lu_solve(_lu_factor_checked(arr), identity(arr.shape[0]))
 
 
 def inv_norm_inv(a, kind) -> float:
@@ -102,21 +122,41 @@ def inv_norm_inv(a, kind) -> float:
 
     This is the coefficient that takes the place of |a_k| when a scalar
     Pellet/Cauchy radial polynomial is generalized to matrix coefficients.
-    Raises SingularMatrixError when ``a`` is numerically singular, in which
-    case the corresponding bound is inapplicable.
+    For the 2-norm it is the smallest singular value of ``a``, with no
+    explicit inverse.  Raises SingularMatrixError when ``a`` is numerically
+    singular (the LU pivot test), in which case the corresponding bound is
+    inapplicable.
     """
-    return 1.0 / norm(inverse(a), kind)
+    arr = as_matrix(a)
+    _require_square(arr)
+    kind = NormKind.coerce(kind)
+    factors = _lu_factor_checked(arr)
+    if kind is NormKind.TWO:
+        smin = float(np.linalg.svd(arr, compute_uv=False)[-1])
+        if smin <= 0.0:
+            raise SingularMatrixError("matrix has a zero singular value")
+        return smin
+    return 1.0 / float(_norms(_lu_solve(factors, identity(arr.shape[0])), kind))
 
 
 def left_solve(a, b) -> np.ndarray:
-    """Solve a @ x = b for x (i.e. x = a^-1 b) via pivoted LU."""
+    """Solve a @ x = b for x (i.e. x = a^-1 b) via pivoted LU.
+
+    ``b`` may be a matrix or a stack of shape (k, m, p); a stack is solved
+    with one factorization of ``a`` and one solve of the (m, k*p)
+    concatenation of its matrices, and returned as a stack.
+    """
     arr = as_matrix(a)
     _require_square(arr)
-    brr = as_matrix(b)
-    if brr.shape[0] != arr.shape[0]:
+    brr = _as_finite(b, (2, 3))
+    if brr.shape[-2] != arr.shape[0]:
         raise ValueError(f"shapes not conformable: {arr.shape} vs {brr.shape}")
-    lu, piv = _lu_factor_checked(arr)
-    return scipy.linalg.lu_solve((lu, piv), brr, check_finite=False)
+    factors = _lu_factor_checked(arr)
+    if brr.ndim == 2:
+        return _lu_solve(factors, brr)
+    k, m, p = brr.shape
+    x = _lu_solve(factors, brr.transpose(1, 0, 2).reshape(m, k * p))
+    return x.reshape(m, k, p).transpose(1, 0, 2)
 
 
 def eigenvalues(a, cap: int = EIGEN_DIM_CAP) -> np.ndarray:

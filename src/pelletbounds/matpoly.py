@@ -1,11 +1,13 @@
 """Matrix polynomials P(z) = A_n z^n + ... + A_1 z + A_0 and their transforms.
 
-Coefficients are stored ascending (A_0 first) as immutable m-by-m complex
-arrays.  The transforms here are the structural building blocks for the
-bounds machinery: monicization, left preconditioning, the reciprocal
-polynomial, the degree shift z*P(z), the block companion linearization, and
-the companion-squaring repartition that halves the degree while doubling the
-block size.
+Coefficients are stored ascending (A_0 first) in one read-only
+(n+1, m, m) complex array, validated once at construction.  The transforms
+here are the structural building blocks for the bounds machinery:
+monicization, left preconditioning, the reciprocal polynomial, the degree
+shift z*P(z), the block companion linearization, and the companion-squaring
+repartition that halves the degree while doubling the block size.  Each
+works on the whole coefficient stack: the LU-based ones factor their pivot
+once and solve for all coefficients together.
 """
 
 from __future__ import annotations
@@ -34,40 +36,46 @@ class OddDegreeError(Exception):
 class MatrixPolynomial:
     """Degree-n matrix polynomial with m-by-m complex coefficients A_0..A_n.
 
-    Invariants enforced at construction: exactly n+1 coefficients, all of
+    ``stack`` is a read-only (n+1, m, m) complex128 copy of the
+    coefficients, and ``coeffs`` the tuple of its n+1 read-only views.
+    Invariants enforced at construction: degree n >= 1, all coefficients of
     the same square shape, all entries finite, and a nonzero leading
     coefficient (the degree is genuine).
     """
 
+    stack: np.ndarray
     coeffs: tuple
 
     def __init__(self, coeffs):
-        mats = tuple(as_matrix(c) for c in coeffs)
-        if len(mats) < 2:
+        if not isinstance(coeffs, np.ndarray):
+            coeffs = list(coeffs)
+        try:
+            stack = np.array(coeffs, dtype=np.complex128, order="C")
+        except ValueError as exc:
+            raise ValueError("all coefficients must be the same square shape") from exc
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+            raise ValueError(f"expected n+1 square m-by-m coefficients, got shape {stack.shape}")
+        if stack.shape[0] < 2:
             raise ValueError("a matrix polynomial needs degree >= 1")
-        m = mats[0].shape[0]
-        for c in mats:
-            if c.shape != (m, m):
-                raise ValueError("all coefficients must be the same square shape")
-        if not np.any(mats[-1]):
+        if not np.isfinite(stack).all():
+            raise ValueError("matrix entries must be finite")
+        if not stack[-1].any():
             raise ValueError("leading coefficient must be nonzero")
-        frozen = []
-        for c in mats:
-            c = c.copy()
-            c.setflags(write=False)
-            frozen.append(c)
-        object.__setattr__(self, "coeffs", tuple(frozen))
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "coeffs", tuple(stack))
 
     @property
     def m(self) -> int:
-        return self.coeffs[0].shape[0]
+        return self.stack.shape[1]
 
     @property
     def n(self) -> int:
-        return len(self.coeffs) - 1
+        return self.stack.shape[0] - 1
 
     def is_monic(self, tol: float = MONIC_TOL) -> bool:
-        return norm(self.coeffs[-1] - identity(self.m), NormKind.INF) <= tol
+        lead, eye = self.coeffs[-1], identity(self.m)
+        return np.array_equal(lead, eye) or norm(lead - eye, NormKind.INF) <= tol
 
 
 def scalar_polynomial(coeffs_ascending) -> MatrixPolynomial:
@@ -83,11 +91,20 @@ def evaluate(p: MatrixPolynomial, z: complex) -> np.ndarray:
     return acc
 
 
+def _with_identity(stack: np.ndarray, index: int) -> MatrixPolynomial:
+    """The polynomial with coefficients ``stack`` (a fresh array, which is
+    overwritten) and the exact identity as coefficient ``index``: appended
+    when ``index == len(stack)``, in place of coefficient ``index`` otherwise."""
+    eye = identity(stack.shape[1])
+    if index == len(stack):
+        return MatrixPolynomial(np.concatenate([stack, eye[None]]))
+    stack[index] = eye
+    return MatrixPolynomial(stack)
+
+
 def monicize(p: MatrixPolynomial) -> MatrixPolynomial:
     """A_n^-1 P: same eigenvalues, leading coefficient exactly I."""
-    new = [left_solve(p.coeffs[-1], c) for c in p.coeffs[:-1]]
-    new.append(identity(p.m))
-    return MatrixPolynomial(new)
+    return _with_identity(left_solve(p.stack[-1], p.stack[:-1]), p.n)
 
 
 def left_multiply(p: MatrixPolynomial, mat) -> MatrixPolynomial:
@@ -95,16 +112,14 @@ def left_multiply(p: MatrixPolynomial, mat) -> MatrixPolynomial:
     mat = as_matrix(mat)
     # nonsingularity check; the inverse itself is not needed
     left_solve(mat, identity(mat.shape[0]))
-    return MatrixPolynomial([mat @ c for c in p.coeffs])
+    return MatrixPolynomial(mat @ p.stack)
 
 
 def left_precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
     """A_index^-1 P, with coefficient ``index`` set to exact identity."""
     if not 0 <= index <= p.n:
         raise ValueError(f"index {index} out of range for degree {p.n}")
-    new = [left_solve(p.coeffs[index], c) for c in p.coeffs]
-    new[index] = identity(p.m)
-    return MatrixPolynomial(new)
+    return _with_identity(left_solve(p.stack[index], p.stack), index)
 
 
 def reciprocal(p: MatrixPolynomial) -> MatrixPolynomial:
@@ -113,15 +128,12 @@ def reciprocal(p: MatrixPolynomial) -> MatrixPolynomial:
     Its eigenvalues are the reciprocals of the eigenvalues of P; requires a
     nonsingular A_0.
     """
-    rev = [left_solve(p.coeffs[0], c) for c in reversed(p.coeffs[1:])]
-    rev.append(identity(p.m))
-    return MatrixPolynomial(rev)
+    return _with_identity(left_solve(p.stack[0], p.stack[:0:-1]), p.n)
 
 
 def shift_by_z(p: MatrixPolynomial) -> MatrixPolynomial:
     """z P(z): degree n+1 with a zero constant term (adds m zero eigenvalues)."""
-    zero = np.zeros((p.m, p.m), dtype=np.complex128)
-    return MatrixPolynomial([zero, *p.coeffs])
+    return MatrixPolynomial(np.concatenate([np.zeros((1, p.m, p.m), dtype=np.complex128), p.stack]))
 
 
 def _require_monic(p: MatrixPolynomial) -> None:
@@ -136,10 +148,8 @@ def companion(p: MatrixPolynomial) -> np.ndarray:
     _require_monic(p)
     m, n = p.m, p.n
     c = np.zeros((n * m, n * m), dtype=np.complex128)
-    for i in range(n - 1):
-        c[(i + 1) * m:(i + 2) * m, i * m:(i + 1) * m] = identity(m)
-    for j in range(n):
-        c[j * m:(j + 1) * m, (n - 1) * m:] = -p.coeffs[j]
+    c[m:, :(n - 1) * m] = identity((n - 1) * m)
+    c[:, (n - 1) * m:] = -p.stack[:n].reshape(n * m, m)
     return c
 
 
@@ -161,24 +171,18 @@ def square_repartition(p: MatrixPolynomial) -> MatrixPolynomial:
     _require_monic(p)
     if p.n % 2 != 0:
         raise OddDegreeError("companion squaring needs an even degree; shift odd degrees by z first")
-    m, n = p.m, p.n
-    a = p.coeffs
-    an1 = a[n - 1]
-
-    def block(top, bottom, extra_top, extra_bottom):
-        b = np.zeros((2 * m, 2 * m), dtype=np.complex128)
-        b[:m, :m] = top
-        b[m:, :m] = bottom
-        b[:m, m:] = -top @ an1 + extra_top
-        b[m:, m:] = -bottom @ an1 + extra_bottom
-        return b
-
-    zero = np.zeros((m, m), dtype=np.complex128)
-    bs = [block(a[0], a[1], zero, a[0])]
-    for j in range(1, n // 2):
-        bs.append(block(a[2 * j], a[2 * j + 1], a[2 * j - 1], a[2 * j]))
-    bs.append(identity(2 * m))
-    return MatrixPolynomial(bs)
+    m, n, h = p.m, p.n, p.n // 2
+    a = p.stack
+    top = a[0:n:2]  # A_0, A_2, ..., A_{n-2}: also the extra bottom-right terms
+    bottom = a[1:n:2]  # A_1, A_3, ..., A_{n-1}
+    extra_top = np.concatenate([np.zeros((1, m, m), dtype=np.complex128), a[1:n - 2:2]])
+    q = np.zeros((h + 1, 2 * m, 2 * m), dtype=np.complex128)
+    q[:h, :m, :m] = top
+    q[:h, m:, :m] = bottom
+    q[:h, :m, m:] = -top @ a[n - 1] + extra_top
+    q[:h, m:, m:] = -bottom @ a[n - 1] + top
+    q[h] = identity(2 * m)
+    return MatrixPolynomial(q)
 
 
 def q_reciprocal(p: MatrixPolynomial) -> MatrixPolynomial:

@@ -108,7 +108,8 @@ def test_criterion_1_soundness_sweep():
                     claims += got
                     gaps += got
     elapsed = time.time() - t0
-    ok = claims > 4 * instances and gaps > 500 and elapsed < 300.0
+    # the exact totals: a change that drops (or adds) a single claim fails here
+    ok = claims == 19173 and gaps == 2810 and elapsed < 300.0
     report(1, "soundness sweep", ok,
            f"{instances} instances, {claims} verified claims ({gaps} annuli), {elapsed:.1f}s")
 

@@ -45,6 +45,19 @@ def test_bounds_csv(capsys):
     assert lines[1].startswith("one,plain,2,2")
 
 
+def test_squared_gap_and_bounds_tags_agree(capsys):
+    # both go through bounds.squared_polynomial: +monicized comes first
+    poly = ("--poly", "2,-3,1,5,-7", "--variant", "q", "--precondition", "--format", "json")
+    code, out, _ = run_cli(capsys, "gap", *poly, "--k", "2")
+    assert code == 0
+    gap_tag = json.loads(out)[0]["variant"]
+    code, out, _ = run_cli(capsys, "bounds", *poly)
+    assert code == 0
+    bounds_tag = json.loads(out)[0]["variant"]
+    assert gap_tag == "squared-Q+monicized+B-preconditioned"
+    assert bounds_tag == "squared-Q+monicized+B0-preconditioned"
+
+
 def test_square_round_trip_bit_exact(capsys):
     code, out, _ = run_cli(capsys, "square", "--poly", "1,-3,2", "--variant", "qr")
     assert code == 0

@@ -12,6 +12,7 @@ from pelletbounds import (
     left_solve,
     norm,
 )
+from pelletbounds.bounds import _coeff_norms
 from pelletbounds.linalg import as_matrix
 
 from conftest import rand_matrix
@@ -106,6 +107,40 @@ def test_left_solve_round_trip(rng):
     b = rand_matrix(rng, 2)
     x = left_solve(a, b)
     assert np.allclose(a @ x, b, atol=1e-12)
+
+
+def test_left_solve_stack_matches_per_matrix(rng):
+    a = rand_matrix(rng, 4) + 2 * np.eye(4)
+    b = np.array([rand_matrix(rng, 4, scale=5.0) for _ in range(6)])
+    x = left_solve(a, b)
+    assert x.shape == b.shape
+    for xj, bj in zip(x, b):
+        want = left_solve(a, bj)
+        assert np.abs(xj - want).max() <= 1e-13 * np.abs(want).max()
+    with pytest.raises(ValueError):
+        left_solve(a, np.ones((6, 3, 4)))  # rows do not match a
+    with pytest.raises(ValueError):
+        left_solve(a, np.full((2, 4, 4), np.nan))
+    with pytest.raises(SingularMatrixError):
+        left_solve(np.ones((4, 4)), b)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 20])
+def test_batched_norms_equal_per_coefficient_norms(rng, m):
+    p = MatrixPolynomial([rand_matrix(rng, m, scale=10.0 ** j) for j in range(-2, 4)])
+    for kind in KINDS:
+        batched = _coeff_norms(p, kind)
+        assert batched.shape == (p.n + 1,)
+        assert list(batched) == [norm(c, kind) for c in p.coeffs]
+
+
+def test_inv_norm_inv_two_is_smallest_singular_value(rng):
+    a = rand_matrix(rng, 5) + np.eye(5)
+    assert inv_norm_inv(a, "two") == np.linalg.svd(a, compute_uv=False)[-1]
+    with pytest.raises(SingularMatrixError):
+        inv_norm_inv(np.ones((3, 3)), "two")
+    with pytest.raises(SingularMatrixError):
+        inv_norm_inv(np.diag([1.0, 1e-16]), "two")
 
 
 def test_left_solve_singular():

@@ -14,6 +14,7 @@ from pelletbounds import (
     from_json,
     left_multiply,
     left_precondition,
+    left_solve,
     monicize,
     q_reciprocal,
     reciprocal,
@@ -39,6 +40,78 @@ def test_construction_invariants(rng):
     assert p.m == 2 and p.n == 3
     with pytest.raises(ValueError):
         p.coeffs[0][0, 0] = 5.0  # frozen
+
+
+def test_construction_copies_and_freezes_the_stack(rng):
+    coeffs = [rand_matrix(rng, 2) for _ in range(3)]
+    p = MatrixPolynomial(coeffs)
+    before = p.stack.copy()
+    coeffs[0][0, 0] = 99.0
+    coeffs[2][1, 1] = -99.0
+    assert np.array_equal(p.stack, before)
+    assert p.stack.shape == (3, 2, 2) and p.stack.dtype == np.complex128
+    assert not p.stack.flags.writeable
+    with pytest.raises(ValueError):
+        p.stack[0, 0, 0] = 5.0
+    assert all(np.shares_memory(c, p.stack) and not c.flags.writeable for c in p.coeffs)
+    # a 3-D array is a valid coefficient stack and is copied as well
+    arr = np.array(coeffs)
+    q = MatrixPolynomial(arr)
+    arr[1] = 0.0
+    assert np.array_equal(q.coeffs[1], coeffs[1])
+
+
+@pytest.mark.parametrize("coeffs", [
+    [np.ones((2, 3)), np.ones((2, 3))],  # not square
+    [np.array([1.0, 2.0]), np.array([3.0, 4.0])],  # 1-D coefficients
+    [1.0, 2.0],  # scalars
+    [np.zeros((0, 0)), np.zeros((0, 0))],  # empty
+    [np.array([[np.inf]]), np.array([[1.0]])],
+    [np.array([[complex(0.0, np.nan)]]), np.array([[1.0]])],
+    [np.eye(2), np.array([[1.0, 0.0], [0.0, -np.inf]])],
+], ids=["nonsquare", "1d", "scalars", "empty", "inf", "nan-imag", "inf-leading"])
+def test_construction_rejects_bad_coefficients(coeffs):
+    with pytest.raises(ValueError):
+        MatrixPolynomial(coeffs)
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def test_stacked_transforms_match_per_coefficient_solves(rng):
+    p = rand_poly(rng, 4, 5, scale=3.0, monic=False)
+    a = p.coeffs
+    mon = monicize(p)
+    for j in range(p.n):
+        assert _rel_err(mon.coeffs[j], left_solve(a[-1], a[j])) <= 1e-13
+    assert np.array_equal(mon.coeffs[-1], np.eye(4))
+    for k in range(p.n + 1):
+        pre = left_precondition(p, k)
+        for j in range(p.n + 1):
+            want = np.eye(4) if j == k else left_solve(a[k], a[j])
+            assert _rel_err(pre.coeffs[j], want) <= 1e-13
+    rec = reciprocal(p)
+    for j in range(p.n):
+        assert _rel_err(rec.coeffs[j], left_solve(a[0], a[p.n - j])) <= 1e-13
+    assert np.array_equal(rec.coeffs[-1], np.eye(4))
+
+
+# each transform with the index of the coefficient it factors
+PIVOTED = {
+    "monicize": (monicize, 3),
+    "left_precondition": (lambda p: left_precondition(p, 1), 1),
+    "reciprocal": (reciprocal, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIVOTED))
+def test_stacked_transforms_raise_on_singular_pivot(rng, name):
+    transform, pivot = PIVOTED[name]
+    coeffs = [rand_matrix(rng, 2) + 3 * np.eye(2) for _ in range(4)]
+    coeffs[pivot] = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(SingularMatrixError):
+        transform(MatrixPolynomial(coeffs))
 
 
 def test_evaluate_examples():
