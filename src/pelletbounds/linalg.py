@@ -122,21 +122,18 @@ def inv_norm_inv(a, kind) -> float:
 
     This is the coefficient that takes the place of |a_k| when a scalar
     Pellet/Cauchy radial polynomial is generalized to matrix coefficients.
-    For the 2-norm it is the smallest singular value of ``a``, with no
-    explicit inverse.  Raises SingularMatrixError when ``a`` is numerically
-    singular (the LU pivot test), in which case the corresponding bound is
+    The norm is taken of the explicit inverse from the pivoted LU factors,
+    also for the 2-norm: sigma_min from an SVD of ``a`` carries an absolute
+    error of order eps * sigma_max and overestimates 1/||a^-1|| on
+    ill-conditioned matrices, which would tighten a bound past the
+    spectrum.  Raises SingularMatrixError when ``a`` is numerically singular
+    (the LU pivot test), in which case the corresponding bound is
     inapplicable.
     """
     arr = as_matrix(a)
     _require_square(arr)
-    kind = NormKind.coerce(kind)
-    factors = _lu_factor_checked(arr)
-    if kind is NormKind.TWO:
-        smin = float(np.linalg.svd(arr, compute_uv=False)[-1])
-        if smin <= 0.0:
-            raise SingularMatrixError("matrix has a zero singular value")
-        return smin
-    return 1.0 / float(_norms(_lu_solve(factors, identity(arr.shape[0])), kind))
+    inv = _lu_solve(_lu_factor_checked(arr), identity(arr.shape[0]))
+    return 1.0 / float(_norms(inv, NormKind.coerce(kind)))
 
 
 def left_solve(a, b) -> np.ndarray:

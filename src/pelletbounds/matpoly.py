@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NormKind, as_matrix, identity, left_solve, norm
+from .linalg import as_matrix, identity, left_solve
 
 # A leading coefficient within this distance of I (infinity norm) counts as
 # monic; anything else must be monicized explicitly by the caller.
@@ -74,8 +74,8 @@ class MatrixPolynomial:
         return self.stack.shape[0] - 1
 
     def is_monic(self, tol: float = MONIC_TOL) -> bool:
-        lead, eye = self.coeffs[-1], identity(self.m)
-        return np.array_equal(lead, eye) or norm(lead - eye, NormKind.INF) <= tol
+        # infinity norm of A_n - I; the stack is validated already
+        return bool(np.abs(self.stack[-1] - identity(self.m)).sum(axis=1).max() <= tol)
 
 
 def scalar_polynomial(coeffs_ascending) -> MatrixPolynomial:
@@ -91,20 +91,17 @@ def evaluate(p: MatrixPolynomial, z: complex) -> np.ndarray:
     return acc
 
 
-def _with_identity(stack: np.ndarray, index: int) -> MatrixPolynomial:
-    """The polynomial with coefficients ``stack`` (a fresh array, which is
-    overwritten) and the exact identity as coefficient ``index``: appended
-    when ``index == len(stack)``, in place of coefficient ``index`` otherwise."""
-    eye = identity(stack.shape[1])
-    if index == len(stack):
-        return MatrixPolynomial(np.concatenate([stack, eye[None]]))
-    stack[index] = eye
-    return MatrixPolynomial(stack)
+def _preconditioned_stack(p: MatrixPolynomial, index: int) -> np.ndarray:
+    """A_index^-1 [A_0, ..., A_n] from one LU of A_index, with coefficient
+    ``index`` set to the exact identity."""
+    stack = left_solve(p.stack[index], p.stack)
+    stack[index] = identity(p.m)
+    return stack
 
 
 def monicize(p: MatrixPolynomial) -> MatrixPolynomial:
     """A_n^-1 P: same eigenvalues, leading coefficient exactly I."""
-    return _with_identity(left_solve(p.stack[-1], p.stack[:-1]), p.n)
+    return left_precondition(p, p.n)
 
 
 def left_multiply(p: MatrixPolynomial, mat) -> MatrixPolynomial:
@@ -119,16 +116,16 @@ def left_precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
     """A_index^-1 P, with coefficient ``index`` set to exact identity."""
     if not 0 <= index <= p.n:
         raise ValueError(f"index {index} out of range for degree {p.n}")
-    return _with_identity(left_solve(p.stack[index], p.stack), index)
+    return MatrixPolynomial(_preconditioned_stack(p, index))
 
 
 def reciprocal(p: MatrixPolynomial) -> MatrixPolynomial:
     """The monic reciprocal polynomial z^n A_0^-1 P(1/z).
 
-    Its eigenvalues are the reciprocals of the eigenvalues of P; requires a
-    nonsingular A_0.
+    Its coefficients are those of A_0^-1 P in reverse order.  Its eigenvalues
+    are the reciprocals of the eigenvalues of P; requires a nonsingular A_0.
     """
-    return _with_identity(left_solve(p.stack[0], p.stack[:0:-1]), p.n)
+    return MatrixPolynomial(_preconditioned_stack(p, 0)[::-1])
 
 
 def shift_by_z(p: MatrixPolynomial) -> MatrixPolynomial:

@@ -11,6 +11,8 @@ from pelletbounds import (
     inverse,
     left_solve,
     norm,
+    square_repartition,
+    trial_rng,
 )
 from pelletbounds.bounds import _coeff_norms
 from pelletbounds.linalg import as_matrix
@@ -134,13 +136,39 @@ def test_batched_norms_equal_per_coefficient_norms(rng, m):
         assert list(batched) == [norm(c, kind) for c in p.coeffs]
 
 
-def test_inv_norm_inv_two_is_smallest_singular_value(rng):
-    a = rand_matrix(rng, 5) + np.eye(5)
-    assert inv_norm_inv(a, "two") == np.linalg.svd(a, compute_uv=False)[-1]
+def test_inv_norm_inv_two_singular_raises():
     with pytest.raises(SingularMatrixError):
         inv_norm_inv(np.ones((3, 3)), "two")
     with pytest.raises(SingularMatrixError):
         inv_norm_inv(np.diag([1.0, 1e-16]), "two")
+
+
+def test_inv_norm_inv_two_ill_conditioned_pivot_not_overestimated():
+    """The 2-norm nu of an ill-conditioned pivot that passes the LU pivot
+    test stays at the true smallest singular value (mpmath, 80 digits).
+
+    The pivot is B_0 of the companion-squared Q of soundness-sweep instance
+    270 (monic, degree 2, m=3; condition 1.3e17).  sigma_min from an SVD of
+    B_0 gives 2.3e-8 against the true 8.7e-9: an overestimate of nu, which
+    would tighten every bound built on it past the spectrum.  The explicit
+    inverse from the LU factors is accurate here to about 1e-7 relative;
+    it is not rounded outward, hence the 1e-6 slack.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    rng = trial_rng(20260810, 270)
+    scale = 10.0 ** rng.uniform(-1.0, 1.5)
+    coeffs = [rand_matrix(rng, 3, scale) for _ in range(3)]
+    coeffs[-1] = np.eye(3)
+    if rng.uniform() < 0.6:
+        k = int(rng.integers(1, 2))
+        coeffs[k] = coeffs[k] + scale * 10.0 ** rng.uniform(1.0, 4.0) * np.eye(3)
+    pivot = square_repartition(MatrixPolynomial(coeffs)).coeffs[0]
+    s = np.linalg.svd(pivot, compute_uv=False)
+    assert s[0] / s[-1] > 1e16
+    with mpmath.workdps(80):
+        exact = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in pivot])
+        true_smin = float(min(mpmath.re(x) for x in mpmath.svd_c(exact, compute_uv=False)))
+    assert 0.0 < inv_norm_inv(pivot, "two") <= true_smin * (1.0 + 1e-6)
 
 
 def test_left_solve_singular():
