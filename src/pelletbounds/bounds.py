@@ -2,11 +2,12 @@
 
 Four families of bounds on the eigenvalue moduli of P(z) = sum A_j z^j:
 
-* ``cauchy_bounds``  -- outer radius R and inner radius r from the
-  one-sign-change radial polynomials built from coefficient norms.
 * ``pellet_gap``     -- for an index k with A_k invertible, two positive
   roots x1 < x2 of the radial polynomial f_k certify that exactly k*m
   eigenvalues lie in |z| <= x1 and none in x1 < |z| < x2.
+* ``cauchy_bounds``  -- outer radius R and inner radius r: Pellet's radial
+  polynomial at k = n and at k = 0, where f_k has one sign change and so
+  exactly one positive root.
 * ``squared_bounds`` -- the same Cauchy machinery applied to the
   companion-squared polynomial Q (or to Q_R, built from the reciprocal),
   mapped back through square roots / reciprocals.
@@ -20,7 +21,8 @@ coefficient first, which never shrinks a gap since
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,11 +83,6 @@ class GapResult:
     marginal: bool = False
 
 
-def _coeff_norms(p: MatrixPolynomial, kind: NormKind) -> np.ndarray:
-    """||A_0||, ..., ||A_n|| in one reduction over the coefficient stack."""
-    return norm(p.stack, kind)
-
-
 def _pivot_profile(p: MatrixPolynomial, j: int, kind: NormKind, precondition: bool,
                    norms: np.ndarray | None = None):
     """Coefficient norms and nu = 1/||A_j^-1|| of the radial polynomial that
@@ -93,18 +90,41 @@ def _pivot_profile(p: MatrixPolynomial, j: int, kind: NormKind, precondition: bo
     ``norms`` passes P's own coefficient norms when the caller has them.
     Raises SingularMatrixError when A_j is singular."""
     if precondition:
-        return _coeff_norms(left_precondition(p, j), kind), 1.0
+        return norm(left_precondition(p, j).stack, kind), 1.0
     if norms is None:
-        norms = _coeff_norms(p, kind)
+        norms = norm(p.stack, kind)
     return norms, inv_norm_inv(p.coeffs[j], kind)
+
+
+def _radial_roots(norms: np.ndarray, nu: float, k: int) -> PositiveRoots | None:
+    """Positive roots of f_k(x) = sum_{j != k} norms[j] x^j - nu x^k, or
+    None when every coefficient but the k-th is zero (P = A_k z^k)."""
+    coeffs = list(norms)
+    coeffs[k] = 0.0
+    if not any(c > 0.0 for c in coeffs):
+        return None
+    return positive_roots(SignedRadialPolynomial(coeffs, k, nu))
+
+
+def _cauchy_radius(p: MatrixPolynomial, k: int, kind: NormKind, precondition: bool,
+                   norms: np.ndarray | None) -> float | None:
+    """The one positive root of f_k for k in {0, n}; None when A_k is singular,
+    0.0 when every other coefficient is zero (at k = n every eigenvalue is
+    then 0; at k = 0 the bound r = 0 is trivially valid)."""
+    try:
+        roots = _radial_roots(*_pivot_profile(p, k, kind, precondition, norms), k)
+    except SingularMatrixError:
+        return None
+    return 0.0 if roots is None else roots.x1
 
 
 def cauchy_bounds(p: MatrixPolynomial, kind, precondition: bool = False) -> CauchyBounds:
     """Generalized Cauchy bounds R (all |eig| <= R) and r (all |eig| >= r).
 
-    R is the unique positive root of
-        ||A_n^-1||^-1 x^n - sum_{j<n} ||A_j|| x^j
-    and r the unique positive root of
+    These are Pellet's radial polynomial at its two end indices: R is the
+    unique positive root of f_n (pivot A_n),
+        ||A_n^-1||^-1 x^n - sum_{j<n} ||A_j|| x^j,
+    and r the unique positive root of f_0 (pivot A_0),
         sum_{j>=1} ||A_j|| x^j - ||A_0^-1||^-1,
     each absent when the respective coefficient is singular.  With
     ``precondition``, the theorem is applied to A_n^-1 P for R and to
@@ -112,60 +132,25 @@ def cauchy_bounds(p: MatrixPolynomial, kind, precondition: bool = False) -> Cauc
     """
     kind = NormKind.coerce(kind)
     variant = VARIANT_PRECONDITIONED if precondition else VARIANT_PLAIN
-    plain_norms = None if precondition else _coeff_norms(p, kind)
-
-    upper = None
-    try:
-        norms, nu = _pivot_profile(p, p.n, kind, precondition, plain_norms)
-        if not np.any(norms[:-1] > 0.0):
-            upper = 0.0  # P = A_n z^n: every eigenvalue sits at the origin
-        else:
-            coeffs = list(norms)
-            coeffs[-1] = 0.0
-            roots = positive_roots(SignedRadialPolynomial(coeffs, p.n, nu))
-            upper = roots.x1
-    except SingularMatrixError:
-        pass
-
-    lower = None
-    try:
-        norms, nu = _pivot_profile(p, 0, kind, precondition, plain_norms)
-        coeffs = list(norms)
-        coeffs[0] = 0.0
-        roots = positive_roots(SignedRadialPolynomial(coeffs, 0, nu))
-        lower = roots.x1
-    except SingularMatrixError:
-        pass
-
+    plain_norms = None if precondition else norm(p.stack, kind)
+    upper, lower = (_cauchy_radius(p, k, kind, precondition, plain_norms) for k in (p.n, 0))
     return CauchyBounds(upper=upper, lower=lower, norm_kind=kind, variant=variant)
-
-
-def _gap_from_roots(roots: PositiveRoots, k: int, count: int, kind: NormKind,
-                    variant: str, upper_degenerate: bool) -> GapResult:
-    if roots.kind == "two":
-        return GapResult(k=k, status=GAP, x1=roots.x1, x2=roots.x2,
-                         eig_count_inside=count, norm_kind=kind, variant=variant,
-                         marginal=roots.marginal)
-    if roots.kind == "one" and upper_degenerate:
-        return GapResult(k=k, status=UPPER_ONLY, x1=roots.x1, x2=None,
-                         eig_count_inside=None, norm_kind=kind, variant=variant)
-    # "none", or a one-sign-change shape whose single root only bounds the
-    # moduli from below; neither certifies an annulus, so claim nothing
-    return GapResult(k=k, status=NO_GAP, x1=None, x2=None, eig_count_inside=None,
-                     norm_kind=kind, variant=variant, marginal=roots.marginal)
 
 
 def _radial_gap(norms: np.ndarray, nu: float, k: int, count: int, kind: NormKind,
                 variant: str) -> GapResult:
-    coeffs = list(norms)
-    coeffs[k] = 0.0
-    if not any(c > 0.0 for c in coeffs):
-        # P = A_k z^k exactly; no annulus statement of the theorem's form
-        return GapResult(k=k, status=NO_GAP, x1=None, x2=None, eig_count_inside=None,
-                         norm_kind=kind, variant=variant)
-    roots = positive_roots(SignedRadialPolynomial(coeffs, k, nu))
-    upper_degenerate = not any(c > 0.0 for c in coeffs[k + 1:])
-    return _gap_from_roots(roots, k, count, kind, variant, upper_degenerate)
+    roots = _radial_roots(norms, nu, k) or PositiveRoots("none")
+    if roots.kind == "two":
+        status, x1, x2 = GAP, roots.x1, roots.x2
+    elif roots.kind == "one" and not np.any(norms[k + 1:] > 0.0):
+        status, x1, x2, count = UPPER_ONLY, roots.x1, None, None
+    else:
+        # P = A_k z^k exactly, "none", or a one-sign-change shape whose
+        # single root only bounds the moduli from below: none of these
+        # certifies an annulus, so claim nothing
+        status, x1, x2, count = NO_GAP, None, None, None
+    return GapResult(k=k, status=status, x1=x1, x2=x2, eig_count_inside=count,
+                     norm_kind=kind, variant=variant, marginal=roots.marginal)
 
 
 def pellet_gap(p: MatrixPolynomial, k: int, kind, precondition: bool = False) -> GapResult:
@@ -179,8 +164,7 @@ def pellet_gap(p: MatrixPolynomial, k: int, kind, precondition: bool = False) ->
     if not 1 <= k <= p.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} for degree {p.n}")
     variant = VARIANT_PRECONDITIONED if precondition else VARIANT_PLAIN
-    norms, nu = _pivot_profile(p, k, kind, precondition)
-    return _radial_gap(norms, nu, k, k * p.m, kind, variant)
+    return _radial_gap(*_pivot_profile(p, k, kind, precondition), k, k * p.m, kind, variant)
 
 
 def squared_polynomial(p: MatrixPolynomial, use_reciprocal: bool) -> tuple:
@@ -202,6 +186,15 @@ def squared_polynomial(p: MatrixPolynomial, use_reciprocal: bool) -> tuple:
     return square_repartition(base), tag
 
 
+def _unsquare(y: float | None, invert: bool = False) -> float | None:
+    """A radius y of Q mapped back to P: sqrt(y), or 1/sqrt(y) for Q_R,
+    whose eigenvalues are the squared reciprocals of P's."""
+    if y is None:
+        return None
+    root = math.sqrt(y)
+    return 1.0 / root if invert else root
+
+
 def squared_bounds(p: MatrixPolynomial, kind, use_reciprocal: bool = False,
                    precondition_index: int | None = None) -> CauchyBounds:
     """Cauchy bounds through the companion-squared polynomial.
@@ -221,14 +214,9 @@ def squared_bounds(p: MatrixPolynomial, kind, use_reciprocal: bool = False,
         q = left_precondition(q, precondition_index)
         tag += f"+B{precondition_index}-preconditioned"
     cb = cauchy_bounds(q, kind, precondition=False)
-    rho, tau = cb.upper, cb.lower
-    if use_reciprocal:
-        upper = None if tau is None else 1.0 / np.sqrt(tau)
-        lower = None if rho is None else 1.0 / np.sqrt(rho)
-    else:
-        upper = None if rho is None else float(np.sqrt(rho))
-        lower = None if tau is None else float(np.sqrt(tau))
-    return CauchyBounds(upper=upper, lower=lower, norm_kind=kind, variant=tag)
+    upper, lower = (cb.lower, cb.upper) if use_reciprocal else (cb.upper, cb.lower)
+    return CauchyBounds(upper=_unsquare(upper, use_reciprocal),
+                        lower=_unsquare(lower, use_reciprocal), norm_kind=kind, variant=tag)
 
 
 def squared_gap(p: MatrixPolynomial, k_even: int, kind,
@@ -251,12 +239,9 @@ def squared_gap(p: MatrixPolynomial, k_even: int, kind,
     q, variant = squared_polynomial(p, use_reciprocal=False)
     if precondition:
         variant += "+B-preconditioned"
-    norms, nu = _pivot_profile(q, kq, kind, precondition)
-    res = _radial_gap(norms, nu, kq, k_even * p.m, kind, variant)
-    sqrt = lambda v: None if v is None else float(np.sqrt(v))
-    return GapResult(k=k_even, status=res.status, x1=sqrt(res.x1), x2=sqrt(res.x2),
-                     eig_count_inside=res.eig_count_inside, norm_kind=kind,
-                     variant=variant, marginal=res.marginal)
+    res = _radial_gap(*_pivot_profile(q, kq, kind, precondition), kq, k_even * p.m, kind,
+                      variant)
+    return replace(res, k=k_even, x1=_unsquare(res.x1), x2=_unsquare(res.x2))
 
 
 __all__ = [

@@ -12,9 +12,19 @@ into the convex function
     h(t) = log(sum_j c_j e^{j t}) - log(nu) - k t,
 
 with f(x) < 0 exactly where h(t) < 0, and phi(x) := f(x)/x^k = nu*(e^h - 1).
-All root finding is done on h in log-x coordinates: Newton steps safeguarded
-by bisection, with log-sum-exp evaluation so degrees up to 100 and widely
-scaled coefficients cannot overflow.
+All root finding is done on h in log-x coordinates, with log-sum-exp
+evaluation so degrees up to 100 and widely scaled coefficients cannot
+overflow.
+
+Every search is one routine for the zero of a monotone g given with its
+derivative: one bracket walk from a start t0 by steps of 1, 2, 4, ... until
+g changes sign, then one Newton iteration safeguarded by bisection.  The
+single root of a Cauchy shape is the zero of h searched from t = 0.  In the
+Pellet shape the minimizer of h is the zero of the nondecreasing h' (Newton
+on the pair (h', h'')), and the two roots are the zeros of h on either side
+of it.  The walk checks the range guard |t| <= 700 before each evaluation,
+so a root beyond double range raises InvalidShapeError instead of
+overflowing exp.
 """
 
 from __future__ import annotations
@@ -32,6 +42,8 @@ GAP_RTOL = 1e-10
 
 _T_LIMIT = 700.0  # |log x| beyond this exceeds double range
 _MAX_ITER = 200
+_ROOT_TOL = 1e-14  # relative bracket width at which a root of h is final
+_MIN_TOL = 1e-12   # the same for the minimizer, where phi is flat
 
 
 class InvalidShapeError(Exception):
@@ -106,7 +118,6 @@ class _LogRadial:
 
     def __init__(self, f: SignedRadialPolynomial):
         scale = max(max(f.coeffs), f.neg_value)
-        self.scale = scale
         js, logs = [], []
         for j, c in enumerate(f.coeffs):
             # terms that underflow relative to the dominant one cannot move
@@ -134,84 +145,43 @@ class _LogRadial:
         h = smax + math.log(tot) - self.lognu - self.k * t
         return h, mean - self.k, var
 
-    def h(self, t: float) -> float:
-        return self.stats(t)[0]
 
-    def phi(self, t: float) -> float:
-        """phi(e^t) = f(e^t)/e^{kt} on the normalized scale."""
-        return self.nu * math.expm1(self.h(t))
+def _zero(g, t0: float, g0: float, increasing: bool, tol: float) -> float:
+    """Zero of the monotone g, searched from t0 where g(t0)[0] == g0.
 
-
-def _bracket_monotone(lr: _LogRadial, increasing: bool):
-    """Bracket the unique zero of the monotone h."""
-    t, h0 = 0.0, lr.h(0.0)
-    if h0 == 0.0:
-        return 0.0, 0.0
-    # move toward the root: h increasing means go right when h < 0
-    forward = (h0 < 0.0) == increasing
-    step = 1.0
-    prev = t
-    while abs(t) < _T_LIMIT:
-        prev, t = t, t + (step if forward else -step)
-        step *= 2.0
-        if lr.h(t) == 0.0:
-            return t, t
-        if (lr.h(t) > 0.0) != (h0 > 0.0):
-            lo, hi = (prev, t) if prev < t else (t, prev)
-            return lo, hi
-    raise InvalidShapeError("root outside representable range")
-
-
-def _refine_zero(lr: _LogRadial, lo: float, hi: float) -> float:
-    """Safeguarded Newton for h(t) = 0 inside a sign-changing bracket."""
-    if lo == hi:
-        return lo
-    hlo = lr.h(lo)
+    ``g(t)`` returns the pair (g, g') and ``increasing`` says which way g
+    runs.  The bracket walk steps from t0 by 1, 2, 4, ... toward the zero
+    until g changes sign; each step is clamped to |t| <= _T_LIMIT before g
+    is evaluated there, and a walk that would pass the limit raises.  A
+    Newton iteration safeguarded by bisection then narrows the bracket to a
+    relative width of ``tol``.
+    """
+    if g0 == 0.0:
+        return t0
+    direction = 1.0 if (g0 < 0.0) == increasing else -1.0
+    prev, step = t0, 1.0
+    while True:
+        t = min(max(t0 + direction * step, -_T_LIMIT), _T_LIMIT)
+        if t == prev:
+            raise InvalidShapeError("root outside representable range")
+        if (g(t)[0] > 0.0) != (g0 > 0.0):
+            break
+        prev, step = t, 2.0 * step
+    lo, hi = min(prev, t), max(prev, t)
     t = 0.5 * (lo + hi)
     for _ in range(_MAX_ITER):
-        h, hp, _ = lr.stats(t)
-        if h == 0.0:
+        v, slope = g(t)
+        if v == 0.0:
             return t
-        if (h > 0.0) == (hlo > 0.0):
-            lo = t
-        else:
+        if (v > 0.0) == increasing:
             hi = t
-        if hi - lo <= 1e-14 * (1.0 + abs(lo) + abs(hi)):
+        else:
+            lo = t
+        if hi - lo <= tol * (1.0 + abs(lo) + abs(hi)):
             break
-        tn = t - h / hp if hp != 0.0 else t
+        tn = t - v / slope if slope != 0.0 else t
         t = tn if lo < tn < hi else 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
-
-
-def _minimize(lr: _LogRadial):
-    """Newton-with-bisection minimizer of the convex h; returns (t*, phi(t*))."""
-    lo = hi = 0.0
-    step = 1.0
-    while lr.stats(lo)[1] >= 0.0:
-        lo -= step
-        step *= 2.0
-        if lo < -_T_LIMIT:
-            raise InvalidShapeError("minimizer outside representable range")
-    step = 1.0
-    while lr.stats(hi)[1] <= 0.0:
-        hi += step
-        step *= 2.0
-        if hi > _T_LIMIT:
-            raise InvalidShapeError("minimizer outside representable range")
-    t = 0.5 * (lo + hi)
-    for _ in range(_MAX_ITER):
-        _, hp, hpp = lr.stats(t)
-        if hp == 0.0:
-            break
-        if hp > 0.0:
-            hi = t
-        else:
-            lo = t
-        if hi - lo <= 1e-12 * (1.0 + abs(lo) + abs(hi)):
-            break
-        tn = t - hp / hpp if hpp > 0.0 else t
-        t = tn if lo < tn < hi else 0.5 * (lo + hi)
-    return t, lr.phi(t)
 
 
 def positive_roots(f: SignedRadialPolynomial, gap_rtol: float = GAP_RTOL) -> PositiveRoots:
@@ -221,39 +191,28 @@ def positive_roots(f: SignedRadialPolynomial, gap_rtol: float = GAP_RTOL) -> Pos
     yields the unique root.  Otherwise the convex phi = f/x^k is minimized:
     a minimum above -gap_rtol (on the normalized coefficient scale) means the
     two roots may coincide and "none" is returned, else both roots are
-    bracketed around the minimizer and refined.
+    found by walking outward from the minimizer.
     """
     lr = _LogRadial(f)
     k = f.neg_index
     below = any(c > 0.0 for c in f.coeffs[:k])
     above = any(c > 0.0 for c in f.coeffs[k + 1:])
+    h = lambda t: lr.stats(t)[:2]
 
     if not (below and above):
-        # single sign change: h is strictly monotone
-        increasing = not below  # all mass above k pushes E[j] - k positive
-        lo, hi = _bracket_monotone(lr, increasing)
-        return PositiveRoots("one", x1=math.exp(_refine_zero(lr, lo, hi)))
+        # single sign change: h is strictly monotone, increasing when all
+        # the mass lies above k (E[j] - k > 0)
+        t = _zero(h, 0.0, h(0.0)[0], not below, _ROOT_TOL)
+        return PositiveRoots("one", x1=math.exp(t))
 
-    tmin, phimin = _minimize(lr)
-    if phimin >= -gap_rtol:
-        return PositiveRoots("none", marginal=abs(phimin) < 10.0 * gap_rtol)
+    # the minimizer of the convex h is the zero of the nondecreasing h'
+    slope = lambda t: lr.stats(t)[1:]
+    tmin = _zero(slope, 0.0, slope(0.0)[0], True, _MIN_TOL)
+    hmin = h(tmin)[0]
+    phimin = lr.nu * math.expm1(hmin)
     marginal = abs(phimin) < 10.0 * gap_rtol
-
-    # expand outward from the minimizer until h turns positive on both sides
-    step = 1.0
-    lo = tmin - step
-    while lr.h(lo) <= 0.0:
-        step *= 2.0
-        lo = tmin - step
-        if lo < -_T_LIMIT:
-            raise InvalidShapeError("left root outside representable range")
-    step = 1.0
-    hi = tmin + step
-    while lr.h(hi) <= 0.0:
-        step *= 2.0
-        hi = tmin + step
-        if hi > _T_LIMIT:
-            raise InvalidShapeError("right root outside representable range")
-    t1 = _refine_zero(lr, lo, tmin)
-    t2 = _refine_zero(lr, tmin, hi)
+    if phimin >= -gap_rtol:
+        return PositiveRoots("none", marginal=marginal)
+    t1 = _zero(h, tmin, hmin, False, _ROOT_TOL)
+    t2 = _zero(h, tmin, hmin, True, _ROOT_TOL)
     return PositiveRoots("two", x1=math.exp(t1), x2=math.exp(t2), marginal=marginal)

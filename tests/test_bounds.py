@@ -253,6 +253,7 @@ def test_squared_bounds_soundness_all_routes(rng):
         for kind in KINDS:
             for use_rec in (False, True):
                 cb = squared_bounds(p, kind, use_reciprocal=use_rec)
+                assert all(type(v) is float for v in (cb.upper, cb.lower) if v is not None)
                 if cb.upper is not None:
                     assert rep.max_modulus <= cb.upper * (1 + 1e-9)
                 if cb.lower is not None:

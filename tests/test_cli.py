@@ -140,3 +140,10 @@ def test_experiment_out_file(capsys, tmp_path):
     assert code == 0
     text = path.read_text()
     assert "ex4_bounds_n20" in text
+
+
+def test_bounds_root_beyond_double_range_is_inapplicable(capsys):
+    # the upper radius is 1e310, which a double cannot hold
+    code, out, err = run_cli(capsys, "bounds", "--poly", "1e-10,-1e300")
+    assert code == 2
+    assert "InvalidShapeError" in err

@@ -14,7 +14,6 @@ from pelletbounds import (
     square_repartition,
     trial_rng,
 )
-from pelletbounds.bounds import _coeff_norms
 from pelletbounds.linalg import as_matrix
 
 from conftest import rand_matrix
@@ -131,7 +130,7 @@ def test_left_solve_stack_matches_per_matrix(rng):
 def test_batched_norms_equal_per_coefficient_norms(rng, m):
     p = MatrixPolynomial([rand_matrix(rng, m, scale=10.0 ** j) for j in range(-2, 4)])
     for kind in KINDS:
-        batched = _coeff_norms(p, kind)
+        batched = norm(p.stack, kind)
         assert batched.shape == (p.n + 1,)
         assert list(batched) == [norm(c, kind) for c in p.coeffs]
 

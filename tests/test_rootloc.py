@@ -189,3 +189,26 @@ def test_huge_degree_no_overflow():
     r = positive_roots(f)
     assert r.kind == "one"
     assert r.x1 == pytest.approx((1e16) ** (1.0 / 100.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("coeffs, k, nu", [
+    ([0.0, 5e-324], 0, 1.0),          # one root at 2e323
+    ([1.0, 0.0], 1, 5e-324),          # one root at 2e323, the other shape
+    ([1.0, 0.0, 1e-320], 1, 3.0),     # two roots, the right one near 3e320
+    ([1e-320, 0.0, 1.0], 1, 3.0),     # two roots, the left one near 3e-321
+])
+def test_root_beyond_double_range_is_invalid_shape(coeffs, k, nu):
+    with pytest.raises(InvalidShapeError):
+        positive_roots(radial(coeffs, k, nu))
+
+
+@pytest.mark.parametrize("coeffs, k, nu, root", [
+    ([0.0, 1e-300], 0, 1.0, 1e300),
+    ([1.0, 0.0], 1, 1e300, 1e-300),
+    ([1.0, 0.0, 1e-300], 1, 1.0, 1e300),
+])
+def test_root_near_range_limit_is_found(coeffs, k, nu, root):
+    # the walk's last step is clamped to the range limit, not skipped
+    r = positive_roots(radial(coeffs, k, nu))
+    got = r.x2 if r.kind == "two" else r.x1
+    assert got == pytest.approx(root, rel=1e-10)
