@@ -9,30 +9,56 @@ is leading or trailing among the nonzero coefficients: the Cauchy shapes)
 or two-or-none (the Pellet shape).  Writing x = e^t turns the sign analysis
 into the convex function
 
-    h(t) = log(sum_j c_j e^{j t}) - log(nu) - k t,
+    h(t) = log(sum_j c_j e^{(j-k) t}) - log(nu),
 
 with f(x) < 0 exactly where h(t) < 0, and phi(x) := f(x)/x^k = nu*(e^h - 1).
-All root finding is done on h in log-x coordinates, with log-sum-exp
-evaluation so degrees up to 100 and widely scaled coefficients cannot
-overflow.
+All root finding is done on h in log-x coordinates.  The coefficients and
+nu are divided by the largest of them, a_j = log c_j is kept for the N terms
+that do not underflow, and h is a log-sum-exp over them, so degrees up to
+100 and widely scaled coefficients cannot overflow.  N is small, so h is
+evaluated with plain Python floats: numpy's per-call cost would exceed the
+arithmetic.
+
+The envelope.  The Newton-polygon (tropical) envelope of h,
+
+    T(t) = max_j (a_j + (j - k) t) - log(nu),
+
+satisfies T <= h <= T + log N, since a sum of N positive terms lies between
+its largest term and N times it.  T is piecewise linear and read off the
+terms: it is <= 0 exactly on an interval [tau1, tau2] (one end infinite in
+the Cauchy shapes), and every search starts from it.
+
+* One sign change: h is monotone and its root lies within
+  log N / min|j - k| of the envelope's zero, so the search starts there
+  with that first step, which brackets the root in exact arithmetic.
+* Pellet shape: the minimum of T is the chord test of the Newton polygon,
+
+      delta = max_{i < k < j} ((j-k) a_i + (k-i) a_j) / (j-i) - log(nu),
+
+  reached at the crossing t_c of the maximizing pair.  phi_min is at least
+  nu*expm1(delta), so nu*expm1(delta) >= 10*gap_rtol settles "none" (not
+  marginal) without evaluating h.  Otherwise h is evaluated once at t_c,
+  and nu*expm1(h(t_c)) < -10*gap_rtol settles "two" (not marginal).
+  Failing both, the minimizer of h (the zero of the nondecreasing h',
+  within log N / min|j - k| of t_c) is located from t_c, and phi there
+  decides "none" or "two" and the marginal flag against gap_rtol.  The two
+  roots are searched outward from the point where h < 0, with first steps
+  to tau1 and tau2, where h >= T = 0.
 
 Every search is one routine for the zero of a monotone g given with its
-derivative: one bracket walk from a start t0 by steps of 1, 2, 4, ... until
-g changes sign, then one Newton iteration safeguarded by bisection.  The
-single root of a Cauchy shape is the zero of h searched from t = 0.  In the
-Pellet shape the minimizer of h is the zero of the nondecreasing h' (Newton
-on the pair (h', h'')), and the two roots are the zeros of h on either side
-of it.  The walk checks the range guard |t| <= 700 before each evaluation,
-so a root beyond double range raises InvalidShapeError instead of
-overflowing exp.
+derivative: one bracket walk from a start t0 by a first step s, then 2s,
+4s, ... until g changes sign (s is at least 1e-9, so a one-term h, where
+the start is the root, still steps), then one Newton iteration safeguarded
+by bisection, which stops when the bracket or the Newton step falls below
+the tolerance.  Every start is clamped to |t| <= 700, and the walk checks that
+range guard before each evaluation, so a root beyond double range raises
+InvalidShapeError instead of overflowing exp.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 # Existence tolerance for a gap, relative to the coefficient scale: when the
 # minimum of phi is within GAP_RTOL * scale of zero the two roots may
@@ -44,6 +70,7 @@ _T_LIMIT = 700.0  # |log x| beyond this exceeds double range
 _MAX_ITER = 200
 _ROOT_TOL = 1e-14  # relative bracket width at which a root of h is final
 _MIN_TOL = 1e-12   # the same for the minimizer, where phi is flat
+_MIN_STEP = 1e-9  # least first step of a bracket walk (N = 1 gives log N = 0)
 
 
 class InvalidShapeError(Exception):
@@ -113,55 +140,96 @@ class PositiveRoots:
             raise InvalidShapeError(f"two roots must be separated: {self.x1}, {self.x2}")
 
 
+
+
 class _LogRadial:
-    """h(t) and its derivatives for the normalized radial polynomial."""
+    """h(t), its derivatives and its envelope for the normalized radial
+    polynomial, over the terms (a_j, d_j = j - k) that h keeps."""
 
     def __init__(self, f: SignedRadialPolynomial):
         scale = max(max(f.coeffs), f.neg_value)
-        js, logs = [], []
+        k = f.neg_index
+        self.logs, self.ds = [], []
         for j, c in enumerate(f.coeffs):
             # terms that underflow relative to the dominant one cannot move
             # any representable root; drop them instead of taking log(0)
             if c > 0.0 and c / scale > 0.0:
-                js.append(float(j))
-                logs.append(math.log(c / scale))
-        if not js or f.neg_value / scale == 0.0:
-            raise InvalidShapeError("coefficient magnitudes span more than double range")
-        self.js = np.array(js)
-        self.logs = np.array(logs)
-        self.k = float(f.neg_index)
-        self.lognu = math.log(f.neg_value / scale)
+                self.logs.append(math.log(c / scale))
+                self.ds.append(float(j - k))
         self.nu = f.neg_value / scale
+        if not self.ds or self.nu == 0.0:
+            raise InvalidShapeError("coefficient magnitudes span more than double range")
+        self.lognu = math.log(self.nu)
+        # how far a root or the minimizer of h can lie from the matching
+        # zero or vertex of T, since T <= h <= T + log N
+        self.step = math.log(len(self.ds)) / min(abs(d) for d in self.ds)
+        # T <= 0 on [tau1, tau2]: left of each rising line's zero, right of
+        # each falling line's zero
+        self.tau1, self.tau2 = -math.inf, math.inf
+        for a, d in zip(self.logs, self.ds):
+            z = (self.lognu - a) / d
+            if d > 0.0:
+                self.tau2 = min(self.tau2, z)
+            else:
+                self.tau1 = max(self.tau1, z)
 
     def stats(self, t: float):
-        """Return (h, h', h'') at t; h'' is the variance of j under the
-        exponential weights, hence h is convex."""
-        s = self.logs + self.js * t
-        smax = s.max()
-        w = np.exp(s - smax)
-        tot = w.sum()
-        mean = float((w @ self.js) / tot)
-        var = float((w @ (self.js - mean) ** 2) / tot)
-        h = smax + math.log(tot) - self.lognu - self.k * t
-        return h, mean - self.k, var
+        """Return (h, h', h'') at t; h' and h'' are the mean and variance of
+        j - k under the exponential weights, hence h is convex."""
+        ds = self.ds
+        s = [a + d * t for a, d in zip(self.logs, ds)]
+        smax = max(s)
+        w = [math.exp(v - smax) for v in s]
+        tot = sum(w)
+        mean = sum([wi * d for wi, d in zip(w, ds)]) / tot
+        var = sum([wi * (d - mean) ** 2 for wi, d in zip(w, ds)]) / tot
+        return smax + math.log(tot) - self.lognu, mean, var
+
+    def phi(self, h: float) -> float:
+        """phi = nu*(e^h - 1) on the normalized scale.  Past h = 1 it is
+        e^(log nu + h) - nu, which cannot overflow where it is used: at the
+        envelope's minimum log nu + delta <= 0, and h is at most log N above
+        it at t_c and at the minimizer."""
+        return self.nu * math.expm1(h) if h < 1.0 else math.exp(self.lognu + h) - self.nu
+
+    def vertex(self):
+        """(delta, t_c): the minimum of T and where it is reached, the
+        crossing of the falling and rising lines whose chord is highest."""
+        delta, tc = -math.inf, 0.0
+        terms = list(zip(self.logs, self.ds))
+        for ai, di in terms:
+            if di > 0.0:
+                continue
+            for aj, dj in terms:
+                if dj < 0.0:
+                    continue
+                v = (dj * ai - di * aj) / (dj - di)
+                if v > delta:
+                    delta, tc = v, (ai - aj) / (dj - di)
+        return delta - self.lognu, tc
 
 
-def _zero(g, t0: float, g0: float, increasing: bool, tol: float) -> float:
+def _clamp(t: float) -> float:
+    return min(max(t, -_T_LIMIT), _T_LIMIT)
+
+
+def _zero(g, t0: float, g0: float, increasing: bool, tol: float, step: float) -> float:
     """Zero of the monotone g, searched from t0 where g(t0)[0] == g0.
 
     ``g(t)`` returns the pair (g, g') and ``increasing`` says which way g
-    runs.  The bracket walk steps from t0 by 1, 2, 4, ... toward the zero
-    until g changes sign; each step is clamped to |t| <= _T_LIMIT before g
-    is evaluated there, and a walk that would pass the limit raises.  A
-    Newton iteration safeguarded by bisection then narrows the bracket to a
-    relative width of ``tol``.
+    runs.  The bracket walk steps from t0 by ``step`` (at least _MIN_STEP),
+    then twice, four times, ... as far toward the zero until g changes
+    sign; each step is clamped to |t| <= _T_LIMIT before g is evaluated
+    there, and a walk that would pass the limit raises.  A Newton iteration
+    safeguarded by bisection then narrows the bracket to a relative width
+    of ``tol``, or stops early when a Newton step is below half of it.
     """
     if g0 == 0.0:
         return t0
     direction = 1.0 if (g0 < 0.0) == increasing else -1.0
-    prev, step = t0, 1.0
+    prev, step = t0, max(step, _MIN_STEP)
     while True:
-        t = min(max(t0 + direction * step, -_T_LIMIT), _T_LIMIT)
+        t = _clamp(t0 + direction * step)
         if t == prev:
             raise InvalidShapeError("root outside representable range")
         if (g(t)[0] > 0.0) != (g0 > 0.0):
@@ -179,8 +247,17 @@ def _zero(g, t0: float, g0: float, increasing: bool, tol: float) -> float:
             lo = t
         if hi - lo <= tol * (1.0 + abs(lo) + abs(hi)):
             break
-        tn = t - v / slope if slope != 0.0 else t
-        t = tn if lo < tn < hi else 0.5 * (lo + hi)
+        if slope != 0.0:
+            tn = t - v / slope
+            # a Newton step below the tolerance has converged; without this
+            # test an iterate that rounds onto an end of the bracket would
+            # stall there and leave the rest to bisection
+            if lo <= tn <= hi and abs(tn - t) <= 0.5 * tol * (1.0 + 2.0 * abs(t)):
+                return tn
+            if lo < tn < hi:
+                t = tn
+                continue
+        t = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
 
 
@@ -188,10 +265,11 @@ def positive_roots(f: SignedRadialPolynomial, gap_rtol: float = GAP_RTOL) -> Pos
     """Locate the positive roots of f.
 
     One sign change (Cauchy shapes and degenerate one-sided Pellet shapes)
-    yields the unique root.  Otherwise the convex phi = f/x^k is minimized:
-    a minimum above -gap_rtol (on the normalized coefficient scale) means the
-    two roots may coincide and "none" is returned, else both roots are
-    found by walking outward from the minimizer.
+    yields the unique root.  Otherwise a minimum of phi = f/x^k above
+    -gap_rtol (on the normalized coefficient scale) means the two roots may
+    coincide and "none" is returned, else both roots are found by walking
+    outward from a point where phi < 0.  The envelope settles most verdicts
+    before the minimum is searched for (see the module docstring).
     """
     lr = _LogRadial(f)
     k = f.neg_index
@@ -202,17 +280,29 @@ def positive_roots(f: SignedRadialPolynomial, gap_rtol: float = GAP_RTOL) -> Pos
     if not (below and above):
         # single sign change: h is strictly monotone, increasing when all
         # the mass lies above k (E[j] - k > 0)
-        t = _zero(h, 0.0, h(0.0)[0], not below, _ROOT_TOL)
+        t0 = _clamp(lr.tau1 if below else lr.tau2)
+        t = _zero(h, t0, h(t0)[0], not below, _ROOT_TOL, lr.step)
         return PositiveRoots("one", x1=math.exp(t))
+    if math.isinf(lr.tau1) or math.isinf(lr.tau2):
+        # every term on one side of k underflows against the largest, so h
+        # is monotone over double range and the root on that side is beyond it
+        raise InvalidShapeError("root outside representable range")
 
-    # the minimizer of the convex h is the zero of the nondecreasing h'
-    slope = lambda t: lr.stats(t)[1:]
-    tmin = _zero(slope, 0.0, slope(0.0)[0], True, _MIN_TOL)
-    hmin = h(tmin)[0]
-    phimin = lr.nu * math.expm1(hmin)
-    marginal = abs(phimin) < 10.0 * gap_rtol
-    if phimin >= -gap_rtol:
-        return PositiveRoots("none", marginal=marginal)
-    t1 = _zero(h, tmin, hmin, False, _ROOT_TOL)
-    t2 = _zero(h, tmin, hmin, True, _ROOT_TOL)
+    delta, tc = lr.vertex()
+    if lr.phi(delta) >= 10.0 * gap_rtol:
+        return PositiveRoots("none")
+    t0 = _clamp(tc)
+    h0, slope0, _ = lr.stats(t0)
+    marginal = False
+    if lr.phi(h0) >= -10.0 * gap_rtol:
+        # the minimizer of the convex h is the zero of the nondecreasing h'
+        slope = lambda t: lr.stats(t)[1:]
+        t0 = _zero(slope, t0, slope0, True, _MIN_TOL, lr.step)
+        h0 = h(t0)[0]
+        phimin = lr.phi(h0)
+        marginal = abs(phimin) < 10.0 * gap_rtol
+        if phimin >= -gap_rtol:
+            return PositiveRoots("none", marginal=marginal)
+    t1 = _zero(h, t0, h0, False, _ROOT_TOL, t0 - lr.tau1)
+    t2 = _zero(h, t0, h0, True, _ROOT_TOL, lr.tau2 - t0)
     return PositiveRoots("two", x1=math.exp(t1), x2=math.exp(t2), marginal=marginal)

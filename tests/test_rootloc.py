@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pelletbounds import InvalidShapeError, PositiveRoots, SignedRadialPolynomial, positive_roots
+from pelletbounds import InvalidShapeError, PositiveRoots, SignedRadialPolynomial, positive_roots, rootloc
 
 
 def radial(coeffs, k, nu):
@@ -212,3 +214,177 @@ def test_root_near_range_limit_is_found(coeffs, k, nu, root):
     r = positive_roots(radial(coeffs, k, nu))
     got = r.x2 if r.kind == "two" else r.x1
     assert got == pytest.approx(root, rel=1e-10)
+
+
+def _envelope(f, t):
+    """T(t) = max_j (a_j + (j - k) t) - log(nu) and the number N of terms,
+    on the coefficients normalized by the largest (underflowing ones dropped)."""
+    scale = max(max(f.coeffs), f.neg_value)
+    lines = [math.log(c / scale) + (j - f.neg_index) * t
+             for j, c in enumerate(f.coeffs) if c > 0.0 and c / scale > 0.0]
+    return max(lines) - math.log(f.neg_value / scale), len(lines), max(abs(v) for v in lines)
+
+
+@st.composite
+def _wide_shapes(draw):
+    """Radial polynomials of degree 1..30 with coefficients 1e-250..1e250."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(0, n))
+    exponent = st.floats(-250.0, 250.0)
+    coeffs = [10.0 ** draw(exponent) if draw(st.booleans()) else 0.0 for _ in range(n + 1)]
+    coeffs[k] = 0.0
+    if not any(coeffs):
+        coeffs[(k + 1) % (n + 1)] = 10.0 ** draw(exponent)
+    return radial(coeffs, k, 10.0 ** draw(exponent))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_shapes(), st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=5))
+def test_envelope_bounds_h_and_brackets_its_roots(f, ts):
+    try:
+        lr = rootloc._LogRadial(f)
+    except InvalidShapeError:  # nu underflows against the largest coefficient
+        assume(False)
+    for t in ts:
+        env, n_terms, size = _envelope(f, t)
+        slack = 1e-13 * (1.0 + size + abs(lr.lognu))
+        h = lr.stats(t)[0]
+        assert env - slack <= h <= env + math.log(n_terms) + slack
+    if min(lr.ds) < 0.0 < max(lr.ds):
+        # the chord test is the envelope's minimum, reached at t_c
+        delta, tc = lr.vertex()
+        for t in [tc, *ts]:
+            env, _, size = _envelope(f, t)
+            assert env >= delta - 1e-12 * (1.0 + size + abs(lr.lognu))
+        assert _envelope(f, tc)[0] == pytest.approx(delta, rel=1e-12, abs=1e-12)
+    # T is zero at the finite ends of [tau1, tau2] when T <= 0 somewhere,
+    # and every root lies inside, where T <= 0 <= T + log N, ...
+    for tau in (lr.tau1, lr.tau2):
+        if math.isfinite(tau) and lr.tau1 <= lr.tau2:
+            env, _, size = _envelope(f, tau)
+            assert abs(env) <= 1e-12 * (1.0 + size + abs(lr.lognu))
+    try:
+        r = positive_roots(f)
+    except InvalidShapeError:  # a root beyond double range
+        return
+    for x in (r.x1, r.x2):
+        if x is not None:
+            t = math.log(x)
+            env, n_terms, size = _envelope(f, t)
+            slack = 1e-12 * (1.0 + size + abs(lr.lognu))
+            assert env - slack <= 0.0 <= env + math.log(n_terms) + slack
+            assert lr.tau1 - slack <= t <= lr.tau2 + slack
+            # ... and within log N / min|j - k| of the nearer end
+            assert min(t - lr.tau1, lr.tau2 - t) <= lr.step + slack
+
+
+def test_stats_match_direct_sums():
+    # h, h' and h'' from plain sums over x^(j-k), at moderate scales where
+    # they cannot overflow, against the log-sum-exp evaluation
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(1, 31))
+        k = int(rng.integers(0, n + 1))
+        coeffs = rng.uniform(0.0, 1.0, n + 1) * 10.0 ** rng.uniform(-3, 3, n + 1)
+        coeffs[rng.uniform(size=n + 1) < 0.3] = 0.0
+        coeffs[k] = 0.0
+        if not coeffs.any():
+            coeffs[(k + 1) % (n + 1)] = 1.0
+        f = radial(coeffs, k, 10.0 ** rng.uniform(-2, 3))
+        lr = rootloc._LogRadial(f)
+        t = rng.uniform(-2.0, 2.0)
+        d = np.arange(n + 1) - k
+        terms = coeffs * np.exp(d * t)
+        mean = terms @ d / terms.sum()
+        expected = (math.log(terms.sum() / f.neg_value), mean, terms @ (d - mean) ** 2 / terms.sum())
+        assert lr.stats(t) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 2.0 - 1e-9, 2.0 + 1e-9, 3.0])
+def test_closed_form_minimum_decides_verdict(nu, monkeypatch):
+    # x^2 - nu x + 1 at k = 1: phi = x + 1/x - nu, normalized by max(1, nu),
+    # has its minimum (2 - nu) / max(1, nu) at x = 1
+    phimin = (2.0 - nu) / max(1.0, nu)
+    evaluations = []
+    stats = rootloc._LogRadial.stats
+
+    def counted(lr, t):
+        evaluations.append(t)
+        return stats(lr, t)
+
+    monkeypatch.setattr(rootloc._LogRadial, "stats", counted)
+    r = positive_roots(radial([1.0, 0.0, 1.0], 1, nu))
+    assert r.kind == ("two" if phimin < -rootloc.GAP_RTOL else "none")
+    assert r.marginal == (abs(phimin) < 10.0 * rootloc.GAP_RTOL)
+    if nu < 1.0:
+        # the envelope's minimum delta = -log(nu) > 0 settles it unevaluated
+        assert evaluations == []
+    if r.kind == "two":
+        disc = math.sqrt(nu * nu - 4.0)
+        assert r.x1 == pytest.approx((nu - disc) / 2.0, rel=1e-6)
+        assert r.x2 == pytest.approx((nu + disc) / 2.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("coeffs, k, nu, root", [
+    ([0.0, 0.0, 0.0, 2.0], 0, 16.0, 2.0),
+    ([3.0, 0.0, 0.0, 0.0, 0.0], 4, 1e-200, 1.316074012952499e+50),
+    ([0.0, 7e-300], 0, 1.0, 1.4285714285714225e+299),
+])
+def test_one_term_shape_starts_on_its_root(coeffs, k, nu, root):
+    # with one term h is the envelope itself, so the search starts on the
+    # root; these are the values of the search from t = 0, bit for bit
+    r = positive_roots(radial(coeffs, k, nu))
+    assert r.kind == "one" and r.x1 == root
+
+
+def test_tiny_negative_term_does_not_overflow():
+    # nu / scale below 1e-308 puts the envelope minimum past exp's range
+    r = positive_roots(radial([1.0, 0.0, 1.0], 1, 1e-320))
+    assert r.kind == "none" and not r.marginal
+
+
+def _phi_min(f):
+    """Minimum of the normalized phi = f / x^k over x > 0, from the positive
+    real roots of x f'(x) - k f(x) (np.roots); None if there are none."""
+    desc = np.array([-f.neg_value if j == f.neg_index else f.coeffs[j] for j in range(f.degree, -1, -1)])
+    crit = np.polysub(np.polymul([1.0, 0.0], np.polyder(desc)), f.neg_index * desc)
+    xs = [z.real for z in np.roots(np.trim_zeros(crit, "f"))
+          if z.real > 0.0 and abs(z.imag) <= 1e-8 * abs(z.real)]
+    scale = max(max(f.coeffs), f.neg_value)
+    return min((np.polyval(desc, x) / x ** f.neg_index / scale for x in xs), default=None)
+
+
+def test_agreement_with_companion_oracle_spiked():
+    # the sweep's spike recipe: one coefficient raised by 10^1 .. 10^4, on
+    # the negative term half the time, so that most gaps are settled at the
+    # envelope's vertex
+    rng = np.random.default_rng(13)
+    kinds = {"none": 0, "two": 0}
+    for _ in range(300):
+        n = int(rng.integers(2, 21))
+        k = int(rng.integers(1, n))
+        coeffs = rng.uniform(0.0, 1.0, n + 1)
+        coeffs[rng.uniform(size=n + 1) < 0.3] = 0.0
+        coeffs[k] = 0.0
+        if not coeffs[:k].any() or not coeffs[k + 1:].any():
+            continue
+        nu = rng.uniform(0.0, 1.0) + 1e-3
+        spike = 10.0 ** rng.uniform(1.0, 4.0)
+        s = k if rng.uniform() < 0.5 else int(rng.integers(1, n))
+        if s == k:
+            nu += spike
+        else:
+            coeffs[s] += spike
+        f = radial(coeffs, k, nu)
+        phimin = _phi_min(f)
+        if phimin is None or abs(phimin) <= 1e-6:
+            continue
+        r = positive_roots(f)
+        assert r.kind == ("two" if phimin < 0.0 else "none")
+        kinds[r.kind] += 1
+        got = [v for v in (r.x1, r.x2) if v is not None]
+        expected = _oracle_positive_roots(f)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a == pytest.approx(b, rel=1e-8)
+    assert kinds["two"] > 60 and kinds["none"] > 60
