@@ -17,6 +17,32 @@ Four families of bounds on the eigenvalue moduli of P(z) = sum A_j z^j:
 Preconditioned variants left-multiply by the inverse of the pivotal
 coefficient first, which never shrinks a gap since
 ||A_k^-1 A_j|| <= ||A_k^-1|| ||A_j||.
+
+The chord prefilter.  Write c_j = ||A_j|| and C for the highest chord at k
+of the points (j, log c_j), the maximum over i < k < j of
+((j-k) log c_i + (k-i) log c_j) / (j-i).  ``positive_roots`` answers "none"
+without a root search when e^C' - nu >= 10*GAP_RTOL*s (its chord test),
+where C' is that chord over the coefficients of the radial polynomial and
+s the largest of them and nu.  The norms of P settle this for most k
+before nu_k, A_k^-1 P or the radial polynomial is formed:
+
+* plain query: nu_k <= c_k and s <= max_j c_j, so the query is "nogap" when
+      e^C - c_k >= 20*GAP_RTOL * max_j c_j;
+* preconditioned query: ||A_k^-1 A_j|| >= c_j / c_k, nu = 1 and
+  ||A_k^-1 A_j|| <= c_j / nu_k, so the query is "nogap" when
+      e^C / c_k - 1 >= 20*GAP_RTOL * max(1, max_{j != k} c_j / nu_k).
+
+Both need C > log c_k, so only an index that is not a vertex of the upper
+convex hull of the points (the Newton polygon of the norms) is ever
+skipped.  The factor 20 is twice the chord test's 10, so rounding in the
+norms cannot flip a verdict, and a skipped query is exactly the "nogap",
+not marginal, result that the root search would return.  Every query runs
+its pivot test first (the checked LU of A_k, plain; nu_k, preconditioned),
+so a singular A_k raises SingularMatrixError whether or not the query is
+skipped.
+
+Coefficient norms, nu_k, preconditioned and squared polynomials are
+computed once per polynomial and kept on it (see ``matpoly``).
 """
 
 from __future__ import annotations
@@ -26,7 +52,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import NormKind, SingularMatrixError, inv_norm_inv, norm
+from .linalg import NormKind, SingularMatrixError, _lu_factor_checked, inv_norm_inv, norm
 from .matpoly import (
     MatrixPolynomial,
     OddDegreeError,
@@ -36,7 +62,7 @@ from .matpoly import (
     shift_by_z,
     square_repartition,
 )
-from .rootloc import PositiveRoots, SignedRadialPolynomial, positive_roots
+from .rootloc import GAP_RTOL, PositiveRoots, SignedRadialPolynomial, positive_roots
 
 VARIANT_PLAIN = "plain"
 VARIANT_PRECONDITIONED = "monic-preconditioned"
@@ -46,6 +72,10 @@ VARIANT_SQUARED_QR = "squared-QR"
 GAP = "gap"
 NO_GAP = "nogap"
 UPPER_ONLY = "upper-only"
+
+# A query is skipped by the chord prefilter only when its bound clears the
+# chord test's threshold (10 * GAP_RTOL) twice over.
+_PREFILTER_RTOL = 20.0 * GAP_RTOL
 
 
 class OddIndexError(Exception):
@@ -83,17 +113,24 @@ class GapResult:
     marginal: bool = False
 
 
-def _pivot_profile(p: MatrixPolynomial, j: int, kind: NormKind, precondition: bool,
-                   norms: np.ndarray | None = None):
+def _norms(p: MatrixPolynomial, kind: NormKind) -> np.ndarray:
+    """The coefficient norms of P, taken once per kind."""
+    return p._cached(("norms", kind), norm, p.stack, kind)
+
+
+def _nu(p: MatrixPolynomial, j: int, kind: NormKind) -> float:
+    """nu_j = 1/||A_j^-1||, taken once per index and kind; raises
+    SingularMatrixError (every time) when A_j is singular."""
+    return p._cached(("nu", j, kind), inv_norm_inv, p.coeffs[j], kind)
+
+
+def _pivot_profile(p: MatrixPolynomial, j: int, kind: NormKind, precondition: bool):
     """Coefficient norms and nu = 1/||A_j^-1|| of the radial polynomial that
     pivots on A_j, or those of A_j^-1 P (where nu = 1) with ``precondition``.
-    ``norms`` passes P's own coefficient norms when the caller has them.
     Raises SingularMatrixError when A_j is singular."""
     if precondition:
-        return norm(left_precondition(p, j).stack, kind), 1.0
-    if norms is None:
-        norms = norm(p.stack, kind)
-    return norms, inv_norm_inv(p.coeffs[j], kind)
+        return _norms(left_precondition(p, j), kind), 1.0
+    return _norms(p, kind), _nu(p, j, kind)
 
 
 def _radial_roots(norms: np.ndarray, nu: float, k: int) -> PositiveRoots | None:
@@ -106,13 +143,13 @@ def _radial_roots(norms: np.ndarray, nu: float, k: int) -> PositiveRoots | None:
     return positive_roots(SignedRadialPolynomial(coeffs, k, nu))
 
 
-def _cauchy_radius(p: MatrixPolynomial, k: int, kind: NormKind, precondition: bool,
-                   norms: np.ndarray | None) -> float | None:
+def _cauchy_radius(p: MatrixPolynomial, k: int, kind: NormKind,
+                   precondition: bool) -> float | None:
     """The one positive root of f_k for k in {0, n}; None when A_k is singular,
     0.0 when every other coefficient is zero (at k = n every eigenvalue is
     then 0; at k = 0 the bound r = 0 is trivially valid)."""
     try:
-        roots = _radial_roots(*_pivot_profile(p, k, kind, precondition, norms), k)
+        roots = _radial_roots(*_pivot_profile(p, k, kind, precondition), k)
     except SingularMatrixError:
         return None
     return 0.0 if roots is None else roots.x1
@@ -132,8 +169,7 @@ def cauchy_bounds(p: MatrixPolynomial, kind, precondition: bool = False) -> Cauc
     """
     kind = NormKind.coerce(kind)
     variant = VARIANT_PRECONDITIONED if precondition else VARIANT_PLAIN
-    plain_norms = None if precondition else norm(p.stack, kind)
-    upper, lower = (_cauchy_radius(p, k, kind, precondition, plain_norms) for k in (p.n, 0))
+    upper, lower = (_cauchy_radius(p, k, kind, precondition) for k in (p.n, 0))
     return CauchyBounds(upper=upper, lower=lower, norm_kind=kind, variant=variant)
 
 
@@ -153,6 +189,37 @@ def _radial_gap(norms: np.ndarray, nu: float, k: int, count: int, kind: NormKind
                      norm_kind=kind, variant=variant, marginal=roots.marginal)
 
 
+def _chord_proves_none(p: MatrixPolynomial, k: int, kind: NormKind,
+                       precondition: bool) -> bool:
+    """Whether P's coefficient norms alone prove the chord test's "none" at
+    k (see the module docstring), after the pivot test of A_k, which raises
+    SingularMatrixError when A_k is singular."""
+    norms = _norms(p, kind).tolist()
+    if precondition:
+        scale = max(1.0, max(norms[:k] + norms[k + 1:]) / _nu(p, k, kind))
+        nu, shift = 1.0, math.log(norms[k])
+    else:
+        _lu_factor_checked(p.stack[k])
+        nu, scale, shift = norms[k], max(norms), 0.0
+    if not math.isfinite(scale):
+        return False
+    logs = [math.log(c) if c > 0.0 else -math.inf for c in norms]
+    chord = max(((j - k) * logs[i] + (k - i) * logs[j]) / (j - i)
+                for i in range(k) for j in range(k + 1, len(logs)))
+    # e^(chord - shift) - nu >= 20*GAP_RTOL*scale, divided by scale to keep exp in range
+    return math.exp(chord - shift - math.log(scale)) - nu / scale >= _PREFILTER_RTOL
+
+
+def _pellet_query(p: MatrixPolynomial, k: int, kind: NormKind, precondition: bool,
+                  count: int, variant: str) -> GapResult:
+    """Pellet's theorem at index k of P: "nogap" early when the chord
+    prefilter proves it, else from the roots of the radial polynomial."""
+    if _chord_proves_none(p, k, kind, precondition):
+        return GapResult(k=k, status=NO_GAP, x1=None, x2=None, eig_count_inside=None,
+                         norm_kind=kind, variant=variant)
+    return _radial_gap(*_pivot_profile(p, k, kind, precondition), k, count, kind, variant)
+
+
 def pellet_gap(p: MatrixPolynomial, k: int, kind, precondition: bool = False) -> GapResult:
     """Generalized Pellet query at index k (1 <= k <= n-1, A_k invertible).
 
@@ -164,17 +231,21 @@ def pellet_gap(p: MatrixPolynomial, k: int, kind, precondition: bool = False) ->
     if not 1 <= k <= p.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} for degree {p.n}")
     variant = VARIANT_PRECONDITIONED if precondition else VARIANT_PLAIN
-    return _radial_gap(*_pivot_profile(p, k, kind, precondition), k, k * p.m, kind, variant)
+    return _pellet_query(p, k, kind, precondition, k * p.m, variant)
 
 
 def squared_polynomial(p: MatrixPolynomial, use_reciprocal: bool) -> tuple:
     """The companion-squared polynomial Q of P (or Q_R of its reciprocal)
-    and its variant tag.
+    and its variant tag, built once per route and kept on P.
 
     P is monicized if needed, replaced by its reciprocal for Q_R, shifted
     by z if its degree is odd, and then squared; the tag records each step
     taken.  Raises SingularMatrixError when a required pivot is singular.
     """
+    return p._cached(("squared", bool(use_reciprocal)), _squared, p, bool(use_reciprocal))
+
+
+def _squared(p: MatrixPolynomial, use_reciprocal: bool) -> tuple:
     tag = VARIANT_SQUARED_QR if use_reciprocal else VARIANT_SQUARED_Q
     if not p.is_monic():
         p = monicize(p)
@@ -239,8 +310,7 @@ def squared_gap(p: MatrixPolynomial, k_even: int, kind,
     q, variant = squared_polynomial(p, use_reciprocal=False)
     if precondition:
         variant += "+B-preconditioned"
-    res = _radial_gap(*_pivot_profile(q, kq, kind, precondition), kq, k_even * p.m, kind,
-                      variant)
+    res = _pellet_query(q, kq, kind, precondition, k_even * p.m, variant)
     return replace(res, k=k_even, x1=_unsquare(res.x1), x2=_unsquare(res.x2))
 
 

@@ -8,12 +8,19 @@ shift z*P(z), the block companion linearization, and the companion-squaring
 repartition that halves the degree while doubling the block size.  Each
 works on the whole coefficient stack: the LU-based ones factor their pivot
 once and solve for all coefficients together.
+
+A polynomial never changes after construction, so what the bounds derive
+from it again and again is computed once and kept on it in a private memo:
+its preconditioned forms here (monicize and reciprocal included), and in
+``bounds`` its coefficient norms, its pivot norms nu_k and its
+companion-squared polynomials.  Failures are not kept: a singular pivot
+raises on every call.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,11 +47,14 @@ class MatrixPolynomial:
     coefficients, and ``coeffs`` the tuple of its n+1 read-only views.
     Invariants enforced at construction: degree n >= 1, all coefficients of
     the same square shape, all entries finite, and a nonzero leading
-    coefficient (the degree is genuine).
+    coefficient (the degree is genuine).  The private ``_memo`` holds
+    derived data (see the module docstring); it takes no part in ``repr``
+    or equality.
     """
 
     stack: np.ndarray
     coeffs: tuple
+    _memo: dict = field(repr=False, compare=False)
 
     def __init__(self, coeffs):
         if not isinstance(coeffs, np.ndarray):
@@ -64,6 +74,7 @@ class MatrixPolynomial:
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "coeffs", tuple(stack))
+        object.__setattr__(self, "_memo", {})
 
     @property
     def m(self) -> int:
@@ -76,6 +87,14 @@ class MatrixPolynomial:
     def is_monic(self, tol: float = MONIC_TOL) -> bool:
         # infinity norm of A_n - I; the stack is validated already
         return bool(np.abs(self.stack[-1] - identity(self.m)).sum(axis=1).max() <= tol)
+
+    def _cached(self, key, build, *args):
+        """build(*args), computed on the first call with ``key`` and kept;
+        an exception from ``build`` leaves nothing behind."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build(*args)
+        return value
 
 
 def scalar_polynomial(coeffs_ascending) -> MatrixPolynomial:
@@ -91,14 +110,6 @@ def evaluate(p: MatrixPolynomial, z: complex) -> np.ndarray:
     return acc
 
 
-def _preconditioned_stack(p: MatrixPolynomial, index: int) -> np.ndarray:
-    """A_index^-1 [A_0, ..., A_n] from one LU of A_index, with coefficient
-    ``index`` set to the exact identity."""
-    stack = left_solve(p.stack[index], p.stack)
-    stack[index] = identity(p.m)
-    return stack
-
-
 def monicize(p: MatrixPolynomial) -> MatrixPolynomial:
     """A_n^-1 P: same eigenvalues, leading coefficient exactly I."""
     return left_precondition(p, p.n)
@@ -112,11 +123,18 @@ def left_multiply(p: MatrixPolynomial, mat) -> MatrixPolynomial:
     return MatrixPolynomial(mat @ p.stack)
 
 
+def _precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
+    stack = left_solve(p.stack[index], p.stack)
+    stack[index] = identity(p.m)
+    return MatrixPolynomial(stack)
+
+
 def left_precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
-    """A_index^-1 P, with coefficient ``index`` set to exact identity."""
+    """A_index^-1 P from one LU of A_index, with coefficient ``index`` set
+    to the exact identity; built once per index and kept on P."""
     if not 0 <= index <= p.n:
         raise ValueError(f"index {index} out of range for degree {p.n}")
-    return MatrixPolynomial(_preconditioned_stack(p, index))
+    return p._cached(("precondition", index), _precondition, p, index)
 
 
 def reciprocal(p: MatrixPolynomial) -> MatrixPolynomial:
@@ -125,7 +143,7 @@ def reciprocal(p: MatrixPolynomial) -> MatrixPolynomial:
     Its coefficients are those of A_0^-1 P in reverse order.  Its eigenvalues
     are the reciprocals of the eigenvalues of P; requires a nonsingular A_0.
     """
-    return MatrixPolynomial(_preconditioned_stack(p, 0)[::-1])
+    return MatrixPolynomial(left_precondition(p, 0).stack[::-1])
 
 
 def shift_by_z(p: MatrixPolynomial) -> MatrixPolynomial:

@@ -13,11 +13,12 @@ into the convex function
 
 with f(x) < 0 exactly where h(t) < 0, and phi(x) := f(x)/x^k = nu*(e^h - 1).
 All root finding is done on h in log-x coordinates.  The coefficients and
-nu are divided by the largest of them, a_j = log c_j is kept for the N terms
-that do not underflow, and h is a log-sum-exp over them, so degrees up to
-100 and widely scaled coefficients cannot overflow.  N is small, so h is
-evaluated with plain Python floats: numpy's per-call cost would exceed the
-arithmetic.
+nu are divided by the largest of them, a_j = log c_j is kept for each of
+the N positive terms, and log nu with them (each as log c - log scale where
+the quotient would underflow, so no term is lost), and h is a log-sum-exp
+over them, so degrees up to 100 and widely scaled coefficients cannot
+overflow.  N is small, so h is evaluated with plain Python floats: numpy's
+per-call cost would exceed the arithmetic.
 
 The envelope.  The Newton-polygon (tropical) envelope of h,
 
@@ -58,6 +59,7 @@ InvalidShapeError instead of overflowing exp.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 # Existence tolerance for a gap, relative to the coefficient scale: when the
@@ -142,24 +144,27 @@ class PositiveRoots:
 
 
 
+def _log_ratio(c: float, scale: float) -> float:
+    """log(c / scale) for 0 < c <= scale: the log of the quotient while it is
+    a normal float, else log c - log scale, which cannot underflow."""
+    r = c / scale
+    return math.log(r) if r >= sys.float_info.min else math.log(c) - math.log(scale)
+
+
 class _LogRadial:
     """h(t), its derivatives and its envelope for the normalized radial
-    polynomial, over the terms (a_j, d_j = j - k) that h keeps."""
+    polynomial, over its positive terms (a_j, d_j = j - k)."""
 
     def __init__(self, f: SignedRadialPolynomial):
         scale = max(max(f.coeffs), f.neg_value)
         k = f.neg_index
         self.logs, self.ds = [], []
         for j, c in enumerate(f.coeffs):
-            # terms that underflow relative to the dominant one cannot move
-            # any representable root; drop them instead of taking log(0)
-            if c > 0.0 and c / scale > 0.0:
-                self.logs.append(math.log(c / scale))
+            if c > 0.0:
+                self.logs.append(_log_ratio(c, scale))
                 self.ds.append(float(j - k))
-        self.nu = f.neg_value / scale
-        if not self.ds or self.nu == 0.0:
-            raise InvalidShapeError("coefficient magnitudes span more than double range")
-        self.lognu = math.log(self.nu)
+        self.nu = f.neg_value / scale  # may underflow; lognu does not
+        self.lognu = _log_ratio(f.neg_value, scale)
         # how far a root or the minimizer of h can lie from the matching
         # zero or vertex of T, since T <= h <= T + log N
         self.step = math.log(len(self.ds)) / min(abs(d) for d in self.ds)
@@ -283,10 +288,6 @@ def positive_roots(f: SignedRadialPolynomial, gap_rtol: float = GAP_RTOL) -> Pos
         t0 = _clamp(lr.tau1 if below else lr.tau2)
         t = _zero(h, t0, h(t0)[0], not below, _ROOT_TOL, lr.step)
         return PositiveRoots("one", x1=math.exp(t))
-    if math.isinf(lr.tau1) or math.isinf(lr.tau2):
-        # every term on one side of k underflows against the largest, so h
-        # is monotone over double range and the root on that side is beyond it
-        raise InvalidShapeError("root outside representable range")
 
     delta, tc = lr.vertex()
     if lr.phi(delta) >= 10.0 * gap_rtol:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from pelletbounds import MatrixPolynomial
+from pelletbounds import MatrixPolynomial, trial_rng
+
+CRITERION_1_SEED = 20260810
 
 
 def rand_matrix(rng, m, scale=1.0):
@@ -12,6 +14,21 @@ def rand_poly(rng, m, n, scale=1.0, monic=True):
     coeffs = [rand_matrix(rng, m, scale) for _ in range(n)]
     coeffs.append(np.eye(m) if monic else rand_matrix(rng, m, scale))
     return MatrixPolynomial(coeffs)
+
+
+def criterion_1_instance(i):
+    """(P, n) of instance i of acceptance criterion 1's soundness sweep."""
+    rng = trial_rng(CRITERION_1_SEED, i)
+    m = (1, 2, 3, 5)[i % 4]
+    n = 2 + i % 9
+    scale = 10.0 ** rng.uniform(-1.0, 1.5)
+    coeffs = [rand_matrix(rng, m, scale) for _ in range(n + 1)]
+    if i % 2 == 0:
+        coeffs[-1] = np.eye(m)
+    if rng.uniform() < 0.6:
+        k_spike = int(rng.integers(1, n))
+        coeffs[k_spike] = coeffs[k_spike] + scale * 10.0 ** rng.uniform(1.0, 4.0) * np.eye(m)
+    return MatrixPolynomial(coeffs), n
 
 
 def max_match_distance(a, b):

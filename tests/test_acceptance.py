@@ -37,10 +37,9 @@ from pelletbounds import (
 )
 from pelletbounds.oracle import check_gap, check_lower, check_upper
 
-from conftest import max_match_distance
+from conftest import CRITERION_1_SEED as SEED, criterion_1_instance, max_match_distance
 
 KINDS = (NormKind.ONE, NormKind.INF, NormKind.TWO)
-SEED = 20260810
 
 
 def report(num, name, ok, detail=""):
@@ -60,18 +59,8 @@ def test_criterion_1_soundness_sweep():
     instances = 2000
     claims = gaps = 0
     for i in range(instances):
-        rng = trial_rng(SEED, i)
-        m = (1, 2, 3, 5)[i % 4]
-        n = 2 + (i % 9)
+        p, n = criterion_1_instance(i)
         kind = KINDS[i % 3]
-        scale = 10.0 ** rng.uniform(-1.0, 1.5)
-        coeffs = [_rand_matrix(rng, m, scale) for _ in range(n + 1)]
-        if i % 2 == 0:
-            coeffs[-1] = np.eye(m)
-        if n >= 2 and rng.uniform() < 0.6:
-            k_spike = int(rng.integers(1, n))
-            coeffs[k_spike] = coeffs[k_spike] + scale * 10.0 ** rng.uniform(1.0, 4.0) * np.eye(m)
-        p = MatrixPolynomial(coeffs)
         rep = eigen_oracle(p)
 
         radii = [cauchy_bounds(p, kind, precondition=pre) for pre in (False, True)]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from pelletbounds import (
     squared_bounds,
     squared_gap,
 )
+from pelletbounds import bounds
+from pelletbounds.bounds import squared_polynomial
 
-from conftest import rand_matrix, rand_poly
+from conftest import criterion_1_instance, rand_matrix, rand_poly
 
 KINDS = [NormKind.ONE, NormKind.INF, NormKind.TWO]
 
@@ -302,3 +305,118 @@ def test_squared_gap_soundness(rng):
                     gaps += 1
                     assert g.eig_count_inside == k * m
     assert gaps > 40
+
+
+# --- per-polynomial memo and the chord prefilter ----------------------------
+
+def _full_pellet(p, k, kind, pre):
+    """pellet_gap's result from the radial polynomial, with no prefilter."""
+    variant = "monic-preconditioned" if pre else "plain"
+    return bounds._radial_gap(*bounds._pivot_profile(p, k, kind, pre), k, k * p.m, kind, variant)
+
+
+def _full_squared(p, k_even, kind, pre):
+    """squared_gap's result from the radial polynomial of Q, with no prefilter."""
+    q, variant = squared_polynomial(p, False)
+    if pre:
+        variant += "+B-preconditioned"
+    kq = k_even // 2
+    res = bounds._radial_gap(*bounds._pivot_profile(q, kq, kind, pre), kq, k_even * p.m, kind,
+                             variant)
+    return replace(res, k=k_even, x1=bounds._unsquare(res.x1), x2=bounds._unsquare(res.x2))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularMatrixError:
+        return "singular"
+
+
+def test_prefilter_equals_full_path_on_criterion_1_instances():
+    # every per-index query of the first 144 criterion-1 instances, in all
+    # three norms: the public result (prefilter first) equals the root
+    # search's in status, x1, x2, count, variant and marginal flag
+    queries = skipped = 0
+    for i in range(144):
+        p, n = criterion_1_instance(i)
+        for kind in KINDS:
+            for pre in (False, True):
+                cases = [(pellet_gap, _full_pellet, p, k) for k in range(1, n)]
+                if n % 2 == 0 and n >= 4:
+                    q = squared_polynomial(p, False)[0]
+                    cases += [(squared_gap, _full_squared, q, k) for k in range(2, n - 1, 2)]
+                for public, full, target, k in cases:
+                    got = _outcome(public, p, k, kind, pre)
+                    assert got == _outcome(full, p, k, kind, pre), (i, kind, pre, k)
+                    queries += 1
+                    if got != "singular":
+                        kq = k if public is pellet_gap else k // 2
+                        skipped += bounds._chord_proves_none(target, kq, kind, pre)
+    assert queries > 4000
+    assert skipped > queries // 2
+
+
+def test_prefilter_keeps_marginal_near_tangent_shape():
+    # z^3 + 5e-11 z + 1e-15: k = 1 lies below the chord of (0, 1e-15) and
+    # (3, 1), yet phi's minimum, about 1.4e-10, is within 10*GAP_RTOL of
+    # zero, so the root search reports a marginal "none"
+    p = scalar_polynomial([1e-15, 5e-11, 0.0, 1.0])
+    logs = np.log([1e-15, 5e-11, 1.0])
+    assert logs[1] < (2.0 * logs[0] + logs[2]) / 3.0
+    assert not bounds._chord_proves_none(p, 1, NormKind.ONE, False)
+    g = pellet_gap(p, 1, "one")
+    assert g.status == NO_GAP and g.marginal
+    assert g == _full_pellet(p, 1, NormKind.ONE, False)
+
+
+def test_singular_pivot_at_non_vertex_raises_every_time():
+    # ||A_1|| = 0.1 lies below the chord of ||A_0|| = ||A_2|| = 1, so the
+    # norms alone would settle "nogap"; the pivot test still runs first
+    p = MatrixPolynomial([np.eye(2), np.diag([0.1, 0.0]), np.eye(2)])
+    # z^4 + 0.1 z + 1: B_1 = [[0, 0.1], [0, 0]] of Q is singular and below
+    # the chord of ||B_0|| and ||B_2||
+    s = scalar_polynomial([1.0, 0.1, 0.0, 0.0, 1.0])
+    for kind in KINDS:
+        for pre in (False, True):
+            for _ in range(3):
+                with pytest.raises(SingularMatrixError):
+                    pellet_gap(p, 1, kind, precondition=pre)
+                with pytest.raises(SingularMatrixError):
+                    squared_gap(s, 2, kind, precondition=pre)
+
+
+def test_repeated_calls_reuse_the_memo_and_agree(rng):
+    # every norm kind in turn on one polynomial, twice, and on memo-free
+    # copies: a cached value never leaks across kinds, indices or routes
+    def everything(q, n, kind):
+        return ([cauchy_bounds(q, kind, precondition=pre) for pre in (False, True)]
+                + [squared_bounds(q, kind, use_reciprocal=rec) for rec in (False, True)]
+                + [squared_bounds(q, kind, precondition_index=0)]
+                + [pellet_gap(q, k, kind, precondition=pre)
+                   for k in range(1, n) for pre in (False, True)]
+                + [squared_gap(q, k, kind, precondition=pre)
+                   for k in range(2, n - 1, 2) for pre in (False, True)])
+
+    for trial in range(6):
+        n = 4 + 2 * (trial % 3)
+        p = spiky_poly(rng, 1 + trial % 3, n, spike_at=2, spike=100.0)
+        first = [everything(p, n, kind) for kind in KINDS]
+        assert [everything(p, n, kind) for kind in KINDS] == first
+        assert [everything(MatrixPolynomial(p.stack), n, kind) for kind in KINDS] == first
+        assert squared_polynomial(p, True) is squared_polynomial(p, True)
+
+
+def test_preconditioned_prefilter_scale_uses_nu():
+    # blocks 4e-6 + z and 1e-10 z + 1e6 z^2: the norms 4e-6, 1, 1e6 put
+    # k = 1 below the chord (e^C = 2), but nu_1 = 1e-10 makes A_1^-1 A_2 as
+    # large as 1e16, so the preconditioned phi's minimum, 4e5, is within
+    # 10*GAP_RTOL of that scale: a marginal "none" the prefilter must leave
+    # to the root search, as max_j ||A_j|| / nu_k bounds the scale
+    p = MatrixPolynomial([np.diag([4e-6, 0.0]), np.diag([1.0, 1e-10]), np.diag([0.0, 1e6])])
+    for kind in KINDS:
+        assert bounds._chord_proves_none(p, 1, kind, False)
+        assert not bounds._chord_proves_none(p, 1, kind, True)
+        g = pellet_gap(p, 1, kind, precondition=True)
+        assert g.status == NO_GAP and g.marginal
+        assert g == _full_pellet(p, 1, kind, True)

@@ -16,11 +16,13 @@ from pelletbounds import (
     left_precondition,
     left_solve,
     monicize,
+    pellet_gap,
     q_reciprocal,
     reciprocal,
     scalar_polynomial,
     shift_by_z,
     square_repartition,
+    squared_bounds,
     to_json,
 )
 
@@ -148,6 +150,30 @@ def test_monicize_singular_leading():
     p = MatrixPolynomial([np.eye(2), np.diag([1.0, 0.0])])
     with pytest.raises(SingularMatrixError):
         monicize(p)
+
+
+def test_memo_keeps_repr_equality_and_index_check(rng):
+    p = rand_poly(rng, 2, 4)
+    q = MatrixPolynomial(p.stack)
+    before = repr(p), p == q, p == p
+    for j in range(p.n + 1):
+        assert left_precondition(p, j) is left_precondition(p, j)
+    assert monicize(p) is left_precondition(p, p.n)
+    pellet_gap(p, 2, "two", precondition=True)
+    squared_bounds(p, "one", use_reciprocal=True)
+    assert (repr(p), p == q, p == p) == before
+    for bad in (-1, p.n + 1):
+        with pytest.raises(ValueError):
+            left_precondition(p, bad)
+
+
+def test_singular_pivot_raises_on_every_call():
+    p = MatrixPolynomial([np.diag([1.0, 0.0]), np.eye(2), np.eye(2)])
+    for _ in range(3):
+        with pytest.raises(SingularMatrixError):
+            left_precondition(p, 0)
+        with pytest.raises(SingularMatrixError):
+            reciprocal(p)
 
 
 def test_left_multiply(rng):

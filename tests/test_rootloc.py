@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pelletbounds import InvalidShapeError, PositiveRoots, SignedRadialPolynomial, positive_roots, rootloc
@@ -204,6 +204,16 @@ def test_root_beyond_double_range_is_invalid_shape(coeffs, k, nu):
         positive_roots(radial(coeffs, k, nu))
 
 
+@pytest.mark.parametrize("coeffs, k, nu", [
+    ([1e-300, 0.0, 1e300], 1, 1.0),   # 1e-300 / 1e300 underflows
+    ([1e300, 0.0, 1e300], 1, 1e-30),  # so does nu / 1e300
+])
+def test_underflowing_terms_are_kept(coeffs, k, nu):
+    # phi = c_0/x + c_2 x - nu stays positive: its minimum is 1 in the first
+    # shape (at x = 1e-300) and 2e300 in the second
+    assert positive_roots(radial(coeffs, k, nu)).kind == "none"
+
+
 @pytest.mark.parametrize("coeffs, k, nu, root", [
     ([0.0, 1e-300], 0, 1.0, 1e300),
     ([1.0, 0.0], 1, 1e300, 1e-300),
@@ -218,11 +228,12 @@ def test_root_near_range_limit_is_found(coeffs, k, nu, root):
 
 def _envelope(f, t):
     """T(t) = max_j (a_j + (j - k) t) - log(nu) and the number N of terms,
-    on the coefficients normalized by the largest (underflowing ones dropped)."""
+    on the coefficients normalized by the largest (every positive one kept)."""
     scale = max(max(f.coeffs), f.neg_value)
-    lines = [math.log(c / scale) + (j - f.neg_index) * t
-             for j, c in enumerate(f.coeffs) if c > 0.0 and c / scale > 0.0]
-    return max(lines) - math.log(f.neg_value / scale), len(lines), max(abs(v) for v in lines)
+    lines = [rootloc._log_ratio(c, scale) + (j - f.neg_index) * t
+             for j, c in enumerate(f.coeffs) if c > 0.0]
+    return (max(lines) - rootloc._log_ratio(f.neg_value, scale), len(lines),
+            max(abs(v) for v in lines))
 
 
 @st.composite
@@ -241,10 +252,7 @@ def _wide_shapes(draw):
 @settings(max_examples=200, deadline=None)
 @given(_wide_shapes(), st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=5))
 def test_envelope_bounds_h_and_brackets_its_roots(f, ts):
-    try:
-        lr = rootloc._LogRadial(f)
-    except InvalidShapeError:  # nu underflows against the largest coefficient
-        assume(False)
+    lr = rootloc._LogRadial(f)
     for t in ts:
         env, n_terms, size = _envelope(f, t)
         slack = 1e-13 * (1.0 + size + abs(lr.lognu))
