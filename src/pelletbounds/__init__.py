@@ -46,7 +46,6 @@ from .linalg import (
     SingularMatrixError,
     eigenvalues,
     inv_norm_inv,
-    inverse,
     left_solve,
     norm,
 )
@@ -58,10 +57,8 @@ from .matpoly import (
     evaluate,
     from_json,
     from_json_dict,
-    left_multiply,
     left_precondition,
     monicize,
-    q_reciprocal,
     reciprocal,
     scalar_polynomial,
     shift_by_z,

@@ -20,26 +20,29 @@ coefficient first, which never shrinks a gap since
 
 The chord prefilter.  Write c_j = ||A_j|| and C for the highest chord at k
 of the points (j, log c_j), the maximum over i < k < j of
-((j-k) log c_i + (k-i) log c_j) / (j-i).  ``positive_roots`` answers "none"
-without a root search when e^C' - nu >= 10*GAP_RTOL*s (its chord test),
-where C' is that chord over the coefficients of the radial polynomial and
-s the largest of them and nu.  The norms of P settle this for most k
-before nu_k, A_k^-1 P or the radial polynomial is formed:
+((j-k) log c_i + (k-i) log c_j) / (j-i) (``rootloc._highest_chord``, the
+computation behind the chord test itself).  ``positive_roots`` answers
+"none" without a root search when e^C' - nu >= 10*GAP_RTOL*s (its chord
+test), where C' is that chord over the coefficients of the radial
+polynomial and s the largest of them and nu.  With nu_k = 1/||A_k^-1|| in
+hand, the norms of P settle this for most k before A_k^-1 P or the radial
+polynomial is formed:
 
-* plain query: nu_k <= c_k and s <= max_j c_j, so the query is "nogap" when
-      e^C - c_k >= 20*GAP_RTOL * max_j c_j;
+* plain query: the radial polynomial's chord is C and s <= max_j c_j
+  (nu_k <= c_k), so the query is "nogap" when
+      e^C - nu_k >= 20*GAP_RTOL * max_j c_j;
 * preconditioned query: ||A_k^-1 A_j|| >= c_j / c_k, nu = 1 and
   ||A_k^-1 A_j|| <= c_j / nu_k, so the query is "nogap" when
       e^C / c_k - 1 >= 20*GAP_RTOL * max(1, max_{j != k} c_j / nu_k).
 
-Both need C > log c_k, so only an index that is not a vertex of the upper
-convex hull of the points (the Newton polygon of the norms) is ever
-skipped.  The factor 20 is twice the chord test's 10, so rounding in the
-norms cannot flip a verdict, and a skipped query is exactly the "nogap",
-not marginal, result that the root search would return.  Every query runs
-its pivot test first (the checked LU of A_k, plain; nu_k, preconditioned),
-so a singular A_k raises SingularMatrixError whether or not the query is
-skipped.
+The preconditioned query needs C > log c_k, so it skips only an index that
+is not a vertex of the upper convex hull of the points (the Newton polygon
+of the norms); the plain one needs C > log nu_k, so it also skips a vertex
+whose pivot has a small nu_k.  The factor 20 is twice the chord test's 10,
+so rounding in the norms cannot flip a verdict, and a skipped query is
+exactly the "nogap", not marginal, result that the root search would
+return.  Every query forms nu_k first, so a singular A_k raises
+SingularMatrixError whether or not the query is skipped.
 
 Coefficient norms, nu_k, preconditioned and squared polynomials are
 computed once per polynomial and kept on it (see ``matpoly``).
@@ -52,7 +55,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import NormKind, SingularMatrixError, _lu_factor_checked, inv_norm_inv, norm
+from .linalg import NormKind, SingularMatrixError, inv_norm_inv, norm
 from .matpoly import (
     MatrixPolynomial,
     OddDegreeError,
@@ -62,7 +65,7 @@ from .matpoly import (
     shift_by_z,
     square_repartition,
 )
-from .rootloc import GAP_RTOL, PositiveRoots, SignedRadialPolynomial, positive_roots
+from .rootloc import GAP_RTOL, PositiveRoots, SignedRadialPolynomial, _highest_chord, positive_roots
 
 VARIANT_PLAIN = "plain"
 VARIANT_PRECONDITIONED = "monic-preconditioned"
@@ -191,21 +194,20 @@ def _radial_gap(norms: np.ndarray, nu: float, k: int, count: int, kind: NormKind
 
 def _chord_proves_none(p: MatrixPolynomial, k: int, kind: NormKind,
                        precondition: bool) -> bool:
-    """Whether P's coefficient norms alone prove the chord test's "none" at
-    k (see the module docstring), after the pivot test of A_k, which raises
-    SingularMatrixError when A_k is singular."""
+    """Whether P's coefficient norms and nu_k prove the chord test's "none"
+    at k (see the module docstring); raises SingularMatrixError when A_k is
+    singular."""
     norms = _norms(p, kind).tolist()
+    nu_k = _nu(p, k, kind)
     if precondition:
-        scale = max(1.0, max(norms[:k] + norms[k + 1:]) / _nu(p, k, kind))
+        scale = max(1.0, max(norms[:k] + norms[k + 1:]) / nu_k)
         nu, shift = 1.0, math.log(norms[k])
     else:
-        _lu_factor_checked(p.stack[k])
-        nu, scale, shift = norms[k], max(norms), 0.0
+        nu, scale, shift = nu_k, max(norms), 0.0
     if not math.isfinite(scale):
         return False
-    logs = [math.log(c) if c > 0.0 else -math.inf for c in norms]
-    chord = max(((j - k) * logs[i] + (k - i) * logs[j]) / (j - i)
-                for i in range(k) for j in range(k + 1, len(logs)))
+    js = [j for j, c in enumerate(norms) if j != k and c > 0.0]
+    chord, _ = _highest_chord([math.log(norms[j]) for j in js], [float(j - k) for j in js])
     # e^(chord - shift) - nu >= 20*GAP_RTOL*scale, divided by scale to keep exp in range
     return math.exp(chord - shift - math.log(scale)) - nu / scale >= _PREFILTER_RTOL
 

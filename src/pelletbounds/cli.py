@@ -229,10 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Eigenvalue localization bounds for matrix polynomials.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(sp):
+    def add_io(sp, formats=("csv", "md", "json")):
         sp.add_argument("--input", help="polynomial JSON file")
         sp.add_argument("--poly", help="inline real scalar coefficients, descending degree")
-        sp.add_argument("--format", choices=["csv", "md", "json"], default="md")
+        if formats:
+            sp.add_argument("--format", choices=formats, default="md")
         sp.add_argument("--out", help="write output to this path instead of stdout")
 
     sp = sub.add_parser("bounds", help="Cauchy-type upper/lower radii")
@@ -243,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_bounds)
 
     sp = sub.add_parser("gap", help="Pellet annulus query at index k")
-    add_io(sp)
+    add_io(sp, formats=("md", "json"))
     sp.add_argument("--norm", action="append", choices=["one", "inf", "two"])
     sp.add_argument("--k", type=int)
     sp.add_argument("--variant", choices=["p", "q"], default="p")
@@ -251,12 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_gap)
 
     sp = sub.add_parser("square", help="emit the companion-squared polynomial as JSON")
-    add_io(sp)
+    add_io(sp, formats=())
     sp.add_argument("--variant", choices=["q", "qr"], default="q")
     sp.set_defaults(func=_cmd_square)
 
     sp = sub.add_parser("embed", help="emit the 2x2 embedding of a lacunary polynomial")
-    add_io(sp)
+    add_io(sp, formats=())
     sp.set_defaults(func=_cmd_embed)
 
     sp = sub.add_parser("oracle", help="brute-force eigenvalue moduli")

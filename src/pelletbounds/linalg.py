@@ -1,4 +1,4 @@
-"""Dense complex matrix primitives: induced norms, inverses, eigenvalues.
+"""Dense complex matrix primitives: induced norms, LU solves, eigenvalues.
 
 Matrices are plain 2-D ``numpy`` arrays of ``complex128``; ``norm`` and the
 right-hand side of ``left_solve`` also take a 3-D stack of such matrices,
@@ -13,6 +13,7 @@ singular value.
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 from scipy.linalg import lapack
@@ -25,7 +26,7 @@ EIGEN_DIM_CAP = 2000
 
 
 class SingularMatrixError(Exception):
-    """Matrix is numerically singular (an LU pivot fell below threshold)."""
+    """Matrix is numerically singular: a small LU pivot, or a solve overflows."""
 
 
 class NoConvergenceError(Exception):
@@ -110,13 +111,6 @@ def _lu_solve(factors, b: np.ndarray) -> np.ndarray:
     return lapack.zgetrs(*factors, b)[0]
 
 
-def inverse(a) -> np.ndarray:
-    """Explicit inverse from the pivoted LU factorization."""
-    arr = as_matrix(a)
-    _require_square(arr)
-    return _lu_solve(_lu_factor_checked(arr), identity(arr.shape[0]))
-
-
 def inv_norm_inv(a, kind) -> float:
     """1 / ||a^-1|| for the requested norm kind.
 
@@ -127,13 +121,22 @@ def inv_norm_inv(a, kind) -> float:
     error of order eps * sigma_max and overestimates 1/||a^-1|| on
     ill-conditioned matrices, which would tighten a bound past the
     spectrum.  Raises SingularMatrixError when ``a`` is numerically singular
-    (the LU pivot test), in which case the corresponding bound is
-    inapplicable.
+    (the LU pivot test) or its inverse overflows (the result is not a
+    positive float), in which case the corresponding bound is inapplicable.
     """
     arr = as_matrix(a)
     _require_square(arr)
     inv = _lu_solve(_lu_factor_checked(arr), identity(arr.shape[0]))
-    return 1.0 / float(_norms(inv, NormKind.coerce(kind)))
+    try:
+        nu = 1.0 / float(_norms(inv, NormKind.coerce(kind)))
+    except np.linalg.LinAlgError:
+        # the SVD rejects a NaN entry, which an overflowing inverse has
+        if np.isfinite(inv).all():
+            raise
+        nu = math.nan
+    if not nu > 0.0:
+        raise SingularMatrixError("inverse is not finite")
+    return nu
 
 
 def left_solve(a, b) -> np.ndarray:
@@ -141,7 +144,9 @@ def left_solve(a, b) -> np.ndarray:
 
     ``b`` may be a matrix or a stack of shape (k, m, p); a stack is solved
     with one factorization of ``a`` and one solve of the (m, k*p)
-    concatenation of its matrices, and returned as a stack.
+    concatenation of its matrices, and returned as a stack.  Raises
+    SingularMatrixError when ``a`` fails the LU pivot test or x is not
+    finite (the solve overflowed).
     """
     arr = as_matrix(a)
     _require_square(arr)
@@ -150,10 +155,14 @@ def left_solve(a, b) -> np.ndarray:
         raise ValueError(f"shapes not conformable: {arr.shape} vs {brr.shape}")
     factors = _lu_factor_checked(arr)
     if brr.ndim == 2:
-        return _lu_solve(factors, brr)
-    k, m, p = brr.shape
-    x = _lu_solve(factors, brr.transpose(1, 0, 2).reshape(m, k * p))
-    return x.reshape(m, k, p).transpose(1, 0, 2)
+        x = _lu_solve(factors, brr)
+    else:
+        k, m, p = brr.shape
+        x = _lu_solve(factors, brr.transpose(1, 0, 2).reshape(m, k * p))
+        x = x.reshape(m, k, p).transpose(1, 0, 2)
+    if not np.isfinite(x).all():
+        raise SingularMatrixError("solution is not finite")
+    return x
 
 
 def eigenvalues(a, cap: int = EIGEN_DIM_CAP) -> np.ndarray:

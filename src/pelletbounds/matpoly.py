@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, identity, left_solve
+from .linalg import identity, left_solve
 
 # A leading coefficient within this distance of I (infinity norm) counts as
 # monic; anything else must be monicized explicitly by the caller.
@@ -84,9 +84,9 @@ class MatrixPolynomial:
     def n(self) -> int:
         return self.stack.shape[0] - 1
 
-    def is_monic(self, tol: float = MONIC_TOL) -> bool:
+    def is_monic(self) -> bool:
         # infinity norm of A_n - I; the stack is validated already
-        return bool(np.abs(self.stack[-1] - identity(self.m)).sum(axis=1).max() <= tol)
+        return bool(np.abs(self.stack[-1] - identity(self.m)).sum(axis=1).max() <= MONIC_TOL)
 
     def _cached(self, key, build, *args):
         """build(*args), computed on the first call with ``key`` and kept;
@@ -113,14 +113,6 @@ def evaluate(p: MatrixPolynomial, z: complex) -> np.ndarray:
 def monicize(p: MatrixPolynomial) -> MatrixPolynomial:
     """A_n^-1 P: same eigenvalues, leading coefficient exactly I."""
     return left_precondition(p, p.n)
-
-
-def left_multiply(p: MatrixPolynomial, mat) -> MatrixPolynomial:
-    """M P for a nonsingular matrix M; leaves the eigenvalues unchanged."""
-    mat = as_matrix(mat)
-    # nonsingularity check; the inverse itself is not needed
-    left_solve(mat, identity(mat.shape[0]))
-    return MatrixPolynomial(mat @ p.stack)
 
 
 def _precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
@@ -200,16 +192,6 @@ def square_repartition(p: MatrixPolynomial) -> MatrixPolynomial:
     return MatrixPolynomial(q)
 
 
-def q_reciprocal(p: MatrixPolynomial) -> MatrixPolynomial:
-    """The companion-squared polynomial of the reciprocal of a monic P.
-
-    Distinct, in general, from the reciprocal of square_repartition(p); its
-    eigenvalues are the squared reciprocals of the eigenvalues of P.
-    """
-    _require_monic(p)
-    return square_repartition(reciprocal(p))
-
-
 def to_json_dict(p: MatrixPolynomial) -> dict:
     """Serialize to {"m", "n", "coeffs"} with entries as [re, im] pairs.
 
@@ -233,8 +215,8 @@ def from_json_dict(d: dict) -> MatrixPolynomial:
     return MatrixPolynomial(mats)
 
 
-def to_json(p: MatrixPolynomial, indent=None) -> str:
-    return json.dumps(to_json_dict(p), indent=indent)
+def to_json(p: MatrixPolynomial) -> str:
+    return json.dumps(to_json_dict(p))
 
 
 def from_json(text: str) -> MatrixPolynomial:

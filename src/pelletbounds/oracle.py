@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import GAP, UPPER_ONLY, GapResult
-from .linalg import EIGEN_DIM_CAP, eigenvalues
+from .linalg import eigenvalues
 from .matpoly import MatrixPolynomial, companion, monicize
 
 DEFAULT_BOUNDARY_TOL = 1e-9
@@ -42,14 +42,14 @@ class EigenReport:
         return float(self.moduli[-1])
 
 
-def eigen_oracle(p: MatrixPolynomial, cap: int = EIGEN_DIM_CAP) -> EigenReport:
+def eigen_oracle(p: MatrixPolynomial) -> EigenReport:
     """All nm eigenvalues of P with multiplicity.
 
     Requires a nonsingular leading coefficient (SingularMatrixError
     otherwise: infinite eigenvalues present, transform first).
     """
     pm = p if p.is_monic() else monicize(p)
-    vals = eigenvalues(companion(pm), cap=cap)
+    vals = eigenvalues(companion(pm))
     order = np.argsort(np.abs(vals), kind="stable")
     vals = vals[order]
     moduli = np.abs(vals)
@@ -58,18 +58,17 @@ def eigen_oracle(p: MatrixPolynomial, cap: int = EIGEN_DIM_CAP) -> EigenReport:
     return report
 
 
-def count_in_disk(rep: EigenReport, radius: float, tol: float = DEFAULT_BOUNDARY_TOL) -> int:
+def count_in_disk(rep: EigenReport, radius: float) -> int:
     """Number of eigenvalue moduli <= radius * (1 + tol)."""
-    return int(np.count_nonzero(rep.moduli <= radius * (1.0 + tol)))
+    return int(np.count_nonzero(rep.moduli <= radius * (1.0 + DEFAULT_BOUNDARY_TOL)))
 
 
-def count_in_annulus(rep: EigenReport, x1: float, x2: float,
-                     tol: float = DEFAULT_BOUNDARY_TOL) -> int:
+def count_in_annulus(rep: EigenReport, x1: float, x2: float) -> int:
     """Number of eigenvalue moduli strictly inside (x1*(1+tol), x2*(1-tol))."""
     if not x1 < x2:
         raise ValueError(f"need x1 < x2, got {x1}, {x2}")
-    inner = rep.moduli > x1 * (1.0 + tol)
-    outer = rep.moduli < x2 * (1.0 - tol)
+    inner = rep.moduli > x1 * (1.0 + DEFAULT_BOUNDARY_TOL)
+    outer = rep.moduli < x2 * (1.0 - DEFAULT_BOUNDARY_TOL)
     return int(np.count_nonzero(inner & outer))
 
 

@@ -37,12 +37,12 @@ the Cauchy shapes), and every search starts from it.
       delta = max_{i < k < j} ((j-k) a_i + (k-i) a_j) / (j-i) - log(nu),
 
   reached at the crossing t_c of the maximizing pair.  phi_min is at least
-  nu*expm1(delta), so nu*expm1(delta) >= 10*gap_rtol settles "none" (not
+  nu*expm1(delta), so nu*expm1(delta) >= 10*GAP_RTOL settles "none" (not
   marginal) without evaluating h.  Otherwise h is evaluated once at t_c,
-  and nu*expm1(h(t_c)) < -10*gap_rtol settles "two" (not marginal).
+  and nu*expm1(h(t_c)) < -10*GAP_RTOL settles "two" (not marginal).
   Failing both, the minimizer of h (the zero of the nondecreasing h',
   within log N / min|j - k| of t_c) is located from t_c, and phi there
-  decides "none" or "two" and the marginal flag against gap_rtol.  The two
+  decides "none" or "two" and the marginal flag against GAP_RTOL.  The two
   roots are searched outward from the point where h < 0, with first steps
   to tau1 and tau2, where h >= T = 0.
 
@@ -142,8 +142,6 @@ class PositiveRoots:
             raise InvalidShapeError(f"two roots must be separated: {self.x1}, {self.x2}")
 
 
-
-
 def _log_ratio(c: float, scale: float) -> float:
     """log(c / scale) for 0 < c <= scale: the log of the quotient while it is
     a normal float, else log c - log scale, which cannot underflow."""
@@ -198,20 +196,28 @@ class _LogRadial:
         return self.nu * math.expm1(h) if h < 1.0 else math.exp(self.lognu + h) - self.nu
 
     def vertex(self):
-        """(delta, t_c): the minimum of T and where it is reached, the
-        crossing of the falling and rising lines whose chord is highest."""
-        delta, tc = -math.inf, 0.0
-        terms = list(zip(self.logs, self.ds))
-        for ai, di in terms:
-            if di > 0.0:
+        """(delta, t_c): the minimum of T and where it is reached."""
+        chord, tc = _highest_chord(self.logs, self.ds)
+        return chord - self.lognu, tc
+
+
+def _highest_chord(logs, ds):
+    """(C, t_c) for the lines a + d t (a in logs, d in ds, no d zero): C is
+    the highest chord (d_j a_i - d_i a_j) / (d_j - d_i) over d_i < 0 < d_j,
+    the minimum of max(a + d t), and t_c where that pair of lines crosses;
+    (-inf, 0.0) when either sign is missing."""
+    best, tc = -math.inf, 0.0
+    terms = list(zip(logs, ds))
+    for ai, di in terms:
+        if di > 0.0:
+            continue
+        for aj, dj in terms:
+            if dj < 0.0:
                 continue
-            for aj, dj in terms:
-                if dj < 0.0:
-                    continue
-                v = (dj * ai - di * aj) / (dj - di)
-                if v > delta:
-                    delta, tc = v, (ai - aj) / (dj - di)
-        return delta - self.lognu, tc
+            v = (dj * ai - di * aj) / (dj - di)
+            if v > best:
+                best, tc = v, (ai - aj) / (dj - di)
+    return best, tc
 
 
 def _clamp(t: float) -> float:
@@ -266,12 +272,12 @@ def _zero(g, t0: float, g0: float, increasing: bool, tol: float, step: float) ->
     return 0.5 * (lo + hi)
 
 
-def positive_roots(f: SignedRadialPolynomial, gap_rtol: float = GAP_RTOL) -> PositiveRoots:
+def positive_roots(f: SignedRadialPolynomial) -> PositiveRoots:
     """Locate the positive roots of f.
 
     One sign change (Cauchy shapes and degenerate one-sided Pellet shapes)
     yields the unique root.  Otherwise a minimum of phi = f/x^k above
-    -gap_rtol (on the normalized coefficient scale) means the two roots may
+    -GAP_RTOL (on the normalized coefficient scale) means the two roots may
     coincide and "none" is returned, else both roots are found by walking
     outward from a point where phi < 0.  The envelope settles most verdicts
     before the minimum is searched for (see the module docstring).
@@ -290,19 +296,19 @@ def positive_roots(f: SignedRadialPolynomial, gap_rtol: float = GAP_RTOL) -> Pos
         return PositiveRoots("one", x1=math.exp(t))
 
     delta, tc = lr.vertex()
-    if lr.phi(delta) >= 10.0 * gap_rtol:
+    if lr.phi(delta) >= 10.0 * GAP_RTOL:
         return PositiveRoots("none")
     t0 = _clamp(tc)
     h0, slope0, _ = lr.stats(t0)
     marginal = False
-    if lr.phi(h0) >= -10.0 * gap_rtol:
+    if lr.phi(h0) >= -10.0 * GAP_RTOL:
         # the minimizer of the convex h is the zero of the nondecreasing h'
         slope = lambda t: lr.stats(t)[1:]
         t0 = _zero(slope, t0, slope0, True, _MIN_TOL, lr.step)
         h0 = h(t0)[0]
         phimin = lr.phi(h0)
-        marginal = abs(phimin) < 10.0 * gap_rtol
-        if phimin >= -gap_rtol:
+        marginal = abs(phimin) < 10.0 * GAP_RTOL
+        if phimin >= -GAP_RTOL:
             return PositiveRoots("none", marginal=marginal)
     t1 = _zero(h, t0, h0, False, _ROOT_TOL, t0 - lr.tau1)
     t2 = _zero(h, t0, h0, True, _ROOT_TOL, lr.tau2 - t0)

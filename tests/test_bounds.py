@@ -370,6 +370,18 @@ def test_prefilter_keeps_marginal_near_tangent_shape():
     assert g == _full_pellet(p, 1, NormKind.ONE, False)
 
 
+def test_plain_prefilter_skips_a_vertex_with_small_nu():
+    # I + diag(3, 1e-3) z + I z^2: ||A_1|| = 3 is a vertex of the norms'
+    # Newton polygon (the chord at k = 1 is e^C = 1), but nu_1 = 1e-3 lies
+    # far below the chord, so the plain query is settled without a root search
+    p = MatrixPolynomial([np.eye(2), np.diag([3.0, 1e-3]), np.eye(2)])
+    for kind in KINDS:
+        assert bounds._chord_proves_none(p, 1, kind, False)
+        g = pellet_gap(p, 1, kind)
+        assert g.status == NO_GAP and not g.marginal
+        assert g == _full_pellet(p, 1, kind, False)
+
+
 def test_singular_pivot_at_non_vertex_raises_every_time():
     # ||A_1|| = 0.1 lies below the chord of ||A_0|| = ||A_2|| = 1, so the
     # norms alone would settle "nogap"; the pivot test still runs first

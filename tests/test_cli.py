@@ -2,7 +2,8 @@ import json
 
 import numpy as np
 
-from pelletbounds import cli, from_json, matpoly, q_reciprocal, scalar_polynomial
+from pelletbounds import cli, from_json, matpoly, scalar_polynomial
+from pelletbounds.bounds import squared_polynomial
 
 
 def run_cli(capsys, *argv):
@@ -61,7 +62,7 @@ def test_squared_gap_and_bounds_tags_agree(capsys):
 def test_square_round_trip_bit_exact(capsys):
     code, out, _ = run_cli(capsys, "square", "--poly", "1,-3,2", "--variant", "qr")
     assert code == 0
-    expected = q_reciprocal(scalar_polynomial([2.0, -3.0, 1.0]))
+    expected = squared_polynomial(scalar_polynomial([2.0, -3.0, 1.0]), True)[0]
     parsed = from_json(out)
     for c1, c2 in zip(parsed.coeffs, expected.coeffs):
         assert np.array_equal(c1, c2)
@@ -110,6 +111,31 @@ def test_gap_singular_pivot_exit_code(capsys, tmp_path):
     path.write_text(matpoly.to_json(p))
     code, _, err = run_cli(capsys, "gap", "--input", str(path), "--k", "1")
     assert code == 2
+
+
+def test_overflowing_pivot_inverse(capsys, tmp_path):
+    # passes the LU pivot test, but its inverse overflows: the bound or
+    # query that pivots on it is inapplicable, not an input error
+    a = 1e-300 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+    path = tmp_path / "p.json"
+    path.write_text(matpoly.to_json(matpoly.MatrixPolynomial([a, np.eye(2), np.eye(2)])))
+    for extra in (("--norm", "two"), ("--precondition",), ()):
+        code, out, _ = run_cli(capsys, "bounds", "--input", str(path), *extra)
+        assert code == 0
+        assert out.splitlines()[-1].endswith("| absent |")
+    path.write_text(matpoly.to_json(
+        matpoly.MatrixPolynomial([np.eye(2), a, 1e-300 * np.eye(2), np.eye(2)])))
+    for extra in (("--precondition",), ()):
+        code, _, err = run_cli(capsys, "gap", "--input", str(path), "--k", "1", "--norm", "one",
+                               *extra)
+        assert code == 2
+        assert "Singular" in err
+
+
+def test_format_only_where_it_is_used(capsys):
+    assert run_cli(capsys, "square", "--poly", "1,-3,2", "--format", "md")[0] == 1
+    assert run_cli(capsys, "embed", "--poly", "1,2,-1,0,0,0,3,0.5,-2", "--format", "json")[0] == 1
+    assert run_cli(capsys, "gap", "--poly", "1,-3,2", "--k", "1", "--format", "csv")[0] == 1
 
 
 def test_bad_inputs_exit_one(capsys, tmp_path):

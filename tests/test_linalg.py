@@ -8,7 +8,6 @@ from pelletbounds import (
     cauchy_bounds,
     eigenvalues,
     inv_norm_inv,
-    inverse,
     left_solve,
     norm,
     square_repartition,
@@ -179,8 +178,34 @@ def test_left_solve_singular():
 
 def test_inverse_of_near_singular_raises():
     a = np.array([[1.0, 0.0], [0.0, 1e-16]])
+    for kind in KINDS:
+        with pytest.raises(SingularMatrixError):
+            inv_norm_inv(a, kind)
     with pytest.raises(SingularMatrixError):
-        inverse(a)
+        left_solve(a, np.eye(2))
+
+
+# passes the LU pivot test (second pivot about 1e-312 against a threshold of
+# 2e-313), but its inverse, of norm about 4e312, overflows
+OVERFLOWING_INVERSE = 1e-300 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+
+
+def test_overflowing_inverse_raises():
+    for kind in KINDS:
+        with pytest.raises(SingularMatrixError):
+            inv_norm_inv(OVERFLOWING_INVERSE, kind)
+    with pytest.raises(SingularMatrixError):
+        left_solve(OVERFLOWING_INVERSE, np.eye(2))
+    with pytest.raises(SingularMatrixError):
+        left_solve(OVERFLOWING_INVERSE, np.array([np.eye(2), np.eye(2)]))
+
+
+def test_overflowing_inverse_leaves_lower_radius_absent():
+    p = MatrixPolynomial([OVERFLOWING_INVERSE, np.eye(2), np.eye(2)])
+    for kind in KINDS:
+        for pre in (False, True):
+            cb = cauchy_bounds(p, kind, precondition=pre)
+            assert cb.lower is None and cb.upper is not None
 
 
 def test_eigenvalues_examples():

@@ -12,12 +12,10 @@ from pelletbounds import (
     eigen_oracle,
     evaluate,
     from_json,
-    left_multiply,
     left_precondition,
     left_solve,
     monicize,
     pellet_gap,
-    q_reciprocal,
     reciprocal,
     scalar_polynomial,
     shift_by_z,
@@ -25,6 +23,7 @@ from pelletbounds import (
     squared_bounds,
     to_json,
 )
+from pelletbounds.bounds import squared_polynomial
 
 from conftest import max_match_distance, rand_matrix, rand_poly
 
@@ -176,19 +175,6 @@ def test_singular_pivot_raises_on_every_call():
             reciprocal(p)
 
 
-def test_left_multiply(rng):
-    p = rand_poly(rng, 2, 2)
-    q = left_multiply(p, np.eye(2))
-    for c1, c2 in zip(p.coeffs, q.coeffs):
-        assert np.allclose(c1, c2)
-    with pytest.raises(SingularMatrixError):
-        left_multiply(p, np.zeros((2, 2)))
-    # det(MP) = det(M) det(P): eigenvalues are preserved
-    mat = rand_matrix(rng, 2) + 2 * np.eye(2)
-    mp = left_multiply(p, mat)
-    assert max_match_distance(eigen_oracle(p).values, eigen_oracle(mp).values) < 1e-9
-
-
 def test_left_precondition_sets_identity(rng):
     p = rand_poly(rng, 3, 4)
     for k in range(p.n + 1):
@@ -303,14 +289,14 @@ def test_square_repartition_squares_eigenvalues(rng, m, n):
 
 def test_q_reciprocal_scalar():
     p = scalar_polynomial([2.0, -3.0, 1.0])
-    qr = q_reciprocal(p)
+    qr = squared_polynomial(p, True)[0]
     assert qr.m == 2 and qr.n == 1
     assert eigen_oracle(qr).moduli == pytest.approx([0.25, 1.0], rel=1e-10)
 
 
 def test_q_reciprocal_reciprocal_squares(rng):
     p = rand_poly(rng, 2, 4)
-    qr = q_reciprocal(p)
+    qr = squared_polynomial(p, True)[0]
     expected = 1.0 / eigen_oracle(p).values ** 2
     assert max_match_distance(expected, eigen_oracle(qr).values) < 1e-7
 
@@ -318,7 +304,7 @@ def test_q_reciprocal_reciprocal_squares(rng):
 def test_q_reciprocal_singular_constant():
     p = MatrixPolynomial([np.diag([1.0, 0.0]), rand_matrix(np.random.default_rng(0), 2), np.eye(2)])
     with pytest.raises(SingularMatrixError):
-        q_reciprocal(p)
+        squared_polynomial(p, True)
 
 
 def test_json_round_trip_bit_exact(rng):

@@ -59,7 +59,7 @@ def test_count_in_disk():
     rep = report([1.0, 2.0])
     assert count_in_disk(rep, 1.0) == 1
     assert count_in_disk(rep, 1.5) == 1
-    assert count_in_disk(rep, 2.0, tol=1e-9) == 2
+    assert count_in_disk(rep, 2.0) == 2
 
 
 def test_count_in_annulus():
