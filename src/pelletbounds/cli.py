@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_embed)
 
     sp = sub.add_parser("oracle", help="brute-force eigenvalue moduli")
-    add_io(sp)
+    add_io(sp, formats=("md", "json"))
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("experiment", help="run one of the ex1..ex4 studies")

@@ -8,14 +8,22 @@ code can assume clean data.  The 2-norm is the largest singular value from
 LAPACK's SVD: a 2-norm bound is sound only if the norm is never
 underestimated, which rules out iterations that can stop at a smaller
 singular value.
+
+At import the module sets the thread pool of each OpenBLAS that numpy and
+scipy load to one thread, unless the caller has set one of the variables
+OpenBLAS reads for its thread count (``_limit_blas_threads``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import glob
 import math
+import os
 
 import numpy as np
+import scipy
 from scipy.linalg import lapack
 
 # Pivot threshold is relative to the infinity norm so the singularity test
@@ -23,6 +31,16 @@ from scipy.linalg import lapack
 SINGULARITY_RTOL = 1e-13
 
 EIGEN_DIM_CAP = 2000
+
+# The variables OpenBLAS reads for its thread count when it loads.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# (package, its OpenBLAS in ``<package>.libs``, that library's setter) for
+# the OpenBLAS bundled with the numpy and scipy wheels.
+_OPENBLAS_POOLS = (
+    (np, "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+    (scipy, "libscipy_openblas*.so", "scipy_openblas_set_num_threads"),
+)
 
 
 class SingularMatrixError(Exception):
@@ -179,3 +197,36 @@ def eigenvalues(a, cap: int = EIGEN_DIM_CAP) -> np.ndarray:
         return np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
+
+
+def _limit_blas_threads() -> tuple[str, ...]:
+    """Set the OpenBLAS pool of each package in ``_OPENBLAS_POOLS`` to one
+    thread; return the paths of the libraries that were set.
+
+    On two cores the dense eigensolve of the oracle runs faster on one
+    thread than on two, and idle pool threads no longer burn CPU.  Nothing
+    is set when the caller has set a variable of ``_BLAS_THREAD_VARS``, and
+    ``os.environ`` is never written, so subprocesses inherit the caller's
+    environment unchanged.  A library or symbol that is not there (a numpy
+    built against another BLAS) is skipped.  ``ctypes.CDLL`` of a library
+    that is already loaded returns that library, so the setter reaches the
+    pool the package uses.
+    """
+    if any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
+        return ()
+    limited = []
+    for package, pattern, setter in _OPENBLAS_POOLS:
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        libs = os.path.join(site, package.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libs, pattern))):
+            try:
+                set_threads = getattr(ctypes.CDLL(path), setter)
+            except (OSError, AttributeError):
+                continue
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+            limited.append(path)
+    return tuple(limited)
+
+
+_BLAS_POOLS_LIMITED = _limit_blas_threads()

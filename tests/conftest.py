@@ -1,9 +1,25 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pelletbounds
 from pelletbounds import MatrixPolynomial, trial_rng
 
 CRITERION_1_SEED = 20260810
+
+
+def pelletbounds_env(**overrides):
+    """Environment for a fresh Python process that imports this pelletbounds:
+    the caller's, without the variables that set OpenBLAS's thread count,
+    then ``overrides``."""
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    src = str(Path(pelletbounds.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    env.update(overrides)
+    return env
 
 
 def rand_matrix(rng, m, scale=1.0):

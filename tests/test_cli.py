@@ -136,6 +136,7 @@ def test_format_only_where_it_is_used(capsys):
     assert run_cli(capsys, "square", "--poly", "1,-3,2", "--format", "md")[0] == 1
     assert run_cli(capsys, "embed", "--poly", "1,2,-1,0,0,0,3,0.5,-2", "--format", "json")[0] == 1
     assert run_cli(capsys, "gap", "--poly", "1,-3,2", "--k", "1", "--format", "csv")[0] == 1
+    assert run_cli(capsys, "oracle", "--poly", "1,-3,2", "--format", "csv")[0] == 1
 
 
 def test_bad_inputs_exit_one(capsys, tmp_path):

@@ -1,4 +1,8 @@
+import json
 import math
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +17,8 @@ from pelletbounds import (
     run_experiment,
     trial_rng,
 )
+
+from conftest import pelletbounds_env
 
 
 def test_trial_rng_substreams():
@@ -188,14 +194,32 @@ def test_markdown_and_json_outputs():
 GOLDEN = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name, cfg", [
+GOLDEN_CASES = [
     ("ex1_m2_trials12_seed3.csv",
      ExperimentConfig("ex1", trials=12, seed=3, m=2, norm_kinds=("one", "inf", "two"))),
     ("ex2_trials2_seed5.csv", ExperimentConfig("ex2", trials=2, seed=5)),
     ("ex3_trials60_seed1.csv", ExperimentConfig("ex3", trials=60, seed=1)),
     ("ex4_n20_trials40_seed4.csv", ExperimentConfig("ex4", trials=40, seed=4, n=20)),
-])
+]
+
+
+@pytest.mark.parametrize("name, cfg", GOLDEN_CASES)
 def test_csv_matches_golden(name, cfg):
     # any change to an ensemble, a tally or the number format shows here
     expected = (GOLDEN / name).read_text()
     assert run_experiment(cfg).to_csv() == expected
+
+
+def test_golden_csvs_with_two_blas_threads():
+    # test_csv_matches_golden runs on the one-thread default; here a fresh
+    # process with two threads per pool, where ex2's eigensolve is split
+    script = ("import json, pickle, sys\n"
+              "from pelletbounds import run_experiment\n"
+              "print(json.dumps([run_experiment(c).to_csv() for c in pickle.load(sys.stdin.buffer)]))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          input=pickle.dumps([cfg for _, cfg in GOLDEN_CASES]),
+                          env=pelletbounds_env(OPENBLAS_NUM_THREADS="2"),
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    for (name, _), csv in zip(GOLDEN_CASES, json.loads(proc.stdout), strict=True):
+        assert csv == (GOLDEN / name).read_text(), name

@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,7 +19,7 @@ from pelletbounds import (
 )
 from pelletbounds.linalg import as_matrix
 
-from conftest import rand_matrix
+from conftest import pelletbounds_env, rand_matrix
 
 KINDS = [NormKind.ONE, NormKind.INF, NormKind.TWO]
 
@@ -242,3 +246,56 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+# Reports, from a fresh interpreter after ``import pelletbounds``, each
+# bundled OpenBLAS's thread count (read through its own getter), the
+# library paths pelletbounds set, and the copies of each library the process
+# has mapped, one first segment (file offset 0) per copy (None where /proc
+# is absent).
+_THREADS_PROBE = """
+import ctypes, glob, json, os, sys
+import pelletbounds
+from pelletbounds import linalg
+pools = {}
+for package, pattern, getter in [
+        ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_"),
+        ("scipy", "libscipy_openblas*.so", "scipy_openblas_get_num_threads")]:
+    module = sys.modules[package]
+    libs = os.path.join(os.path.dirname(os.path.dirname(module.__file__)), package + ".libs")
+    for path in glob.glob(os.path.join(libs, pattern)):
+        pools[path] = getattr(ctypes.CDLL(path), getter)()
+mapped = None
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as f:
+        mapped = sorted(os.path.basename(fields[-1]) for fields in map(str.split, f)
+                        if "libscipy_openblas" in fields[-1] and int(fields[2], 16) == 0)
+print(json.dumps({"threads": pools, "limited": list(linalg._BLAS_POOLS_LIMITED),
+                  "mapped": mapped}))
+"""
+
+
+def _probe_blas_threads(**env_set):
+    proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=pelletbounds_env(**env_set),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    if len(report["threads"]) != 2:
+        pytest.skip("numpy and scipy do not both bundle a scipy-openblas library")
+    # ctypes reached the copies numpy and scipy loaded, not second ones
+    if report["mapped"] is not None:
+        assert len(report["mapped"]) == len(set(report["mapped"])) == 2
+    return report
+
+
+def test_import_sets_both_openblas_pools_to_one_thread():
+    report = _probe_blas_threads()
+    assert set(report["threads"].values()) == {1}
+    assert sorted(report["limited"]) == sorted(report["threads"])
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_thread_count_in_the_environment_is_left_alone(var):
+    report = _probe_blas_threads(**{var: "2"})
+    assert set(report["threads"].values()) == {2}
+    assert report["limited"] == []
