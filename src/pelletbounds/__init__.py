@@ -56,7 +56,6 @@ from .matpoly import (
     companion,
     evaluate,
     from_json,
-    from_json_dict,
     left_precondition,
     monicize,
     reciprocal,
@@ -64,7 +63,6 @@ from .matpoly import (
     shift_by_z,
     square_repartition,
     to_json,
-    to_json_dict,
 )
 from .oracle import EigenReport, count_in_annulus, count_in_disk, eigen_oracle
 from .rootloc import (

@@ -53,8 +53,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .linalg import NormKind, SingularMatrixError, inv_norm_inv, norm
 from .matpoly import (
     MatrixPolynomial,
@@ -116,15 +114,15 @@ class GapResult:
     marginal: bool = False
 
 
-def _norms(p: MatrixPolynomial, kind: NormKind) -> np.ndarray:
-    """The coefficient norms of P, taken once per kind."""
-    return p._cached(("norms", kind), norm, p.stack, kind)
+def _norms(p: MatrixPolynomial, kind: NormKind) -> list:
+    """The coefficient norms of P as a list of floats, taken once per kind."""
+    return p._cached(("norms", kind), lambda: norm(p.stack, kind).tolist())
 
 
 def _nu(p: MatrixPolynomial, j: int, kind: NormKind) -> float:
     """nu_j = 1/||A_j^-1||, taken once per index and kind; raises
     SingularMatrixError (every time) when A_j is singular."""
-    return p._cached(("nu", j, kind), inv_norm_inv, p.coeffs[j], kind)
+    return p._cached(("nu", j, kind), inv_norm_inv, p.stack[j], kind)
 
 
 def _pivot_profile(p: MatrixPolynomial, j: int, kind: NormKind, precondition: bool):
@@ -136,11 +134,10 @@ def _pivot_profile(p: MatrixPolynomial, j: int, kind: NormKind, precondition: bo
     return _norms(p, kind), _nu(p, j, kind)
 
 
-def _radial_roots(norms: np.ndarray, nu: float, k: int) -> PositiveRoots | None:
+def _radial_roots(norms: list, nu: float, k: int) -> PositiveRoots | None:
     """Positive roots of f_k(x) = sum_{j != k} norms[j] x^j - nu x^k, or
     None when every coefficient but the k-th is zero (P = A_k z^k)."""
-    coeffs = list(norms)
-    coeffs[k] = 0.0
+    coeffs = norms[:k] + [0.0] + norms[k + 1:]
     if not any(c > 0.0 for c in coeffs):
         return None
     return positive_roots(SignedRadialPolynomial(coeffs, k, nu))
@@ -176,12 +173,12 @@ def cauchy_bounds(p: MatrixPolynomial, kind, precondition: bool = False) -> Cauc
     return CauchyBounds(upper=upper, lower=lower, norm_kind=kind, variant=variant)
 
 
-def _radial_gap(norms: np.ndarray, nu: float, k: int, count: int, kind: NormKind,
+def _radial_gap(norms: list, nu: float, k: int, count: int, kind: NormKind,
                 variant: str) -> GapResult:
     roots = _radial_roots(norms, nu, k) or PositiveRoots("none")
     if roots.kind == "two":
         status, x1, x2 = GAP, roots.x1, roots.x2
-    elif roots.kind == "one" and not np.any(norms[k + 1:] > 0.0):
+    elif roots.kind == "one" and not any(c > 0.0 for c in norms[k + 1:]):
         status, x1, x2, count = UPPER_ONLY, roots.x1, None, None
     else:
         # P = A_k z^k exactly, "none", or a one-sign-change shape whose
@@ -197,7 +194,7 @@ def _chord_proves_none(p: MatrixPolynomial, k: int, kind: NormKind,
     """Whether P's coefficient norms and nu_k prove the chord test's "none"
     at k (see the module docstring); raises SingularMatrixError when A_k is
     singular."""
-    norms = _norms(p, kind).tolist()
+    norms = _norms(p, kind)
     nu_k = _nu(p, k, kind)
     if precondition:
         scale = max(1.0, max(norms[:k] + norms[k + 1:]) / nu_k)

@@ -65,10 +65,10 @@ def _load_polynomial(args) -> MatrixPolynomial:
     if getattr(args, "input", None):
         try:
             with open(args.input) as fh:
-                return matpoly.from_json_dict(json.load(fh))
+                return matpoly.from_json(fh.read())
         except OSError as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from exc
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise InputError(f"bad polynomial JSON in {args.input}: {exc}") from exc
     raise InputError("provide a polynomial via --poly or --input")
 
@@ -100,8 +100,11 @@ def _load_lacunary(args) -> LacunaryPolynomial:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -149,10 +152,8 @@ def _cmd_gap(args) -> int:
     for kind in kinds:
         if args.variant == "q":
             g = bounds_mod.squared_gap(p, args.k, kind, precondition=args.precondition)
-        elif args.variant == "p":
-            g = bounds_mod.pellet_gap(p, args.k, kind, precondition=args.precondition)
         else:
-            raise InputError("gap supports --variant p or q")
+            g = bounds_mod.pellet_gap(p, args.k, kind, precondition=args.precondition)
         results.append(g)
     if args.format == "json":
         payload = [{"norm": g.norm_kind.value, "variant": g.variant, "k": g.k,

@@ -103,7 +103,7 @@ def embed_even(p: LacunaryPolynomial) -> MatrixPolynomial:
         raise InvalidDegreeError(f"embed_even needs an even degree, got {p.n}")
     sa, d_plus, d_minus, v, w = _cluster_matrices(p)
     half = p.n // 2
-    coeffs = [np.zeros((2, 2), dtype=np.complex128) for _ in range(half + 1)]
+    coeffs = np.zeros((half + 1, 2, 2), dtype=np.complex128)
     coeffs[half] += np.diag([sa, sa])
     coeffs[half - 1] += np.diag([d_plus, d_minus])
     coeffs[1] += v
@@ -124,7 +124,7 @@ def embed_odd(p: LacunaryPolynomial) -> MatrixPolynomial:
         raise InvalidDegreeError(f"embed_odd needs an odd degree, got {p.n}")
     sa, d_plus, d_minus, v, w = _cluster_matrices(p)
     deg = (p.n + 1) // 2
-    coeffs = [np.zeros((2, 2), dtype=np.complex128) for _ in range(deg + 1)]
+    coeffs = np.zeros((deg + 1, 2, 2), dtype=np.complex128)
     coeffs[deg] += np.diag([sa, 0.0])
     coeffs[deg - 1] += np.diag([d_plus, sa])
     coeffs[deg - 2] += np.diag([0.0, d_minus])

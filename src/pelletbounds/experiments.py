@@ -79,12 +79,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown example {self.example_id!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.seed < 0:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a nonnegative 64-bit integer")
         if self.example_id == "ex1" and self.m < 1:
             raise ValueError("ex1 needs m >= 1")
-        if self.example_id == "ex2" and self.eta < 0:
-            raise ValueError("ex2 needs eta >= 0")
+        if self.example_id == "ex2" and not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError("ex2 needs a finite eta >= 0")
         if self.example_id == "ex4" and (self.n < 6 or self.n % 2 != 0):
             raise ValueError("ex4 needs an even degree n >= 6")
         kinds = tuple(NormKind.coerce(k) for k in self.norm_kinds)

@@ -183,16 +183,16 @@ def left_solve(a, b) -> np.ndarray:
     return x
 
 
-def eigenvalues(a, cap: int = EIGEN_DIM_CAP) -> np.ndarray:
+def eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a dense square matrix, with multiplicity, unordered.
 
-    Delegates to LAPACK's nonsymmetric eigensolver; the ``cap`` guards
+    Delegates to LAPACK's nonsymmetric eigensolver; ``EIGEN_DIM_CAP`` guards
     against accidentally feeding it huge companion matrices.
     """
     arr = as_matrix(a)
     _require_square(arr)
-    if arr.shape[0] > cap:
-        raise ValueError(f"matrix dimension {arr.shape[0]} exceeds cap {cap}")
+    if arr.shape[0] > EIGEN_DIM_CAP:
+        raise ValueError(f"matrix dimension {arr.shape[0]} exceeds cap {EIGEN_DIM_CAP}")
     try:
         return np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:

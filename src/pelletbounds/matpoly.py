@@ -44,16 +44,15 @@ class MatrixPolynomial:
     """Degree-n matrix polynomial with m-by-m complex coefficients A_0..A_n.
 
     ``stack`` is a read-only (n+1, m, m) complex128 copy of the
-    coefficients, and ``coeffs`` the tuple of its n+1 read-only views.
-    Invariants enforced at construction: degree n >= 1, all coefficients of
-    the same square shape, all entries finite, and a nonzero leading
-    coefficient (the degree is genuine).  The private ``_memo`` holds
+    coefficients, the only form in which they are kept.  Invariants
+    enforced at construction: degree n >= 1, all coefficients of the same
+    square shape, all entries finite, and a nonzero leading coefficient
+    (the degree is genuine).  The private ``_memo`` holds
     derived data (see the module docstring); it takes no part in ``repr``
     or equality.
     """
 
     stack: np.ndarray
-    coeffs: tuple
     _memo: dict = field(repr=False, compare=False)
 
     def __init__(self, coeffs):
@@ -73,7 +72,6 @@ class MatrixPolynomial:
             raise ValueError("leading coefficient must be nonzero")
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "coeffs", tuple(stack))
         object.__setattr__(self, "_memo", {})
 
     @property
@@ -99,13 +97,14 @@ class MatrixPolynomial:
 
 def scalar_polynomial(coeffs_ascending) -> MatrixPolynomial:
     """Build an m=1 polynomial from scalar coefficients a_0..a_n."""
-    return MatrixPolynomial([np.array([[c]], dtype=np.complex128) for c in coeffs_ascending])
+    a = np.asarray(coeffs_ascending, dtype=np.complex128)
+    return MatrixPolynomial(a.reshape(len(a), 1, 1))
 
 
 def evaluate(p: MatrixPolynomial, z: complex) -> np.ndarray:
     """Horner evaluation of P(z)."""
-    acc = np.array(p.coeffs[-1])
-    for c in reversed(p.coeffs[:-1]):
+    acc = np.array(p.stack[-1])
+    for c in p.stack[-2::-1]:
         acc = acc * z + c
     return acc
 
@@ -192,32 +191,25 @@ def square_repartition(p: MatrixPolynomial) -> MatrixPolynomial:
     return MatrixPolynomial(q)
 
 
-def to_json_dict(p: MatrixPolynomial) -> dict:
-    """Serialize to {"m", "n", "coeffs"} with entries as [re, im] pairs.
+def to_json(p: MatrixPolynomial) -> str:
+    """Serialize to {"m", "n", "coeffs"}, where coeffs[j] is A_j as m rows
+    of [re, im] pairs.
 
     Round-trips finite doubles bit-exactly (json preserves shortest repr).
     """
-    coeffs = [[[[float(v.real), float(v.imag)] for v in row] for row in c] for c in p.coeffs]
-    return {"m": p.m, "n": p.n, "coeffs": coeffs}
-
-
-def from_json_dict(d: dict) -> MatrixPolynomial:
-    m, n = int(d["m"]), int(d["n"])
-    coeffs = d["coeffs"]
-    if len(coeffs) != n + 1:
-        raise ValueError(f"expected {n + 1} coefficients, got {len(coeffs)}")
-    mats = []
-    for c in coeffs:
-        mat = np.array([[complex(v[0], v[1]) for v in row] for row in c], dtype=np.complex128)
-        if mat.shape != (m, m):
-            raise ValueError(f"coefficient shape {mat.shape} does not match m={m}")
-        mats.append(mat)
-    return MatrixPolynomial(mats)
-
-
-def to_json(p: MatrixPolynomial) -> str:
-    return json.dumps(to_json_dict(p))
+    coeffs = p.stack.view(np.float64).reshape(p.n + 1, p.m, p.m, 2).tolist()
+    return json.dumps({"m": p.m, "n": p.n, "coeffs": coeffs})
 
 
 def from_json(text: str) -> MatrixPolynomial:
-    return from_json_dict(json.loads(text))
+    """Parse the ``to_json`` schema: coeffs must have exactly the shape
+    (n+1, m, m, 2), and every entry must be a JSON number."""
+    d = json.loads(text)
+    m, n = int(d["m"]), int(d["n"])
+    entries = np.array(d["coeffs"], dtype=object)
+    if entries.shape != (n + 1, m, m, 2):
+        raise ValueError(f"coeffs must have the shape (n+1, m, m, 2) = {(n + 1, m, m, 2)}, "
+                         f"got {entries.shape}")
+    if not all(type(v) in (int, float) for v in entries.flat):
+        raise ValueError("matrix entries must be JSON numbers")
+    return MatrixPolynomial(entries.astype(np.float64).view(np.complex128).reshape(n + 1, m, m))

@@ -127,7 +127,7 @@ def test_cauchy_variants_and_soundness(rng):
 def test_preconditioned_cauchy_at_least_as_tight(rng):
     for _ in range(20):
         p = rand_poly(rng, 3, 4, monic=False)
-        p = MatrixPolynomial([c + 0.5 * np.eye(3) for c in p.coeffs])
+        p = MatrixPolynomial([c + 0.5 * np.eye(3) for c in p.stack])
         plain = cauchy_bounds(p, "one")
         pre = cauchy_bounds(p, "one", precondition=True)
         assert pre.upper <= plain.upper * (1 + 1e-9)
@@ -155,7 +155,7 @@ def test_reciprocal_duality_matrix_preconditioned(rng):
     # radius with the preconditioned inner radius (same radial polynomial).
     for _ in range(10):
         p = rand_poly(rng, 3, 4)
-        p = MatrixPolynomial([*([c + 0.3 * np.eye(3) for c in p.coeffs[:-1]]), np.eye(3)])
+        p = MatrixPolynomial([*([c + 0.3 * np.eye(3) for c in p.stack[:-1]]), np.eye(3)])
         for kind in KINDS:
             lower_pre = cauchy_bounds(p, kind, precondition=True).lower
             upper_r = cauchy_bounds(reciprocal(p), kind).upper

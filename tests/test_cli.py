@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from pelletbounds import cli, from_json, matpoly, scalar_polynomial
 from pelletbounds.bounds import squared_polynomial
@@ -64,7 +65,7 @@ def test_square_round_trip_bit_exact(capsys):
     assert code == 0
     expected = squared_polynomial(scalar_polynomial([2.0, -3.0, 1.0]), True)[0]
     parsed = from_json(out)
-    for c1, c2 in zip(parsed.coeffs, expected.coeffs):
+    for c1, c2 in zip(parsed.stack, expected.stack):
         assert np.array_equal(c1, c2)
     assert out.strip() == matpoly.to_json(expected)
 
@@ -132,6 +133,45 @@ def test_overflowing_pivot_inverse(capsys, tmp_path):
         assert "Singular" in err
 
 
+def _set_entry(d, value):
+    d["coeffs"][0][0][0] = value
+
+
+def _set_row(d, value):
+    d["coeffs"][0][1] = value
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda d: _set_entry(d, [1.0]),
+    lambda d: _set_entry(d, [1.0, 0.0, 2.0]),
+    lambda d: _set_entry(d, ["1.5", 0.0]),
+    lambda d: _set_entry(d, [True, 0.0]),
+    lambda d: _set_entry(d, [None, 0.0]),
+    lambda d: _set_entry(d, [10**400, 0.0]),
+    lambda d: d.update(n=2),
+    lambda d: d.update(m=3),
+    lambda d: _set_row(d, [[0.0, 0.0]]),
+], ids=["one-element-pair", "three-element-pair", "string", "bool", "null", "int-beyond-double", "wrong-n",
+        "wrong-m", "ragged-rows"])
+def test_malformed_json_is_an_input_error(capsys, tmp_path, spoil):
+    d = json.loads(matpoly.to_json(matpoly.MatrixPolynomial([np.eye(2), np.eye(2)])))
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(d))
+    assert run_cli(capsys, "oracle", "--input", str(path))[0] == 0
+    spoil(d)
+    path.write_text(json.dumps(d))
+    code, out, err = run_cli(capsys, "oracle", "--input", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unwritable_out_is_an_input_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run_cli(capsys, "oracle", "--poly", "1,-3,2", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
 def test_format_only_where_it_is_used(capsys):
     assert run_cli(capsys, "square", "--poly", "1,-3,2", "--format", "md")[0] == 1
     assert run_cli(capsys, "embed", "--poly", "1,2,-1,0,0,0,3,0.5,-2", "--format", "json")[0] == 1
@@ -147,6 +187,10 @@ def test_bad_inputs_exit_one(capsys, tmp_path):
     bad.write_text("{not json")
     assert run_cli(capsys, "bounds", "--input", str(bad))[0] == 1
     assert run_cli(capsys, "bounds", "--frobnicate")[0] == 1
+    assert run_cli(capsys, "experiment", "--example", "ex3", "--trials", "1",
+                   "--seed", str(2**64))[0] == 1
+    assert run_cli(capsys, "experiment", "--example", "ex2", "--trials", "1",
+                   "--eta", "nan")[0] == 1
 
 
 def test_experiment_csv_deterministic(capsys):

@@ -60,10 +60,10 @@ def test_even_shape_and_sparse_case():
     lac = LacunaryPolynomial(8, 4.0, 0.0, 0.0, 9.0, 0.0, 0.0)
     q = embed_even(lac)
     assert q.m == 2 and q.n == 4
-    assert np.allclose(q.coeffs[4], 2.0 * np.eye(2))
-    assert np.allclose(q.coeffs[3], np.zeros((2, 2)))
-    assert np.allclose(q.coeffs[1], np.array([[0, -3.0], [3.0, 0]]))
-    assert np.allclose(q.coeffs[0], np.zeros((2, 2)))
+    assert np.allclose(q.stack[4], 2.0 * np.eye(2))
+    assert np.allclose(q.stack[3], np.zeros((2, 2)))
+    assert np.allclose(q.stack[1], np.array([[0, -3.0], [3.0, 0]]))
+    assert np.allclose(q.stack[0], np.zeros((2, 2)))
     for z in [0.5, 2.0 + 1.0j, -1.3]:
         assert det2(evaluate(q, z)) == pytest.approx(4.0 * z**8 + 9.0 * z**2, rel=1e-12)
 
@@ -79,10 +79,10 @@ def test_odd_sparse_case():
 def test_odd_leading_blocks_singular(rng):
     lac = rand_lacunary(rng, 9)
     q = embed_odd(lac)
-    c = q.coeffs[-1]
+    c = q.stack[-1]
     assert np.linalg.matrix_rank(c) == 1
     # the second-cluster diagonal block has a zero row as well
-    e = np.diag(np.diag(q.coeffs[q.n - 2]))
+    e = np.diag(np.diag(q.stack[q.n - 2]))
     assert e[0, 0] == 0
 
 

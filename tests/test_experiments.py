@@ -33,42 +33,42 @@ def test_gen_ex1_ranges_and_determinism():
     p = gen_ex1(trial_rng(7, 3), m=4)
     q = gen_ex1(trial_rng(7, 3), m=4)
     assert p.n == 10 and p.m == 4
-    assert np.array_equal(p.coeffs[10], np.eye(4))
+    assert np.array_equal(p.stack[10], np.eye(4))
     for j in range(10):
-        assert np.array_equal(p.coeffs[j], q.coeffs[j])
-        assert np.abs(p.coeffs[j].real).max() <= 10.0
-        assert np.abs(p.coeffs[j].imag).max() <= 10.0
+        assert np.array_equal(p.stack[j], q.stack[j])
+        assert np.abs(p.stack[j].real).max() <= 10.0
+        assert np.abs(p.stack[j].imag).max() <= 10.0
         # one scale per coefficient: |im/re| pattern is shared, so the
         # largest |re| and |im| entries stay below the shared scale
     r = gen_ex1(trial_rng(7, 4), m=4)
-    assert not np.array_equal(p.coeffs[0], r.coeffs[0])
+    assert not np.array_equal(p.stack[0], r.stack[0])
 
 
 def test_gen_ex1_scale_modes_differ():
     a = gen_ex1(trial_rng(1, 0), m=3, scale_per_entry=False)
     b = gen_ex1(trial_rng(1, 0), m=3, scale_per_entry=True)
-    assert not np.array_equal(a.coeffs[0], b.coeffs[0])
+    assert not np.array_equal(a.stack[0], b.stack[0])
 
 
 def test_gen_ex2_ranges():
     p = gen_ex2(trial_rng(11, 0), eta=0.0)
     assert p.n == 14 and p.m == 25
-    assert np.array_equal(p.coeffs[13], np.zeros((25, 25)))
-    assert np.abs(p.coeffs[11].real).max() <= 1250.0
-    assert np.abs(p.coeffs[11].real).max() > 100.0
-    assert np.abs(p.coeffs[12].real).max() <= 20000.0
-    assert np.abs(p.coeffs[12].real).max() > 2000.0
-    assert np.abs(p.coeffs[0].real).max() <= 2.0
+    assert np.array_equal(p.stack[13], np.zeros((25, 25)))
+    assert np.abs(p.stack[11].real).max() <= 1250.0
+    assert np.abs(p.stack[11].real).max() > 100.0
+    assert np.abs(p.stack[12].real).max() <= 20000.0
+    assert np.abs(p.stack[12].real).max() > 2000.0
+    assert np.abs(p.stack[0].real).max() <= 2.0
     q = gen_ex2(trial_rng(11, 0), eta=1.0)
-    assert np.abs(q.coeffs[13].real).max() <= 1.0
-    assert np.abs(q.coeffs[13].real).max() > 0.0
+    assert np.abs(q.stack[13].real).max() <= 1.0
+    assert np.abs(q.stack[13].real).max() > 0.0
     # the eta channel does not disturb the other coefficients' stream
-    assert np.array_equal(p.coeffs[0], q.coeffs[0])
+    assert np.array_equal(p.stack[0], q.stack[0])
 
 
 def test_gen_ex3_bands():
     p = gen_ex3(trial_rng(5, 9))
-    c = [p.coeffs[j][0, 0].real for j in range(21)]
+    c = [p.stack[j][0, 0].real for j in range(21)]
     assert c[20] == 1.0
     for j in (3, 5, 11, 13):
         assert 1.0 <= abs(c[j]) <= 2.0
@@ -82,7 +82,7 @@ def test_gen_ex3_signs_cover_both_sides():
     signs = set()
     for t in range(40):
         p = gen_ex3(trial_rng(123, t))
-        signs.add(p.coeffs[12][0, 0].real > 0)
+        signs.add(p.stack[12][0, 0].real > 0)
     assert signs == {True, False}
 
 
@@ -107,6 +107,13 @@ def test_config_validation():
         ExperimentConfig("ex4", n=7)
     with pytest.raises(ValueError):
         ExperimentConfig("ex1", seed=-1)
+    with pytest.raises(ValueError):
+        ExperimentConfig("ex3", seed=2**64)
+    with pytest.raises(ValueError):
+        ExperimentConfig("ex2", eta=float("nan"))
+    with pytest.raises(ValueError):
+        ExperimentConfig("ex2", eta=float("inf"))
+    assert ExperimentConfig("ex3", seed=2**64 - 1).seed == 2**64 - 1
     cfg = ExperimentConfig("ex3", trials=5)
     assert cfg.resolved_kinds[0].value == "two"
 

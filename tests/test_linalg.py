@@ -17,6 +17,7 @@ from pelletbounds import (
     square_repartition,
     trial_rng,
 )
+from pelletbounds import linalg
 from pelletbounds.linalg import as_matrix
 
 from conftest import pelletbounds_env, rand_matrix
@@ -135,7 +136,7 @@ def test_batched_norms_equal_per_coefficient_norms(rng, m):
     for kind in KINDS:
         batched = norm(p.stack, kind)
         assert batched.shape == (p.n + 1,)
-        assert list(batched) == [norm(c, kind) for c in p.coeffs]
+        assert list(batched) == [norm(c, kind) for c in p.stack]
 
 
 def test_inv_norm_inv_two_singular_raises():
@@ -164,7 +165,7 @@ def test_inv_norm_inv_two_ill_conditioned_pivot_not_overestimated():
     if rng.uniform() < 0.6:
         k = int(rng.integers(1, 2))
         coeffs[k] = coeffs[k] + scale * 10.0 ** rng.uniform(1.0, 4.0) * np.eye(3)
-    pivot = square_repartition(MatrixPolynomial(coeffs)).coeffs[0]
+    pivot = square_repartition(MatrixPolynomial(coeffs)).stack[0]
     s = np.linalg.svd(pivot, compute_uv=False)
     assert s[0] / s[-1] > 1e16
     with mpmath.workdps(80):
@@ -234,9 +235,11 @@ def test_eigenvalues_block_diag_multiset(rng):
     assert np.allclose(np.sort_complex(merged), np.sort_complex(got), atol=1e-10)
 
 
-def test_eigenvalues_dimension_cap():
+def test_eigenvalues_dimension_cap(monkeypatch):
+    monkeypatch.setattr(linalg, "EIGEN_DIM_CAP", 4)
     with pytest.raises(ValueError):
-        eigenvalues(np.eye(5), cap=4)
+        eigenvalues(np.eye(5))
+    assert len(eigenvalues(np.eye(4))) == 4
 
 
 def test_as_matrix_rejects_bad_input():

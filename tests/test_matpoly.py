@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pelletbounds import (
     MatrixPolynomial,
@@ -40,7 +42,7 @@ def test_construction_invariants(rng):
     p = rand_poly(rng, 2, 3)
     assert p.m == 2 and p.n == 3
     with pytest.raises(ValueError):
-        p.coeffs[0][0, 0] = 5.0  # frozen
+        p.stack[0][0, 0] = 5.0  # frozen
 
 
 def test_construction_copies_and_freezes_the_stack(rng):
@@ -54,12 +56,11 @@ def test_construction_copies_and_freezes_the_stack(rng):
     assert not p.stack.flags.writeable
     with pytest.raises(ValueError):
         p.stack[0, 0, 0] = 5.0
-    assert all(np.shares_memory(c, p.stack) and not c.flags.writeable for c in p.coeffs)
     # a 3-D array is a valid coefficient stack and is copied as well
     arr = np.array(coeffs)
     q = MatrixPolynomial(arr)
     arr[1] = 0.0
-    assert np.array_equal(q.coeffs[1], coeffs[1])
+    assert np.array_equal(q.stack[1], coeffs[1])
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -82,20 +83,20 @@ def _rel_err(got, want):
 
 def test_stacked_transforms_match_per_coefficient_solves(rng):
     p = rand_poly(rng, 4, 5, scale=3.0, monic=False)
-    a = p.coeffs
+    a = p.stack
     mon = monicize(p)
     for j in range(p.n):
-        assert _rel_err(mon.coeffs[j], left_solve(a[-1], a[j])) <= 1e-13
-    assert np.array_equal(mon.coeffs[-1], np.eye(4))
+        assert _rel_err(mon.stack[j], left_solve(a[-1], a[j])) <= 1e-13
+    assert np.array_equal(mon.stack[-1], np.eye(4))
     for k in range(p.n + 1):
         pre = left_precondition(p, k)
         for j in range(p.n + 1):
             want = np.eye(4) if j == k else left_solve(a[k], a[j])
-            assert _rel_err(pre.coeffs[j], want) <= 1e-13
+            assert _rel_err(pre.stack[j], want) <= 1e-13
     rec = reciprocal(p)
     for j in range(p.n):
-        assert _rel_err(rec.coeffs[j], left_solve(a[0], a[p.n - j])) <= 1e-13
-    assert np.array_equal(rec.coeffs[-1], np.eye(4))
+        assert _rel_err(rec.stack[j], left_solve(a[0], a[p.n - j])) <= 1e-13
+    assert np.array_equal(rec.stack[-1], np.eye(4))
 
 
 # each transform with the index of the coefficient it factors
@@ -124,15 +125,15 @@ def test_evaluate_examples():
 def test_evaluate_matches_power_sum(rng):
     p = rand_poly(rng, 2, 2, monic=True)
     z = 2.0
-    naive = sum(c * z**j for j, c in enumerate(p.coeffs))
+    naive = sum(c * z**j for j, c in enumerate(p.stack))
     assert np.allclose(evaluate(p, z), naive, atol=1e-13)
 
 
 def test_monicize():
     p = MatrixPolynomial([np.diag([4.0, 6.0]), 2 * np.eye(2)])
     q = monicize(p)
-    assert np.allclose(q.coeffs[1], np.eye(2))
-    assert np.allclose(q.coeffs[0], np.diag([2.0, 3.0]))
+    assert np.allclose(q.stack[1], np.eye(2))
+    assert np.allclose(q.stack[0], np.diag([2.0, 3.0]))
 
 
 def test_monicize_identity_at_random_points(rng):
@@ -179,13 +180,13 @@ def test_left_precondition_sets_identity(rng):
     p = rand_poly(rng, 3, 4)
     for k in range(p.n + 1):
         q = left_precondition(p, k)
-        assert np.array_equal(q.coeffs[k], np.eye(3))
+        assert np.array_equal(q.stack[k], np.eye(3))
 
 
 def test_reciprocal_scalar():
     p = scalar_polynomial([2.0, -3.0, 1.0])  # z^2 - 3z + 2, roots {1, 2}
     pr = reciprocal(p)
-    assert np.allclose([c[0, 0] for c in pr.coeffs], [0.5, -1.5, 1.0])
+    assert np.allclose([c[0, 0] for c in pr.stack], [0.5, -1.5, 1.0])
     moduli = eigen_oracle(pr).moduli
     assert moduli == pytest.approx([0.5, 1.0], rel=1e-12)
 
@@ -195,12 +196,12 @@ def test_reciprocal_identity_coeffs_reversed(rng):
     p = MatrixPolynomial(coeffs)  # A_0 = I
     pr = reciprocal(p)
     for j in range(3):
-        assert np.allclose(pr.coeffs[j], coeffs[2 - j], atol=1e-14)
+        assert np.allclose(pr.stack[j], coeffs[2 - j], atol=1e-14)
 
 
 def test_double_reciprocal_matches_monicize(rng):
     p = rand_poly(rng, 2, 3, monic=False)
-    p = MatrixPolynomial([c + np.eye(2) for c in p.coeffs])  # keep ends nonsingular
+    p = MatrixPolynomial([c + np.eye(2) for c in p.stack])  # keep ends nonsingular
     prr = reciprocal(reciprocal(p))
     a = eigen_oracle(prr).values
     b = eigen_oracle(monicize(p)).values
@@ -216,7 +217,7 @@ def test_reciprocal_singular_constant():
 def test_shift_by_z():
     p = scalar_polynomial([1.0, 1.0])  # z + 1
     sp = shift_by_z(p)  # z^2 + z
-    assert [c[0, 0] for c in sp.coeffs] == [0.0, 1.0, 1.0]
+    assert [c[0, 0] for c in sp.stack] == [0.0, 1.0, 1.0]
     assert eigen_oracle(sp).moduli == pytest.approx([0.0, 1.0], abs=1e-12)
 
 
@@ -257,19 +258,19 @@ def test_square_repartition_scalar_z2_minus_1():
     p = scalar_polynomial([-1.0, 0.0, 1.0])
     q = square_repartition(p)
     assert q.m == 2 and q.n == 1
-    assert np.allclose(q.coeffs[0], -np.eye(2))
+    assert np.allclose(q.stack[0], -np.eye(2))
     assert eigen_oracle(q).moduli == pytest.approx([1.0, 1.0])
 
 
 def test_square_repartition_block_formulas(rng):
     p = rand_poly(rng, 2, 4)
     q = square_repartition(p)
-    a = p.coeffs
+    a = p.stack
     # B_0 upper-left block is A_0 exactly, and the displayed products hold
-    assert np.array_equal(q.coeffs[0][:2, :2], a[0])
-    assert np.allclose(q.coeffs[0][:2, 2:], -a[0] @ a[3])
-    assert np.allclose(q.coeffs[0][2:, 2:], -a[1] @ a[3] + a[0])
-    assert np.allclose(q.coeffs[1][:2, 2:], -a[2] @ a[3] + a[1])
+    assert np.array_equal(q.stack[0][:2, :2], a[0])
+    assert np.allclose(q.stack[0][:2, 2:], -a[0] @ a[3])
+    assert np.allclose(q.stack[0][2:, 2:], -a[1] @ a[3] + a[0])
+    assert np.allclose(q.stack[1][:2, 2:], -a[2] @ a[3] + a[1])
 
 
 def test_square_repartition_rejects_bad_input(rng):
@@ -312,10 +313,43 @@ def test_json_round_trip_bit_exact(rng):
     text = to_json(p)
     q = from_json(text)
     assert q.m == p.m and q.n == p.n
-    for c1, c2 in zip(p.coeffs, q.coeffs):
+    for c1, c2 in zip(p.stack, q.stack):
         assert np.array_equal(c1, c2)
     # a second serialization is byte-identical
     assert to_json(q) == text
+
+
+# finite doubles, with the signed zeros, subnormals and 1e+-300 always in reach
+_JSON_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, 1e-300, -1e-300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _stacks(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    size = 2 * m * m * (n + 1)
+    parts = draw(st.lists(_JSON_FLOATS, min_size=size, max_size=size))
+    stack = np.array(parts).view(np.complex128).reshape(n + 1, m, m)
+    if not stack[-1].any():
+        stack[-1, 0, 0] = draw(st.sampled_from([1.0, -5e-324, 1e300]))
+    return stack
+
+
+def _reference_json(p):
+    """The serialization as one comprehension per level of the schema."""
+    coeffs = [[[[float(v.real), float(v.imag)] for v in row] for row in c] for c in p.stack]
+    return json.dumps({"m": p.m, "n": p.n, "coeffs": coeffs})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacks())
+def test_json_round_trip_random_stacks(stack):
+    p = MatrixPolynomial(stack)
+    text = to_json(p)
+    assert text == _reference_json(p)
+    assert from_json(text).stack.tobytes() == p.stack.tobytes()
 
 
 def test_from_json_validates():

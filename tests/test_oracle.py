@@ -44,7 +44,7 @@ def test_eigenvalue_residuals(rng):
     p = rand_poly(rng, 2, 3, monic=False)
     rep = eigen_oracle(p)
     for lam in rep.values:
-        scale = sum(norm(c, NormKind.TWO) * abs(lam) ** j for j, c in enumerate(p.coeffs))
+        scale = sum(norm(c, NormKind.TWO) * abs(lam) ** j for j, c in enumerate(p.stack))
         smin = np.linalg.svd(evaluate(p, lam), compute_uv=False)[-1]
         assert smin <= 1e-6 * scale
 
