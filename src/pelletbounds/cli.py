@@ -73,6 +73,16 @@ def _load_polynomial(args) -> MatrixPolynomial:
     raise InputError("provide a polynomial via --poly or --input")
 
 
+def _json_complex(d: dict, key: str) -> complex:
+    """d[key] as a complex number: a JSON number, or an [re, im] pair of
+    exactly two, under the number rules of ``matpoly.from_json``."""
+    v = d[key]
+    pair = v if isinstance(v, list) else [v, 0.0]
+    if len(pair) != 2 or not all(type(x) in (int, float) for x in pair):
+        raise ValueError(f"{key} must be a JSON number or an [re, im] pair of JSON numbers")
+    return complex(float(pair[0]), float(pair[1]))
+
+
 def _load_lacunary(args) -> LacunaryPolynomial:
     if getattr(args, "poly", None):
         desc = _parse_poly_arg(args.poly)
@@ -88,12 +98,11 @@ def _load_lacunary(args) -> LacunaryPolynomial:
         try:
             with open(args.input) as fh:
                 d = json.load(fh)
-            cx = lambda v: complex(v[0], v[1]) if isinstance(v, list) else complex(v)
-            return LacunaryPolynomial(int(d["n"]), cx(d["a"]), cx(d["b"]), cx(d["c"]),
-                                      cx(d["alpha"]), cx(d["beta"]), cx(d["gamma"]))
+            coeffs = [_json_complex(d, key) for key in ("a", "b", "c", "alpha", "beta", "gamma")]
+            return LacunaryPolynomial(int(d["n"]), *coeffs)
         except OSError as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from exc
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError, IndexError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise InputError(f"bad lacunary JSON in {args.input}: {exc}") from exc
     raise InputError("provide a polynomial via --poly or --input")
 

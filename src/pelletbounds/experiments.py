@@ -23,11 +23,21 @@ frequencies, width ratios and every-k counts of a pair of gap variants
 Per-trial randomness comes from counter-based Philox streams keyed by
 (seed, trial index), so runs are reproducible and trials independent.
 Identical (seed, config) produces byte-identical CSV output.
+
+The oracle eigensolves, most of a trial's time, run on one process per CPU
+in the process's affinity mask (at most one per trial): the calling process
+solves the first contiguous chunk of trials and forked workers the others.
+A worker draws its trials' instances from (seed, trial) itself and returns
+only the eigenvalue reports; the bounds, the oracle checks and the tallies
+stay in the calling process, in trial order, so the output is byte-identical
+for any worker count.  ``taskset`` limits the workers; there is no setting.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,6 +260,102 @@ def gen_ex4(rng: np.random.Generator, n: int) -> LacunaryPolynomial:
 
 
 # ---------------------------------------------------------------------------
+# trial instances and their oracle reports, computed on one process per CPU
+
+def _trial_instance(cfg: ExperimentConfig, t: int):
+    """Trial t's instance, drawn from its own (seed, trial) stream."""
+    rng = trial_rng(cfg.seed, t)
+    if cfg.example_id == "ex1":
+        return gen_ex1(rng, cfg.m, cfg.scale_per_entry)
+    if cfg.example_id == "ex2":
+        return gen_ex2(rng, cfg.eta)
+    if cfg.example_id == "ex3":
+        return gen_ex3(rng)
+    return gen_ex4(rng, cfg.n)
+
+
+def _trial_oracle(instance) -> EigenReport:
+    """The eigenvalues of an instance: a lacunary one through its scalar form."""
+    return eigen_oracle(to_scalar(instance) if isinstance(instance, LacunaryPolynomial)
+                        else instance)
+
+
+def _worker_count(trials: int) -> int:
+    """Processes that share a run's oracles: one per CPU this process may run
+    on, at most one per trial, and one alone where it cannot fork workers."""
+    multiprocessing = sys.modules.get("multiprocessing")
+    if not hasattr(os, "fork") or (multiprocessing and multiprocessing.current_process().daemon):
+        return 1  # a daemonic multiprocessing worker may not start processes
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(trials, cpus or 1)
+
+
+def _oracle_chunk(conn, cfg: ExperimentConfig, start: int, stop: int) -> None:
+    """Worker body: send the reports of trials start..stop-1 in order, up to
+    the first whose oracle raises, with that exception or None."""
+    reports, error = [], None
+    try:
+        for t in range(start, stop):
+            reports.append(_trial_oracle(_trial_instance(cfg, t)))
+    except Exception as exc:  # the caller raises it after tallying the trials before it
+        error = exc
+    with conn:
+        conn.send((reports, error))
+
+
+def _oracle_trials(cfg: ExperimentConfig):
+    """Yield (instance, EigenReport) for every trial, in trial order.
+
+    With w = ``_worker_count`` processes, the trials split into w contiguous
+    chunks: the caller solves the first itself while w - 1 forked workers
+    solve the others, and it redraws each worker trial's instance.  An
+    exception from a trial's oracle is raised after every earlier trial has
+    been yielded, as a run in one process raises it.  Every worker is
+    joined, or terminated and joined, before the generator finishes or is
+    closed.
+    """
+    w = _worker_count(cfg.trials)
+    cuts = [cfg.trials * i // w for i in range(w + 1)]
+    workers = []
+    try:
+        if w > 1:
+            # fork, not spawn: a spawned worker pays a fresh import of numpy
+            # and scipy, longer than an ex2 trial.  OpenBLAS quiesces its
+            # thread pool around fork, and a worker runs only numpy/LAPACK.
+            import multiprocessing
+
+            ctx = multiprocessing.get_context("fork")
+            for start, stop in zip(cuts[1:-1], cuts[2:]):
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_oracle_chunk, args=(send, cfg, start, stop), daemon=True)
+                workers.append((proc, recv, start, stop))
+                proc.start()
+                send.close()
+        for t in range(cuts[1]):
+            instance = _trial_instance(cfg, t)
+            yield instance, _trial_oracle(instance)
+        for proc, recv, start, stop in workers:
+            try:
+                reports, error = recv.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(f"oracle worker for trials {start}..{stop - 1} exited "
+                                        f"with code {proc.exitcode}") from None
+            proc.join()
+            for t, rep in enumerate(reports, start):
+                yield _trial_instance(cfg, t), rep
+            if error is not None:
+                raise error
+    finally:
+        for proc, recv, _, _ in workers:
+            if proc.is_alive():
+                proc.terminate()
+            if proc.pid is not None:
+                proc.join()
+            recv.close()
+
+
+# ---------------------------------------------------------------------------
 # tallies: every value is checked against the oracle before it is counted
 
 def _mean_std(values):
@@ -432,9 +538,7 @@ def _run_ex1(cfg: ExperimentConfig) -> ExperimentResult:
                       "lower": _BoundRatios(False, _EX1_LOWER, _EX1_LOWER_BEST)}
                for kind in kinds}
 
-    for t in range(cfg.trials):
-        p = gen_ex1(trial_rng(cfg.seed, t), cfg.m, cfg.scale_per_entry)
-        rep = eigen_oracle(p)
+    for t, (p, rep) in enumerate(_oracle_trials(cfg)):
         for kind in kinds:
             cb = cauchy_bounds(p, kind)
             sq = squared_bounds(p, kind)
@@ -467,9 +571,7 @@ def _run_ex2(cfg: ExperimentConfig) -> ExperimentResult:
     pairs = {"plain": (False, _GapPair(("P", "Q"), (_EX2_K,), m=_EX2_BLOCK)),
              "preconditioned": (True, _GapPair(("AkinvP", "BkinvQ"), (_EX2_K,), m=_EX2_BLOCK))}
 
-    for t in range(cfg.trials):
-        p = gen_ex2(trial_rng(cfg.seed, t), cfg.eta)
-        rep = eigen_oracle(p)
+    for t, (p, rep) in enumerate(_oracle_trials(cfg)):
         for pre, gaps in pairs.values():
             gaps.add(rep, (lambda k: pellet_gap(p, k, kind, precondition=pre),
                            lambda k: squared_gap(p, k, kind, precondition=pre)), f"ex2 trial {t}")
@@ -490,9 +592,7 @@ def _run_ex3(cfg: ExperimentConfig) -> ExperimentResult:
     kind = cfg.resolved_kinds[0]
     gaps = _GapPair(("p", "BkinvQ"), _EX3_KS)
 
-    for t in range(cfg.trials):
-        p = gen_ex3(trial_rng(cfg.seed, t))
-        rep = eigen_oracle(p)
+    for t, (p, rep) in enumerate(_oracle_trials(cfg)):
         gaps.add(rep, (lambda k: pellet_gap(p, k, kind),
                        lambda k: squared_gap(p, k, kind, precondition=True)), f"ex3 trial {t}")
 
@@ -520,10 +620,8 @@ def _run_ex4(cfg: ExperimentConfig) -> ExperimentResult:
     upper_better = lower_better = both_better = 0
     both_present = 0
 
-    for t in range(cfg.trials):
-        lac = gen_ex4(trial_rng(cfg.seed, t), n)
+    for t, (lac, rep) in enumerate(_oracle_trials(cfg)):
         ps = to_scalar(lac)
-        rep = eigen_oracle(ps)
         qe = embed_even(lac)
 
         su = cauchy_bounds(ps, kind)

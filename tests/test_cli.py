@@ -85,6 +85,21 @@ def test_embed_emits_valid_polynomial(capsys, tmp_path):
     assert from_json(out).n == 4
 
 
+@pytest.mark.parametrize("value", [[1.0], [1.0, 0.0, 99.0], True, "1.5", None, 10**400],
+                         ids=["one-element-pair", "three-element-pair", "bool", "string", "null",
+                              "int-beyond-double"])
+def test_malformed_lacunary_json_is_an_input_error(capsys, tmp_path, value):
+    spec = {"n": 6, "a": [1.0, 0.0], "b": 2.0, "c": 0.0, "alpha": 1.0, "beta": 0.0, "gamma": 1.0}
+    path = tmp_path / "lac.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli(capsys, "embed", "--input", str(path))[0] == 0
+    spec["b"] = value
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "embed", "--input", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_embed_rejects_dense_poly(capsys):
     code, _, err = run_cli(capsys, "embed", "--poly", "1,2,-1,9,0,0,3,0.5,-2")
     assert code == 1

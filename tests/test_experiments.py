@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import pickle
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from pelletbounds import (
     ExperimentConfig,
+    NoConvergenceError,
     gen_ex1,
     gen_ex2,
     gen_ex3,
@@ -17,6 +19,8 @@ from pelletbounds import (
     run_experiment,
     trial_rng,
 )
+from pelletbounds import experiments
+from pelletbounds.oracle import SoundnessError
 
 from conftest import pelletbounds_env
 
@@ -210,18 +214,28 @@ GOLDEN_CASES = [
 ]
 
 
+def _force_workers(monkeypatch, workers):
+    """Run the oracles on ``workers`` processes whatever the CPU count."""
+    monkeypatch.setattr(experiments, "_worker_count", lambda trials: min(trials, workers))
+
+
 @pytest.mark.parametrize("name, cfg", GOLDEN_CASES)
-def test_csv_matches_golden(name, cfg):
-    # any change to an ensemble, a tally or the number format shows here
+def test_csv_matches_golden(name, cfg, monkeypatch):
+    # any change to an ensemble, a tally or the number format shows here,
+    # with the oracles in the calling process and on two processes
     expected = (GOLDEN / name).read_text()
-    assert run_experiment(cfg).to_csv() == expected
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        assert run_experiment(cfg).to_csv() == expected, f"{workers} worker(s)"
 
 
 def test_golden_csvs_with_two_blas_threads():
     # test_csv_matches_golden runs on the one-thread default; here a fresh
-    # process with two threads per pool, where ex2's eigensolve is split
+    # process with two threads per pool, where ex2's eigensolve is split,
+    # and two worker processes
     script = ("import json, pickle, sys\n"
-              "from pelletbounds import run_experiment\n"
+              "from pelletbounds import experiments, run_experiment\n"
+              "experiments._worker_count = lambda trials: min(trials, 2)\n"
               "print(json.dumps([run_experiment(c).to_csv() for c in pickle.load(sys.stdin.buffer)]))\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           input=pickle.dumps([cfg for _, cfg in GOLDEN_CASES]),
@@ -230,3 +244,81 @@ def test_golden_csvs_with_two_blas_threads():
     assert proc.returncode == 0, proc.stderr.decode()
     for (name, _), csv in zip(GOLDEN_CASES, json.loads(proc.stdout), strict=True):
         assert csv == (GOLDEN / name).read_text(), name
+
+
+def _fail_at(monkeypatch, cfg, trial, exc):
+    """Make the oracle raise ``exc`` on the instance of ``trial``."""
+    bad = experiments._trial_instance(cfg, trial).stack
+    oracle = experiments.eigen_oracle
+
+    def failing(p):
+        if np.array_equal(p.stack, bad):
+            raise exc
+        return oracle(p)
+
+    monkeypatch.setattr(experiments, "eigen_oracle", failing)
+
+
+def test_worker_error_raises_its_type_and_leaves_no_process(monkeypatch):
+    # trials 0-2 are the caller's, 3-5 the worker's; trial 4 fails there
+    cfg = ExperimentConfig("ex3", trials=6, seed=1)
+    _force_workers(monkeypatch, 2)
+    _fail_at(monkeypatch, cfg, 4, NoConvergenceError("no convergence at trial 4"))
+    with pytest.raises(NoConvergenceError, match="trial 4"):
+        run_experiment(cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_caller_error_stops_the_workers(monkeypatch):
+    # the caller's first tally fails while the worker is still solving
+    cfg = ExperimentConfig("ex2", trials=6, seed=1)
+    _force_workers(monkeypatch, 2)
+
+    def unsound(rep, gap, label):
+        raise SoundnessError(label)
+
+    monkeypatch.setattr(experiments, "check_gap", unsound)
+    with pytest.raises(SoundnessError, match="ex2 trial 0"):
+        run_experiment(cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_error_order_matches_one_process(monkeypatch):
+    # a worker trial that fails its oracle after a trial that fails its
+    # tally: both paths raise the tally's error, as trials come in order
+    cfg = ExperimentConfig("ex3", trials=4, seed=1)
+    _fail_at(monkeypatch, cfg, 3, NoConvergenceError("trial 3"))
+    check_gap = experiments.check_gap
+
+    def unsound_at_2(rep, gap, label):
+        if label.startswith("ex3 trial 2 "):
+            raise SoundnessError(label)
+        return check_gap(rep, gap, label)
+
+    monkeypatch.setattr(experiments, "check_gap", unsound_at_2)
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        with pytest.raises(SoundnessError, match="ex3 trial 2"):
+            run_experiment(cfg)
+    assert multiprocessing.active_children() == []
+
+
+def _run_small_ex3():
+    return run_experiment(ExperimentConfig("ex3", trials=4, seed=1)).to_csv()
+
+
+def test_runs_inside_a_daemonic_worker():
+    # a pool worker may not start processes, so its run stays in one process
+    expected = _run_small_ex3()
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(_run_small_ex3).get(timeout=120) == expected
+
+
+def test_import_starts_no_process_machinery():
+    script = ("import sys, pelletbounds\n"
+              "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+              " if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=pelletbounds_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
