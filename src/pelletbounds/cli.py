@@ -15,13 +15,27 @@ degree via --poly "1,-3,2".
 
 Exit codes: 0 success, 1 input error, 2 singular/inapplicable, 3 numerical
 failure.
+
+OpenBLAS reads its thread count when it loads, and a pool of more than one
+thread costs a short query CPU and time.  The command line is a program and
+not a library, so before its first import of numpy it sets
+``OPENBLAS_NUM_THREADS=1`` in its own environment, which the experiment
+workers it forks inherit, unless the caller has set one of the variables
+OpenBLAS reads.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+
+from . import _BLAS_THREAD_VARS
+
+# before the first import that loads numpy, and with it OpenBLAS
+if not any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import bounds as bounds_mod
 from . import matpoly
@@ -99,7 +113,7 @@ def _load_lacunary(args) -> LacunaryPolynomial:
             with open(args.input) as fh:
                 d = json.load(fh)
             coeffs = [_json_complex(d, key) for key in ("a", "b", "c", "alpha", "beta", "gamma")]
-            return LacunaryPolynomial(int(d["n"]), *coeffs)
+            return LacunaryPolynomial(matpoly._json_int(d, "n"), *coeffs)
         except OSError as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from exc
         except (KeyError, ValueError, TypeError, OverflowError) as exc:

@@ -9,8 +9,15 @@ LAPACK's SVD: a 2-norm bound is sound only if the norm is never
 underestimated, which rules out iterations that can stop at a smaller
 singular value.
 
+The two LAPACK routines the LU solves use, ``zgetrf`` and ``zgetrs``, come
+from scipy's f2py extension ``scipy.linalg._flapack``, loaded from its file
+under its own name without importing ``scipy`` or ``scipy.linalg``
+(``_load_flapack``): their imports cost several times what numpy does, and
+none of it is LAPACK.  A later ``import scipy.linalg`` reuses the same
+module.
+
 At import the module sets the thread pool of each OpenBLAS that numpy and
-scipy load to one thread, unless the caller has set one of the variables
+scipy bundle to one thread, unless the caller has set one of the variables
 OpenBLAS reads for its thread count (``_limit_blas_threads``).
 """
 
@@ -19,12 +26,14 @@ from __future__ import annotations
 import ctypes
 import enum
 import glob
+import importlib.machinery
+import importlib.util
 import math
 import os
 
 import numpy as np
-import scipy
-from scipy.linalg import lapack
+
+from . import _BLAS_THREAD_VARS
 
 # Pivot threshold is relative to the infinity norm so the singularity test
 # is invariant under uniform scaling of the matrix.
@@ -32,14 +41,11 @@ SINGULARITY_RTOL = 1e-13
 
 EIGEN_DIM_CAP = 2000
 
-# The variables OpenBLAS reads for its thread count when it loads.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
 # (package, its OpenBLAS in ``<package>.libs``, that library's setter) for
 # the OpenBLAS bundled with the numpy and scipy wheels.
 _OPENBLAS_POOLS = (
-    (np, "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
-    (scipy, "libscipy_openblas*.so", "scipy_openblas_set_num_threads"),
+    ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "libscipy_openblas*.so", "scipy_openblas_set_num_threads"),
 )
 
 
@@ -199,6 +205,32 @@ def eigenvalues(a) -> np.ndarray:
         raise NoConvergenceError(str(exc)) from exc
 
 
+def _package_dir(name: str) -> str | None:
+    """Directory of the installed package ``name``, found without importing
+    it; None when it is not installed."""
+    spec = importlib.util.find_spec(name)
+    return None if spec is None else os.path.dirname(spec.origin)
+
+
+def _load_flapack(scipy_dir):
+    """scipy's f2py LAPACK module, loaded from ``<scipy_dir>/linalg`` as
+    ``scipy.linalg._flapack`` without importing its parent packages; it
+    enters ``sys.modules`` under that name, as when scipy imports it.
+    ``scipy.linalg.lapack`` when no such file is there."""
+    name = "scipy.linalg._flapack"
+    if scipy_dir is not None:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(scipy_dir, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path, loader=loader))
+                loader.exec_module(module)
+                return module
+    from scipy.linalg import lapack
+    return lapack
+
+
 def _limit_blas_threads() -> tuple[str, ...]:
     """Set the OpenBLAS pool of each package in ``_OPENBLAS_POOLS`` to one
     thread; return the paths of the libraries that were set.
@@ -216,8 +248,7 @@ def _limit_blas_threads() -> tuple[str, ...]:
         return ()
     limited = []
     for package, pattern, setter in _OPENBLAS_POOLS:
-        site = os.path.dirname(os.path.dirname(package.__file__))
-        libs = os.path.join(site, package.__name__ + ".libs")
+        libs = os.path.join(os.path.dirname(_package_dir(package)), package + ".libs")
         for path in sorted(glob.glob(os.path.join(libs, pattern))):
             try:
                 set_threads = getattr(ctypes.CDLL(path), setter)
@@ -229,4 +260,6 @@ def _limit_blas_threads() -> tuple[str, ...]:
     return tuple(limited)
 
 
+# loading the extension maps scipy's OpenBLAS, so it comes before the setters
+lapack = _load_flapack(_package_dir("scipy"))
 _BLAS_POOLS_LIMITED = _limit_blas_threads()

@@ -201,11 +201,20 @@ def to_json(p: MatrixPolynomial) -> str:
     return json.dumps({"m": p.m, "n": p.n, "coeffs": coeffs})
 
 
+def _json_int(d: dict, key: str) -> int:
+    """d[key], which must be a JSON integer (not a bool, float or string)."""
+    v = d[key]
+    if type(v) is not int:
+        raise ValueError(f"{key} must be a JSON integer, got {v!r}")
+    return v
+
+
 def from_json(text: str) -> MatrixPolynomial:
-    """Parse the ``to_json`` schema: coeffs must have exactly the shape
-    (n+1, m, m, 2), and every entry must be a JSON number."""
+    """Parse the ``to_json`` schema: m and n must be JSON integers, coeffs
+    must have exactly the shape (n+1, m, m, 2), and every entry must be a
+    JSON number."""
     d = json.loads(text)
-    m, n = int(d["m"]), int(d["n"])
+    m, n = _json_int(d, "m"), _json_int(d, "n")
     entries = np.array(d["coeffs"], dtype=object)
     if entries.shape != (n + 1, m, m, 2):
         raise ValueError(f"coeffs must have the shape (n+1, m, m, 2) = {(n + 1, m, m, 2)}, "

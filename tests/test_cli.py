@@ -85,15 +85,17 @@ def test_embed_emits_valid_polynomial(capsys, tmp_path):
     assert from_json(out).n == 4
 
 
-@pytest.mark.parametrize("value", [[1.0], [1.0, 0.0, 99.0], True, "1.5", None, 10**400],
-                         ids=["one-element-pair", "three-element-pair", "bool", "string", "null",
-                              "int-beyond-double"])
-def test_malformed_lacunary_json_is_an_input_error(capsys, tmp_path, value):
+@pytest.mark.parametrize("key, value", [
+    ("b", [1.0]), ("b", [1.0, 0.0, 99.0]), ("b", True), ("b", "1.5"), ("b", None), ("b", 10**400),
+    ("n", "6"), ("n", True), ("n", 6.9), ("n", 6.0),
+], ids=["one-element-pair", "three-element-pair", "bool", "string", "null", "int-beyond-double",
+        "string-n", "bool-n", "float-n", "integral-float-n"])
+def test_malformed_lacunary_json_is_an_input_error(capsys, tmp_path, key, value):
     spec = {"n": 6, "a": [1.0, 0.0], "b": 2.0, "c": 0.0, "alpha": 1.0, "beta": 0.0, "gamma": 1.0}
     path = tmp_path / "lac.json"
     path.write_text(json.dumps(spec))
     assert run_cli(capsys, "embed", "--input", str(path))[0] == 0
-    spec["b"] = value
+    spec[key] = value
     path.write_text(json.dumps(spec))
     code, out, err = run_cli(capsys, "embed", "--input", str(path))
     assert code == 1 and out == ""
@@ -166,8 +168,12 @@ def _set_row(d, value):
     lambda d: d.update(n=2),
     lambda d: d.update(m=3),
     lambda d: _set_row(d, [[0.0, 0.0]]),
+    lambda d: d.update(n="1"),
+    lambda d: d.update(n=True),
+    lambda d: d.update(n=1.0),
+    lambda d: d.update(m=2.0),
 ], ids=["one-element-pair", "three-element-pair", "string", "bool", "null", "int-beyond-double", "wrong-n",
-        "wrong-m", "ragged-rows"])
+        "wrong-m", "ragged-rows", "string-n", "bool-n", "float-n", "float-m"])
 def test_malformed_json_is_an_input_error(capsys, tmp_path, spoil):
     d = json.loads(matpoly.to_json(matpoly.MatrixPolynomial([np.eye(2), np.eye(2)])))
     path = tmp_path / "p.json"

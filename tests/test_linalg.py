@@ -251,38 +251,53 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
-# Reports, from a fresh interpreter after ``import pelletbounds``, each
-# bundled OpenBLAS's thread count (read through its own getter), the
-# library paths pelletbounds set, and the copies of each library the process
-# has mapped, one first segment (file offset 0) per copy (None where /proc
-# is absent).
+# Reports, from a fresh interpreter, each bundled OpenBLAS's thread count
+# (read through its own getter), the library paths pelletbounds set, the
+# copies of each library the process has mapped, one first segment (file
+# offset 0) per copy (None where /proc is absent), and the environment
+# variables whose values changed.  With the argument "library" it imports
+# pelletbounds and then every submodule but cli; with "cli" it runs a query
+# as ``python -m pelletbounds.cli`` does.  Each library is found the way
+# ``linalg`` finds it, through its package's spec, which imports nothing.
 _THREADS_PROBE = """
-import ctypes, glob, json, os, sys
-import pelletbounds
+import ctypes, glob, importlib, importlib.util, json, os, pkgutil, runpy, sys
+before = dict(os.environ)
+if sys.argv[1] == "cli":
+    sys.argv = ["pelletbounds", "oracle", "--poly", "1,-3,2"]
+    try:
+        runpy.run_module("pelletbounds.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+else:
+    import pelletbounds
+    for module in pkgutil.iter_modules(pelletbounds.__path__):
+        if module.name != "cli":
+            importlib.import_module("pelletbounds." + module.name)
 from pelletbounds import linalg
 pools = {}
 for package, pattern, getter in [
         ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_"),
         ("scipy", "libscipy_openblas*.so", "scipy_openblas_get_num_threads")]:
-    module = sys.modules[package]
-    libs = os.path.join(os.path.dirname(os.path.dirname(module.__file__)), package + ".libs")
-    for path in glob.glob(os.path.join(libs, pattern)):
+    site = os.path.dirname(os.path.dirname(importlib.util.find_spec(package).origin))
+    for path in glob.glob(os.path.join(site, package + ".libs", pattern)):
         pools[path] = getattr(ctypes.CDLL(path), getter)()
 mapped = None
 if os.path.exists("/proc/self/maps"):
     with open("/proc/self/maps") as f:
         mapped = sorted(os.path.basename(fields[-1]) for fields in map(str.split, f)
                         if "libscipy_openblas" in fields[-1] and int(fields[2], 16) == 0)
+changed = sorted(k for k in {*before, *os.environ} if before.get(k) != os.environ.get(k))
 print(json.dumps({"threads": pools, "limited": list(linalg._BLAS_POOLS_LIMITED),
-                  "mapped": mapped}))
+                  "mapped": mapped, "environ": {k: os.environ.get(k) for k in changed}}))
 """
 
 
-def _probe_blas_threads(**env_set):
-    proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=pelletbounds_env(**env_set),
-                          capture_output=True, text=True, timeout=120)
+def _probe_blas_threads(mode="library", **env_set):
+    proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE, mode],
+                          env=pelletbounds_env(**env_set), capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    report = json.loads(proc.stdout.splitlines()[-1])
     if len(report["threads"]) != 2:
         pytest.skip("numpy and scipy do not both bundle a scipy-openblas library")
     # ctypes reached the copies numpy and scipy loaded, not second ones
@@ -302,3 +317,76 @@ def test_a_thread_count_in_the_environment_is_left_alone(var):
     report = _probe_blas_threads(**{var: "2"})
     assert set(report["threads"].values()) == {2}
     assert report["limited"] == []
+
+
+@pytest.mark.parametrize("var", [None, "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                 "OMP_NUM_THREADS"])
+def test_library_modules_leave_the_environment_alone(var):
+    report = _probe_blas_threads(**({var: "2"} if var else {}))
+    assert report["environ"] == {}
+
+
+def test_cli_sets_one_thread_before_numpy_loads():
+    report = _probe_blas_threads("cli")
+    assert set(report["threads"].values()) == {1}
+    assert report["environ"] == {"OPENBLAS_NUM_THREADS": "1"}
+    # OpenBLAS read the variable, so the ctypes calls had nothing to do
+    assert report["limited"] == []
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_cli_leaves_a_thread_count_in_the_environment_alone(var):
+    report = _probe_blas_threads("cli", **{var: "2"})
+    assert set(report["threads"].values()) == {2}
+    assert report["environ"] == {}
+    assert report["limited"] == []
+
+
+# zgetrf and zgetrs on 20 seeded complex matrices of each size m = 1..39, as
+# the hex of their outputs, after the import named by the argument: "own"
+# imports pelletbounds.linalg alone and uses the LAPACK module it loaded,
+# "scipy" imports scipy.linalg first and uses scipy.linalg.lapack.
+_LAPACK_PROBE = """
+import json, sys
+import numpy as np
+if sys.argv[1] == "scipy":
+    from scipy.linalg import lapack
+from pelletbounds import linalg
+if sys.argv[1] == "own":
+    assert "scipy" not in sys.modules and "scipy.linalg" not in sys.modules
+    lapack = linalg.lapack
+rng = np.random.default_rng(20261018)
+out = []
+for m in range(1, 40):
+    for _ in range(20):
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        b = rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
+        lu, piv, info = lapack.zgetrf(a)
+        x, info2 = lapack.zgetrs(lu, piv, b)
+        out.append([lu.tobytes().hex(), piv.tobytes().hex(), info, x.tobytes().hex(), info2])
+print(json.dumps(out))
+"""
+
+
+def test_loaded_lapack_is_bit_identical_to_scipy_linalg():
+    outputs = []
+    for mode in ("own", "scipy"):
+        proc = subprocess.run([sys.executable, "-c", _LAPACK_PROBE, mode], env=pelletbounds_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert len(outputs[0]) == 39 * 20
+    assert outputs[0] == outputs[1]
+
+
+def test_lapack_falls_back_to_scipy_linalg_without_the_extension_file(tmp_path):
+    (tmp_path / "linalg").mkdir()
+    from scipy.linalg import lapack as scipy_lapack
+    for scipy_dir in (str(tmp_path), None):
+        lapack = linalg._load_flapack(scipy_dir)
+        assert lapack is scipy_lapack
+        a = np.array([[0.0, 2.0], [1.0, 1.0j]])
+        lu, piv, info = lapack.zgetrf(a)
+        assert info == 0 and list(piv) == [1, 1]
+        x, info = lapack.zgetrs(lu, piv, np.eye(2))
+        assert info == 0 and np.allclose(a @ x, np.eye(2), atol=1e-15)
