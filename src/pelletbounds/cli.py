@@ -61,8 +61,11 @@ class InputError(Exception):
 
 
 def _parse_poly_arg(text: str) -> list:
+    fields = text.split(",")
+    if any(tok.strip() == "" for tok in fields):
+        raise InputError("--poly has an empty field")
     try:
-        desc = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        desc = [float(tok) for tok in fields]
     except ValueError as exc:
         raise InputError(f"could not parse --poly: {exc}") from exc
     if len(desc) < 2:

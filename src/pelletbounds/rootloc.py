@@ -27,33 +27,34 @@ The envelope.  The Newton-polygon (tropical) envelope of h,
 satisfies T <= h <= T + log N, since a sum of N positive terms lies between
 its largest term and N times it.  T is piecewise linear and read off the
 terms: it is <= 0 exactly on an interval [tau1, tau2] (one end infinite in
-the Cauchy shapes), and every search starts from it.
+the Cauchy shapes).  Every root lies inside, and h >= T = 0 at either end.
 
-* One sign change: h is monotone and its root lies within
-  log N / min|j - k| of the envelope's zero, so the search starts there
-  with that first step, which brackets the root in exact arithmetic.
-* Pellet shape: the minimum of T is the chord test of the Newton polygon,
+Roots.  Newton's method on a convex function, started where it is >= 0,
+converges monotonically to the root on that side, as the tangent lies below
+h (Ostrowski, Solution of Equations and Systems of Equations).  So each
+root is one plain Newton iteration on (h, h') from an end of [tau1, tau2]:
+the one-sign-change root from tau1 when there are terms below k and from
+tau2 otherwise, and in the Pellet shape x1 from tau1 and x2 from tau2, on
+either side of the minimum of h.  It stops when a Newton step falls below
+the tolerance, or at h <= 0, which in exact arithmetic only the root
+reaches (the start too may round there).  Starts are clamped to |t| <= 700;
+h < 0 at a clamped start, or a step past that limit, puts the root beyond
+double range and raises InvalidShapeError instead of overflowing exp.
 
-      delta = max_{i < k < j} ((j-k) a_i + (k-i) a_j) / (j-i) - log(nu),
+Verdicts in the Pellet shape.  The minimum of T is the chord test of the
+Newton polygon,
 
-  reached at the crossing t_c of the maximizing pair.  phi_min is at least
-  nu*expm1(delta), so nu*expm1(delta) >= 10*GAP_RTOL settles "none" (not
-  marginal) without evaluating h.  Otherwise h is evaluated once at t_c,
-  and nu*expm1(h(t_c)) < -10*GAP_RTOL settles "two" (not marginal).
-  Failing both, the minimizer of h (the zero of the nondecreasing h',
-  within log N / min|j - k| of t_c) is located from t_c, and phi there
-  decides "none" or "two" and the marginal flag against GAP_RTOL.  The two
-  roots are searched outward from the point where h < 0, with first steps
-  to tau1 and tau2, where h >= T = 0.
+    delta = max_{i < k < j} ((j-k) a_i + (k-i) a_j) / (j-i) - log(nu),
 
-Every search is one routine for the zero of a monotone g given with its
-derivative: one bracket walk from a start t0 by a first step s, then 2s,
-4s, ... until g changes sign (s is at least 1e-9, so a one-term h, where
-the start is the root, still steps), then one Newton iteration safeguarded
-by bisection, which stops when the bracket or the Newton step falls below
-the tolerance.  Every start is clamped to |t| <= 700, and the walk checks that
-range guard before each evaluation, so a root beyond double range raises
-InvalidShapeError instead of overflowing exp.
+reached at the crossing t_c of the maximizing pair.  phi_min is at least
+nu*expm1(delta), so nu*expm1(delta) >= 10*GAP_RTOL settles "none" (not
+marginal) without evaluating h.  Otherwise h is evaluated once at t_c, and
+nu*expm1(h(t_c)) < -10*GAP_RTOL settles "two" (not marginal).  Failing
+both, the minimizer of h decides "none" or "two" and the marginal flag
+against GAP_RTOL.  As T(t) >= delta + min|j - k| |t - t_c| and h(t_c) <=
+delta + log N, it lies within log N / min|j - k| of t_c, the bracket of the
+one safeguarded search: Newton's method on h' with h'' (the only use of
+h''), falling back to bisection.
 """
 
 from __future__ import annotations
@@ -70,9 +71,8 @@ GAP_RTOL = 1e-10
 
 _T_LIMIT = 700.0  # |log x| beyond this exceeds double range
 _MAX_ITER = 200
-_ROOT_TOL = 1e-14  # relative bracket width at which a root of h is final
-_MIN_TOL = 1e-12   # the same for the minimizer, where phi is flat
-_MIN_STEP = 1e-9  # least first step of a bracket walk (N = 1 gives log N = 0)
+_ROOT_TOL = 1e-14  # relative Newton step at which a root of h is final
+_MIN_TOL = 1e-12   # the same, or bracket width, for the minimizer of h
 
 
 class InvalidShapeError(Exception):
@@ -163,9 +163,6 @@ class _LogRadial:
                 self.ds.append(float(j - k))
         self.nu = f.neg_value / scale  # may underflow; lognu does not
         self.lognu = _log_ratio(f.neg_value, scale)
-        # how far a root or the minimizer of h can lie from the matching
-        # zero or vertex of T, since T <= h <= T + log N
-        self.step = math.log(len(self.ds)) / min(abs(d) for d in self.ds)
         # T <= 0 on [tau1, tau2]: left of each rising line's zero, right of
         # each falling line's zero
         self.tau1, self.tau2 = -math.inf, math.inf
@@ -176,17 +173,23 @@ class _LogRadial:
             else:
                 self.tau1 = max(self.tau1, z)
 
-    def stats(self, t: float):
-        """Return (h, h', h'') at t; h' and h'' are the mean and variance of
-        j - k under the exponential weights, hence h is convex."""
+    def newton(self, t: float):
+        """Return (h, h') at t; h' is the mean of j - k under the weights
+        c_j e^{(j-k)t}."""
         ds = self.ds
         s = [a + d * t for a, d in zip(self.logs, ds)]
         smax = max(s)
         w = [math.exp(v - smax) for v in s]
         tot = sum(w)
-        mean = sum([wi * d for wi, d in zip(w, ds)]) / tot
-        var = sum([wi * (d - mean) ** 2 for wi, d in zip(w, ds)]) / tot
-        return smax + math.log(tot) - self.lognu, mean, var
+        return smax + math.log(tot) - self.lognu, sum([wi * d for wi, d in zip(w, ds)]) / tot
+
+    def stats(self, t: float):
+        """Return (h, h', h''); h'' is the variance of j - k under the same
+        weights, hence h is convex."""
+        h, mean = self.newton(t)
+        top = h + self.lognu  # the log of the weights' sum
+        var = sum([math.exp(a + d * t - top) * (d - mean) ** 2 for a, d in zip(self.logs, self.ds)])
+        return h, mean, var
 
     def phi(self, h: float) -> float:
         """phi = nu*(e^h - 1) on the normalized scale.  Past h = 1 it is
@@ -220,50 +223,48 @@ def _highest_chord(logs, ds):
     return best, tc
 
 
-def _clamp(t: float) -> float:
-    return min(max(t, -_T_LIMIT), _T_LIMIT)
-
-
-def _zero(g, t0: float, g0: float, increasing: bool, tol: float, step: float) -> float:
-    """Zero of the monotone g, searched from t0 where g(t0)[0] == g0.
-
-    ``g(t)`` returns the pair (g, g') and ``increasing`` says which way g
-    runs.  The bracket walk steps from t0 by ``step`` (at least _MIN_STEP),
-    then twice, four times, ... as far toward the zero until g changes
-    sign; each step is clamped to |t| <= _T_LIMIT before g is evaluated
-    there, and a walk that would pass the limit raises.  A Newton iteration
-    safeguarded by bisection then narrows the bracket to a relative width
-    of ``tol``, or stops early when a Newton step is below half of it.
-    """
-    if g0 == 0.0:
-        return t0
-    direction = 1.0 if (g0 < 0.0) == increasing else -1.0
-    prev, step = t0, max(step, _MIN_STEP)
-    while True:
-        t = _clamp(t0 + direction * step)
-        if t == prev:
-            raise InvalidShapeError("root outside representable range")
-        if (g(t)[0] > 0.0) != (g0 > 0.0):
-            break
-        prev, step = t, 2.0 * step
-    lo, hi = min(prev, t), max(prev, t)
-    t = 0.5 * (lo + hi)
+def _root(lr: _LogRadial, tau: float) -> float:
+    """The root of h reached by Newton's method from tau, a finite end of
+    [tau1, tau2] and so on the root's outer side (see the module docstring)."""
+    t = min(max(tau, -_T_LIMIT), _T_LIMIT)
+    v, slope = lr.newton(t)
+    if v < 0.0 and t != tau:
+        raise InvalidShapeError("root outside representable range")
     for _ in range(_MAX_ITER):
-        v, slope = g(t)
+        if v <= 0.0:
+            break
+        tn = t - v / slope
+        if abs(tn) > _T_LIMIT:
+            raise InvalidShapeError("root outside representable range")
+        if abs(tn - t) <= 0.5 * _ROOT_TOL * (1.0 + 2.0 * abs(t)):
+            return tn
+        t = tn
+        v, slope = lr.newton(t)
+    return t
+
+
+def _minimizer(lr: _LogRadial, tc: float) -> float:
+    """The zero of the nondecreasing h' within log N / min|j - k| of t_c:
+    Newton's method on h' from t_c, safeguarded by bisection, until the
+    bracket or a Newton step falls below _MIN_TOL relative."""
+    step = math.log(len(lr.ds)) / min(abs(d) for d in lr.ds)
+    lo, hi, t = tc - step, tc + step, tc
+    for _ in range(_MAX_ITER):
+        _, v, slope = lr.stats(t)
         if v == 0.0:
             return t
-        if (v > 0.0) == increasing:
+        if v > 0.0:
             hi = t
         else:
             lo = t
-        if hi - lo <= tol * (1.0 + abs(lo) + abs(hi)):
+        if hi - lo <= _MIN_TOL * (1.0 + abs(lo) + abs(hi)):
             break
         if slope != 0.0:
             tn = t - v / slope
             # a Newton step below the tolerance has converged; without this
             # test an iterate that rounds onto an end of the bracket would
             # stall there and leave the rest to bisection
-            if lo <= tn <= hi and abs(tn - t) <= 0.5 * tol * (1.0 + 2.0 * abs(t)):
+            if lo <= tn <= hi and abs(tn - t) <= 0.5 * _MIN_TOL * (1.0 + 2.0 * abs(t)):
                 return tn
             if lo < tn < hi:
                 t = tn
@@ -278,38 +279,24 @@ def positive_roots(f: SignedRadialPolynomial) -> PositiveRoots:
     One sign change (Cauchy shapes and degenerate one-sided Pellet shapes)
     yields the unique root.  Otherwise a minimum of phi = f/x^k above
     -GAP_RTOL (on the normalized coefficient scale) means the two roots may
-    coincide and "none" is returned, else both roots are found by walking
-    outward from a point where phi < 0.  The envelope settles most verdicts
-    before the minimum is searched for (see the module docstring).
+    coincide and "none" is returned, else both roots are found from the
+    outer side.  The envelope settles most verdicts before the minimum is
+    searched for (see the module docstring).
     """
     lr = _LogRadial(f)
-    k = f.neg_index
-    below = any(c > 0.0 for c in f.coeffs[:k])
-    above = any(c > 0.0 for c in f.coeffs[k + 1:])
-    h = lambda t: lr.stats(t)[:2]
-
+    below, above = lr.ds[0] < 0.0, lr.ds[-1] > 0.0
     if not (below and above):
-        # single sign change: h is strictly monotone, increasing when all
-        # the mass lies above k (E[j] - k > 0)
-        t0 = _clamp(lr.tau1 if below else lr.tau2)
-        t = _zero(h, t0, h(t0)[0], not below, _ROOT_TOL, lr.step)
-        return PositiveRoots("one", x1=math.exp(t))
+        # single sign change: h decreases when all the mass lies below k
+        return PositiveRoots("one", x1=math.exp(_root(lr, lr.tau1 if below else lr.tau2)))
 
     delta, tc = lr.vertex()
     if lr.phi(delta) >= 10.0 * GAP_RTOL:
         return PositiveRoots("none")
-    t0 = _clamp(tc)
-    h0, slope0, _ = lr.stats(t0)
     marginal = False
-    if lr.phi(h0) >= -10.0 * GAP_RTOL:
-        # the minimizer of the convex h is the zero of the nondecreasing h'
-        slope = lambda t: lr.stats(t)[1:]
-        t0 = _zero(slope, t0, slope0, True, _MIN_TOL, lr.step)
-        h0 = h(t0)[0]
-        phimin = lr.phi(h0)
+    if lr.phi(lr.newton(tc)[0]) >= -10.0 * GAP_RTOL:
+        phimin = lr.phi(lr.newton(_minimizer(lr, tc))[0])
         marginal = abs(phimin) < 10.0 * GAP_RTOL
         if phimin >= -GAP_RTOL:
             return PositiveRoots("none", marginal=marginal)
-    t1 = _zero(h, t0, h0, False, _ROOT_TOL, t0 - lr.tau1)
-    t2 = _zero(h, t0, h0, True, _ROOT_TOL, lr.tau2 - t0)
-    return PositiveRoots("two", x1=math.exp(t1), x2=math.exp(t2), marginal=marginal)
+    x1, x2 = math.exp(_root(lr, lr.tau1)), math.exp(_root(lr, lr.tau2))
+    return PositiveRoots("two", x1=x1, x2=x2, marginal=marginal)

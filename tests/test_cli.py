@@ -202,6 +202,8 @@ def test_format_only_where_it_is_used(capsys):
 
 def test_bad_inputs_exit_one(capsys, tmp_path):
     assert run_cli(capsys, "gap", "--poly", "abc", "--k", "1")[0] == 1
+    assert run_cli(capsys, "oracle", "--poly", "1,,-3,2")[0] == 1  # an empty field
+    assert run_cli(capsys, "oracle", "--poly", "1,0,-3,2,")[0] == 1  # a trailing comma
     assert run_cli(capsys, "bounds")[0] == 1  # no polynomial given
     assert run_cli(capsys, "gap", "--poly", "1,-3,2", "--k", "7")[0] == 1
     bad = tmp_path / "bad.json"

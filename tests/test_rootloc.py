@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -283,7 +284,8 @@ def test_envelope_bounds_h_and_brackets_its_roots(f, ts):
             assert env - slack <= 0.0 <= env + math.log(n_terms) + slack
             assert lr.tau1 - slack <= t <= lr.tau2 + slack
             # ... and within log N / min|j - k| of the nearer end
-            assert min(t - lr.tau1, lr.tau2 - t) <= lr.step + slack
+            step = math.log(len(lr.ds)) / min(abs(d) for d in lr.ds)
+            assert min(t - lr.tau1, lr.tau2 - t) <= step + slack
 
 
 def test_stats_match_direct_sums():
@@ -308,25 +310,39 @@ def test_stats_match_direct_sums():
         assert lr.stats(t) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+@pytest.fixture
+def h_evaluations(monkeypatch):
+    """The list of points at which h is evaluated.  Every evaluation goes
+    through the (h, h') evaluator: the (h, h', h'') one calls it."""
+    points = []
+    newton = rootloc._LogRadial.newton
+
+    def counted(lr, t):
+        points.append(t)
+        return newton(lr, t)
+
+    monkeypatch.setattr(rootloc._LogRadial, "newton", counted)
+    return points
+
+
+def test_every_evaluator_of_h_is_counted(h_evaluations):
+    lr = rootloc._LogRadial(radial([1.0, 0.0, 1.0], 1, 3.0))
+    lr.newton(0.5)
+    lr.stats(0.25)
+    assert h_evaluations == [0.5, 0.25]
+
+
 @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0 - 1e-9, 2.0 + 1e-9, 3.0])
-def test_closed_form_minimum_decides_verdict(nu, monkeypatch):
+def test_closed_form_minimum_decides_verdict(nu, h_evaluations):
     # x^2 - nu x + 1 at k = 1: phi = x + 1/x - nu, normalized by max(1, nu),
     # has its minimum (2 - nu) / max(1, nu) at x = 1
     phimin = (2.0 - nu) / max(1.0, nu)
-    evaluations = []
-    stats = rootloc._LogRadial.stats
-
-    def counted(lr, t):
-        evaluations.append(t)
-        return stats(lr, t)
-
-    monkeypatch.setattr(rootloc._LogRadial, "stats", counted)
     r = positive_roots(radial([1.0, 0.0, 1.0], 1, nu))
     assert r.kind == ("two" if phimin < -rootloc.GAP_RTOL else "none")
     assert r.marginal == (abs(phimin) < 10.0 * rootloc.GAP_RTOL)
     if nu < 1.0:
         # the envelope's minimum delta = -log(nu) > 0 settles it unevaluated
-        assert evaluations == []
+        assert h_evaluations == []
     if r.kind == "two":
         disc = math.sqrt(nu * nu - 4.0)
         assert r.x1 == pytest.approx((nu - disc) / 2.0, rel=1e-6)
@@ -396,3 +412,103 @@ def test_agreement_with_companion_oracle_spiked():
         for a, b in zip(got, expected):
             assert a == pytest.approx(b, rel=1e-8)
     assert kinds["two"] > 60 and kinds["none"] > 60
+
+
+def test_one_root_shapes_take_few_evaluations(h_evaluations):
+    # Newton from the envelope's zero evaluates h 3.8 times per Cauchy shape
+    # on this set; a bracket walk before it would need about 6.7
+    rng = np.random.default_rng(19)
+    shapes = 500
+    for _ in range(shapes):
+        n = int(rng.integers(1, 31))
+        k = 0 if rng.uniform() < 0.5 else n
+        coeffs = 10.0 ** rng.uniform(-2.0, 2.0, n + 1)
+        coeffs[rng.uniform(size=n + 1) < 0.4] = 0.0
+        coeffs[k] = 0.0
+        if not coeffs.any():
+            coeffs[(k + 1) % (n + 1)] = 1.0
+        assert positive_roots(radial(coeffs, k, 10.0 ** rng.uniform(-2.0, 2.0))).kind == "one"
+    assert len(h_evaluations) / shapes <= 4.5
+
+
+def _exact_sign(f, x):
+    """The sign of f(x), evaluated exactly in rationals."""
+    acc = Fraction(0)
+    for j in range(f.degree, -1, -1):
+        acc = acc * Fraction(x) + Fraction(-f.neg_value if j == f.neg_index else f.coeffs[j])
+    return (acc > 0) - (acc < 0)
+
+
+def test_start_that_rounds_below_zero_is_the_root():
+    # h(tau1) >= 0 in exact arithmetic, but here it rounds to -4.3e-17 (a
+    # radial polynomial of an experiment's table): the start is the root
+    f = radial([0.29487947530416075] + [0.0] * 38 + [0.5459638802066339, 1.0], 1, 0.9999208549850965)
+    lr = rootloc._LogRadial(f)
+    assert lr.newton(lr.tau1)[0] < 0.0
+    r = positive_roots(f)
+    assert r.kind == "two" and r.x1 == math.exp(lr.tau1)
+    assert _exact_sign(f, r.x1 * 0.999) > 0 > _exact_sign(f, r.x1 * 1.001)
+
+
+def _seeded_shapes(rng, count):
+    """Radial polynomials of degree 1..30, half with coefficients and nu from
+    1e-2..1e2 and half from 1e-250..1e250, like _wide_shapes; every fourth
+    has nu raised above the largest coefficient, so that two roots are
+    likely."""
+    for i in range(count):
+        n = int(rng.integers(1, 31))
+        k = int(rng.integers(0, n + 1))
+        span = 2.0 if i % 2 == 0 else 250.0
+        coeffs = 10.0 ** rng.uniform(-span, span, n + 1)
+        coeffs[rng.uniform(size=n + 1) < 0.5] = 0.0
+        coeffs[k] = 0.0
+        if not coeffs.any():
+            coeffs[(k + 1) % (n + 1)] = 10.0 ** rng.uniform(-span, span)
+        nu = 10.0 ** rng.uniform(-span, span)
+        if i % 4 == 0:
+            nu += 10.0 ** rng.uniform(1.0, 3.0) * max(coeffs)
+        yield radial(coeffs, k, nu)
+
+
+def test_every_root_changes_sign_exactly_and_is_approached_one_way(monkeypatch):
+    # each returned root x lies within the search's tolerance e of a sign
+    # change of f, checked in rationals at x e^-e and x e^e, and the Newton
+    # iterates of each root move in one direction, inward from tau
+    newton, root = rootloc._LogRadial.newton, rootloc._root
+    searching, paths = [], []  # the iterates of the search under way; of each search
+
+    def traced_newton(lr, t):
+        if searching:
+            searching[-1].append(t)
+        return newton(lr, t)
+
+    def traced_root(lr, tau):
+        searching.append([])
+        try:
+            t = root(lr, tau)
+        finally:
+            iterates = searching.pop()
+        paths.append((1.0 if tau == lr.tau1 else -1.0, iterates + [t]))
+        return t
+
+    monkeypatch.setattr(rootloc._LogRadial, "newton", traced_newton)
+    monkeypatch.setattr(rootloc, "_root", traced_root)
+    found = {"one": 0, "two": 0}
+    for f in _seeded_shapes(np.random.default_rng(23), 400):
+        try:
+            r = positive_roots(f)
+        except InvalidShapeError:  # a root beyond double range
+            continue
+        found[r.kind] = found.get(r.kind, 0) + 1
+        for x in (r.x1, r.x2):
+            if x is None:
+                continue
+            t = math.log(x)
+            eps = rootloc._ROOT_TOL * (1.0 + 2.0 * abs(t))
+            below, above = x * math.exp(-eps), x * math.exp(eps)
+            assert below < x < above
+            if math.isfinite(above):
+                assert _exact_sign(f, below) * _exact_sign(f, above) < 0, (f, x)
+    for direction, iterates in paths:
+        assert all(direction * (b - a) >= 0.0 for a, b in zip(iterates, iterates[1:])), iterates
+    assert found["one"] > 100 and found["two"] > 40
