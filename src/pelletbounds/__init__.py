@@ -25,8 +25,8 @@ _SUBMODULE_NAMES = {
                "cauchy_bounds", "pellet_gap", "squared_bounds", "squared_gap"),
     "embed": ("InvalidDegreeError", "LacunaryPolynomial", "ZeroLeadingError", "embed_even",
               "embed_odd", "to_scalar"),
-    "experiments": ("ExperimentConfig", "ExperimentResult", "TrialStats", "gen_ex1", "gen_ex2",
-                    "gen_ex3", "gen_ex4", "run_experiment", "trial_rng"),
+    "experiments": ("ExperimentConfig", "ExperimentResult", "gen_ex1", "gen_ex2", "gen_ex3",
+                    "gen_ex4", "run_experiment", "trial_rng"),
     "linalg": ("NoConvergenceError", "NormKind", "SingularMatrixError", "eigenvalues",
                "inv_norm_inv", "left_solve", "norm"),
     "matpoly": ("MatrixPolynomial", "NotMonicError", "OddDegreeError", "companion", "evaluate",

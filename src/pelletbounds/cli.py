@@ -172,8 +172,6 @@ def _cmd_bounds(args) -> int:
 def _cmd_gap(args) -> int:
     p = _load_polynomial(args)
     kinds = [NormKind.coerce(k) for k in (args.norm or ["one"])]
-    if args.k is None:
-        raise InputError("gap requires --k")
     results = []
     for kind in kinds:
         if args.variant == "q":
@@ -273,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gap", help="Pellet annulus query at index k")
     add_io(sp, formats=("md", "json"))
     sp.add_argument("--norm", action="append", choices=["one", "inf", "two"])
-    sp.add_argument("--k", type=int)
+    sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--variant", choices=["p", "q"], default="p")
     sp.add_argument("--precondition", action="store_true")
     sp.set_defaults(func=_cmd_gap)

@@ -7,7 +7,9 @@ containment checks (a violation raises ``SoundnessError`` and aborts the
 run) and aggregate it: ``_BoundRatios`` keeps radius-to-truth ratios, skip
 and best-bound counts (ex1, ex4), and ``_GapPair`` keeps the gap
 frequencies, width ratios and every-k counts of a pair of gap variants
-(ex2, ex3, ex4), and emits their frequency and ratio tables:
+(ex2, ex3, ex4).  The tallies fill the rows of the run's tables directly,
+and an ``ExperimentResult`` is the config and those tables: the tables are
+the run's one record.  The studies:
 
 * ex1 -- degree-10 polynomials with random m x m coefficients; Cauchy upper
   bounds from P vs its companion-squared Q, and lower bounds from P, Q, the
@@ -19,6 +21,13 @@ frequencies, width ratios and every-k counts of a pair of gap variants
   preconditioned squared variant.
 * ex4 -- random lacunary polynomials of degree n; scalar Cauchy/Pellet vs the
   2x2 matrix embedding, at k=2 and k=n-2.
+
+The table cells are Python ints, strings and unrounded floats, NaN where a
+mean, standard deviation or percentage is undefined (no values, or a zero
+denominator).  Only the printers round: CSV and markdown print floats to six
+significant digits and NaN as ``nan``, and JSON prints NaN as ``null``.
+ex1 may compare several norm kinds, one table pair each; ex2--ex4 take one.
+A norm kind may not repeat.
 
 Per-trial randomness comes from counter-based Philox streams keyed by
 (seed, trial index), so runs are reproducible and trials independent.
@@ -38,7 +47,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,9 +79,10 @@ class ExperimentConfig:
     """Which study to run and at what scale.
 
     ``norm_kinds`` left empty selects the norms the reference tables use
-    (1-norm for ex1/ex2, 2-norm for ex3/ex4).  ``m`` applies to ex1, ``eta``
-    to ex2, ``n`` to ex4.  ``scale_per_entry`` switches ex1 to drawing one
-    scale factor per coefficient entry instead of one per coefficient matrix.
+    (1-norm for ex1/ex2, 2-norm for ex3/ex4); ex1 takes any distinct kinds,
+    ex2-ex4 one.  ``m`` applies to ex1, ``eta`` to ex2, ``n`` to ex4.
+    ``scale_per_entry`` switches ex1 to drawing one scale factor per
+    coefficient entry instead of one per coefficient matrix.
     """
 
     example_id: str
@@ -98,6 +108,10 @@ class ExperimentConfig:
         if self.example_id == "ex4" and (self.n < 6 or self.n % 2 != 0):
             raise ValueError("ex4 needs an even degree n >= 6")
         kinds = tuple(NormKind.coerce(k) for k in self.norm_kinds)
+        if len(set(kinds)) < len(kinds):
+            raise ValueError("a norm kind may not repeat")
+        if self.example_id != "ex1" and len(kinds) > 1:
+            raise ValueError(f"{self.example_id} takes one norm kind")
         object.__setattr__(self, "norm_kinds", kinds)
 
     @property
@@ -116,32 +130,19 @@ class ExperimentConfig:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class TrialStats:
-    """Aggregate over trials for one bound/gap variant."""
-
-    mean_ratio_percent: float = math.nan
-    std_percent: float = math.nan
-    best_count: int = 0
-    gap_total: int = 0
-    gap_only: int = 0
-    gap_ratio_mean: float = math.nan
-    gap_ratio_std: float = math.nan
-    skipped: int = 0
-
-
 @dataclass
 class ResultTable:
     name: str
     columns: list
-    rows: list = field(default_factory=list)
+    rows: list
 
 
 @dataclass
 class ExperimentResult:
+    """A run's record: its config and its tables (see the module docstring)."""
+
     config: ExperimentConfig
     tables: list
-    stats: dict
 
     def to_csv(self) -> str:
         lines = [f"# pelletbounds experiment {self.config.describe()}"]
@@ -168,27 +169,14 @@ class ExperimentResult:
         return {
             "config": self.config.describe(),
             "tables": {t.name: {"columns": t.columns,
-                                "rows": [[_json_cell(v) for v in row] for row in t.rows]}
+                                "rows": [[None if isinstance(v, float) and math.isnan(v) else v
+                                          for v in row] for row in t.rows]}
                        for t in self.tables},
         }
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".6g")
-    return str(v)
-
-
-def _json_cell(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    return v
+    return format(v, ".6g") if isinstance(v, float) else str(v)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -412,13 +400,11 @@ class _BoundRatios:
         if win is not None:
             self.best[win] += 1
 
-    def stats(self) -> dict:
-        out = {}
-        for v, ratios in self.ratios.items():
-            mean, std = _mean_std(ratios)
-            out[v] = TrialStats(mean_ratio_percent=mean, std_percent=std,
-                                best_count=self.best[v], skipped=self.skipped[v])
-        return out
+    def rows(self) -> list:
+        """[variant, mean, std, best_count, skipped] per variant; mean and std
+        of the ratios in percent."""
+        return [[v, *_mean_std(ratios), self.best[v], self.skipped[v]]
+                for v, ratios in self.ratios.items()]
 
 
 class _GapPair:
@@ -429,14 +415,14 @@ class _GapPair:
     wider when both found one.  Across all k: the trials in which a side
     found a gap at every k, and those in which the other side did not.
     ``m`` is the block size, so a gap at k encloses k*m eigenvalues.
-    ``wider`` names the b-wider share in both the stats and the ratio table;
-    by default they are ``pct_b_wider`` and ``pct_gap_<b>_gt_<a>``.
+    ``wider`` names the ratio table's b-wider share column, by default
+    ``pct_gap_<b>_gt_<a>``.
     """
 
     def __init__(self, names, ks, m: int = 1, wider: str | None = None):
         a, b = names
         self.names, self.ks, self.m = names, ks, m
-        self.wider = (wider, wider) if wider else ("pct_b_wider", f"pct_gap_{b}_gt_{a}")
+        self.wider = wider or f"pct_gap_{b}_gt_{a}"
         self.widths = {(side, k): [] for side in (0, 1) for k in ks}
         self.only = dict.fromkeys(self.widths, 0)
         self.skipped = dict.fromkeys(self.widths, 0)
@@ -477,41 +463,25 @@ class _GapPair:
                 if not every[1 - side]:
                     self.every_k_only[side] += 1
 
-    def _side(self, side: int, k: int) -> TrialStats:
-        mean, std = _mean_std(self.widths[side, k])
-        return TrialStats(gap_total=len(self.widths[side, k]), gap_only=self.only[side, k],
-                          gap_ratio_mean=mean, gap_ratio_std=std, skipped=self.skipped[side, k])
-
-    def stats(self, k: int) -> dict:
-        a, b = self.names
-        return {a: self._side(0, k), b: self._side(1, k),
-                self.wider[0]: _pct(self.b_wider[k], self.both[k])}
-
     def tables(self, freq_name: str, ratio_name: str, key: str, rows) -> list:
         """Frequency and ratio tables with one row per (key value, k) in ``rows``."""
         a, b = self.names
         freq = ResultTable(freq_name, [key] + [f"{v}_{col}" for col in ("total", "only", "skipped")
-                                               for v in (a, b)])
+                                               for v in (a, b)], [])
         ratio = ResultTable(ratio_name, [key, f"{a}_mean", f"{a}_std", f"{b}_mean", f"{b}_std",
-                                         self.wider[1]])
+                                         self.wider], [])
         for value, k in rows:
-            sa, sb = self._side(0, k), self._side(1, k)
-            freq.rows.append([value, sa.gap_total, sb.gap_total, sa.gap_only, sb.gap_only,
-                              sa.skipped, sb.skipped])
-            ratio.rows.append([value, sa.gap_ratio_mean, sa.gap_ratio_std,
-                               sb.gap_ratio_mean, sb.gap_ratio_std, _pct(self.b_wider[k], self.both[k])])
+            freq.rows.append([value] + [len(self.widths[side, k]) for side in (0, 1)]
+                             + [tally[side, k] for tally in (self.only, self.skipped)
+                                for side in (0, 1)])
+            ratio.rows.append([value, *_mean_std(self.widths[0, k]), *_mean_std(self.widths[1, k]),
+                               _pct(self.b_wider[k], self.both[k])])
         return [freq, ratio]
-
-    def every_k_stats(self) -> dict:
-        a, b = self.names
-        return {a: self.every_k[0], b: self.every_k[1],
-                f"{a}_only": self.every_k_only[0], f"{b}_only": self.every_k_only[1]}
 
     def every_k_table(self, name: str) -> ResultTable:
         a, b = self.names
-        tab = ResultTable(name, [f"{a}_both", f"{b}_both", f"{a}_both_only", f"{b}_both_only"])
-        tab.rows.append([*self.every_k, *self.every_k_only])
-        return tab
+        return ResultTable(name, [f"{a}_both", f"{b}_both", f"{a}_both_only", f"{b}_both_only"],
+                           [[*self.every_k, *self.every_k_only]])
 
 
 # ---------------------------------------------------------------------------
@@ -550,17 +520,10 @@ def _run_ex1(cfg: ExperimentConfig) -> ExperimentResult:
             tallies[kind]["upper"].add(rep, {"P": cb.upper, "Q": sq.upper}, label)
             tallies[kind]["lower"].add(rep, lowers, label)
 
-    stats, tables = {}, []
-    for kind in kinds:
-        stats[kind.value] = {}
-        for side, tally in tallies[kind].items():
-            side_stats = stats[kind.value][side] = tally.stats()
-            tab = ResultTable(f"ex1_{side}_m{cfg.m}_{kind.value}",
-                              ["variant", "mean_ratio_percent", "std_percent", "best_count", "skipped"])
-            tab.rows = [[v, s.mean_ratio_percent, s.std_percent, s.best_count, s.skipped]
-                        for v, s in side_stats.items()]
-            tables.append(tab)
-    return ExperimentResult(cfg, tables, stats)
+    columns = ["variant", "mean_ratio_percent", "std_percent", "best_count", "skipped"]
+    return ExperimentResult(cfg, [ResultTable(f"ex1_{side}_m{cfg.m}_{kind.value}", columns,
+                                              tally.rows())
+                                  for kind in kinds for side, tally in tallies[kind].items()])
 
 
 # ---------------------------------------------------------------------------
@@ -568,21 +531,19 @@ def _run_ex1(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_ex2(cfg: ExperimentConfig) -> ExperimentResult:
     kind = cfg.resolved_kinds[0]
-    pairs = {"plain": (False, _GapPair(("P", "Q"), (_EX2_K,), m=_EX2_BLOCK)),
-             "preconditioned": (True, _GapPair(("AkinvP", "BkinvQ"), (_EX2_K,), m=_EX2_BLOCK))}
+    # keyed by table-name suffix
+    pairs = {"": (False, _GapPair(("P", "Q"), (_EX2_K,), m=_EX2_BLOCK)),
+             "_preconditioned": (True, _GapPair(("AkinvP", "BkinvQ"), (_EX2_K,), m=_EX2_BLOCK))}
 
     for t, (p, rep) in enumerate(_oracle_trials(cfg)):
         for pre, gaps in pairs.values():
             gaps.add(rep, (lambda k: pellet_gap(p, k, kind, precondition=pre),
                            lambda k: squared_gap(p, k, kind, precondition=pre)), f"ex2 trial {t}")
 
-    stats, tables = {}, []
-    for pair, (_, gaps) in pairs.items():
-        stats[pair] = gaps.stats(_EX2_K)
-        suffix = "" if pair == "plain" else "_preconditioned"
-        tables += gaps.tables(f"ex2_gap_frequency{suffix}", f"ex2_gap_ratio{suffix}", "eta",
-                              [(cfg.eta, _EX2_K)])
-    return ExperimentResult(cfg, tables, stats)
+    return ExperimentResult(cfg, [table for suffix, (_, gaps) in pairs.items()
+                                  for table in gaps.tables(f"ex2_gap_frequency{suffix}",
+                                                           f"ex2_gap_ratio{suffix}", "eta",
+                                                           [(cfg.eta, _EX2_K)])])
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +557,8 @@ def _run_ex3(cfg: ExperimentConfig) -> ExperimentResult:
         gaps.add(rep, (lambda k: pellet_gap(p, k, kind),
                        lambda k: squared_gap(p, k, kind, precondition=True)), f"ex3 trial {t}")
 
-    stats = {k: gaps.stats(k) for k in _EX3_KS}
-    stats["both_k"] = gaps.every_k_stats()
     tables = gaps.tables("ex3_gap_frequency", "ex3_gap_ratio", "k", [(k, k) for k in _EX3_KS])
-    tables.append(gaps.every_k_table("ex3_both_k"))
-    return ExperimentResult(cfg, tables, stats)
+    return ExperimentResult(cfg, tables + [gaps.every_k_table("ex3_both_k")])
 
 
 # ---------------------------------------------------------------------------
@@ -617,43 +575,31 @@ def _run_ex4(cfg: ExperimentConfig) -> ExperimentResult:
     upper = _BoundRatios(True, _EX4_BOUNDS[:2])
     lower = _BoundRatios(False, _EX4_BOUNDS[2:])
     gaps = _GapPair(("scalar", "matrix"), ks, wider="pct_matrix_wider")
-    upper_better = lower_better = both_better = 0
-    both_present = 0
+    # trials with all four bounds, and those whose matrix upper, lower, both are tighter
+    both_present, better = 0, [0, 0, 0]
 
     for t, (lac, rep) in enumerate(_oracle_trials(cfg)):
-        ps = to_scalar(lac)
-        qe = embed_even(lac)
-
-        su = cauchy_bounds(ps, kind)
-        mu = cauchy_bounds(qe, kind)
+        ps, qe = to_scalar(lac), embed_even(lac)
+        su, mu = cauchy_bounds(ps, kind), cauchy_bounds(qe, kind)
         label = f"ex4 trial {t}"
         upper.add(rep, {"upper_scalar": su.upper, "upper_matrix": mu.upper}, label)
         lower.add(rep, {"lower_scalar": su.lower, "lower_matrix": mu.lower}, label)
         if None not in (su.upper, mu.upper, su.lower, mu.lower):
             both_present += 1
-            up = mu.upper < su.upper
-            lo = mu.lower > su.lower
-            upper_better += up
-            lower_better += lo
-            both_better += up and lo
+            up, lo = mu.upper < su.upper, mu.lower > su.lower
+            better = [count + hit for count, hit in zip(better, (up, lo, up and lo))]
         gaps.add(rep, (lambda k: pellet_gap(ps, k, kind),
                        lambda k: pellet_gap(qe, k // 2, kind)), label)
 
-    bounds = {**upper.stats(), **lower.stats()}
-    for name, count in zip(_EX4_BETTER, (upper_better, lower_better, both_better)):
-        bounds[name] = _pct(count, both_present)
-    stats = {"bounds": bounds, "gaps": {k: gaps.stats(k) for k in ks},
-             "both_k": gaps.every_k_stats()}
-
-    tab = ResultTable(f"ex4_bounds_n{n}", ["n"] + [f"{v}_{col}" for v in _EX4_BOUNDS
-                                                   for col in ("mean", "std")] + list(_EX4_BETTER))
-    tab.rows.append([n] + [x for v in _EX4_BOUNDS
-                           for x in (bounds[v].mean_ratio_percent, bounds[v].std_percent)]
-                    + [bounds[name] for name in _EX4_BETTER])
-    tables = [tab] + gaps.tables(f"ex4_gap_frequency_n{n}", f"ex4_gap_ratio_n{n}", "k",
-                                 [(k, k) for k in ks])
-    tables.append(gaps.every_k_table(f"ex4_both_k_n{n}"))
-    return ExperimentResult(cfg, tables, stats)
+    # the bound rows come in _EX4_BOUNDS order; each gives its mean and std
+    columns = ["n"] + [f"{v}_{col}" for v in _EX4_BOUNDS for col in ("mean", "std")]
+    row = [n] + [x for bound in upper.rows() + lower.rows() for x in bound[1:3]]
+    bounds = ResultTable(f"ex4_bounds_n{n}", columns + list(_EX4_BETTER),
+                         [row + [_pct(count, both_present) for count in better]])
+    return ExperimentResult(cfg, [bounds, *gaps.tables(f"ex4_gap_frequency_n{n}",
+                                                       f"ex4_gap_ratio_n{n}", "k",
+                                                       [(k, k) for k in ks]),
+                                  gaps.every_k_table(f"ex4_both_k_n{n}")])
 
 
 _RUNNERS = {"ex1": _run_ex1, "ex2": _run_ex2, "ex3": _run_ex3, "ex4": _run_ex4}

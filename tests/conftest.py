@@ -22,6 +22,13 @@ def pelletbounds_env(**overrides):
     return env
 
 
+def table_rows(result, name):
+    """The rows of the experiment table ``name`` in ``result``, each a dict
+    keyed by column."""
+    (table,) = [t for t in result.tables if t.name == name]
+    return [dict(zip(table.columns, row)) for row in table.rows]
+
+
 def rand_matrix(rng, m, scale=1.0):
     return scale * (rng.uniform(-1, 1, (m, m)) + 1j * rng.uniform(-1, 1, (m, m)))
 

@@ -37,7 +37,8 @@ from pelletbounds import (
 )
 from pelletbounds.oracle import check_gap, check_lower, check_upper
 
-from conftest import CRITERION_1_SEED as SEED, criterion_1_instance, max_match_distance
+from conftest import (CRITERION_1_SEED as SEED, criterion_1_instance, max_match_distance,
+                      table_rows)
 
 KINDS = (NormKind.ONE, NormKind.INF, NormKind.TWO)
 
@@ -213,14 +214,16 @@ def test_criterion_5_table_reproduction():
 
     def run_ex1(m):
         cfg = ExperimentConfig("ex1", trials=200, seed=SEED, m=m, norm_kinds=("one",))
-        return run_experiment(cfg).stats["one"]
+        res = run_experiment(cfg)
+        return {side: {row["variant"]: row for row in table_rows(res, f"ex1_{side}_m{m}_one")}
+                for side in ("upper", "lower")}
 
     paper_upper = {10: (316.0, 247.0), 25: (481.0, 312.0)}
     ex1 = {m: run_ex1(m) for m in (2, 10, 25)}
     ok = True
     for m in (10, 25):
-        mean_p = ex1[m]["upper"]["P"].mean_ratio_percent
-        mean_q = ex1[m]["upper"]["Q"].mean_ratio_percent
+        mean_p = ex1[m]["upper"]["P"]["mean_ratio_percent"]
+        mean_q = ex1[m]["upper"]["Q"]["mean_ratio_percent"]
         tp, tq = paper_upper[m]
         ok &= mean_q < mean_p
         ok &= abs(mean_p - tp) <= 0.10 * tp
@@ -228,22 +231,22 @@ def test_criterion_5_table_reproduction():
         details.append(f"ex1 m={m}: P {mean_p:.1f} (ref {tp:.0f}), Q {mean_q:.1f} (ref {tq:.0f})")
     for m in (2, 10, 25):
         lower = ex1[m]["lower"]
-        qr = lower["QR"].best_count
-        others = max(lower["A0invP"].best_count, lower["B0invQ"].best_count)
+        qr = lower["QR"]["best_count"]
+        others = max(lower["A0invP"]["best_count"], lower["B0invQ"]["best_count"])
         ok &= qr > others
         details.append(f"ex1 m={m}: QR wins {qr}/200 lower-bound trials")
 
     for eta, expect_q_ahead in ((0.0, True), (1.0, False)):
         cfg = ExperimentConfig("ex2", trials=100, seed=SEED, eta=eta)
-        stats = run_experiment(cfg).stats["plain"]
-        p_total, q_total = stats["P"].gap_total, stats["Q"].gap_total
+        (plain,) = table_rows(run_experiment(cfg), "ex2_gap_frequency")
+        p_total, q_total = plain["P_total"], plain["Q_total"]
         ok &= (q_total > p_total) if expect_q_ahead else (p_total > q_total)
         details.append(f"ex2 eta={eta:g}: gaps P={p_total}, Q={q_total} /100")
 
     cfg = ExperimentConfig("ex4", trials=200, seed=SEED, n=80)
-    b = run_experiment(cfg).stats["bounds"]
-    scalar_mean = b["upper_scalar"].mean_ratio_percent
-    matrix_mean = b["upper_matrix"].mean_ratio_percent
+    (b,) = table_rows(run_experiment(cfg), "ex4_bounds_n80")
+    scalar_mean = b["upper_scalar_mean"]
+    matrix_mean = b["upper_matrix_mean"]
     ok &= matrix_mean <= 105.0
     ok &= abs(scalar_mean - 118.0) <= 6.0
     details.append(f"ex4 n=80: upper scalar {scalar_mean:.1f} (ref 118+-6), "

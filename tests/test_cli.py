@@ -112,6 +112,9 @@ def test_oracle_moduli(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--poly", "1,-3,2")
     assert code == 0
     assert out.split() == ["1", "2"]
+    code, out, _ = run_cli(capsys, "oracle", "--poly=-1,3")  # a leading negative coefficient
+    assert code == 0
+    assert out.split() == ["3"]
 
 
 def test_oracle_singular_leading_is_inapplicable(capsys, tmp_path):
@@ -204,6 +207,7 @@ def test_bad_inputs_exit_one(capsys, tmp_path):
     assert run_cli(capsys, "gap", "--poly", "abc", "--k", "1")[0] == 1
     assert run_cli(capsys, "oracle", "--poly", "1,,-3,2")[0] == 1  # an empty field
     assert run_cli(capsys, "oracle", "--poly", "1,0,-3,2,")[0] == 1  # a trailing comma
+    assert run_cli(capsys, "oracle", "--poly", "-1,3")[0] == 1  # -1,3 read as a flag
     assert run_cli(capsys, "bounds")[0] == 1  # no polynomial given
     assert run_cli(capsys, "gap", "--poly", "1,-3,2", "--k", "7")[0] == 1
     bad = tmp_path / "bad.json"
@@ -214,6 +218,10 @@ def test_bad_inputs_exit_one(capsys, tmp_path):
                    "--seed", str(2**64))[0] == 1
     assert run_cli(capsys, "experiment", "--example", "ex2", "--trials", "1",
                    "--eta", "nan")[0] == 1
+    assert run_cli(capsys, "experiment", "--example", "ex1", "--m", "1", "--trials", "1",
+                   "--norm", "one", "--norm", "one")[0] == 1  # a repeated norm kind
+    assert run_cli(capsys, "experiment", "--example", "ex3", "--trials", "1",
+                   "--norm", "one", "--norm", "two")[0] == 1  # two kinds where one is used
 
 
 def test_experiment_csv_deterministic(capsys):
@@ -224,6 +232,20 @@ def test_experiment_csv_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "ex1_upper_m2_one" in out1
+
+
+def test_experiment_json_is_strict(capsys):
+    # undefined means and percentages print as null, not as the NaN token
+    code, out, _ = run_cli(capsys, "experiment", "--example", "ex3", "--trials", "2",
+                           "--seed", "1", "--format", "json")
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    obj = json.loads(out, parse_constant=reject)
+    ratio = obj["tables"]["ex3_gap_ratio"]
+    assert None in [v for row in ratio["rows"] for v in row]
 
 
 def test_experiment_out_file(capsys, tmp_path):

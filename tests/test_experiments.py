@@ -12,6 +12,7 @@ import pytest
 from pelletbounds import (
     ExperimentConfig,
     NoConvergenceError,
+    NormKind,
     gen_ex1,
     gen_ex2,
     gen_ex3,
@@ -22,7 +23,7 @@ from pelletbounds import (
 from pelletbounds import experiments
 from pelletbounds.oracle import SoundnessError
 
-from conftest import pelletbounds_env
+from conftest import pelletbounds_env, table_rows
 
 
 def test_trial_rng_substreams():
@@ -117,6 +118,12 @@ def test_config_validation():
         ExperimentConfig("ex2", eta=float("nan"))
     with pytest.raises(ValueError):
         ExperimentConfig("ex2", eta=float("inf"))
+    with pytest.raises(ValueError, match="repeat"):
+        ExperimentConfig("ex1", norm_kinds=("one", "two", "one"))
+    for example in ("ex2", "ex3", "ex4"):
+        with pytest.raises(ValueError, match="one norm kind"):
+            ExperimentConfig(example, norm_kinds=("one", "two"))
+        assert ExperimentConfig(example, norm_kinds=("inf",)).resolved_kinds == (NormKind.INF,)
     assert ExperimentConfig("ex3", seed=2**64 - 1).seed == 2**64 - 1
     cfg = ExperimentConfig("ex3", trials=5)
     assert cfg.resolved_kinds[0].value == "two"
@@ -125,17 +132,17 @@ def test_config_validation():
 def test_ex1_run_stats_and_tables():
     cfg = ExperimentConfig("ex1", trials=8, seed=3, m=2)
     res = run_experiment(cfg)
-    up = res.stats["one"]["upper"]
-    lo = res.stats["one"]["lower"]
+    up = {row["variant"]: row for row in table_rows(res, "ex1_upper_m2_one")}
+    lo = {row["variant"]: row for row in table_rows(res, "ex1_lower_m2_one")}
     # soundness floors/ceilings on the ratio scale
     for v, s in up.items():
-        assert s.mean_ratio_percent >= 100.0 * (1 - 1e-9)
+        assert s["mean_ratio_percent"] >= 100.0 * (1 - 1e-9)
     for v, s in lo.items():
-        if not math.isnan(s.mean_ratio_percent):
-            assert s.mean_ratio_percent <= 100.0 * (1 + 1e-9)
+        if not math.isnan(s["mean_ratio_percent"]):
+            assert s["mean_ratio_percent"] <= 100.0 * (1 + 1e-9)
     # best counts partition the trials
-    assert sum(s.best_count for s in up.values()) == cfg.trials
-    assert sum(lo[v].best_count for v in ("A0invP", "B0invQ", "QR")) == cfg.trials
+    assert sum(s["best_count"] for s in up.values()) == cfg.trials
+    assert sum(lo[v]["best_count"] for v in ("A0invP", "B0invQ", "QR")) == cfg.trials
     names = [t.name for t in res.tables]
     assert names == ["ex1_upper_m2_one", "ex1_lower_m2_one"]
 
@@ -143,39 +150,42 @@ def test_ex1_run_stats_and_tables():
 def test_ex1_multiple_norms():
     cfg = ExperimentConfig("ex1", trials=3, seed=3, m=1, norm_kinds=("one", "two"))
     res = run_experiment(cfg)
-    assert set(res.stats) == {"one", "two"}
+    assert [t.name for t in res.tables] == ["ex1_upper_m1_one", "ex1_lower_m1_one",
+                                            "ex1_upper_m1_two", "ex1_lower_m1_two"]
 
 
 def test_ex3_run_consistency():
     cfg = ExperimentConfig("ex3", trials=25, seed=1)
     res = run_experiment(cfg)
+    freq = {row["k"]: row for row in table_rows(res, "ex3_gap_frequency")}
     for k in (4, 12):
-        s = res.stats[k]
-        assert 0 <= s["p"].gap_total <= cfg.trials
-        assert s["p"].gap_only <= s["p"].gap_total
-        assert s["BkinvQ"].gap_only <= s["BkinvQ"].gap_total
-    assert res.stats["both_k"]["p"] <= min(res.stats[4]["p"].gap_total,
-                                           res.stats[12]["p"].gap_total)
+        s = freq[k]
+        assert 0 <= s["p_total"] <= cfg.trials
+        assert s["p_only"] <= s["p_total"]
+        assert s["BkinvQ_only"] <= s["BkinvQ_total"]
+    (both_k,) = table_rows(res, "ex3_both_k")
+    assert both_k["p_both"] <= min(freq[4]["p_total"], freq[12]["p_total"])
 
 
 def test_ex4_run_consistency():
     cfg = ExperimentConfig("ex4", trials=20, seed=4, n=20)
     res = run_experiment(cfg)
-    b = res.stats["bounds"]
-    assert b["upper_scalar"].mean_ratio_percent >= 100.0 * (1 - 1e-9)
-    assert b["upper_matrix"].mean_ratio_percent >= 100.0 * (1 - 1e-9)
-    assert b["lower_scalar"].mean_ratio_percent <= 100.0 * (1 + 1e-9)
+    (b,) = table_rows(res, "ex4_bounds_n20")
+    assert b["upper_scalar_mean"] >= 100.0 * (1 - 1e-9)
+    assert b["upper_matrix_mean"] >= 100.0 * (1 - 1e-9)
+    assert b["lower_scalar_mean"] <= 100.0 * (1 + 1e-9)
     assert 0.0 <= b["pct_upper_better"] <= 100.0
+    freq = {row["k"]: row for row in table_rows(res, "ex4_gap_frequency_n20")}
     for k in (2, 18):
-        assert res.stats["gaps"][k]["scalar"].gap_total <= cfg.trials
+        assert freq[k]["scalar_total"] <= cfg.trials
 
 
 def test_ex2_run_smoke():
     cfg = ExperimentConfig("ex2", trials=2, seed=9, eta=0.25)
     res = run_experiment(cfg)
-    plain = res.stats["plain"]
-    assert plain["P"].gap_total <= 2
-    assert plain["Q"].gap_total <= 2
+    (plain,) = table_rows(res, "ex2_gap_frequency")
+    assert plain["P_total"] <= 2
+    assert plain["Q_total"] <= 2
     assert len(res.tables) == 4
 
 
