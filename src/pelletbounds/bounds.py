@@ -239,7 +239,8 @@ def squared_polynomial(p: MatrixPolynomial, use_reciprocal: bool) -> tuple:
 
     P is monicized if needed, replaced by its reciprocal for Q_R, shifted
     by z if its degree is odd, and then squared; the tag records each step
-    taken.  Raises SingularMatrixError when a required pivot is singular.
+    taken.  Raises SingularMatrixError when a required pivot is singular or
+    an entry of Q overflows the double range.
     """
     return p._cached(("squared", bool(use_reciprocal)), _squared, p, bool(use_reciprocal))
 
@@ -276,7 +277,10 @@ def squared_bounds(p: MatrixPolynomial, kind, use_reciprocal: bool = False,
     Odd degrees are shifted by z first, which costs the lower (Q) or upper
     (Q_R) bound since the shifted constant coefficient is singular.
     ``precondition_index`` left-multiplies Q by B_j^-1 before the Cauchy
-    step (j=0 sharpens the lower bound).
+    step (j=0 sharpens the lower bound).  Raises SingularMatrixError when Q
+    cannot be formed: a required pivot is singular, or an entry of Q
+    overflows the double range (Q holds products of P's monic coefficients,
+    which overflow from about 1e154).
     """
     kind = NormKind.coerce(kind)
     q, tag = squared_polynomial(p, use_reciprocal)
@@ -296,7 +300,9 @@ def squared_gap(p: MatrixPolynomial, k_even: int, kind,
     ``k_even`` counts eigenvalues of P, so it must be even (Q's blocks are
     2m x 2m); a gap means exactly k_even * m eigenvalues of P lie in
     |z| <= sqrt(y1) and none have modulus in (sqrt(y1), sqrt(y2)).  With
-    ``precondition`` the query runs on B_{k_even/2}^-1 Q.
+    ``precondition`` the query runs on B_{k_even/2}^-1 Q.  Raises
+    SingularMatrixError when Q cannot be formed: a required pivot is
+    singular, or an entry of Q overflows the double range.
     """
     kind = NormKind.coerce(kind)
     if p.n % 2 != 0:

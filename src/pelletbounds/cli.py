@@ -13,20 +13,34 @@ Polynomials come either from a JSON file ({"m", "n", "coeffs"} with [re, im]
 entry pairs) via --input, or inline real scalar coefficients in descending
 degree via --poly "1,-3,2".
 
-Exit codes: 0 success, 1 input error, 2 singular/inapplicable, 3 numerical
-failure.
+Exit codes: 0 success, 1 input error (an unwritable --out or a closed
+stdout included), 2 singular/inapplicable, 3 numerical failure.
 
-OpenBLAS reads its thread count when it loads, and a pool of more than one
-thread costs a short query CPU and time.  The command line is a program and
-not a library, so before its first import of numpy it sets
-``OPENBLAS_NUM_THREADS=1`` in its own environment, which the experiment
-workers it forks inherit, unless the caller has set one of the variables
-OpenBLAS reads.
+A query pays for what it runs.  The command line is a program and not a
+library, so importing this module sets two process-wide things:
+
+* OpenBLAS reads its thread count when it loads, and a pool of more than
+  one thread costs a short query CPU and time.  Before its first import of
+  numpy, the module sets ``OPENBLAS_NUM_THREADS=1`` in its own environment,
+  which the experiment workers it forks inherit, unless the caller has set
+  one of the variables OpenBLAS reads.
+* The objects its imports make (numpy's and this package's modules, types
+  and functions) live until the process exits.  The cyclic garbage
+  collector is off while they are made, and ``gc.freeze()`` then moves them
+  out of its reach, so neither the collections a query triggers nor the
+  last one at exit walk them again.  The collector is on again when the
+  imports end, also when one raises, and the query runs with it on; a
+  collection in a forked experiment worker leaves the frozen objects' pages
+  unwritten, so they stay shared.
+
+Only ``experiment`` imports ``experiments``, the harness of the ex1..ex4
+studies, and it does so when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -37,14 +51,20 @@ from . import _BLAS_THREAD_VARS
 if not any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import bounds as bounds_mod
-from . import matpoly
-from .embed import InvalidDegreeError, LacunaryPolynomial, ZeroLeadingError, embed_even, embed_odd
-from .experiments import ExperimentConfig, run_experiment
-from .linalg import NoConvergenceError, NormKind, SingularMatrixError
-from .matpoly import MatrixPolynomial, NotMonicError, OddDegreeError
-from .oracle import eigen_oracle
-from .rootloc import InvalidShapeError
+# no collector pass ever walks what these imports make (module docstring)
+gc.disable()
+try:
+    from . import bounds as bounds_mod
+    from . import matpoly
+    from .embed import (InvalidDegreeError, LacunaryPolynomial, ZeroLeadingError, embed_even,
+                        embed_odd)
+    from .linalg import NoConvergenceError, NormKind, SingularMatrixError
+    from .matpoly import MatrixPolynomial, NotMonicError, OddDegreeError
+    from .oracle import eigen_oracle
+    from .rootloc import InvalidShapeError
+    gc.freeze()
+finally:
+    gc.enable()
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -132,9 +152,16 @@ def _emit(text: str, out_path) -> None:
         except OSError as exc:
             raise InputError(f"cannot write {out_path}: {exc}") from exc
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # the reader has gone: send what is still buffered, and the
+            # flush at exit, to devnull rather than to the closed pipe
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise InputError(f"cannot write to stdout: {exc}") from exc
 
 
 def _fmt_opt(v) -> str:
@@ -228,6 +255,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiments import ExperimentConfig, run_experiment  # only this query needs it
+
     cfg = ExperimentConfig(
         example_id=args.example,
         trials=args.trials,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import identity, left_solve
+from .linalg import SingularMatrixError, identity, left_solve
 
 # A leading coefficient within this distance of I (infinity norm) counts as
 # monic; anything else must be monicized explicitly by the caller.
@@ -172,7 +172,10 @@ def square_repartition(p: MatrixPolynomial) -> MatrixPolynomial:
         B_j = [[A_2j,   -A_2j   A_{n-1} + A_{2j-1}],
                [A_2j+1, -A_2j+1 A_{n-1} + A_2j   ]]   for j = 1..n/2-1
 
-    has as eigenvalues exactly the squares of the eigenvalues of P.
+    has as eigenvalues exactly the squares of the eigenvalues of P.  Raises
+    SingularMatrixError when an entry of a B_j overflows the double range
+    (A_j A_{n-1} is about the square of P's coefficients): like a pivot
+    whose inverse overflows, that makes the squared route inapplicable.
     """
     _require_monic(p)
     if p.n % 2 != 0:
@@ -185,8 +188,11 @@ def square_repartition(p: MatrixPolynomial) -> MatrixPolynomial:
     q = np.zeros((h + 1, 2 * m, 2 * m), dtype=np.complex128)
     q[:h, :m, :m] = top
     q[:h, m:, :m] = bottom
-    q[:h, :m, m:] = -top @ a[n - 1] + extra_top
-    q[:h, m:, m:] = -bottom @ a[n - 1] + top
+    with np.errstate(over="ignore", invalid="ignore"):
+        q[:h, :m, m:] = -top @ a[n - 1] + extra_top
+        q[:h, m:, m:] = -bottom @ a[n - 1] + top
+    if not np.isfinite(q[:h]).all():
+        raise SingularMatrixError("the companion-squared coefficients overflow the double range")
     q[h] = identity(2 * m)
     return MatrixPolynomial(q)
 

@@ -286,6 +286,24 @@ def test_squared_gap_rejects_bad_indices():
         squared_gap(scalar_polynomial([1.0, 1.0, 1.0, 1.0]), 2, "one")
 
 
+@pytest.mark.filterwarnings("error")
+def test_squared_routes_with_overflowing_q_are_inapplicable():
+    # z^2 + 1e200 z + 1e200 is valid (moduli 1 + 1e-200 and 1e200 - 1), but
+    # its Q holds 1e400; P's own bounds and the Q_R route are unaffected
+    p = scalar_polynomial([1e200, 1e200, 1.0])
+    p4 = scalar_polynomial([1.0, 1.0, 1e200, 1e200, 1.0])
+    for kind in KINDS:
+        for kwargs in ({}, {"precondition_index": 0}):
+            with pytest.raises(SingularMatrixError, match="overflow"):
+                squared_bounds(p, kind, **kwargs)
+        assert squared_bounds(p, kind, use_reciprocal=True).lower <= 1.0
+        assert cauchy_bounds(p, kind).upper >= 1e200
+        for pre in (False, True):
+            with pytest.raises(SingularMatrixError, match="overflow"):
+                squared_gap(p4, 2, kind, precondition=pre)
+            assert pellet_gap(p4, 2, kind, precondition=pre).k == 2
+
+
 def test_squared_gap_soundness(rng):
     gaps = 0
     for trial in range(40):

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pelletbounds import cli, from_json, matpoly, scalar_polynomial
 from pelletbounds.bounds import squared_polynomial
+
+from conftest import pelletbounds_env
 
 
 def run_cli(capsys, *argv):
@@ -263,3 +269,88 @@ def test_bounds_root_beyond_double_range_is_inapplicable(capsys):
     code, out, err = run_cli(capsys, "bounds", "--poly", "1e-10,-1e300")
     assert code == 2
     assert "InvalidShapeError" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--poly", "1,1e200,1e200", "--variant", "q"),
+    ("bounds", "--poly", "1,1e200,1e200", "--variant", "q", "--precondition"),
+    ("gap", "--poly", "1,1e200,1e200,1,1", "--k", "2", "--variant", "q"),
+    ("square", "--poly", "1,1e200,1e200"),
+], ids=["bounds", "bounds-preconditioned", "gap", "square"])
+def test_overflowing_squared_coefficients_are_inapplicable(capsys, argv):
+    # a valid input (eigenvalues near 1 and 1e200) whose Q holds 1e400:
+    # exit 2 without a numpy warning, not an input error
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("inapplicable: SingularMatrixError: the companion-squared coefficients "
+                   "overflow the double range\n")
+
+
+def _run_fresh(argv, env=None, **kwargs):
+    """``python -m pelletbounds.cli *argv`` in a fresh process."""
+    return subprocess.run([sys.executable, "-m", "pelletbounds.cli", *argv],
+                          env=env or pelletbounds_env(), timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_ends_the_query_quietly(unbuffered):
+    # unbuffered, the write in _emit meets the closed pipe; buffered, the
+    # flush after it does, where the flush at exit used to
+    env = pelletbounds_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_fresh(["oracle", "--poly", "1,-3,2"], env, stdout=write_end,
+                          stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write to stdout") and proc.stderr.count("\n") == 1
+
+
+# the CLI run as ``python -m pelletbounds.cli *argv``, then what it left
+_AFTER_QUERY = """
+import gc, json, runpy, sys
+try:
+    runpy.run_module("pelletbounds.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"exit": code, "experiments": "pelletbounds.experiments" in sys.modules,
+                  "gc_enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}))
+"""
+
+
+def test_query_loads_no_experiment_code_and_leaves_the_collector_on():
+    proc = subprocess.run([sys.executable, "-c", _AFTER_QUERY, "gap", "--poly", "1,-3,2",
+                           "--k", "1"], env=pelletbounds_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *out, report = proc.stdout.splitlines()
+    assert out == ["norm=one k=1 gap: x1=1 x2=2 count=1"]
+    report = json.loads(report)
+    # the import-time objects are frozen, and the collector is on again
+    assert report.pop("frozen") > 0
+    assert report == {"exit": 0, "experiments": False, "gc_enabled": True}
+
+
+def test_failed_import_leaves_the_collector_on():
+    script = ("import gc, sys\n"
+              "sys.modules['pelletbounds.rootloc'] = None\n"
+              "try:\n"
+              "    import pelletbounds.cli\n"
+              "except ImportError:\n"
+              "    print('ImportError', gc.isenabled())\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=pelletbounds_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "ImportError True\n"), proc.stderr
+
+
+def test_experiment_query_reproduces_a_golden_csv():
+    proc = _run_fresh(["experiment", "--example", "ex3", "--trials", "60", "--seed", "1",
+                       "--format", "csv"], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (Path(__file__).parent / "data" / "ex3_trials60_seed1.csv").read_bytes()

@@ -280,6 +280,17 @@ def test_square_repartition_rejects_bad_input(rng):
         square_repartition(rand_poly(rng, 2, 4, monic=False))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coeffs", [
+    [1e200, 1e200, 1.0],  # A_0 A_1 = 1e400
+    [1e308, -1e308, 0.0, 1.0, 1.0],  # -A_1 A_3 + A_0 = 2e308
+], ids=["product", "sum"])
+def test_square_repartition_overflow_is_singular(coeffs):
+    # Q cannot hold these entries: the route is inapplicable, without a warning
+    with pytest.raises(SingularMatrixError, match="overflow the double range"):
+        square_repartition(scalar_polynomial(coeffs))
+
+
 @pytest.mark.parametrize("m,n", [(1, 4), (2, 2), (2, 6), (3, 4)])
 def test_square_repartition_squares_eigenvalues(rng, m, n):
     p = rand_poly(rng, m, n)
