@@ -125,7 +125,7 @@ def _load_lacunary(args) -> LacunaryPolynomial:
         desc = _parse_poly_arg(args.poly)
         n = len(desc) - 1
         if n < 5:
-            raise InputError("lacunary polynomial needs degree >= 5")
+            raise InvalidDegreeError("lacunary polynomial needs degree >= 5")
         asc = list(reversed(desc))
         for j in range(3, n - 2):
             if asc[j] != 0.0:

@@ -9,6 +9,12 @@ LAPACK's SVD: a 2-norm bound is sound only if the norm is never
 underestimated, which rules out iterations that can stop at a smaller
 singular value.
 
+One function, ``_solve``, decides when a pivot is unusable, for
+``left_solve`` and ``inv_norm_inv`` alike: an LU pivot below
+``SINGULARITY_RTOL`` times the matrix's infinity norm, or a solution that
+is not finite, raises ``SingularMatrixError``, and the theorem that needed
+the pivot does not apply.
+
 The two LAPACK routines the LU solves use, ``zgetrf`` and ``zgetrs``, come
 from scipy's f2py extension ``scipy.linalg._flapack``, loaded from its file
 under its own name without importing ``scipy`` or ``scipy.linalg``
@@ -28,7 +34,6 @@ import enum
 import glob
 import importlib.machinery
 import importlib.util
-import math
 import os
 
 import numpy as np
@@ -118,21 +123,20 @@ def _norms(arr: np.ndarray, kind: NormKind):
     return np.linalg.svd(arr, compute_uv=False)[..., 0]
 
 
-def _lu_factor_checked(a: np.ndarray):
-    """Pivoted LU factorization (LAPACK getrf of a validated complex128
-    matrix), raising SingularMatrixError on a small pivot."""
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a @ x = b, for a validated square ``a`` and a validated 2-D
+    ``b`` with as many rows, under the pivot rule of the module docstring
+    (a zero ``a`` included)."""
     scale = float(np.abs(a).sum(axis=1).max())
     if scale == 0.0:
         raise SingularMatrixError("zero matrix")
     lu, piv, _ = lapack.zgetrf(a)
     if np.abs(np.diag(lu)).min() < SINGULARITY_RTOL * scale:
         raise SingularMatrixError("matrix is numerically singular")
-    return lu, piv
-
-
-def _lu_solve(factors, b: np.ndarray) -> np.ndarray:
-    """x with a @ x = b, given ``factors = _lu_factor_checked(a)``."""
-    return lapack.zgetrs(*factors, b)[0]
+    x = lapack.zgetrs(lu, piv, b)[0]
+    if not np.isfinite(x).all():
+        raise SingularMatrixError("solution is not finite")
+    return x
 
 
 def inv_norm_inv(a, kind) -> float:
@@ -144,22 +148,15 @@ def inv_norm_inv(a, kind) -> float:
     also for the 2-norm: sigma_min from an SVD of ``a`` carries an absolute
     error of order eps * sigma_max and overestimates 1/||a^-1|| on
     ill-conditioned matrices, which would tighten a bound past the
-    spectrum.  Raises SingularMatrixError when ``a`` is numerically singular
-    (the LU pivot test) or its inverse overflows (the result is not a
-    positive float), in which case the corresponding bound is inapplicable.
+    spectrum.  Raises SingularMatrixError when ``a`` fails the pivot rule
+    of ``_solve`` or the norm of its inverse overflows, in which case the
+    corresponding bound is inapplicable.
     """
     arr = as_matrix(a)
     _require_square(arr)
-    inv = _lu_solve(_lu_factor_checked(arr), identity(arr.shape[0]))
-    try:
-        nu = 1.0 / float(_norms(inv, NormKind.coerce(kind)))
-    except np.linalg.LinAlgError:
-        # the SVD rejects a NaN entry, which an overflowing inverse has
-        if np.isfinite(inv).all():
-            raise
-        nu = math.nan
+    nu = 1.0 / float(_norms(_solve(arr, identity(arr.shape[0])), NormKind.coerce(kind)))
     if not nu > 0.0:
-        raise SingularMatrixError("inverse is not finite")
+        raise SingularMatrixError("the norm of the inverse overflows")
     return nu
 
 
@@ -169,24 +166,18 @@ def left_solve(a, b) -> np.ndarray:
     ``b`` may be a matrix or a stack of shape (k, m, p); a stack is solved
     with one factorization of ``a`` and one solve of the (m, k*p)
     concatenation of its matrices, and returned as a stack.  Raises
-    SingularMatrixError when ``a`` fails the LU pivot test or x is not
-    finite (the solve overflowed).
+    SingularMatrixError when ``a`` fails the pivot rule of ``_solve``.
     """
     arr = as_matrix(a)
     _require_square(arr)
     brr = _as_finite(b, (2, 3))
     if brr.shape[-2] != arr.shape[0]:
         raise ValueError(f"shapes not conformable: {arr.shape} vs {brr.shape}")
-    factors = _lu_factor_checked(arr)
     if brr.ndim == 2:
-        x = _lu_solve(factors, brr)
-    else:
-        k, m, p = brr.shape
-        x = _lu_solve(factors, brr.transpose(1, 0, 2).reshape(m, k * p))
-        x = x.reshape(m, k, p).transpose(1, 0, 2)
-    if not np.isfinite(x).all():
-        raise SingularMatrixError("solution is not finite")
-    return x
+        return _solve(arr, brr)
+    k, m, p = brr.shape
+    x = _solve(arr, brr.transpose(1, 0, 2).reshape(m, k * p))
+    return x.reshape(m, k, p).transpose(1, 0, 2)
 
 
 def eigenvalues(a) -> np.ndarray:

@@ -117,12 +117,19 @@ def monicize(p: MatrixPolynomial) -> MatrixPolynomial:
 def _precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
     stack = left_solve(p.stack[index], p.stack)
     stack[index] = identity(p.m)
+    if not stack[-1].any():
+        raise SingularMatrixError("the preconditioned leading coefficient underflows to zero")
     return MatrixPolynomial(stack)
 
 
 def left_precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
     """A_index^-1 P from one LU of A_index, with coefficient ``index`` set
-    to the exact identity; built once per index and kept on P."""
+    to the exact identity; built once per index and kept on P.
+
+    Raises SingularMatrixError when A_index fails the pivot rule of
+    ``linalg.left_solve``, or when A_index^-1 A_n underflows to zero: like
+    a solve that overflows, the pivot then cannot carry the polynomial.
+    """
     if not 0 <= index <= p.n:
         raise ValueError(f"index {index} out of range for degree {p.n}")
     return p._cached(("precondition", index), _precondition, p, index)
@@ -132,7 +139,8 @@ def reciprocal(p: MatrixPolynomial) -> MatrixPolynomial:
     """The monic reciprocal polynomial z^n A_0^-1 P(1/z).
 
     Its coefficients are those of A_0^-1 P in reverse order.  Its eigenvalues
-    are the reciprocals of the eigenvalues of P; requires a nonsingular A_0.
+    are the reciprocals of the eigenvalues of P; requires an A_0 that
+    ``left_precondition`` accepts (SingularMatrixError otherwise).
     """
     return MatrixPolynomial(left_precondition(p, 0).stack[::-1])
 

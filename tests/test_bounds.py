@@ -3,10 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pelletbounds import (
     GAP,
     NO_GAP,
+    InvalidShapeError,
     MatrixPolynomial,
     NormKind,
     OddDegreeError,
@@ -435,6 +438,63 @@ def test_repeated_calls_reuse_the_memo_and_agree(rng):
         assert [everything(p, n, kind) for kind in KINDS] == first
         assert [everything(MatrixPolynomial(p.stack), n, kind) for kind in KINDS] == first
         assert squared_polynomial(p, True) is squared_polynomial(p, True)
+
+
+def test_underflowed_preconditioned_leading_coefficient_is_inapplicable():
+    # 1e-200 z^2 + z + 1e200: A_2^-1 A_0 overflows and A_0^-1 A_2 underflows
+    # to zero, so neither preconditioned radius applies; in
+    # 1e-200 z^2 + 1e200 z + 1, A_1^-1 A_2 underflows
+    p = scalar_polynomial([1e200, 1.0, 1e-200])
+    gap_p = scalar_polynomial([1.0, 1e200, 1e-200])
+    for kind in KINDS:
+        cb = cauchy_bounds(p, kind, precondition=True)
+        assert (cb.upper, cb.lower) == (None, None)
+        assert cauchy_bounds(p, kind).upper >= 1e200
+        with pytest.raises(SingularMatrixError, match="underflows to zero"):
+            pellet_gap(gap_p, 1, kind, precondition=True)
+
+
+# the errors by which a query on a valid polynomial says that a theorem does
+# not apply; anything else (a ValueError above all) is a fault
+_INAPPLICABLE = (SingularMatrixError, InvalidShapeError, OddDegreeError, OddIndexError)
+
+
+@st.composite
+def _wide_range_polynomials(draw):
+    """Degree 1-6, m in {1, 2}, entries of modulus 10^U(-300, 300) or zero,
+    and a nonzero leading coefficient."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 2))
+    size = (n + 1) * m * m
+    exps = draw(st.lists(st.floats(-300.0, 300.0), min_size=size, max_size=size))
+    zeros = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    angles = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=size, max_size=size))
+    stack = np.where(zeros, 0.0, 10.0 ** np.array(exps)) * np.exp(1j * np.array(angles))
+    stack = stack.reshape(n + 1, m, m)
+    if not stack[-1].any():
+        stack[-1, 0, 0] = 10.0 ** exps[-1]
+    return MatrixPolynomial(stack)
+
+
+# a 1-/inf-norm or pivot-scale row sum beyond the double range still warns
+# (numpy's overflow RuntimeWarning); the verdict there is "inapplicable"
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(_wide_range_polynomials())
+def test_no_valid_polynomial_ends_in_an_untyped_error(p):
+    queries = []
+    for kind in KINDS:
+        queries += [lambda pre=pre: cauchy_bounds(p, kind, pre) for pre in (False, True)]
+        queries += [lambda r=r, j=j: squared_bounds(p, kind, r, j)
+                    for r in (False, True) for j in (None, 0)]
+        queries += [lambda k=k, pre=pre: pellet_gap(p, k, kind, pre)
+                    for k in range(1, p.n) for pre in (False, True)]
+        queries += [lambda k=k, pre=pre: squared_gap(p, k, kind, pre)
+                    for k in range(2, p.n - 1) for pre in (False, True)]
+    for query in queries:
+        try:
+            query()
+        except _INAPPLICABLE:
+            pass
 
 
 def test_preconditioned_prefilter_scale_uses_nu():

@@ -114,6 +114,18 @@ def test_embed_rejects_dense_poly(capsys):
     assert "lacunary" in err or "zero" in err
 
 
+@pytest.mark.parametrize("poly, n", [("1,2", 1), ("1,0,0,1", 3), ("1,0,0,0,1", 4)])
+def test_embed_low_degree_is_inapplicable_on_both_paths(capsys, tmp_path, poly, n):
+    # the library's InvalidDegreeError, exit 2, from --poly as from --input
+    spec = {"n": n, "a": 1.0, "b": 0.0, "c": 0.0, "alpha": 1.0, "beta": 0.0, "gamma": 1.0}
+    path = tmp_path / "lac.json"
+    path.write_text(json.dumps(spec))
+    for argv in (["--poly", poly], ["--input", str(path)]):
+        code, out, err = run_cli(capsys, "embed", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("inapplicable: InvalidDegreeError: ")
+
+
 def test_oracle_moduli(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--poly", "1,-3,2")
     assert code == 0
@@ -285,6 +297,20 @@ def test_overflowing_squared_coefficients_are_inapplicable(capsys, argv):
     assert code == 2 and out == ""
     assert err == ("inapplicable: SingularMatrixError: the companion-squared coefficients "
                    "overflow the double range\n")
+
+
+def test_underflowed_preconditioned_leading_coefficient_is_inapplicable(capsys):
+    # A_0^-1 A_2 = 1e-400 underflows to zero (and A_2^-1 A_0 overflows):
+    # absent radii, and an inapplicable gap query, not an input error
+    code, out, err = run_cli(capsys, "bounds", "--poly", "1e-200,1,1e200", "--precondition",
+                             "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out == "norm,variant,upper,lower\none,monic-preconditioned,absent,absent\n"
+    code, out, err = run_cli(capsys, "gap", "--poly", "1e-200,1e200,1", "--k", "1",
+                             "--precondition")
+    assert code == 2 and out == ""
+    assert err == ("inapplicable: SingularMatrixError: the preconditioned leading coefficient "
+                   "underflows to zero\n")
 
 
 def _run_fresh(argv, env=None, **kwargs):

@@ -214,6 +214,20 @@ def test_reciprocal_singular_constant():
         reciprocal(p)
 
 
+def test_underflowed_preconditioned_leading_coefficient_is_singular():
+    # A_0^-1 A_2 = 1e-400 is zero in doubles: the pivot cannot carry P, the
+    # same verdict as a solve that overflows, not an invalid polynomial
+    eye = np.eye(2)
+    for p in (scalar_polynomial([1e200, 1.0, 1e-200]),
+              MatrixPolynomial([1e200 * eye, eye, np.diag([1e-200, 0.0])])):
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError, match="underflows to zero"):
+                left_precondition(p, 0)
+            with pytest.raises(SingularMatrixError, match="underflows to zero"):
+                reciprocal(p)
+        assert np.array_equal(left_precondition(p, 1).stack[1], np.eye(p.m))
+
+
 def test_shift_by_z():
     p = scalar_polynomial([1.0, 1.0])  # z + 1
     sp = shift_by_z(p)  # z^2 + z
