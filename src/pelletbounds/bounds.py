@@ -18,31 +18,28 @@ Preconditioned variants left-multiply by the inverse of the pivotal
 coefficient first, which never shrinks a gap since
 ||A_k^-1 A_j|| <= ||A_k^-1|| ||A_j||.
 
-The chord prefilter.  Write c_j = ||A_j|| and C for the highest chord at k
+The chord test.  A plain Pellet query goes straight to its radial
+polynomial, whose chord test (``rootloc``) answers "none" from the Newton
+polygon of its coefficients without evaluating h.  A preconditioned query
+is settled from the norms of P before A_k^-1 P is formed when it can be.
+Write c_j = ||A_j||, nu_k = 1/||A_k^-1|| and C for the highest chord at k
 of the points (j, log c_j), the maximum over i < k < j of
 ((j-k) log c_i + (k-i) log c_j) / (j-i) (``rootloc._highest_chord``, the
-computation behind the chord test itself).  ``positive_roots`` answers
-"none" without a root search when e^C' - nu >= 10*GAP_RTOL*s (its chord
-test), where C' is that chord over the coefficients of the radial
-polynomial and s the largest of them and nu.  With nu_k = 1/||A_k^-1|| in
-hand, the norms of P settle this for most k before A_k^-1 P or the radial
-polynomial is formed:
+computation behind the chord test itself).  The chord test answers "none"
+when e^C' - nu >= 10*GAP_RTOL*s, where C' is that chord over the
+coefficients of the radial polynomial and s the largest of them and nu.
+For A_k^-1 P, ||A_k^-1 A_j|| >= c_j / c_k, nu = 1 and
+||A_k^-1 A_j|| <= c_j / nu_k, so the query is "nogap" when
 
-* plain query: the radial polynomial's chord is C and s <= max_j c_j
-  (nu_k <= c_k), so the query is "nogap" when
-      e^C - nu_k >= 20*GAP_RTOL * max_j c_j;
-* preconditioned query: ||A_k^-1 A_j|| >= c_j / c_k, nu = 1 and
-  ||A_k^-1 A_j|| <= c_j / nu_k, so the query is "nogap" when
-      e^C / c_k - 1 >= 20*GAP_RTOL * max(1, max_{j != k} c_j / nu_k).
+    e^C / c_k - 1 >= 20*GAP_RTOL * max(1, max_{j != k} c_j / nu_k).
 
-The preconditioned query needs C > log c_k, so it skips only an index that
-is not a vertex of the upper convex hull of the points (the Newton polygon
-of the norms); the plain one needs C > log nu_k, so it also skips a vertex
-whose pivot has a small nu_k.  The factor 20 is twice the chord test's 10,
-so rounding in the norms cannot flip a verdict, and a skipped query is
-exactly the "nogap", not marginal, result that the root search would
-return.  Every query forms nu_k first, so a singular A_k raises
-SingularMatrixError whether or not the query is skipped.
+This needs C > log c_k, so it skips only an index that is not a vertex of
+the upper convex hull of the points (the Newton polygon of the norms).  The
+factor 20 is twice the chord test's 10, so rounding in the norms cannot
+flip a verdict, and a skipped query is exactly the "nogap", not marginal,
+result that the root search would return.  It forms nu_k first, so a
+singular A_k raises SingularMatrixError whether or not the query is
+skipped.
 
 Coefficient norms, nu_k, preconditioned and squared polynomials are
 computed once per polynomial and kept on it (see ``matpoly``).
@@ -74,8 +71,8 @@ GAP = "gap"
 NO_GAP = "nogap"
 UPPER_ONLY = "upper-only"
 
-# A query is skipped by the chord prefilter only when its bound clears the
-# chord test's threshold (10 * GAP_RTOL) twice over.
+# A preconditioned query is skipped by the norms of P only when its bound
+# clears the chord test's threshold (10 * GAP_RTOL) twice over.
 _PREFILTER_RTOL = 20.0 * GAP_RTOL
 
 
@@ -189,31 +186,26 @@ def _radial_gap(norms: list, nu: float, k: int, count: int, kind: NormKind,
                      norm_kind=kind, variant=variant, marginal=roots.marginal)
 
 
-def _chord_proves_none(p: MatrixPolynomial, k: int, kind: NormKind,
-                       precondition: bool) -> bool:
+def _chord_proves_none(p: MatrixPolynomial, k: int, kind: NormKind) -> bool:
     """Whether P's coefficient norms and nu_k prove the chord test's "none"
-    at k (see the module docstring); raises SingularMatrixError when A_k is
-    singular."""
+    for A_k^-1 P at k (see the module docstring); raises
+    SingularMatrixError when A_k is singular."""
     norms = _norms(p, kind)
-    nu_k = _nu(p, k, kind)
-    if precondition:
-        scale = max(1.0, max(norms[:k] + norms[k + 1:]) / nu_k)
-        nu, shift = 1.0, math.log(norms[k])
-    else:
-        nu, scale, shift = nu_k, max(norms), 0.0
+    scale = max(1.0, max(norms[:k] + norms[k + 1:]) / _nu(p, k, kind))
     if not math.isfinite(scale):
         return False
     js = [j for j, c in enumerate(norms) if j != k and c > 0.0]
     chord, _ = _highest_chord([math.log(norms[j]) for j in js], [float(j - k) for j in js])
-    # e^(chord - shift) - nu >= 20*GAP_RTOL*scale, divided by scale to keep exp in range
-    return math.exp(chord - shift - math.log(scale)) - nu / scale >= _PREFILTER_RTOL
+    # e^chord / c_k - 1 >= 20*GAP_RTOL*scale, divided by scale to keep exp in range
+    return math.exp(chord - math.log(norms[k]) - math.log(scale)) - 1.0 / scale >= _PREFILTER_RTOL
 
 
 def _pellet_query(p: MatrixPolynomial, k: int, kind: NormKind, precondition: bool,
                   count: int, variant: str) -> GapResult:
-    """Pellet's theorem at index k of P: "nogap" early when the chord
-    prefilter proves it, else from the roots of the radial polynomial."""
-    if _chord_proves_none(p, k, kind, precondition):
+    """Pellet's theorem at index k of P, from the roots of the radial
+    polynomial; a preconditioned query is "nogap" early when P's norms
+    prove it."""
+    if precondition and _chord_proves_none(p, k, kind):
         return GapResult(k=k, status=NO_GAP, x1=None, x2=None, eig_count_inside=None,
                          norm_kind=kind, variant=variant)
     return _radial_gap(*_pivot_profile(p, k, kind, precondition), k, count, kind, variant)

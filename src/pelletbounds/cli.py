@@ -14,7 +14,11 @@ entry pairs) via --input, or inline real scalar coefficients in descending
 degree via --poly "1,-3,2".
 
 Exit codes: 0 success, 1 input error (an unwritable --out or a closed
-stdout included), 2 singular/inapplicable, 3 numerical failure.
+stdout included), 2 singular/inapplicable, 3 numerical failure (an
+eigensolve that does not converge, or an eigenvalue beyond the double
+range).  A query runs with numpy's overflow and invalid-value warnings off:
+where a norm or a product overflows, the exit code and its message already
+say that the query is inapplicable.
 
 A query pays for what it runs.  The command line is a program and not a
 library, so importing this module sets two process-wide things:
@@ -54,13 +58,15 @@ if not any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
 # no collector pass ever walks what these imports make (module docstring)
 gc.disable()
 try:
+    import numpy as np
+
     from . import bounds as bounds_mod
     from . import matpoly
     from .embed import (InvalidDegreeError, LacunaryPolynomial, ZeroLeadingError, embed_even,
                         embed_odd)
     from .linalg import NoConvergenceError, NormKind, SingularMatrixError
     from .matpoly import MatrixPolynomial, NotMonicError, OddDegreeError
-    from .oracle import eigen_oracle
+    from .oracle import NonFiniteEigenvalueError, eigen_oracle
     from .rootloc import InvalidShapeError
     gc.freeze()
 finally:
@@ -95,19 +101,26 @@ def _parse_poly_arg(text: str) -> list:
     return desc
 
 
-def _load_polynomial(args) -> MatrixPolynomial:
+def _load(args, what: str, from_desc, from_text):
+    """The polynomial of --poly, its descending coefficients through
+    ``from_desc``, or of the --input file, its text through ``from_text``;
+    a file that cannot be read or parsed is an input error."""
     if getattr(args, "poly", None):
-        desc = _parse_poly_arg(args.poly)
-        return matpoly.scalar_polynomial(list(reversed(desc)))
+        return from_desc(_parse_poly_arg(args.poly))
     if getattr(args, "input", None):
         try:
             with open(args.input) as fh:
-                return matpoly.from_json(fh.read())
+                return from_text(fh.read())
         except OSError as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from exc
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise InputError(f"bad polynomial JSON in {args.input}: {exc}") from exc
+            raise InputError(f"bad {what} JSON in {args.input}: {exc}") from exc
     raise InputError("provide a polynomial via --poly or --input")
+
+
+def _load_polynomial(args) -> MatrixPolynomial:
+    return _load(args, "polynomial", lambda desc: matpoly.scalar_polynomial(desc[::-1]),
+                 matpoly.from_json)
 
 
 def _json_complex(d: dict, key: str) -> complex:
@@ -120,28 +133,25 @@ def _json_complex(d: dict, key: str) -> complex:
     return complex(float(pair[0]), float(pair[1]))
 
 
+def _lacunary_from_desc(desc: list) -> LacunaryPolynomial:
+    n = len(desc) - 1
+    if n < 5:
+        raise InvalidDegreeError("lacunary polynomial needs degree >= 5")
+    asc = desc[::-1]
+    for j in range(3, n - 2):
+        if asc[j] != 0.0:
+            raise InputError(f"coefficient of z^{j} must be zero for the lacunary form")
+    return LacunaryPolynomial(n, asc[n], asc[n - 1], asc[n - 2], asc[2], asc[1], asc[0])
+
+
+def _lacunary_from_json(text: str) -> LacunaryPolynomial:
+    d = json.loads(text)
+    coeffs = [_json_complex(d, key) for key in ("a", "b", "c", "alpha", "beta", "gamma")]
+    return LacunaryPolynomial(matpoly._json_int(d, "n"), *coeffs)
+
+
 def _load_lacunary(args) -> LacunaryPolynomial:
-    if getattr(args, "poly", None):
-        desc = _parse_poly_arg(args.poly)
-        n = len(desc) - 1
-        if n < 5:
-            raise InvalidDegreeError("lacunary polynomial needs degree >= 5")
-        asc = list(reversed(desc))
-        for j in range(3, n - 2):
-            if asc[j] != 0.0:
-                raise InputError(f"coefficient of z^{j} must be zero for the lacunary form")
-        return LacunaryPolynomial(n, asc[n], asc[n - 1], asc[n - 2], asc[2], asc[1], asc[0])
-    if getattr(args, "input", None):
-        try:
-            with open(args.input) as fh:
-                d = json.load(fh)
-            coeffs = [_json_complex(d, key) for key in ("a", "b", "c", "alpha", "beta", "gamma")]
-            return LacunaryPolynomial(matpoly._json_int(d, "n"), *coeffs)
-        except OSError as exc:
-            raise InputError(f"cannot read {args.input}: {exc}") from exc
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise InputError(f"bad lacunary JSON in {args.input}: {exc}") from exc
-    raise InputError("provide a polynomial via --poly or --input")
+    return _load(args, "lacunary", _lacunary_from_desc, _lacunary_from_json)
 
 
 def _emit(text: str, out_path) -> None:
@@ -343,14 +353,17 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags; remap to the input-error code
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # numpy's overflow warnings would only repeat the verdict below
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except _INAPPLICABLE as exc:
         print(f"inapplicable: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (NoConvergenceError, FloatingPointError, ArithmeticError) as exc:
+    except (NoConvergenceError, NonFiniteEigenvalueError, FloatingPointError,
+            ArithmeticError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

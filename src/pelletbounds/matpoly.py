@@ -26,10 +26,6 @@ import numpy as np
 
 from .linalg import SingularMatrixError, identity, left_solve
 
-# A leading coefficient within this distance of I (infinity norm) counts as
-# monic; anything else must be monicized explicitly by the caller.
-MONIC_TOL = 1e-13
-
 
 class NotMonicError(Exception):
     """Operation requires a monic polynomial (leading coefficient I)."""
@@ -83,8 +79,9 @@ class MatrixPolynomial:
         return self.stack.shape[0] - 1
 
     def is_monic(self) -> bool:
-        # infinity norm of A_n - I; the stack is validated already
-        return bool(np.abs(self.stack[-1] - identity(self.m)).sum(axis=1).max() <= MONIC_TOL)
+        """Whether A_n is exactly I; anything else, however close, must be
+        monicized."""
+        return bool((self.stack[-1] == identity(self.m)).all())
 
     def _cached(self, key, build, *args):
         """build(*args), computed on the first call with ``key`` and kept;

@@ -25,6 +25,10 @@ class SoundnessError(Exception):
     """A reported bound or gap failed its oracle containment check."""
 
 
+class NonFiniteEigenvalueError(ArithmeticError):
+    """An eigenvalue of the companion matrix lies beyond the double range."""
+
+
 @dataclass(frozen=True)
 class EigenReport:
     """Eigenvalues of a matrix polynomial sorted by ascending modulus."""
@@ -46,10 +50,14 @@ def eigen_oracle(p: MatrixPolynomial) -> EigenReport:
     """All nm eigenvalues of P with multiplicity.
 
     Requires a nonsingular leading coefficient (SingularMatrixError
-    otherwise: infinite eigenvalues present, transform first).
+    otherwise: infinite eigenvalues present, transform first).  Raises
+    NonFiniteEigenvalueError when the eigensolve returns an eigenvalue that
+    is not finite, as one beyond the double range is.
     """
     pm = p if p.is_monic() else monicize(p)
     vals = eigenvalues(companion(pm))
+    if not np.isfinite(vals).all():
+        raise NonFiniteEigenvalueError("an eigenvalue is not finite: it exceeds the double range")
     order = np.argsort(np.abs(vals), kind="stable")
     vals = vals[order]
     moduli = np.abs(vals)

@@ -12,13 +12,14 @@ into the convex function
     h(t) = log(sum_j c_j e^{(j-k) t}) - log(nu),
 
 with f(x) < 0 exactly where h(t) < 0, and phi(x) := f(x)/x^k = nu*(e^h - 1).
-All root finding is done on h in log-x coordinates.  The coefficients and
-nu are divided by the largest of them, a_j = log c_j is kept for each of
-the N positive terms, and log nu with them (each as log c - log scale where
-the quotient would underflow, so no term is lost), and h is a log-sum-exp
-over them, so degrees up to 100 and widely scaled coefficients cannot
-overflow.  N is small, so h is evaluated with plain Python floats: numpy's
-per-call cost would exceed the arithmetic.
+All root finding is done on h in log-x coordinates, over the log form that
+a SignedRadialPolynomial builds in its constructor, once validated: the
+coefficients and nu are divided by the largest of them, a_j = log c_j is
+kept for each of the N positive terms, and log nu with them (each as
+log c - log scale where the quotient would underflow, so no term is lost),
+and h is a log-sum-exp over them, so degrees up to 100 and widely scaled
+coefficients cannot overflow.  N is small, so h is evaluated with plain
+Python floats: numpy's per-call cost would exceed the arithmetic.
 
 The envelope.  The Newton-polygon (tropical) envelope of h,
 
@@ -48,13 +49,14 @@ Newton polygon,
 
 reached at the crossing t_c of the maximizing pair.  phi_min is at least
 nu*expm1(delta), so nu*expm1(delta) >= 10*GAP_RTOL settles "none" (not
-marginal) without evaluating h.  Otherwise h is evaluated once at t_c, and
-nu*expm1(h(t_c)) < -10*GAP_RTOL settles "two" (not marginal).  Failing
-both, the minimizer of h decides "none" or "two" and the marginal flag
-against GAP_RTOL.  As T(t) >= delta + min|j - k| |t - t_c| and h(t_c) <=
-delta + log N, it lies within log N / min|j - k| of t_c, the bracket of the
-one safeguarded search: Newton's method on h' with h'' (the only use of
-h''), falling back to bisection.
+marginal) without evaluating h; a plain Pellet query in ``bounds`` relies on
+this test alone to skip its root search.  Otherwise h is evaluated once at
+t_c, and nu*expm1(h(t_c)) < -10*GAP_RTOL settles "two" (not marginal).
+Failing both, the minimizer of h decides "none" or "two" and the marginal
+flag against GAP_RTOL.  As T(t) >= delta + min|j - k| |t - t_c| and
+h(t_c) <= delta + log N, it lies within log N / min|j - k| of t_c, the
+bracket of the one safeguarded search: Newton's method on h' with h'' (the
+only use of h''), falling back to bisection.
 """
 
 from __future__ import annotations
@@ -84,7 +86,12 @@ class SignedRadialPolynomial:
     """f(x) = sum_{j != neg_index} coeffs[j] x^j - neg_value * x^neg_index.
 
     coeffs must be nonnegative with coeffs[neg_index] == 0, neg_value must be
-    positive, and at least one other coefficient must be positive.
+    positive, and at least one other coefficient must be positive.  Once
+    validated, the constructor also keeps f's log form (see the module
+    docstring) in private attributes, which are not dataclass fields: over
+    the positive terms the normalized a_j = log c_j (``_logs``) and
+    d_j = j - k (``_ds``), nu and log nu, and the envelope ends tau1 and
+    tau2.
     """
 
     coeffs: tuple
@@ -92,24 +99,41 @@ class SignedRadialPolynomial:
     neg_value: float
 
     def __init__(self, coeffs, neg_index, neg_value):
-        coeffs = tuple(float(c) for c in coeffs)
+        coeffs = tuple(map(float, coeffs))
         neg_index = int(neg_index)
         neg_value = float(neg_value)
         if len(coeffs) < 2:
             raise InvalidShapeError("need degree >= 1")
         if not 0 <= neg_index < len(coeffs):
             raise InvalidShapeError(f"neg_index {neg_index} out of range")
-        if any(not math.isfinite(c) or c < 0.0 for c in coeffs):
+        if not all(0.0 <= c < math.inf for c in coeffs):
             raise InvalidShapeError("coefficients must be finite and nonnegative")
         if coeffs[neg_index] != 0.0:
             raise InvalidShapeError("coeffs[neg_index] must be zero (it is replaced by -neg_value)")
         if not math.isfinite(neg_value) or neg_value <= 0.0:
             raise InvalidShapeError("neg_value must be positive and finite")
-        if not any(c > 0.0 for c in coeffs):
+        if not max(coeffs) > 0.0:
             raise InvalidShapeError("need at least one positive coefficient besides the negative term")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "neg_index", neg_index)
-        object.__setattr__(self, "neg_value", neg_value)
+        scale = max(max(coeffs), neg_value)
+        lognu = _log_ratio(neg_value, scale)
+        logs, ds = [], []
+        # T <= 0 on [tau1, tau2]: right of each falling line's zero, left of
+        # each rising line's zero
+        tau1, tau2 = -math.inf, math.inf
+        for j, c in enumerate(coeffs):
+            if c > 0.0:
+                a, d = _log_ratio(c, scale), float(j - neg_index)
+                logs.append(a)
+                ds.append(d)
+                z = (lognu - a) / d
+                if d > 0.0:
+                    tau2 = min(tau2, z)
+                else:
+                    tau1 = max(tau1, z)
+        # past the frozen __setattr__; _nu may underflow, _lognu does not
+        self.__dict__.update(coeffs=coeffs, neg_index=neg_index, neg_value=neg_value,
+                             _logs=logs, _ds=ds, _nu=neg_value / scale, _lognu=lognu,
+                             _tau1=tau1, _tau2=tau2)
 
     @property
     def degree(self) -> int:
@@ -122,6 +146,36 @@ class SignedRadialPolynomial:
             c = -self.neg_value if j == self.neg_index else self.coeffs[j]
             acc = acc * x + c
         return acc
+
+    def _newton(self, t: float):
+        """Return (h, h') at t; h' is the mean of j - k under the weights
+        c_j e^{(j-k)t}."""
+        ds = self._ds
+        s = [a + d * t for a, d in zip(self._logs, ds)]
+        smax = max(s)
+        w = [math.exp(v - smax) for v in s]
+        tot = sum(w)
+        return smax + math.log(tot) - self._lognu, sum([wi * d for wi, d in zip(w, ds)]) / tot
+
+    def _stats(self, t: float):
+        """Return (h, h', h''); h'' is the variance of j - k under the same
+        weights, hence h is convex."""
+        h, mean = self._newton(t)
+        top = h + self._lognu  # the log of the weights' sum
+        var = sum([math.exp(a + d * t - top) * (d - mean) ** 2 for a, d in zip(self._logs, self._ds)])
+        return h, mean, var
+
+    def _phi(self, h: float) -> float:
+        """phi = nu*(e^h - 1) on the normalized scale.  Past h = 1 it is
+        e^(log nu + h) - nu, which cannot overflow where it is used: at the
+        envelope's minimum log nu + delta <= 0, and h is at most log N above
+        it at t_c and at the minimizer."""
+        return self._nu * math.expm1(h) if h < 1.0 else math.exp(self._lognu + h) - self._nu
+
+    def _vertex(self):
+        """(delta, t_c): the minimum of T and where it is reached."""
+        chord, tc = _highest_chord(self._logs, self._ds)
+        return chord - self._lognu, tc
 
 
 @dataclass(frozen=True)
@@ -149,61 +203,6 @@ def _log_ratio(c: float, scale: float) -> float:
     return math.log(r) if r >= sys.float_info.min else math.log(c) - math.log(scale)
 
 
-class _LogRadial:
-    """h(t), its derivatives and its envelope for the normalized radial
-    polynomial, over its positive terms (a_j, d_j = j - k)."""
-
-    def __init__(self, f: SignedRadialPolynomial):
-        scale = max(max(f.coeffs), f.neg_value)
-        k = f.neg_index
-        self.logs, self.ds = [], []
-        for j, c in enumerate(f.coeffs):
-            if c > 0.0:
-                self.logs.append(_log_ratio(c, scale))
-                self.ds.append(float(j - k))
-        self.nu = f.neg_value / scale  # may underflow; lognu does not
-        self.lognu = _log_ratio(f.neg_value, scale)
-        # T <= 0 on [tau1, tau2]: left of each rising line's zero, right of
-        # each falling line's zero
-        self.tau1, self.tau2 = -math.inf, math.inf
-        for a, d in zip(self.logs, self.ds):
-            z = (self.lognu - a) / d
-            if d > 0.0:
-                self.tau2 = min(self.tau2, z)
-            else:
-                self.tau1 = max(self.tau1, z)
-
-    def newton(self, t: float):
-        """Return (h, h') at t; h' is the mean of j - k under the weights
-        c_j e^{(j-k)t}."""
-        ds = self.ds
-        s = [a + d * t for a, d in zip(self.logs, ds)]
-        smax = max(s)
-        w = [math.exp(v - smax) for v in s]
-        tot = sum(w)
-        return smax + math.log(tot) - self.lognu, sum([wi * d for wi, d in zip(w, ds)]) / tot
-
-    def stats(self, t: float):
-        """Return (h, h', h''); h'' is the variance of j - k under the same
-        weights, hence h is convex."""
-        h, mean = self.newton(t)
-        top = h + self.lognu  # the log of the weights' sum
-        var = sum([math.exp(a + d * t - top) * (d - mean) ** 2 for a, d in zip(self.logs, self.ds)])
-        return h, mean, var
-
-    def phi(self, h: float) -> float:
-        """phi = nu*(e^h - 1) on the normalized scale.  Past h = 1 it is
-        e^(log nu + h) - nu, which cannot overflow where it is used: at the
-        envelope's minimum log nu + delta <= 0, and h is at most log N above
-        it at t_c and at the minimizer."""
-        return self.nu * math.expm1(h) if h < 1.0 else math.exp(self.lognu + h) - self.nu
-
-    def vertex(self):
-        """(delta, t_c): the minimum of T and where it is reached."""
-        chord, tc = _highest_chord(self.logs, self.ds)
-        return chord - self.lognu, tc
-
-
 def _highest_chord(logs, ds):
     """(C, t_c) for the lines a + d t (a in logs, d in ds, no d zero): C is
     the highest chord (d_j a_i - d_i a_j) / (d_j - d_i) over d_i < 0 < d_j,
@@ -223,11 +222,11 @@ def _highest_chord(logs, ds):
     return best, tc
 
 
-def _root(lr: _LogRadial, tau: float) -> float:
+def _root(f: SignedRadialPolynomial, tau: float) -> float:
     """The root of h reached by Newton's method from tau, a finite end of
     [tau1, tau2] and so on the root's outer side (see the module docstring)."""
     t = min(max(tau, -_T_LIMIT), _T_LIMIT)
-    v, slope = lr.newton(t)
+    v, slope = f._newton(t)
     if v < 0.0 and t != tau:
         raise InvalidShapeError("root outside representable range")
     for _ in range(_MAX_ITER):
@@ -239,18 +238,18 @@ def _root(lr: _LogRadial, tau: float) -> float:
         if abs(tn - t) <= 0.5 * _ROOT_TOL * (1.0 + 2.0 * abs(t)):
             return tn
         t = tn
-        v, slope = lr.newton(t)
+        v, slope = f._newton(t)
     return t
 
 
-def _minimizer(lr: _LogRadial, tc: float) -> float:
+def _minimizer(f: SignedRadialPolynomial, tc: float) -> float:
     """The zero of the nondecreasing h' within log N / min|j - k| of t_c:
     Newton's method on h' from t_c, safeguarded by bisection, until the
     bracket or a Newton step falls below _MIN_TOL relative."""
-    step = math.log(len(lr.ds)) / min(abs(d) for d in lr.ds)
+    step = math.log(len(f._ds)) / min(abs(d) for d in f._ds)
     lo, hi, t = tc - step, tc + step, tc
     for _ in range(_MAX_ITER):
-        _, v, slope = lr.stats(t)
+        _, v, slope = f._stats(t)
         if v == 0.0:
             return t
         if v > 0.0:
@@ -283,20 +282,19 @@ def positive_roots(f: SignedRadialPolynomial) -> PositiveRoots:
     outer side.  The envelope settles most verdicts before the minimum is
     searched for (see the module docstring).
     """
-    lr = _LogRadial(f)
-    below, above = lr.ds[0] < 0.0, lr.ds[-1] > 0.0
+    below, above = f._ds[0] < 0.0, f._ds[-1] > 0.0
     if not (below and above):
         # single sign change: h decreases when all the mass lies below k
-        return PositiveRoots("one", x1=math.exp(_root(lr, lr.tau1 if below else lr.tau2)))
+        return PositiveRoots("one", x1=math.exp(_root(f, f._tau1 if below else f._tau2)))
 
-    delta, tc = lr.vertex()
-    if lr.phi(delta) >= 10.0 * GAP_RTOL:
+    delta, tc = f._vertex()
+    if f._phi(delta) >= 10.0 * GAP_RTOL:
         return PositiveRoots("none")
     marginal = False
-    if lr.phi(lr.newton(tc)[0]) >= -10.0 * GAP_RTOL:
-        phimin = lr.phi(lr.newton(_minimizer(lr, tc))[0])
+    if f._phi(f._newton(tc)[0]) >= -10.0 * GAP_RTOL:
+        phimin = f._phi(f._newton(_minimizer(f, tc))[0])
         marginal = abs(phimin) < 10.0 * GAP_RTOL
         if phimin >= -GAP_RTOL:
             return PositiveRoots("none", marginal=marginal)
-    x1, x2 = math.exp(_root(lr, lr.tau1)), math.exp(_root(lr, lr.tau2))
+    x1, x2 = math.exp(_root(f, f._tau1)), math.exp(_root(f, f._tau2))
     return PositiveRoots("two", x1=x1, x2=x2, marginal=marginal)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pelletbounds
-from pelletbounds import MatrixPolynomial, trial_rng
+from pelletbounds import MatrixPolynomial, SignedRadialPolynomial, trial_rng
 
 CRITERION_1_SEED = 20260810
 
@@ -71,3 +71,18 @@ def max_match_distance(a, b):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def h_evaluations(monkeypatch):
+    """The list of points at which h is evaluated.  Every evaluation goes
+    through the (h, h') evaluator: the (h, h', h'') one calls it."""
+    points = []
+    newton = SignedRadialPolynomial._newton
+
+    def counted(f, t):
+        points.append(t)
+        return newton(f, t)
+
+    monkeypatch.setattr(SignedRadialPolynomial, "_newton", counted)
+    return points

@@ -380,3 +380,48 @@ def test_experiment_query_reproduces_a_golden_csv():
                        "--format", "csv"], capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (Path(__file__).parent / "data" / "ex3_trials60_seed1.csv").read_bytes()
+
+
+def _overflowing_norm_poly(tmp_path, n):
+    """I z^n + ... + I z + A_0 with every entry of A_0 1e308: its 1-norm
+    and the eigenvalue -2e308 of I z + A_0 exceed the double range."""
+    p = matpoly.MatrixPolynomial([np.full((2, 2), 1e308)] + [np.eye(2)] * n)
+    path = tmp_path / f"p{n}.json"
+    path.write_text(matpoly.to_json(p))
+    return str(path)
+
+
+def test_overflowing_norm_prints_only_the_verdict(tmp_path):
+    # the 1-norm sum overflows in numpy, whose RuntimeWarning the query
+    # keeps off stderr: the one line there is the verdict
+    for argv in (("bounds", "--input", _overflowing_norm_poly(tmp_path, 1)),
+                 ("gap", "--input", _overflowing_norm_poly(tmp_path, 2), "--k", "1")):
+        proc = _run_fresh(argv, capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "inapplicable: InvalidShapeError: coefficients must be finite and nonnegative"]
+
+
+def test_eigenvalue_beyond_double_range_is_a_numerical_failure(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "oracle", "--input", _overflowing_norm_poly(tmp_path, 1))
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: NonFiniteEigenvalueError: ")
+
+
+def test_near_identity_leading_coefficient_is_monicized(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--poly", "1.00000000000001,-3,2", "--variant", "q",
+                           "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].startswith("one,squared-Q+monicized,")
+
+
+def test_benchmark_queries_reproduce_their_reference_output(capsys, monkeypatch):
+    # the recorded exit code and stdout of each CLI query of the benchmark,
+    # byte for byte, run from the repository root as the benchmark runs them
+    root = Path(__file__).resolve().parents[1]
+    queries = json.loads((root / "perfbench" / "reference.json").read_text())["cli"]
+    monkeypatch.chdir(root)
+    assert len(queries) == 13
+    for query in queries:
+        code, out, _ = run_cli(capsys, *query["argv"])
+        assert (code, out) == (query["exit"], query["stdout"]), query["argv"]

@@ -268,6 +268,16 @@ def test_companion_requires_monic(rng):
         companion(p)
 
 
+def test_monic_means_a_leading_coefficient_of_exactly_identity():
+    near = MatrixPolynomial([np.eye(2), np.eye(2), (1.0 + 1e-14) * np.eye(2)])
+    assert not near.is_monic()
+    for transform in (companion, square_repartition):
+        with pytest.raises(NotMonicError):
+            transform(near)
+    assert MatrixPolynomial([np.eye(2), np.eye(2), np.eye(2)]).is_monic()
+    assert monicize(near).is_monic()
+
+
 def test_square_repartition_scalar_z2_minus_1():
     p = scalar_polynomial([-1.0, 0.0, 1.0])
     q = square_repartition(p)

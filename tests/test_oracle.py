@@ -13,10 +13,12 @@ from pelletbounds import (
     count_in_disk,
     eigen_oracle,
     evaluate,
+    monicize,
     norm,
     scalar_polynomial,
 )
-from pelletbounds.oracle import EigenReport, SoundnessError, check_gap, check_lower, check_upper
+from pelletbounds.oracle import (EigenReport, NonFiniteEigenvalueError, SoundnessError, check_gap,
+                                 check_lower, check_upper)
 
 from conftest import rand_poly
 
@@ -106,3 +108,20 @@ def test_verifier_slack_and_claims():
     assert check_gap(rep, _gap(GAP, 1.0 * (1 - 5e-10), 2.0 * (1 + 5e-10), count=1), "gap")
     assert check_gap(rep, _gap(UPPER_ONLY, 2.0 * (1 - 5e-10)), "upper-only")
     assert check_gap(rep, _gap(NO_GAP), "nogap") is False
+
+
+def test_near_identity_leading_coefficient_is_monicized():
+    # z^4 (1 + 9e-14) - 4z^3 + 6z^2 - 4z + 1: a leading coefficient that is
+    # not exactly 1 is divided out, so the moduli are the polynomial's own
+    # (0.99961 to 1.00039), not those of (z - 1)^4
+    p = scalar_polynomial([1.0, -4.0, 6.0, -4.0, 1.0 + 9e-14])
+    moduli = eigen_oracle(p).moduli
+    assert np.array_equal(moduli, eigen_oracle(monicize(p)).moduli)
+    assert moduli[0] < 0.9997 and moduli[-1] > 1.0003
+
+
+def test_eigenvalue_beyond_double_range_raises():
+    # I z + A_0 with every entry of A_0 1e308 has the eigenvalue -2e308
+    p = MatrixPolynomial([np.full((2, 2), 1e308), np.eye(2)])
+    with pytest.raises(NonFiniteEigenvalueError):
+        eigen_oracle(p)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -185,6 +186,32 @@ def test_invalid_shapes():
         PositiveRoots("two", x1=1.0, x2=1.0)
 
 
+@pytest.mark.parametrize("coeffs, k, nu, message", [
+    ([1.0], 0, 1.0, "need degree >= 1"),
+    ([1.0, 0.0], 2, -1.0, "neg_index 2 out of range"),
+    ([math.nan, 0.0], 1, 1.0, "coefficients must be finite"),
+    ([math.inf, 1.0], 1, math.nan, "coefficients must be finite"),
+    ([-1.0, 1.0], 1, 0.0, "coefficients must be finite"),
+    ([1.0, 1.0], 1, 0.0, "coeffs\\[neg_index\\] must be zero"),
+    ([1.0, 0.0], 1, math.inf, "neg_value must be positive"),
+    ([0.0, 0.0], 1, 1.0, "need at least one positive coefficient"),
+])
+def test_first_failed_check_names_the_error(coeffs, k, nu, message):
+    with pytest.raises(InvalidShapeError, match=message):
+        radial(coeffs, k, nu)
+
+
+def test_log_form_is_no_dataclass_field():
+    # repr, equality, hashing and dataclasses.replace see the three
+    # arguments only; replace builds the log form anew
+    f = radial([1, 0, 2], 1, 3)
+    assert [fld.name for fld in dataclasses.fields(f)] == ["coeffs", "neg_index", "neg_value"]
+    assert repr(f) == "SignedRadialPolynomial(coeffs=(1.0, 0.0, 2.0), neg_index=1, neg_value=3.0)"
+    assert f == radial([1.0, 0.0, 2.0], 1, 3.0) and hash(f) == hash(radial([1, 0, 2], 1, 3))
+    g = dataclasses.replace(f, neg_value=4.0)
+    assert g == radial([1.0, 0.0, 2.0], 1, 4.0) and g._lognu == 0.0
+
+
 def test_huge_degree_no_overflow():
     coeffs = [0.0] * 101
     coeffs[0] = 1e8
@@ -253,25 +280,24 @@ def _wide_shapes(draw):
 @settings(max_examples=200, deadline=None)
 @given(_wide_shapes(), st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=5))
 def test_envelope_bounds_h_and_brackets_its_roots(f, ts):
-    lr = rootloc._LogRadial(f)
     for t in ts:
         env, n_terms, size = _envelope(f, t)
-        slack = 1e-13 * (1.0 + size + abs(lr.lognu))
-        h = lr.stats(t)[0]
+        slack = 1e-13 * (1.0 + size + abs(f._lognu))
+        h = f._stats(t)[0]
         assert env - slack <= h <= env + math.log(n_terms) + slack
-    if min(lr.ds) < 0.0 < max(lr.ds):
+    if min(f._ds) < 0.0 < max(f._ds):
         # the chord test is the envelope's minimum, reached at t_c
-        delta, tc = lr.vertex()
+        delta, tc = f._vertex()
         for t in [tc, *ts]:
             env, _, size = _envelope(f, t)
-            assert env >= delta - 1e-12 * (1.0 + size + abs(lr.lognu))
+            assert env >= delta - 1e-12 * (1.0 + size + abs(f._lognu))
         assert _envelope(f, tc)[0] == pytest.approx(delta, rel=1e-12, abs=1e-12)
     # T is zero at the finite ends of [tau1, tau2] when T <= 0 somewhere,
     # and every root lies inside, where T <= 0 <= T + log N, ...
-    for tau in (lr.tau1, lr.tau2):
-        if math.isfinite(tau) and lr.tau1 <= lr.tau2:
+    for tau in (f._tau1, f._tau2):
+        if math.isfinite(tau) and f._tau1 <= f._tau2:
             env, _, size = _envelope(f, tau)
-            assert abs(env) <= 1e-12 * (1.0 + size + abs(lr.lognu))
+            assert abs(env) <= 1e-12 * (1.0 + size + abs(f._lognu))
     try:
         r = positive_roots(f)
     except InvalidShapeError:  # a root beyond double range
@@ -280,12 +306,12 @@ def test_envelope_bounds_h_and_brackets_its_roots(f, ts):
         if x is not None:
             t = math.log(x)
             env, n_terms, size = _envelope(f, t)
-            slack = 1e-12 * (1.0 + size + abs(lr.lognu))
+            slack = 1e-12 * (1.0 + size + abs(f._lognu))
             assert env - slack <= 0.0 <= env + math.log(n_terms) + slack
-            assert lr.tau1 - slack <= t <= lr.tau2 + slack
+            assert f._tau1 - slack <= t <= f._tau2 + slack
             # ... and within log N / min|j - k| of the nearer end
-            step = math.log(len(lr.ds)) / min(abs(d) for d in lr.ds)
-            assert min(t - lr.tau1, lr.tau2 - t) <= step + slack
+            step = math.log(len(f._ds)) / min(abs(d) for d in f._ds)
+            assert min(t - f._tau1, f._tau2 - t) <= step + slack
 
 
 def test_stats_match_direct_sums():
@@ -301,34 +327,18 @@ def test_stats_match_direct_sums():
         if not coeffs.any():
             coeffs[(k + 1) % (n + 1)] = 1.0
         f = radial(coeffs, k, 10.0 ** rng.uniform(-2, 3))
-        lr = rootloc._LogRadial(f)
         t = rng.uniform(-2.0, 2.0)
         d = np.arange(n + 1) - k
         terms = coeffs * np.exp(d * t)
         mean = terms @ d / terms.sum()
         expected = (math.log(terms.sum() / f.neg_value), mean, terms @ (d - mean) ** 2 / terms.sum())
-        assert lr.stats(t) == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
-@pytest.fixture
-def h_evaluations(monkeypatch):
-    """The list of points at which h is evaluated.  Every evaluation goes
-    through the (h, h') evaluator: the (h, h', h'') one calls it."""
-    points = []
-    newton = rootloc._LogRadial.newton
-
-    def counted(lr, t):
-        points.append(t)
-        return newton(lr, t)
-
-    monkeypatch.setattr(rootloc._LogRadial, "newton", counted)
-    return points
+        assert f._stats(t) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_every_evaluator_of_h_is_counted(h_evaluations):
-    lr = rootloc._LogRadial(radial([1.0, 0.0, 1.0], 1, 3.0))
-    lr.newton(0.5)
-    lr.stats(0.25)
+    f = radial([1.0, 0.0, 1.0], 1, 3.0)
+    f._newton(0.5)
+    f._stats(0.25)
     assert h_evaluations == [0.5, 0.25]
 
 
@@ -443,10 +453,9 @@ def test_start_that_rounds_below_zero_is_the_root():
     # h(tau1) >= 0 in exact arithmetic, but here it rounds to -4.3e-17 (a
     # radial polynomial of an experiment's table): the start is the root
     f = radial([0.29487947530416075] + [0.0] * 38 + [0.5459638802066339, 1.0], 1, 0.9999208549850965)
-    lr = rootloc._LogRadial(f)
-    assert lr.newton(lr.tau1)[0] < 0.0
+    assert f._newton(f._tau1)[0] < 0.0
     r = positive_roots(f)
-    assert r.kind == "two" and r.x1 == math.exp(lr.tau1)
+    assert r.kind == "two" and r.x1 == math.exp(f._tau1)
     assert _exact_sign(f, r.x1 * 0.999) > 0 > _exact_sign(f, r.x1 * 1.001)
 
 
@@ -474,24 +483,24 @@ def test_every_root_changes_sign_exactly_and_is_approached_one_way(monkeypatch):
     # each returned root x lies within the search's tolerance e of a sign
     # change of f, checked in rationals at x e^-e and x e^e, and the Newton
     # iterates of each root move in one direction, inward from tau
-    newton, root = rootloc._LogRadial.newton, rootloc._root
+    newton, root = SignedRadialPolynomial._newton, rootloc._root
     searching, paths = [], []  # the iterates of the search under way; of each search
 
-    def traced_newton(lr, t):
+    def traced_newton(f, t):
         if searching:
             searching[-1].append(t)
-        return newton(lr, t)
+        return newton(f, t)
 
-    def traced_root(lr, tau):
+    def traced_root(f, tau):
         searching.append([])
         try:
-            t = root(lr, tau)
+            t = root(f, tau)
         finally:
             iterates = searching.pop()
-        paths.append((1.0 if tau == lr.tau1 else -1.0, iterates + [t]))
+        paths.append((1.0 if tau == f._tau1 else -1.0, iterates + [t]))
         return t
 
-    monkeypatch.setattr(rootloc._LogRadial, "newton", traced_newton)
+    monkeypatch.setattr(SignedRadialPolynomial, "_newton", traced_newton)
     monkeypatch.setattr(rootloc, "_root", traced_root)
     found = {"one": 0, "two": 0}
     for f in _seeded_shapes(np.random.default_rng(23), 400):
