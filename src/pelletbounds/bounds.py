@@ -41,8 +41,9 @@ result that the root search would return.  It forms nu_k first, so a
 singular A_k raises SingularMatrixError whether or not the query is
 skipped.
 
-Coefficient norms, nu_k, preconditioned and squared polynomials are
-computed once per polynomial and kept on it (see ``matpoly``).
+Coefficient norms, one LU per coefficient, nu_k, preconditioned and
+squared polynomials are computed once per polynomial and kept on it (see
+``matpoly``); nu_k and A_k^-1 P are solved from the same LU of A_k.
 """
 
 from __future__ import annotations
@@ -50,10 +51,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .linalg import NormKind, SingularMatrixError, inv_norm_inv, norm
+import numpy as np
+
+from .linalg import NormKind, SingularMatrixError, _inv_norm_inv, norm
 from .matpoly import (
     MatrixPolynomial,
     OddDegreeError,
+    _lu,
     left_precondition,
     monicize,
     reciprocal,
@@ -112,14 +116,21 @@ class GapResult:
 
 
 def _norms(p: MatrixPolynomial, kind: NormKind) -> list:
-    """The coefficient norms of P as a list of floats, taken once per kind."""
-    return p._cached(("norms", kind), lambda: norm(p.stack, kind).tolist())
+    """The coefficient norms of P as a list of floats, taken once per kind;
+    a norm beyond the double range is inf, without numpy's overflow
+    warning."""
+
+    def reduce():
+        with np.errstate(over="ignore"):
+            return norm(p.stack, kind).tolist()
+
+    return p._cached(("norms", kind), reduce)
 
 
 def _nu(p: MatrixPolynomial, j: int, kind: NormKind) -> float:
-    """nu_j = 1/||A_j^-1||, taken once per index and kind; raises
-    SingularMatrixError (every time) when A_j is singular."""
-    return p._cached(("nu", j, kind), inv_norm_inv, p.stack[j], kind)
+    """nu_j = 1/||A_j^-1|| from P's LU of A_j, taken once per index and
+    kind; raises SingularMatrixError (every time) when A_j is singular."""
+    return p._cached(("nu", j, kind), lambda: _inv_norm_inv(_lu(p, j), kind))
 
 
 def _pivot_profile(p: MatrixPolynomial, j: int, kind: NormKind, precondition: bool):

@@ -9,11 +9,14 @@ LAPACK's SVD: a 2-norm bound is sound only if the norm is never
 underestimated, which rules out iterations that can stop at a smaller
 singular value.
 
-One function, ``_solve``, decides when a pivot is unusable, for
-``left_solve`` and ``inv_norm_inv`` alike: an LU pivot below
-``SINGULARITY_RTOL`` times the matrix's infinity norm, or a solution that
-is not finite, raises ``SingularMatrixError``, and the theorem that needed
-the pivot does not apply.
+One function, ``_factor``, decides when a pivot is unusable: a zero
+matrix, or an LU pivot below ``SINGULARITY_RTOL`` times the matrix's
+infinity norm, raises ``SingularMatrixError``, and the theorem that needed
+the pivot does not apply.  ``_solve`` solves from such a factorization and
+raises the same error when the solution is not finite.  ``left_solve`` and
+``inv_norm_inv`` validate, factor and solve on every call; ``matpoly``
+keeps one factorization per coefficient of a polynomial and solves from it
+through the same two functions.
 
 The two LAPACK routines the LU solves use, ``zgetrf`` and ``zgetrs``, come
 from scipy's f2py extension ``scipy.linalg._flapack``, loaded from its file
@@ -123,20 +126,40 @@ def _norms(arr: np.ndarray, kind: NormKind):
     return np.linalg.svd(arr, compute_uv=False)[..., 0]
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with a @ x = b, for a validated square ``a`` and a validated 2-D
-    ``b`` with as many rows, under the pivot rule of the module docstring
-    (a zero ``a`` included)."""
+def _factor(a: np.ndarray) -> tuple:
+    """The LU factorization (lu, piv) of a validated square ``a`` under the
+    pivot rule of the module docstring (a zero ``a`` included)."""
     scale = float(np.abs(a).sum(axis=1).max())
     if scale == 0.0:
         raise SingularMatrixError("zero matrix")
     lu, piv, _ = lapack.zgetrf(a)
     if np.abs(np.diag(lu)).min() < SINGULARITY_RTOL * scale:
         raise SingularMatrixError("matrix is numerically singular")
-    x = lapack.zgetrs(lu, piv, b)[0]
+    return lu, piv
+
+
+def _solve(factor: tuple, b: np.ndarray) -> np.ndarray:
+    """x with a @ x = b from the ``_factor`` of ``a``, for a finite ``b``
+    with as many rows; a stack b of shape (k, m, p) is solved as the
+    (m, k*p) concatenation of its matrices and returned as a stack.
+    Raises SingularMatrixError when x is not finite."""
+    if b.ndim == 3:
+        k, m, p = b.shape
+        x = _solve(factor, b.transpose(1, 0, 2).reshape(m, k * p))
+        return x.reshape(m, k, p).transpose(1, 0, 2)
+    x = lapack.zgetrs(*factor, b)[0]
     if not np.isfinite(x).all():
         raise SingularMatrixError("solution is not finite")
     return x
+
+
+def _inv_norm_inv(factor: tuple, kind: NormKind) -> float:
+    """1 / ||a^-1|| from the ``_factor`` of ``a``; raises
+    SingularMatrixError when the norm of the inverse overflows."""
+    nu = 1.0 / float(_norms(_solve(factor, identity(factor[0].shape[0])), kind))
+    if not nu > 0.0:
+        raise SingularMatrixError("the norm of the inverse overflows")
+    return nu
 
 
 def inv_norm_inv(a, kind) -> float:
@@ -149,15 +172,12 @@ def inv_norm_inv(a, kind) -> float:
     error of order eps * sigma_max and overestimates 1/||a^-1|| on
     ill-conditioned matrices, which would tighten a bound past the
     spectrum.  Raises SingularMatrixError when ``a`` fails the pivot rule
-    of ``_solve`` or the norm of its inverse overflows, in which case the
+    of ``_factor`` or the norm of its inverse overflows, in which case the
     corresponding bound is inapplicable.
     """
     arr = as_matrix(a)
     _require_square(arr)
-    nu = 1.0 / float(_norms(_solve(arr, identity(arr.shape[0])), NormKind.coerce(kind)))
-    if not nu > 0.0:
-        raise SingularMatrixError("the norm of the inverse overflows")
-    return nu
+    return _inv_norm_inv(_factor(arr), NormKind.coerce(kind))
 
 
 def left_solve(a, b) -> np.ndarray:
@@ -166,18 +186,15 @@ def left_solve(a, b) -> np.ndarray:
     ``b`` may be a matrix or a stack of shape (k, m, p); a stack is solved
     with one factorization of ``a`` and one solve of the (m, k*p)
     concatenation of its matrices, and returned as a stack.  Raises
-    SingularMatrixError when ``a`` fails the pivot rule of ``_solve``.
+    SingularMatrixError when ``a`` fails the pivot rule of ``_factor`` or
+    the solution is not finite.
     """
     arr = as_matrix(a)
     _require_square(arr)
     brr = _as_finite(b, (2, 3))
     if brr.shape[-2] != arr.shape[0]:
         raise ValueError(f"shapes not conformable: {arr.shape} vs {brr.shape}")
-    if brr.ndim == 2:
-        return _solve(arr, brr)
-    k, m, p = brr.shape
-    x = _solve(arr, brr.transpose(1, 0, 2).reshape(m, k * p))
-    return x.reshape(m, k, p).transpose(1, 0, 2)
+    return _solve(_factor(arr), brr)
 
 
 def eigenvalues(a) -> np.ndarray:

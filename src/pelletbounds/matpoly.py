@@ -7,14 +7,16 @@ monicization, left preconditioning, the reciprocal polynomial, the degree
 shift z*P(z), the block companion linearization, and the companion-squaring
 repartition that halves the degree while doubling the block size.  Each
 works on the whole coefficient stack: the LU-based ones factor their pivot
-once and solve for all coefficients together.
+once per polynomial and solve for all coefficients together.
 
 A polynomial never changes after construction, so what the bounds derive
 from it again and again is computed once and kept on it in a private memo:
-its preconditioned forms here (monicize and reciprocal included), and in
-``bounds`` its coefficient norms, its pivot norms nu_k and its
-companion-squared polynomials.  Failures are not kept: a singular pivot
-raises on every call.
+here one LU factorization per coefficient A_j, taken under ``linalg``'s
+pivot rule, and its preconditioned forms (monicize and reciprocal
+included), each solved from that factorization; in ``bounds`` its
+coefficient norms, its pivot norms nu_k, solved from the same
+factorization, and its companion-squared polynomials.  Failures are not
+kept: a singular pivot raises on every call.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SingularMatrixError, identity, left_solve
+from . import linalg
+from .linalg import SingularMatrixError, identity
 
 
 class NotMonicError(Exception):
@@ -106,13 +109,19 @@ def evaluate(p: MatrixPolynomial, z: complex) -> np.ndarray:
     return acc
 
 
+def _lu(p: MatrixPolynomial, j: int) -> tuple:
+    """The LU factorization of A_j under ``linalg``'s pivot rule, taken once
+    per index; raises SingularMatrixError (every time) when A_j is singular."""
+    return p._cached(("factor", j), linalg._factor, p.stack[j])
+
+
 def monicize(p: MatrixPolynomial) -> MatrixPolynomial:
     """A_n^-1 P: same eigenvalues, leading coefficient exactly I."""
     return left_precondition(p, p.n)
 
 
 def _precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
-    stack = left_solve(p.stack[index], p.stack)
+    stack = linalg._solve(_lu(p, index), p.stack)
     stack[index] = identity(p.m)
     if not stack[-1].any():
         raise SingularMatrixError("the preconditioned leading coefficient underflows to zero")
@@ -120,12 +129,12 @@ def _precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
 
 
 def left_precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
-    """A_index^-1 P from one LU of A_index, with coefficient ``index`` set
+    """A_index^-1 P from P's LU of A_index, with coefficient ``index`` set
     to the exact identity; built once per index and kept on P.
 
     Raises SingularMatrixError when A_index fails the pivot rule of
-    ``linalg.left_solve``, or when A_index^-1 A_n underflows to zero: like
-    a solve that overflows, the pivot then cannot carry the polynomial.
+    ``linalg``, when the solve overflows, or when A_index^-1 A_n underflows
+    to zero: the pivot then cannot carry the polynomial.
     """
     if not 0 <= index <= p.n:
         raise ValueError(f"index {index} out of range for degree {p.n}")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,9 +20,14 @@ from pelletbounds import (
     count_in_annulus,
     count_in_disk,
     eigen_oracle,
+    inv_norm_inv,
+    left_precondition,
+    left_solve,
+    monicize,
     pellet_gap,
     reciprocal,
     scalar_polynomial,
+    shift_by_z,
     squared_bounds,
     squared_gap,
 )
@@ -457,6 +463,74 @@ def test_underflowed_preconditioned_leading_coefficient_is_inapplicable():
             pellet_gap(gap_p, 1, kind, precondition=True)
 
 
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the SingularMatrixError it raises."""
+    try:
+        return fn(*args)
+    except SingularMatrixError as exc:
+        return repr(exc)
+
+
+def _left_solved(q, j):
+    """A_j^-1 Q through the public left_solve, with index j set to I."""
+    stack = left_solve(q.stack[j], q.stack)
+    stack[j] = np.eye(q.m)
+    return stack.tobytes()
+
+
+def _assert_built_like_input(t):
+    assert t.stack.flags.c_contiguous and not t.stack.flags.writeable
+    assert np.array_equal(MatrixPolynomial(t.stack).stack, t.stack)
+
+
+def test_kept_pivots_match_the_public_reference_path():
+    # nu_j and A_j^-1 Q solved from Q's kept LU are bit for bit (or error
+    # for error) what inv_norm_inv and left_solve give, which validate and
+    # factor on every call; Q runs over the sweep's first 144 instances P
+    # and their companion-squared Q and Q_R
+    for i in range(144):
+        p, _ = criterion_1_instance(i)
+        polys = [p]
+        for use_reciprocal in (False, True):
+            try:
+                polys.append(squared_polynomial(p, use_reciprocal)[0])
+            except SingularMatrixError:
+                pass
+        for q in polys:
+            _assert_built_like_input(q)
+            _assert_built_like_input(shift_by_z(q))
+            for j in range(q.n + 1):
+                for kind in KINDS:
+                    assert (_outcome(lambda: bounds._nu(q, j, kind).hex())
+                            == _outcome(lambda: inv_norm_inv(q.stack[j], kind).hex()))
+                pre = _outcome(left_precondition, q, j)
+                if isinstance(pre, MatrixPolynomial):
+                    _assert_built_like_input(pre)
+                    pre = pre.stack.tobytes()
+                assert pre == _outcome(_left_solved, q, j)
+            for transform in (monicize, reciprocal):
+                t = _outcome(transform, q)
+                if isinstance(t, MatrixPolynomial):
+                    _assert_built_like_input(t)
+
+
+def test_coefficient_norms_beyond_the_double_range_do_not_warn():
+    # every entry of A_0 at 1e308: its 1- and inf-norms overflow to inf, and
+    # the radial polynomial rejects that coefficient; numpy's overflow
+    # RuntimeWarning from the sum must not reach the caller
+    a0 = np.full((2, 2), 1e308)
+    p = MatrixPolynomial([a0, np.eye(2)])
+    p2 = MatrixPolynomial([a0, np.eye(2), np.eye(2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in KINDS:
+            for pre in (False, True):
+                with pytest.raises(InvalidShapeError, match="finite and nonnegative"):
+                    cauchy_bounds(p, kind, pre)
+                with pytest.raises(InvalidShapeError, match="finite and nonnegative"):
+                    pellet_gap(p2, 1, kind, pre)
+
+
 # the errors by which a query on a valid polynomial says that a theorem does
 # not apply; anything else (a ValueError above all) is a fault
 _INAPPLICABLE = (SingularMatrixError, InvalidShapeError, OddDegreeError, OddIndexError)
@@ -478,8 +552,9 @@ def _wide_range_polynomials(draw):
     return MatrixPolynomial(stack)
 
 
-# a 1-/inf-norm or pivot-scale row sum beyond the double range still warns
-# (numpy's overflow RuntimeWarning); the verdict there is "inapplicable"
+# a pivot-scale row sum, or a 1-/inf-norm of a pivot's inverse (nu), beyond
+# the double range still warns (numpy's overflow RuntimeWarning; the
+# coefficient norms do not); the verdict there is "inapplicable"
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(_wide_range_polynomials())

@@ -1,3 +1,4 @@
+import collections
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from pelletbounds import (
     MatrixPolynomial,
+    NormKind,
     NotMonicError,
     OddDegreeError,
     SingularMatrixError,
@@ -25,6 +27,7 @@ from pelletbounds import (
     squared_bounds,
     to_json,
 )
+from pelletbounds import bounds, linalg
 from pelletbounds.bounds import squared_polynomial
 
 from conftest import max_match_distance, rand_matrix, rand_poly
@@ -174,6 +177,53 @@ def test_singular_pivot_raises_on_every_call():
             left_precondition(p, 0)
         with pytest.raises(SingularMatrixError):
             reciprocal(p)
+        for kind in NormKind:
+            with pytest.raises(SingularMatrixError):
+                bounds._nu(p, 0, kind)
+
+
+class _CountingLapack:
+    """``linalg.lapack`` with a count of the calls of each routine."""
+
+    def __init__(self, lapack):
+        self._lapack = lapack
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        routine = getattr(self._lapack, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return routine(*args, **kwargs)
+
+        return counted
+
+
+def test_one_factorization_per_index(rng, monkeypatch):
+    # nu_j in every kind, A_j^-1 P, the reciprocal and the oracle's monicize
+    # all solve from one kept LU of A_j
+    lapack = _CountingLapack(linalg.lapack)
+    monkeypatch.setattr(linalg, "lapack", lapack)
+
+    def ask(p, indices):
+        for j in indices:
+            for kind in NormKind:
+                bounds._nu(p, j, kind)
+            left_precondition(p, j)
+        reciprocal(p)
+        eigen_oracle(p)
+
+    p = rand_poly(rng, 3, 4, monic=False)
+    for _ in range(2):
+        ask(p, range(p.n + 1))
+    assert lapack.calls["zgetrf"] == p.n + 1
+    # a monic P's oracle needs no LU of A_n = I; asked for, it is one more
+    lapack.calls.clear()
+    monic = rand_poly(rng, 3, 4)
+    ask(monic, range(monic.n))
+    assert lapack.calls["zgetrf"] == monic.n
+    ask(monic, [monic.n])
+    assert lapack.calls["zgetrf"] == monic.n + 1
 
 
 def test_left_precondition_sets_identity(rng):
