@@ -43,7 +43,9 @@ skipped.
 
 Coefficient norms, one LU per coefficient, nu_k, preconditioned and
 squared polynomials are computed once per polynomial and kept on it (see
-``matpoly``); nu_k and A_k^-1 P are solved from the same LU of A_k.
+``matpoly``); nu_k and A_k^-1 P are solved from the same LU of A_k.  An
+A_k that is exactly I has no LU: nu_k is exactly 1.0 in every norm, and
+A_k^-1 P is P.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .linalg import NormKind, SingularMatrixError, _inv_norm_inv, norm
 from .matpoly import (
     MatrixPolynomial,
     OddDegreeError,
+    _is_identity,
     _lu,
     left_precondition,
     monicize,
@@ -128,9 +131,11 @@ def _norms(p: MatrixPolynomial, kind: NormKind) -> list:
 
 
 def _nu(p: MatrixPolynomial, j: int, kind: NormKind) -> float:
-    """nu_j = 1/||A_j^-1|| from P's LU of A_j, taken once per index and
-    kind; raises SingularMatrixError (every time) when A_j is singular."""
-    return p._cached(("nu", j, kind), lambda: _inv_norm_inv(_lu(p, j), kind))
+    """nu_j = 1/||A_j^-1||, taken once per index and kind: exactly 1.0 when
+    A_j is exactly I (every norm of I is 1), else from P's LU of A_j;
+    raises SingularMatrixError (every time) when A_j is singular."""
+    return p._cached(("nu", j, kind),
+                     lambda: 1.0 if _is_identity(p, j) else _inv_norm_inv(_lu(p, j), kind))
 
 
 def _pivot_profile(p: MatrixPolynomial, j: int, kind: NormKind, precondition: bool):

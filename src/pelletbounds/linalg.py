@@ -18,6 +18,12 @@ raises the same error when the solution is not finite.  ``left_solve`` and
 keeps one factorization per coefficient of a polynomial and solves from it
 through the same two functions.
 
+``identity(m)`` is one read-only complex identity per size, built on first
+use and shared: callers copy from it or pass it to ``zgetrs``, which copies
+its right-hand side.  ``matpoly`` and ``bounds`` test a pivot against it
+and skip the LU of an exact identity, whose factors, inverse and every
+norm (the SVD's included) are exactly I and 1.0.
+
 The two LAPACK routines the LU solves use, ``zgetrf`` and ``zgetrs``, come
 from scipy's f2py extension ``scipy.linalg._flapack``, loaded from its file
 under its own name without importing ``scipy`` or ``scipy.linalg``
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import ctypes
 import enum
+import functools
 import glob
 import importlib.machinery
 import importlib.util
@@ -101,8 +108,13 @@ def _require_square(a: np.ndarray) -> None:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
 
 
+@functools.cache
 def identity(m: int) -> np.ndarray:
-    return np.eye(m, dtype=np.complex128)
+    """The m-by-m complex identity: one read-only array per size, built on
+    first use and shared by every caller (who copy from it)."""
+    eye = np.eye(m, dtype=np.complex128)
+    eye.setflags(write=False)
+    return eye
 
 
 def norm(a, kind):
@@ -133,7 +145,7 @@ def _factor(a: np.ndarray) -> tuple:
     if scale == 0.0:
         raise SingularMatrixError("zero matrix")
     lu, piv, _ = lapack.zgetrf(a)
-    if np.abs(np.diag(lu)).min() < SINGULARITY_RTOL * scale:
+    if np.abs(lu.diagonal()).min() < SINGULARITY_RTOL * scale:
         raise SingularMatrixError("matrix is numerically singular")
     return lu, piv
 

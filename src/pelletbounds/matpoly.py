@@ -17,6 +17,12 @@ included), each solved from that factorization; in ``bounds`` its
 coefficient norms, its pivot norms nu_k, solved from the same
 factorization, and its companion-squared polynomials.  Failures are not
 kept: a singular pivot raises on every call.
+
+A coefficient that is exactly I (a monic P's A_n, the leading coefficient
+of Q and Q_R, index k of A_k^-1 P) is told apart once per index by
+comparison with ``linalg``'s shared identity and costs nothing: it is
+never factored, and I^-1 P is P itself, with the norms and LUs already
+kept on it.  That case is decided before the memo, which never holds P.
 """
 
 from __future__ import annotations
@@ -84,7 +90,7 @@ class MatrixPolynomial:
     def is_monic(self) -> bool:
         """Whether A_n is exactly I; anything else, however close, must be
         monicized."""
-        return bool((self.stack[-1] == identity(self.m)).all())
+        return _is_identity(self, self.n)
 
     def _cached(self, key, build, *args):
         """build(*args), computed on the first call with ``key`` and kept;
@@ -109,6 +115,12 @@ def evaluate(p: MatrixPolynomial, z: complex) -> np.ndarray:
     return acc
 
 
+def _is_identity(p: MatrixPolynomial, j: int) -> bool:
+    """Whether A_j is exactly I, tested once per index against the shared
+    identity and kept."""
+    return p._cached(("identity", j), lambda: bool((p.stack[j] == identity(p.m)).all()))
+
+
 def _lu(p: MatrixPolynomial, j: int) -> tuple:
     """The LU factorization of A_j under ``linalg``'s pivot rule, taken once
     per index; raises SingularMatrixError (every time) when A_j is singular."""
@@ -130,7 +142,8 @@ def _precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
 
 def left_precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
     """A_index^-1 P from P's LU of A_index, with coefficient ``index`` set
-    to the exact identity; built once per index and kept on P.
+    to the exact identity; built once per index and kept on P.  When
+    A_index is exactly I, this is P itself: no LU, no solve, no copy.
 
     Raises SingularMatrixError when A_index fails the pivot rule of
     ``linalg``, when the solve overflows, or when A_index^-1 A_n underflows
@@ -138,6 +151,9 @@ def left_precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
     """
     if not 0 <= index <= p.n:
         raise ValueError(f"index {index} out of range for degree {p.n}")
+    if _is_identity(p, index):
+        # decided before the memo, which must never hold P itself
+        return p
     return p._cached(("precondition", index), _precondition, p, index)
 
 
@@ -168,7 +184,7 @@ def companion(p: MatrixPolynomial) -> np.ndarray:
     _require_monic(p)
     m, n = p.m, p.n
     c = np.zeros((n * m, n * m), dtype=np.complex128)
-    c[m:, :(n - 1) * m] = identity((n - 1) * m)
+    np.fill_diagonal(c[m:], 1.0)  # no (n-1)m identity: the shared ones are pivot-sized
     c[:, (n - 1) * m:] = -p.stack[:n].reshape(n * m, m)
     return c
 

@@ -31,7 +31,7 @@ from pelletbounds import (
     squared_bounds,
     squared_gap,
 )
-from pelletbounds import bounds
+from pelletbounds import bounds, linalg
 from pelletbounds.bounds import squared_polynomial
 
 from conftest import criterion_1_instance, rand_matrix, rand_poly
@@ -512,6 +512,53 @@ def test_kept_pivots_match_the_public_reference_path():
                 t = _outcome(transform, q)
                 if isinstance(t, MatrixPolynomial):
                     _assert_built_like_input(t)
+
+
+def test_identity_pivots_match_the_public_reference_path():
+    # a coefficient that is exactly I (a monic P's A_n, Q's and Q_R's
+    # leading coefficient, index 0 of B_0^-1 Q) has nu exactly 1.0 in every norm
+    # without an LU, as inv_norm_inv gives it, and I^-1 Q is Q itself; the
+    # identity they are tested against is one read-only array per size
+    pivots = 0
+    for i in range(144):
+        p, _ = criterion_1_instance(i)
+        polys = [p]
+        for use_reciprocal in (False, True):
+            try:
+                q = squared_polynomial(p, use_reciprocal)[0]
+            except SingularMatrixError:
+                continue
+            polys.append(q)
+            if not use_reciprocal:
+                polys.append(_outcome(left_precondition, q, 0))
+        for q in (q for q in polys if isinstance(q, MatrixPolynomial)):
+            for j in range(q.n + 1):
+                if not np.array_equal(q.stack[j], np.eye(q.m)):
+                    continue
+                pivots += 1
+                for kind in KINDS:
+                    assert (bounds._nu(q, j, kind).hex() == inv_norm_inv(q.stack[j], kind).hex()
+                            == (1.0).hex())
+                assert left_precondition(q, j) is q
+                eye = linalg.identity(q.m)
+                assert linalg.identity(q.m) is eye and not eye.flags.writeable
+                assert np.array_equal(eye, np.eye(q.m))
+    assert pivots >= 72 + 2 * 144
+
+
+def test_preconditioning_at_an_identity_pivot_changes_no_bound(rng):
+    # I^-1 P is P, signed zeros included: the preconditioned radius at an
+    # identity pivot is the plain one, also in the 2-norm, whose SVD can
+    # move by an ulp when a -0.0 entry turns into +0.0
+    for t in range(40):
+        m, n = 1 + t % 3, 2 + t % 5
+        stack = rng.standard_normal((n + 1, m, m)) + 0j
+        stack[rng.uniform(size=stack.shape) < 0.4] = complex(-0.0, -0.0)
+        stack[0] = stack[-1] = np.eye(m)
+        p = MatrixPolynomial(stack)
+        for kind in KINDS:
+            assert cauchy_bounds(p, kind, precondition=True) == replace(
+                cauchy_bounds(p, kind), variant="monic-preconditioned")
 
 
 def test_coefficient_norms_beyond_the_double_range_do_not_warn():

@@ -1,5 +1,7 @@
 import collections
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -217,13 +219,15 @@ def test_one_factorization_per_index(rng, monkeypatch):
     for _ in range(2):
         ask(p, range(p.n + 1))
     assert lapack.calls["zgetrf"] == p.n + 1
-    # a monic P's oracle needs no LU of A_n = I; asked for, it is one more
+    # a monic P's A_n = I needs no LU: not for its oracle, nor for nu_n or
+    # A_n^-1 P, which is P itself
     lapack.calls.clear()
     monic = rand_poly(rng, 3, 4)
     ask(monic, range(monic.n))
     assert lapack.calls["zgetrf"] == monic.n
     ask(monic, [monic.n])
-    assert lapack.calls["zgetrf"] == monic.n + 1
+    assert lapack.calls["zgetrf"] == monic.n
+    assert left_precondition(monic, monic.n) is monic
 
 
 def test_left_precondition_sets_identity(rng):
@@ -262,6 +266,24 @@ def test_reciprocal_singular_constant():
     p = MatrixPolynomial([np.diag([1.0, 0.0]), np.eye(2)])
     with pytest.raises(SingularMatrixError):
         reciprocal(p)
+
+
+def test_identity_pivot_keeps_no_reference_to_its_polynomial(rng):
+    # I^-1 P is P, decided before the memo: a P kept in its own memo would be
+    # a cycle that only a full garbage collection frees
+    monic = rand_poly(rng, 2, 3)
+    assert left_precondition(monic, monic.n) is monic
+    assert monicize(monic) is monic
+    for kind in NormKind:
+        assert bounds._nu(monic, monic.n, kind) == 1.0
+    assert not any(value is monic for value in monic._memo.values())
+    ref = weakref.ref(monic)
+    gc.disable()
+    try:
+        del monic
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_underflowed_preconditioned_leading_coefficient_is_singular():
