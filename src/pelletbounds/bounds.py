@@ -41,11 +41,9 @@ result that the root search would return.  It forms nu_k first, so a
 singular A_k raises SingularMatrixError whether or not the query is
 skipped.
 
-Coefficient norms, one LU per coefficient, nu_k, preconditioned and
-squared polynomials are computed once per polynomial and kept on it (see
-``matpoly``); nu_k and A_k^-1 P are solved from the same LU of A_k.  An
-A_k that is exactly I has no LU: nu_k is exactly 1.0 in every norm, and
-A_k^-1 P is P.
+Everything these theorems read from a polynomial (its coefficient norms,
+nu_k, A_k^-1 P, Q and Q_R) is built once and kept on it by ``matpoly``;
+this module keeps only the theorems.
 """
 
 from __future__ import annotations
@@ -53,20 +51,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .linalg import NormKind, SingularMatrixError, _inv_norm_inv, norm
-from .matpoly import (
-    MatrixPolynomial,
-    OddDegreeError,
-    _is_identity,
-    _lu,
-    left_precondition,
-    monicize,
-    reciprocal,
-    shift_by_z,
-    square_repartition,
-)
+from .linalg import NormKind, SingularMatrixError
+from .matpoly import MatrixPolynomial, OddDegreeError, _norms, _nu, _squared, left_precondition
 from .rootloc import GAP_RTOL, PositiveRoots, SignedRadialPolynomial, _highest_chord, positive_roots
 
 VARIANT_PLAIN = "plain"
@@ -116,26 +102,6 @@ class GapResult:
     norm_kind: NormKind
     variant: str
     marginal: bool = False
-
-
-def _norms(p: MatrixPolynomial, kind: NormKind) -> list:
-    """The coefficient norms of P as a list of floats, taken once per kind;
-    a norm beyond the double range is inf, without numpy's overflow
-    warning."""
-
-    def reduce():
-        with np.errstate(over="ignore"):
-            return norm(p.stack, kind).tolist()
-
-    return p._cached(("norms", kind), reduce)
-
-
-def _nu(p: MatrixPolynomial, j: int, kind: NormKind) -> float:
-    """nu_j = 1/||A_j^-1||, taken once per index and kind: exactly 1.0 when
-    A_j is exactly I (every norm of I is 1), else from P's LU of A_j;
-    raises SingularMatrixError (every time) when A_j is singular."""
-    return p._cached(("nu", j, kind),
-                     lambda: 1.0 if _is_identity(p, j) else _inv_norm_inv(_lu(p, j), kind))
 
 
 def _pivot_profile(p: MatrixPolynomial, j: int, kind: NormKind, precondition: bool):
@@ -242,27 +208,18 @@ def pellet_gap(p: MatrixPolynomial, k: int, kind, precondition: bool = False) ->
 
 
 def squared_polynomial(p: MatrixPolynomial, use_reciprocal: bool) -> tuple:
-    """The companion-squared polynomial Q of P (or Q_R of its reciprocal)
-    and its variant tag, built once per route and kept on P.
+    """The companion-squared polynomial Q of P (or Q_R of its reciprocal),
+    built once per route and kept on P (``matpoly``), and its variant tag.
 
     P is monicized if needed, replaced by its reciprocal for Q_R, shifted
-    by z if its degree is odd, and then squared; the tag records each step
-    taken.  Raises SingularMatrixError when a required pivot is singular or
-    an entry of Q overflows the double range.
+    by z if its degree is odd, and then squared; the tag names each of
+    those steps that P needs.  Raises SingularMatrixError when a required
+    pivot is singular or an entry of Q overflows the double range.
     """
-    return p._cached(("squared", bool(use_reciprocal)), _squared, p, bool(use_reciprocal))
-
-
-def _squared(p: MatrixPolynomial, use_reciprocal: bool) -> tuple:
+    use_reciprocal = bool(use_reciprocal)
+    q = _squared(p, use_reciprocal)
     tag = VARIANT_SQUARED_QR if use_reciprocal else VARIANT_SQUARED_Q
-    if not p.is_monic():
-        p = monicize(p)
-        tag += "+monicized"
-    base = reciprocal(p) if use_reciprocal else p
-    if base.n % 2 != 0:
-        base = shift_by_z(base)
-        tag += "+shifted"
-    return square_repartition(base), tag
+    return q, tag + ("" if p.is_monic() else "+monicized") + ("+shifted" if p.n % 2 else "")
 
 
 def _unsquare(y: float | None, invert: bool = False) -> float | None:

@@ -10,19 +10,19 @@ underestimated, which rules out iterations that can stop at a smaller
 singular value.
 
 One function, ``_factor``, decides when a pivot is unusable: a zero
-matrix, or an LU pivot below ``SINGULARITY_RTOL`` times the matrix's
-infinity norm, raises ``SingularMatrixError``, and the theorem that needed
-the pivot does not apply.  ``_solve`` solves from such a factorization and
-raises the same error when the solution is not finite.  ``left_solve`` and
-``inv_norm_inv`` validate, factor and solve on every call; ``matpoly``
-keeps one factorization per coefficient of a polynomial and solves from it
-through the same two functions.
+matrix, an infinity norm beyond the double range, or an LU pivot below
+``SINGULARITY_RTOL`` times that norm, raises ``SingularMatrixError``, and
+the theorem that needed the pivot does not apply.  ``_solve`` solves from
+such a factorization and raises the same error when the solution is not
+finite.  ``left_solve`` and ``inv_norm_inv`` validate, factor and solve on
+every call; ``matpoly`` keeps one factorization per coefficient of a
+polynomial and solves from it through the same two functions.
 
 ``identity(m)`` is one read-only complex identity per size, built on first
 use and shared: callers copy from it or pass it to ``zgetrs``, which copies
-its right-hand side.  ``matpoly`` and ``bounds`` test a pivot against it
-and skip the LU of an exact identity, whose factors, inverse and every
-norm (the SVD's included) are exactly I and 1.0.
+its right-hand side.  ``matpoly`` tests a pivot against it and skips the
+LU of an exact identity, whose factors, inverse and every norm (the SVD's
+included) are exactly I and 1.0.
 
 The two LAPACK routines the LU solves use, ``zgetrf`` and ``zgetrs``, come
 from scipy's f2py extension ``scipy.linalg._flapack``, loaded from its file
@@ -144,6 +144,8 @@ def _factor(a: np.ndarray) -> tuple:
     scale = float(np.abs(a).sum(axis=1).max())
     if scale == 0.0:
         raise SingularMatrixError("zero matrix")
+    if scale == np.inf:
+        raise SingularMatrixError("the pivot's infinity norm overflows the double range")
     lu, piv, _ = lapack.zgetrf(a)
     if np.abs(lu.diagonal()).min() < SINGULARITY_RTOL * scale:
         raise SingularMatrixError("matrix is numerically singular")

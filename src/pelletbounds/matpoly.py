@@ -10,19 +10,21 @@ works on the whole coefficient stack: the LU-based ones factor their pivot
 once per polynomial and solve for all coefficients together.
 
 A polynomial never changes after construction, so what the bounds derive
-from it again and again is computed once and kept on it in a private memo:
-here one LU factorization per coefficient A_j, taken under ``linalg``'s
-pivot rule, and its preconditioned forms (monicize and reciprocal
-included), each solved from that factorization; in ``bounds`` its
-coefficient norms, its pivot norms nu_k, solved from the same
-factorization, and its companion-squared polynomials.  Failures are not
-kept: a singular pivot raises on every call.
+from it again and again is computed here, once, and kept on it in a
+private memo; no other module builds or caches such data.  The memo holds
+its coefficient norms per norm kind (``_norms``); one LU factorization per
+coefficient A_j, under ``linalg``'s pivot rule (``_lu``); the pivot norms
+nu_j = 1/||A_j^-1|| per kind (``_nu``) and the preconditioned forms A_j^-1 P,
+monicize and reciprocal included (``left_precondition``), each solved from
+that factorization; and the companion-squared Q and Q_R (``_squared``).
+Failures are not kept: a singular pivot raises on every call.
 
 A coefficient that is exactly I (a monic P's A_n, the leading coefficient
 of Q and Q_R, index k of A_k^-1 P) is told apart once per index by
 comparison with ``linalg``'s shared identity and costs nothing: it is
 never factored, and I^-1 P is P itself, with the norms and LUs already
-kept on it.  That case is decided before the memo, which never holds P.
+kept on it, and nu_j is exactly 1.0 in every norm.  That case is decided
+before the memo, which never holds P.
 """
 
 from __future__ import annotations
@@ -127,6 +129,26 @@ def _lu(p: MatrixPolynomial, j: int) -> tuple:
     return p._cached(("factor", j), linalg._factor, p.stack[j])
 
 
+def _norms(p: MatrixPolynomial, kind: linalg.NormKind) -> list:
+    """The coefficient norms of P as a list of floats, taken once per kind;
+    a norm beyond the double range is inf, without numpy's overflow
+    warning."""
+
+    def reduce():
+        with np.errstate(over="ignore"):
+            return linalg.norm(p.stack, kind).tolist()
+
+    return p._cached(("norms", kind), reduce)
+
+
+def _nu(p: MatrixPolynomial, j: int, kind: linalg.NormKind) -> float:
+    """nu_j = 1/||A_j^-1||, taken once per index and kind: exactly 1.0 when
+    A_j is exactly I (every norm of I is 1), else from P's LU of A_j;
+    raises SingularMatrixError (every time) when A_j is singular."""
+    return p._cached(("nu", j, kind),
+                     lambda: 1.0 if _is_identity(p, j) else linalg._inv_norm_inv(_lu(p, j), kind))
+
+
 def monicize(p: MatrixPolynomial) -> MatrixPolynomial:
     """A_n^-1 P: same eigenvalues, leading coefficient exactly I."""
     return left_precondition(p, p.n)
@@ -225,6 +247,22 @@ def square_repartition(p: MatrixPolynomial) -> MatrixPolynomial:
         raise SingularMatrixError("the companion-squared coefficients overflow the double range")
     q[h] = identity(2 * m)
     return MatrixPolynomial(q)
+
+
+def _squared(p: MatrixPolynomial, use_reciprocal: bool) -> MatrixPolynomial:
+    """The companion-squared polynomial Q of P, or Q_R of its reciprocal,
+    built once per route and kept on P: P is monicized (P itself when
+    monic), replaced by its reciprocal for Q_R, shifted by z when its degree
+    is odd, and squared.  Raises SingularMatrixError when a required pivot
+    is singular or an entry of Q overflows the double range."""
+
+    def build():
+        base = monicize(p)
+        if use_reciprocal:
+            base = reciprocal(base)
+        return square_repartition(shift_by_z(base) if base.n % 2 else base)
+
+    return p._cached(("squared", use_reciprocal), build)
 
 
 def to_json(p: MatrixPolynomial) -> str:

@@ -54,8 +54,7 @@ def eigen_oracle(p: MatrixPolynomial) -> EigenReport:
     NonFiniteEigenvalueError when the eigensolve returns an eigenvalue that
     is not finite, as one beyond the double range is.
     """
-    pm = p if p.is_monic() else monicize(p)
-    vals = eigenvalues(companion(pm))
+    vals = eigenvalues(companion(monicize(p)))
     if not np.isfinite(vals).all():
         raise NonFiniteEigenvalueError("an eigenvalue is not finite: it exceeds the double range")
     order = np.argsort(np.abs(vals), kind="stable")

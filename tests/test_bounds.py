@@ -28,10 +28,11 @@ from pelletbounds import (
     reciprocal,
     scalar_polynomial,
     shift_by_z,
+    square_repartition,
     squared_bounds,
     squared_gap,
 )
-from pelletbounds import bounds, linalg
+from pelletbounds import bounds, linalg, matpoly
 from pelletbounds.bounds import squared_polynomial
 
 from conftest import criterion_1_instance, rand_matrix, rand_poly
@@ -256,6 +257,32 @@ def test_squared_bounds_monicizes_and_tags(rng):
     assert_sound_cauchy(p, cb)
 
 
+def test_squared_polynomial_is_the_explicit_chain_and_its_tag_names_the_steps(rng):
+    # over {monic, non-monic} x {even, odd n} x {Q, Q_R}: Q is, byte for byte,
+    # square_repartition(shift_by_z?(reciprocal?(monicize(P)))) built on a
+    # memo-free copy of P, and the tag names exactly the steps taken
+    for monic in (True, False):
+        for n in (4, 5):
+            p = rand_poly(rng, 2, n, monic=monic)
+            for use_reciprocal in (False, True):
+                fresh = MatrixPolynomial(p.stack)
+                tag = "squared-QR" if use_reciprocal else "squared-Q"
+                base = monicize(fresh)
+                if base is not fresh:
+                    tag += "+monicized"
+                if use_reciprocal:
+                    base = reciprocal(base)
+                if base.n % 2:
+                    base = shift_by_z(base)
+                    tag += "+shifted"
+                expected = square_repartition(base).stack
+                q, got = squared_polynomial(p, use_reciprocal)
+                assert got == tag
+                assert ("+monicized" in tag) is not monic and ("+shifted" in tag) is (n % 2 == 1)
+                assert q.stack.shape == expected.shape
+                assert q.stack.tobytes() == expected.tobytes()
+
+
 def test_squared_bounds_soundness_all_routes(rng):
     for trial in range(25):
         m = 1 + trial % 3
@@ -446,7 +473,7 @@ def test_repeated_calls_reuse_the_memo_and_agree(rng):
         first = [everything(p, n, kind) for kind in KINDS]
         assert [everything(p, n, kind) for kind in KINDS] == first
         assert [everything(MatrixPolynomial(p.stack), n, kind) for kind in KINDS] == first
-        assert squared_polynomial(p, True) is squared_polynomial(p, True)
+        assert squared_polynomial(p, True)[0] is squared_polynomial(p, True)[0]
 
 
 def test_underflowed_preconditioned_leading_coefficient_is_inapplicable():
@@ -501,7 +528,7 @@ def test_kept_pivots_match_the_public_reference_path():
             _assert_built_like_input(shift_by_z(q))
             for j in range(q.n + 1):
                 for kind in KINDS:
-                    assert (_outcome(lambda: bounds._nu(q, j, kind).hex())
+                    assert (_outcome(lambda: matpoly._nu(q, j, kind).hex())
                             == _outcome(lambda: inv_norm_inv(q.stack[j], kind).hex()))
                 pre = _outcome(left_precondition, q, j)
                 if isinstance(pre, MatrixPolynomial):
@@ -537,7 +564,7 @@ def test_identity_pivots_match_the_public_reference_path():
                     continue
                 pivots += 1
                 for kind in KINDS:
-                    assert (bounds._nu(q, j, kind).hex() == inv_norm_inv(q.stack[j], kind).hex()
+                    assert (matpoly._nu(q, j, kind).hex() == inv_norm_inv(q.stack[j], kind).hex()
                             == (1.0).hex())
                 assert left_precondition(q, j) is q
                 eye = linalg.identity(q.m)

@@ -171,6 +171,19 @@ def test_overflowing_pivot_inverse(capsys, tmp_path):
         assert "Singular" in err
 
 
+def test_overflowing_pivot_norm_is_named(capsys, tmp_path):
+    # I z^2 + A_1 z + I with a well-conditioned A_1 whose infinity norm
+    # passes the double range: inapplicable, and not called singular
+    a1 = np.array([[1e308, 1e308], [1e308, -1e308]])
+    path = tmp_path / "p.json"
+    path.write_text(matpoly.to_json(matpoly.MatrixPolynomial([np.eye(2), a1, np.eye(2)])))
+    for extra in (("--precondition",), ()):
+        code, _, err = run_cli(capsys, "gap", "--input", str(path), "--k", "1", *extra)
+        assert code == 2
+        assert err.strip() == ("inapplicable: SingularMatrixError: "
+                               "the pivot's infinity norm overflows the double range")
+
+
 def _set_entry(d, value):
     d["coeffs"][0][0][0] = value
 

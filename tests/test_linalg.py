@@ -205,6 +205,19 @@ def test_overflowing_inverse_raises():
         left_solve(OVERFLOWING_INVERSE, np.array([np.eye(2), np.eye(2)]))
 
 
+# well conditioned, but its infinity norm, 2e308, passes the double range
+OVERFLOWING_NORM = np.array([[1e308, 1e308], [1e308, -1e308]])
+
+
+def test_overflowing_pivot_norm_is_named():
+    with np.errstate(over="ignore"):
+        for kind in KINDS:
+            with pytest.raises(SingularMatrixError, match="infinity norm overflows"):
+                inv_norm_inv(OVERFLOWING_NORM, kind)
+        with pytest.raises(SingularMatrixError, match="infinity norm overflows"):
+            left_solve(OVERFLOWING_NORM, np.eye(2))
+
+
 def test_overflowing_inverse_leaves_lower_radius_absent():
     p = MatrixPolynomial([OVERFLOWING_INVERSE, np.eye(2), np.eye(2)])
     for kind in KINDS:

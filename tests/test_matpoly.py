@@ -29,7 +29,7 @@ from pelletbounds import (
     squared_bounds,
     to_json,
 )
-from pelletbounds import bounds, linalg
+from pelletbounds import linalg, matpoly
 from pelletbounds.bounds import squared_polynomial
 
 from conftest import max_match_distance, rand_matrix, rand_poly
@@ -181,7 +181,7 @@ def test_singular_pivot_raises_on_every_call():
             reciprocal(p)
         for kind in NormKind:
             with pytest.raises(SingularMatrixError):
-                bounds._nu(p, 0, kind)
+                matpoly._nu(p, 0, kind)
 
 
 class _CountingLapack:
@@ -210,7 +210,7 @@ def test_one_factorization_per_index(rng, monkeypatch):
     def ask(p, indices):
         for j in indices:
             for kind in NormKind:
-                bounds._nu(p, j, kind)
+                matpoly._nu(p, j, kind)
             left_precondition(p, j)
         reciprocal(p)
         eigen_oracle(p)
@@ -275,7 +275,7 @@ def test_identity_pivot_keeps_no_reference_to_its_polynomial(rng):
     assert left_precondition(monic, monic.n) is monic
     assert monicize(monic) is monic
     for kind in NormKind:
-        assert bounds._nu(monic, monic.n, kind) == 1.0
+        assert matpoly._nu(monic, monic.n, kind) == 1.0
     assert not any(value is monic for value in monic._memo.values())
     ref = weakref.ref(monic)
     gc.disable()
