@@ -18,18 +18,23 @@ Preconditioned variants left-multiply by the inverse of the pivotal
 coefficient first, which never shrinks a gap since
 ||A_k^-1 A_j|| <= ||A_k^-1|| ||A_j||.
 
-The chord test.  A plain Pellet query goes straight to its radial
-polynomial, whose chord test (``rootloc``) answers "none" from the Newton
-polygon of its coefficients without evaluating h.  A preconditioned query
-is settled from the norms of P before A_k^-1 P is formed when it can be.
-Write c_j = ||A_j||, nu_k = 1/||A_k^-1|| and C for the highest chord at k
-of the points (j, log c_j), the maximum over i < k < j of
+The chord test.  The radial polynomial's chord test (``rootloc``) answers
+"none" from the Newton polygon of its coefficients without evaluating h:
+when e^C' - nu >= 10*GAP_RTOL*s, where C' is the highest chord at k over
+its coefficients and s the largest of them and nu.  One prefilter tries
+that test on the norms of P before any radial polynomial is built, for
+plain and preconditioned queries alike.  Write c_j = ||A_j||,
+nu_k = 1/||A_k^-1|| and C for the highest chord at k of the points
+(j, log c_j), the maximum over i < k < j of
 ((j-k) log c_i + (k-i) log c_j) / (j-i) (``rootloc._highest_chord``, the
-computation behind the chord test itself).  The chord test answers "none"
-when e^C' - nu >= 10*GAP_RTOL*s, where C' is that chord over the
-coefficients of the radial polynomial and s the largest of them and nu.
+computation behind the chord test itself; ``matpoly`` keeps C per index and
+kind).  A plain query's radial polynomial has exactly these coefficients,
+so C' = C, and the query is "nogap" when
+
+    e^C - nu_k >= 20*GAP_RTOL * max(max_{j != k} c_j, nu_k).
+
 For A_k^-1 P, ||A_k^-1 A_j|| >= c_j / c_k, nu = 1 and
-||A_k^-1 A_j|| <= c_j / nu_k, so the query is "nogap" when
+||A_k^-1 A_j|| <= c_j / nu_k, so the preconditioned query is "nogap" when
 
     e^C / c_k - 1 >= 20*GAP_RTOL * max(1, max_{j != k} c_j / nu_k).
 
@@ -37,9 +42,10 @@ This needs C > log c_k, so it skips only an index that is not a vertex of
 the upper convex hull of the points (the Newton polygon of the norms).  The
 factor 20 is twice the chord test's 10, so rounding in the norms cannot
 flip a verdict, and a skipped query is exactly the "nogap", not marginal,
-result that the root search would return.  It forms nu_k first, so a
-singular A_k raises SingularMatrixError whether or not the query is
-skipped.
+result that the root search would return.  The prefilter forms nu_k first,
+so a singular A_k raises SingularMatrixError whether or not the query is
+skipped, and it declines when a norm is infinite, which leaves the radial
+polynomial to reject it.
 
 Everything these theorems read from a polynomial (its coefficient norms,
 nu_k, A_k^-1 P, Q and Q_R) is built once and kept on it by ``matpoly``;
@@ -52,8 +58,9 @@ import math
 from dataclasses import dataclass, replace
 
 from .linalg import NormKind, SingularMatrixError
-from .matpoly import MatrixPolynomial, OddDegreeError, _norms, _nu, _squared, left_precondition
-from .rootloc import GAP_RTOL, PositiveRoots, SignedRadialPolynomial, _highest_chord, positive_roots
+from .matpoly import (MatrixPolynomial, OddDegreeError, _chord, _norms, _nu, _squared,
+                      left_precondition)
+from .rootloc import GAP_RTOL, PositiveRoots, SignedRadialPolynomial, positive_roots
 
 VARIANT_PLAIN = "plain"
 VARIANT_PRECONDITIONED = "monic-preconditioned"
@@ -64,8 +71,8 @@ GAP = "gap"
 NO_GAP = "nogap"
 UPPER_ONLY = "upper-only"
 
-# A preconditioned query is skipped by the norms of P only when its bound
-# clears the chord test's threshold (10 * GAP_RTOL) twice over.
+# A Pellet query is skipped by the norms of P only when its bound clears
+# the chord test's threshold (10 * GAP_RTOL) twice over.
 _PREFILTER_RTOL = 20.0 * GAP_RTOL
 
 
@@ -168,26 +175,30 @@ def _radial_gap(norms: list, nu: float, k: int, count: int, kind: NormKind,
                      norm_kind=kind, variant=variant, marginal=roots.marginal)
 
 
-def _chord_proves_none(p: MatrixPolynomial, k: int, kind: NormKind) -> bool:
-    """Whether P's coefficient norms and nu_k prove the chord test's "none"
-    for A_k^-1 P at k (see the module docstring); raises
-    SingularMatrixError when A_k is singular."""
+def _chord_proves_none(p: MatrixPolynomial, k: int, kind: NormKind, precondition: bool) -> bool:
+    """Whether P's coefficient norms, nu_k and their chord C at k prove the
+    chord test's "none" at k, for P itself or, with ``precondition``, for
+    A_k^-1 P (see the module docstring); raises SingularMatrixError when
+    A_k is singular."""
+    nu = _nu(p, k, kind)
     norms = _norms(p, kind)
-    scale = max(1.0, max(norms[:k] + norms[k + 1:]) / _nu(p, k, kind))
-    if not math.isfinite(scale):
-        return False
-    js = [j for j, c in enumerate(norms) if j != k and c > 0.0]
-    chord, _ = _highest_chord([math.log(norms[j]) for j in js], [float(j - k) for j in js])
-    # e^chord / c_k - 1 >= 20*GAP_RTOL*scale, divided by scale to keep exp in range
-    return math.exp(chord - math.log(norms[k]) - math.log(scale)) - 1.0 / scale >= _PREFILTER_RTOL
+    others = max(norms[:k] + norms[k + 1:])
+    chord = _chord(p, k, kind)
+    # each inequality divided by its scale to keep exp in range
+    if precondition:
+        scale = max(1.0, others / nu)
+        bound = math.exp(chord - math.log(norms[k]) - math.log(scale)) - 1.0 / scale
+    else:
+        scale = max(others, nu)
+        bound = math.exp(chord - math.log(scale)) - nu / scale
+    return math.isfinite(scale) and bound >= _PREFILTER_RTOL
 
 
 def _pellet_query(p: MatrixPolynomial, k: int, kind: NormKind, precondition: bool,
                   count: int, variant: str) -> GapResult:
     """Pellet's theorem at index k of P, from the roots of the radial
-    polynomial; a preconditioned query is "nogap" early when P's norms
-    prove it."""
-    if precondition and _chord_proves_none(p, k, kind):
+    polynomial; "nogap" early when P's norms prove it."""
+    if _chord_proves_none(p, k, kind, precondition):
         return GapResult(k=k, status=NO_GAP, x1=None, x2=None, eig_count_inside=None,
                          norm_kind=kind, variant=variant)
     return _radial_gap(*_pivot_profile(p, k, kind, precondition), k, count, kind, variant)

@@ -16,7 +16,9 @@ the theorem that needed the pivot does not apply.  ``_solve`` solves from
 such a factorization and raises the same error when the solution is not
 finite.  ``left_solve`` and ``inv_norm_inv`` validate, factor and solve on
 every call; ``matpoly`` keeps one factorization per coefficient of a
-polynomial and solves from it through the same two functions.
+polynomial, taken with the coefficient's kept infinity norm as its scale
+(summed without numpy's overflow warning), and solves from it through the
+same two functions.
 
 ``identity(m)`` is one read-only complex identity per size, built on first
 use and shared: callers copy from it or pass it to ``zgetrs``, which copies
@@ -138,10 +140,12 @@ def _norms(arr: np.ndarray, kind: NormKind):
     return np.linalg.svd(arr, compute_uv=False)[..., 0]
 
 
-def _factor(a: np.ndarray) -> tuple:
+def _factor(a: np.ndarray, scale: float | None = None) -> tuple:
     """The LU factorization (lu, piv) of a validated square ``a`` under the
-    pivot rule of the module docstring (a zero ``a`` included)."""
-    scale = float(np.abs(a).sum(axis=1).max())
+    pivot rule of the module docstring (a zero ``a`` included); ``scale`` is
+    the infinity norm of ``a`` when the caller has it already."""
+    if scale is None:
+        scale = float(np.abs(a).sum(axis=1).max())
     if scale == 0.0:
         raise SingularMatrixError("zero matrix")
     if scale == np.inf:

@@ -1,7 +1,8 @@
 """Matrix polynomials P(z) = A_n z^n + ... + A_1 z + A_0 and their transforms.
 
 Coefficients are stored ascending (A_0 first) in one read-only
-(n+1, m, m) complex array, validated once at construction.  The transforms
+(n+1, m, m) complex array, validated once: by the constructor, or by the
+transform that made it (see below).  The transforms
 here are the structural building blocks for the bounds machinery:
 monicization, left preconditioning, the reciprocal polynomial, the degree
 shift z*P(z), the block companion linearization, and the companion-squaring
@@ -16,8 +17,18 @@ its coefficient norms per norm kind (``_norms``); one LU factorization per
 coefficient A_j, under ``linalg``'s pivot rule (``_lu``); the pivot norms
 nu_j = 1/||A_j^-1|| per kind (``_nu``) and the preconditioned forms A_j^-1 P,
 monicize and reciprocal included (``left_precondition``), each solved from
-that factorization; and the companion-squared Q and Q_R (``_squared``).
-Failures are not kept: a singular pivot raises on every call.
+that factorization; the highest chord at k of the points (j, log ||A_j||)
+per index and kind (``_chord``), which the Pellet prefilter of ``bounds``
+reads; and the companion-squared Q and Q_R (``_squared``).  The pivot scale
+of each LU is the kept infinity norm of its coefficient.  Failures are not
+kept: a singular pivot raises on every call.
+
+The public constructor checks what comes from outside.  A transform here
+(``left_precondition`` and so ``monicize``, ``reciprocal``, ``shift_by_z``
+and ``square_repartition``) checks what it makes itself (a solve's
+finiteness, a nonzero leading coefficient, a squared stack's finiteness),
+so it freezes its own C-contiguous stack through
+``MatrixPolynomial._from_checked``, without a copy or a second test.
 
 A coefficient that is exactly I (a monic P's A_n, the leading coefficient
 of Q and Q_R, index k of A_k^-1 P) is told apart once per index by
@@ -30,12 +41,14 @@ before the memo, which never holds P.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .linalg import SingularMatrixError, identity
+from .rootloc import _highest_chord
 
 
 class NotMonicError(Exception):
@@ -50,9 +63,10 @@ class OddDegreeError(Exception):
 class MatrixPolynomial:
     """Degree-n matrix polynomial with m-by-m complex coefficients A_0..A_n.
 
-    ``stack`` is a read-only (n+1, m, m) complex128 copy of the
-    coefficients, the only form in which they are kept.  Invariants
-    enforced at construction: degree n >= 1, all coefficients of the same
+    ``stack`` is a read-only, C-contiguous (n+1, m, m) complex128 copy of
+    the coefficients, the only form in which they are kept.  Invariants,
+    enforced by the constructor (or by the transform that made the stack,
+    see the module docstring): degree n >= 1, all coefficients of the same
     square shape, all entries finite, and a nonzero leading coefficient
     (the degree is genuine).  The private ``_memo`` holds
     derived data (see the module docstring); it takes no part in ``repr``
@@ -77,6 +91,21 @@ class MatrixPolynomial:
             raise ValueError("matrix entries must be finite")
         if not stack[-1].any():
             raise ValueError("leading coefficient must be nonzero")
+        self._store(stack)
+
+    @classmethod
+    def _from_checked(cls, stack: np.ndarray) -> "MatrixPolynomial":
+        """The polynomial of ``stack``, made by a transform of this module
+        that has itself checked what the constructor would: no copy and no
+        second test.  ``stack`` must be C-contiguous, as the constructor's
+        copy is, so that a norm sums it in the same order."""
+        p = object.__new__(cls)
+        p._store(stack)
+        return p
+
+    def _store(self, stack: np.ndarray) -> None:
+        """Freeze a checked, C-contiguous ``stack`` and keep it with an
+        empty memo: the one place a polynomial's stack is stored."""
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "_memo", {})
@@ -125,8 +154,9 @@ def _is_identity(p: MatrixPolynomial, j: int) -> bool:
 
 def _lu(p: MatrixPolynomial, j: int) -> tuple:
     """The LU factorization of A_j under ``linalg``'s pivot rule, taken once
-    per index; raises SingularMatrixError (every time) when A_j is singular."""
-    return p._cached(("factor", j), linalg._factor, p.stack[j])
+    per index, with P's kept infinity norm of A_j as the pivot scale; raises
+    SingularMatrixError (every time) when A_j is singular."""
+    return p._cached(("factor", j), linalg._factor, p.stack[j], _norms(p, linalg.NormKind.INF)[j])
 
 
 def _norms(p: MatrixPolynomial, kind: linalg.NormKind) -> list:
@@ -139,6 +169,19 @@ def _norms(p: MatrixPolynomial, kind: linalg.NormKind) -> list:
             return linalg.norm(p.stack, kind).tolist()
 
     return p._cached(("norms", kind), reduce)
+
+
+def _chord(p: MatrixPolynomial, k: int, kind: linalg.NormKind) -> float:
+    """The highest chord at k of the points (j, log ||A_j||) over the
+    nonzero A_j with j != k (``rootloc._highest_chord``), taken once per
+    index and kind; -inf when no such pair straddles k."""
+
+    def build():
+        norms = _norms(p, kind)
+        js = [j for j, c in enumerate(norms) if j != k and c > 0.0]
+        return _highest_chord([math.log(norms[j]) for j in js], [float(j - k) for j in js])[0]
+
+    return p._cached(("chord", k, kind), build)
 
 
 def _nu(p: MatrixPolynomial, j: int, kind: linalg.NormKind) -> float:
@@ -155,11 +198,12 @@ def monicize(p: MatrixPolynomial) -> MatrixPolynomial:
 
 
 def _precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
-    stack = linalg._solve(_lu(p, index), p.stack)
+    # _solve returns a transposed view and checks that it is finite
+    stack = np.ascontiguousarray(linalg._solve(_lu(p, index), p.stack))
     stack[index] = identity(p.m)
     if not stack[-1].any():
         raise SingularMatrixError("the preconditioned leading coefficient underflows to zero")
-    return MatrixPolynomial(stack)
+    return MatrixPolynomial._from_checked(stack)
 
 
 def left_precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
@@ -186,12 +230,14 @@ def reciprocal(p: MatrixPolynomial) -> MatrixPolynomial:
     are the reciprocals of the eigenvalues of P; requires an A_0 that
     ``left_precondition`` accepts (SingularMatrixError otherwise).
     """
-    return MatrixPolynomial(left_precondition(p, 0).stack[::-1])
+    reversed_stack = np.ascontiguousarray(left_precondition(p, 0).stack[::-1])
+    return MatrixPolynomial._from_checked(reversed_stack)
 
 
 def shift_by_z(p: MatrixPolynomial) -> MatrixPolynomial:
     """z P(z): degree n+1 with a zero constant term (adds m zero eigenvalues)."""
-    return MatrixPolynomial(np.concatenate([np.zeros((1, p.m, p.m), dtype=np.complex128), p.stack]))
+    return MatrixPolynomial._from_checked(
+        np.concatenate([np.zeros((1, p.m, p.m), dtype=np.complex128), p.stack]))
 
 
 def _require_monic(p: MatrixPolynomial) -> None:
@@ -246,7 +292,7 @@ def square_repartition(p: MatrixPolynomial) -> MatrixPolynomial:
     if not np.isfinite(q[:h]).all():
         raise SingularMatrixError("the companion-squared coefficients overflow the double range")
     q[h] = identity(2 * m)
-    return MatrixPolynomial(q)
+    return MatrixPolynomial._from_checked(q)
 
 
 def _squared(p: MatrixPolynomial, use_reciprocal: bool) -> MatrixPolynomial:

@@ -49,8 +49,9 @@ Newton polygon,
 
 reached at the crossing t_c of the maximizing pair.  phi_min is at least
 nu*expm1(delta), so nu*expm1(delta) >= 10*GAP_RTOL settles "none" (not
-marginal) without evaluating h; a plain Pellet query in ``bounds`` relies on
-this test alone to skip its root search.  Otherwise h is evaluated once at
+marginal) without evaluating h; ``bounds`` tries the same test, at twice
+the margin, on a polynomial's kept norms before it builds a radial
+polynomial at all.  Otherwise h is evaluated once at
 t_c, and nu*expm1(h(t_c)) < -10*GAP_RTOL settles "two" (not marginal).
 Failing both, the minimizer of h decides "none" or "two" and the marginal
 flag against GAP_RTOL.  As T(t) >= delta + min|j - k| |t - t_c| and

@@ -15,6 +15,7 @@ from pelletbounds import (
     NormKind,
     OddDegreeError,
     OddIndexError,
+    SignedRadialPolynomial,
     SingularMatrixError,
     cauchy_bounds,
     count_in_annulus,
@@ -389,10 +390,10 @@ def _outcome(fn, *args):
 
 def test_prefilter_equals_full_path_on_criterion_1_instances():
     # every per-index query of the first 144 criterion-1 instances, in all
-    # three norms: the public result (a preconditioned one tried on P's
-    # norms first) equals the root search's in status, x1, x2, count,
-    # variant and marginal flag
-    queries = skipped = 0
+    # three norms: the public result (tried on P's norms first) equals the
+    # root search's in status, x1, x2, count, variant and marginal flag
+    queries = 0
+    skipped = {False: 0, True: 0}
     for i in range(144):
         p, n = criterion_1_instance(i)
         for kind in KINDS:
@@ -405,12 +406,14 @@ def test_prefilter_equals_full_path_on_criterion_1_instances():
                     got = _outcome(public, p, k, kind, pre)
                     assert got == _outcome(full, p, k, kind, pre), (i, kind, pre, k)
                     queries += 1
-                    if pre and got != "singular":
+                    if got != "singular":
                         kq = k if public is pellet_gap else k // 2
-                        skipped += bounds._chord_proves_none(target, kq, kind)
+                        skipped[pre] += bounds._chord_proves_none(target, kq, kind, pre)
     assert queries > 4000
-    # half the queries are preconditioned, and the norms settle most of those
-    assert skipped > queries // 4
+    # half the queries are plain and half preconditioned; the norms settle
+    # most of each (2261 plain and 1769 preconditioned of 5280)
+    assert skipped[False] > queries * 2 // 5
+    assert skipped[True] > queries // 4
 
 
 def test_prefilter_keeps_marginal_near_tangent_shape(h_evaluations):
@@ -427,16 +430,46 @@ def test_prefilter_keeps_marginal_near_tangent_shape(h_evaluations):
     assert g == _full_pellet(p, 1, NormKind.ONE, False)
 
 
-def test_plain_prefilter_skips_a_vertex_with_small_nu(h_evaluations):
+@pytest.fixture
+def radial_polynomials(monkeypatch):
+    """The list of SignedRadialPolynomial constructions, each as its
+    arguments."""
+    built = []
+    init = SignedRadialPolynomial.__init__
+
+    def counted(f, *args):
+        built.append(args)
+        init(f, *args)
+
+    monkeypatch.setattr(SignedRadialPolynomial, "__init__", counted)
+    return built
+
+
+def test_plain_prefilter_skips_a_vertex_with_small_nu(h_evaluations, radial_polynomials):
     # I + diag(3, 1e-3) z + I z^2: ||A_1|| = 3 is a vertex of the norms'
     # Newton polygon (the chord at k = 1 is e^C = 1), but nu_1 = 1e-3 lies
-    # far below the chord, so the plain query is settled without evaluating h
+    # far below the chord, so P's norms settle the plain query, which
+    # builds no radial polynomial
     p = MatrixPolynomial([np.eye(2), np.diag([3.0, 1e-3]), np.eye(2)])
     for kind in KINDS:
+        radial_polynomials.clear()
         g = pellet_gap(p, 1, kind)
-        assert h_evaluations == []
+        assert h_evaluations == [] and radial_polynomials == []
         assert g.status == NO_GAP and not g.marginal
         assert g == _full_pellet(p, 1, kind, False)
+
+
+def test_plain_prefilter_builds_no_radial_polynomial_on_a_criterion_1_instance(
+        radial_polynomials):
+    # instance 6 (m = 3, n = 8): every plain query but the one at k = 3 is
+    # settled by P's norms and nu_k, before a radial polynomial is built
+    p, _ = criterion_1_instance(6)
+    for kind in KINDS:
+        for k in (1, 2, 4, 5, 6, 7):
+            radial_polynomials.clear()
+            g = pellet_gap(p, k, kind)
+            assert radial_polynomials == [], (kind, k)
+            assert g.status == NO_GAP and g == _full_pellet(p, k, kind, False)
 
 
 def test_singular_pivot_at_non_vertex_raises_every_time():
@@ -605,6 +638,21 @@ def test_coefficient_norms_beyond_the_double_range_do_not_warn():
                     pellet_gap(p2, 1, kind, pre)
 
 
+def test_a_pivot_scale_beyond_the_double_range_does_not_warn():
+    # the infinity norm of A_1 = 1e308 [[1, 1], [1, -1]] overflows: the
+    # pivot scale is P's kept infinity norm, summed without numpy's overflow
+    # RuntimeWarning, and the pivot is inapplicable in every norm and variant
+    a1 = 1e308 * np.array([[1.0, 1.0], [1.0, -1.0]])
+    p = MatrixPolynomial([np.eye(2), a1, np.eye(2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in KINDS:
+            for pre in (False, True):
+                with pytest.raises(SingularMatrixError,
+                                   match="^the pivot's infinity norm overflows the double range$"):
+                    pellet_gap(p, 1, kind, precondition=pre)
+
+
 # the errors by which a query on a valid polynomial says that a theorem does
 # not apply; anything else (a ValueError above all) is a fault
 _INAPPLICABLE = (SingularMatrixError, InvalidShapeError, OddDegreeError, OddIndexError)
@@ -626,9 +674,9 @@ def _wide_range_polynomials(draw):
     return MatrixPolynomial(stack)
 
 
-# a pivot-scale row sum, or a 1-/inf-norm of a pivot's inverse (nu), beyond
-# the double range still warns (numpy's overflow RuntimeWarning; the
-# coefficient norms do not); the verdict there is "inapplicable"
+# a 1-/inf-norm of a pivot's inverse (nu) beyond the double range still
+# warns (numpy's overflow RuntimeWarning; the coefficient norms and the
+# pivot scale do not); the verdict there is "inapplicable"
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(_wide_range_polynomials())
@@ -657,10 +705,11 @@ def test_preconditioned_prefilter_scale_uses_nu(h_evaluations):
     # to the root search, as max_j ||A_j|| / nu_k bounds the scale
     p = MatrixPolynomial([np.diag([4e-6, 0.0]), np.diag([1.0, 1e-10]), np.diag([0.0, 1e6])])
     for kind in KINDS:
-        # the plain query is settled by its chord test without evaluating h
+        # the plain query is settled by P's norms without evaluating h
         h_evaluations.clear()
         assert pellet_gap(p, 1, kind).status == NO_GAP and h_evaluations == []
-        assert not bounds._chord_proves_none(p, 1, kind)
+        assert bounds._chord_proves_none(p, 1, kind, False)
+        assert not bounds._chord_proves_none(p, 1, kind, True)
         g = pellet_gap(p, 1, kind, precondition=True)
         assert g.status == NO_GAP and g.marginal
         assert g == _full_pellet(p, 1, kind, True)
