@@ -58,7 +58,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .linalg import NormKind, SingularMatrixError
-from .matpoly import (MatrixPolynomial, OddDegreeError, _chord, _norms, _nu, _squared,
+from .matpoly import (MatrixPolynomial, OddDegreeError, _chord, _kept, _nu, _squared,
                       left_precondition)
 from .rootloc import GAP_RTOL, PositiveRoots, SignedRadialPolynomial, positive_roots
 
@@ -116,8 +116,8 @@ def _pivot_profile(p: MatrixPolynomial, j: int, kind: NormKind, precondition: bo
     pivots on A_j, or those of A_j^-1 P (where nu = 1) with ``precondition``.
     Raises SingularMatrixError when A_j is singular."""
     if precondition:
-        return _norms(left_precondition(p, j), kind), 1.0
-    return _norms(p, kind), _nu(p, j, kind)
+        return _kept(left_precondition(p, j), kind).norms, 1.0
+    return _kept(p, kind).norms, _nu(p, j, kind)
 
 
 def _radial_roots(norms: list, nu: float, k: int) -> PositiveRoots | None:
@@ -181,9 +181,10 @@ def _chord_proves_none(p: MatrixPolynomial, k: int, kind: NormKind, precondition
     A_k^-1 P (see the module docstring); raises SingularMatrixError when
     A_k is singular."""
     nu = _nu(p, k, kind)
-    norms = _norms(p, kind)
+    kept = _kept(p, kind)
+    norms = kept.norms
     others = max(norms[:k] + norms[k + 1:])
-    chord = _chord(p, k, kind)
+    chord = _chord(kept, k)
     # each inequality divided by its scale to keep exp in range
     if precondition:
         scale = max(1.0, others / nu)

@@ -15,10 +15,11 @@ degree via --poly "1,-3,2".
 
 Exit codes: 0 success, 1 input error (an unwritable --out or a closed
 stdout included), 2 singular/inapplicable, 3 numerical failure (an
-eigensolve that does not converge, or an eigenvalue beyond the double
-range).  A query runs with numpy's overflow and invalid-value warnings off:
-where a norm or a product overflows, the exit code and its message already
-say that the query is inapplicable.
+eigensolve that does not converge, an eigenvalue beyond the double range,
+or oracle moduli outside the 1-norm Cauchy radii).  A query runs with
+numpy's overflow and invalid-value warnings off: where a norm or a product
+overflows, the exit code and its message already say that the query is
+inapplicable.
 
 A query pays for what it runs.  The command line is a program and not a
 library, so importing this module sets two process-wide things:
@@ -66,7 +67,8 @@ try:
                         embed_odd)
     from .linalg import NoConvergenceError, NormKind, SingularMatrixError
     from .matpoly import MatrixPolynomial, NotMonicError, OddDegreeError
-    from .oracle import NonFiniteEigenvalueError, eigen_oracle
+    from .oracle import (NonFiniteEigenvalueError, SoundnessError, check_lower, check_upper,
+                         eigen_oracle)
     from .rootloc import InvalidShapeError
     gc.freeze()
 finally:
@@ -209,13 +211,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_gap(args) -> int:
     p = _load_polynomial(args)
     kinds = [NormKind.coerce(k) for k in (args.norm or ["one"])]
-    results = []
-    for kind in kinds:
-        if args.variant == "q":
-            g = bounds_mod.squared_gap(p, args.k, kind, precondition=args.precondition)
-        else:
-            g = bounds_mod.pellet_gap(p, args.k, kind, precondition=args.precondition)
-        results.append(g)
+    query = bounds_mod.squared_gap if args.variant == "q" else bounds_mod.pellet_gap
+    results = [query(p, args.k, kind, precondition=args.precondition) for kind in kinds]
     if args.format == "json":
         payload = [{"norm": g.norm_kind.value, "variant": g.variant, "k": g.k,
                     "status": g.status, "x1": g.x1, "x2": g.x2,
@@ -254,6 +251,16 @@ def _cmd_embed(args) -> int:
 def _cmd_oracle(args) -> int:
     p = _load_polynomial(args)
     rep = eigen_oracle(p)
+    # moduli that the 1-norm Cauchy radii contradict are a numerical failure;
+    # an absent radius, or one past the double range, tests nothing
+    try:
+        cb = bounds_mod.cauchy_bounds(p, NormKind.ONE)
+        checks = ((check_upper, cb.upper), (check_lower, cb.lower))
+    except InvalidShapeError:
+        checks = ()
+    for check, radius in checks:
+        if radius is not None:
+            check(rep, radius, "oracle moduli against the 1-norm Cauchy radii")
     if args.format == "json":
         payload = {"count": rep.count,
                    "moduli": [float(v) for v in rep.moduli],
@@ -362,7 +369,7 @@ def main(argv=None) -> int:
     except _INAPPLICABLE as exc:
         print(f"inapplicable: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (NoConvergenceError, NonFiniteEigenvalueError, FloatingPointError,
+    except (NoConvergenceError, NonFiniteEigenvalueError, SoundnessError, FloatingPointError,
             ArithmeticError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

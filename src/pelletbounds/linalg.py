@@ -15,10 +15,8 @@ matrix, an infinity norm beyond the double range, or an LU pivot below
 the theorem that needed the pivot does not apply.  ``_solve`` solves from
 such a factorization and raises the same error when the solution is not
 finite.  ``left_solve`` and ``inv_norm_inv`` validate, factor and solve on
-every call; ``matpoly`` keeps one factorization per coefficient of a
-polynomial, taken with the coefficient's kept infinity norm as its scale
-(summed without numpy's overflow warning), and solves from it through the
-same two functions.
+every call; ``matpoly`` keeps one factorization per coefficient (see there)
+and solves from it through the same two functions.
 
 ``identity(m)`` is one read-only complex identity per size, built on first
 use and shared: callers copy from it or pass it to ``zgetrs``, which copies
@@ -84,9 +82,15 @@ class NormKind(enum.Enum):
 
     @classmethod
     def coerce(cls, value) -> "NormKind":
+        """The member itself, that of an exact value (one dict lookup), or
+        that of ``str(value).lower()``."""
         if isinstance(value, cls):
             return value
-        return cls(str(value).lower())
+        kind = _KIND_OF_VALUE.get(value) if type(value) is str else None
+        return cls(str(value).lower()) if kind is None else kind
+
+
+_KIND_OF_VALUE = {kind.value: kind for kind in NormKind}
 
 
 def _as_finite(a, ndims) -> np.ndarray:

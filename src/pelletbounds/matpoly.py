@@ -11,38 +11,28 @@ works on the whole coefficient stack: the LU-based ones factor their pivot
 once per polynomial and solve for all coefficients together.
 
 A polynomial never changes after construction, so what the bounds derive
-from it again and again is computed here, once, and kept on it in a
-private memo; no other module builds or caches such data.  The memo holds
-its coefficient norms per norm kind (``_norms``); one LU factorization per
-coefficient A_j, under ``linalg``'s pivot rule (``_lu``); the pivot norms
-nu_j = 1/||A_j^-1|| per kind (``_nu``) and the preconditioned forms A_j^-1 P,
-monicize and reciprocal included (``left_precondition``), each solved from
-that factorization; the highest chord at k of the points (j, log ||A_j||)
-per index and kind (``_chord``), which the Pellet prefilter of ``bounds``
-reads; and the companion-squared Q and Q_R (``_squared``).  The pivot scale
-of each LU is the kept infinity norm of its coefficient.  Failures are not
-kept: a singular pivot raises on every call.
+from it is computed here on first use and kept on it, each kind of data in
+its own slots: per index j, whether A_j is exactly I (``_is_identity``), the
+LU of A_j under ``linalg``'s pivot rule, scaled by the kept infinity norm of
+A_j (``_lu``), and A_j^-1 P solved from it (``left_precondition``); one slot
+each for Q and Q_R (``_squared``); and per norm kind one record (``_kept``):
+the coefficient norms, nu_j = 1/||A_j^-1|| (``_nu``) and the highest chord
+at j of the points (j, log ||A_j||) (``_chord``), by index.  No other module
+builds or caches such data.  Failures are not kept: a singular pivot raises
+on every call.  An A_j that is exactly I is never factored: nu_j is exactly
+1.0 in every norm, and I^-1 P is P itself, decided before the slot is read,
+so no slot of P ever holds P.
 
-The public constructor checks what comes from outside.  A transform here
-(``left_precondition`` and so ``monicize``, ``reciprocal``, ``shift_by_z``
-and ``square_repartition``) checks what it makes itself (a solve's
-finiteness, a nonzero leading coefficient, a squared stack's finiteness),
-so it freezes its own C-contiguous stack through
+The public constructor checks what comes from outside; a transform here
+checks what it makes itself and freezes its own C-contiguous stack through
 ``MatrixPolynomial._from_checked``, without a copy or a second test.
-
-A coefficient that is exactly I (a monic P's A_n, the leading coefficient
-of Q and Q_R, index k of A_k^-1 P) is told apart once per index by
-comparison with ``linalg``'s shared identity and costs nothing: it is
-never factored, and I^-1 P is P itself, with the norms and LUs already
-kept on it, and nu_j is exactly 1.0 in every norm.  That case is decided
-before the memo, which never holds P.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,13 +58,11 @@ class MatrixPolynomial:
     enforced by the constructor (or by the transform that made the stack,
     see the module docstring): degree n >= 1, all coefficients of the same
     square shape, all entries finite, and a nonzero leading coefficient
-    (the degree is genuine).  The private ``_memo`` holds
-    derived data (see the module docstring); it takes no part in ``repr``
-    or equality.
+    (the degree is genuine).  Its private slots of derived data (see the
+    module docstring) take no part in ``repr`` or equality.
     """
 
     stack: np.ndarray
-    _memo: dict = field(repr=False, compare=False)
 
     def __init__(self, coeffs):
         if not isinstance(coeffs, np.ndarray):
@@ -104,11 +92,12 @@ class MatrixPolynomial:
         return p
 
     def _store(self, stack: np.ndarray) -> None:
-        """Freeze a checked, C-contiguous ``stack`` and keep it with an
-        empty memo: the one place a polynomial's stack is stored."""
+        """Freeze a checked, C-contiguous ``stack`` and keep it with empty
+        slots: the one place a polynomial's stack is stored."""
         stack.setflags(write=False)
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "_memo", {})
+        # past the frozen __setattr__; None marks a slot not yet filled
+        self.__dict__.update(stack=stack, _identities=[None] * len(stack), _lus=[None] * len(stack),
+                             _preconditioned=[None] * len(stack), _squares=[None, None], _kinds={})
 
     @property
     def m(self) -> int:
@@ -122,14 +111,6 @@ class MatrixPolynomial:
         """Whether A_n is exactly I; anything else, however close, must be
         monicized."""
         return _is_identity(self, self.n)
-
-    def _cached(self, key, build, *args):
-        """build(*args), computed on the first call with ``key`` and kept;
-        an exception from ``build`` leaves nothing behind."""
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo[key] = build(*args)
-        return value
 
 
 def scalar_polynomial(coeffs_ascending) -> MatrixPolynomial:
@@ -146,64 +127,74 @@ def evaluate(p: MatrixPolynomial, z: complex) -> np.ndarray:
     return acc
 
 
+@dataclass(slots=True)
+class _Kept:
+    """What a polynomial keeps for one norm kind: its coefficient norms, and
+    nu_j and the chord at j by index (None until first asked for)."""
+
+    norms: list
+    nu: list
+    chord: list
+
+
 def _is_identity(p: MatrixPolynomial, j: int) -> bool:
     """Whether A_j is exactly I, tested once per index against the shared
     identity and kept."""
-    return p._cached(("identity", j), lambda: bool((p.stack[j] == identity(p.m)).all()))
+    flag = p._identities[j]
+    if flag is None:
+        flag = p._identities[j] = bool((p.stack[j] == identity(p.m)).all())
+    return flag
+
+
+def _kept(p: MatrixPolynomial, kind: linalg.NormKind) -> _Kept:
+    """P's record for ``kind``, made with its coefficient norms on the first
+    call; a norm beyond the double range is inf, without numpy's overflow
+    warning."""
+    kept = p._kinds.get(kind)
+    if kept is None:
+        with np.errstate(over="ignore"):
+            norms = linalg.norm(p.stack, kind).tolist()
+        kept = p._kinds[kind] = _Kept(norms, [None] * len(norms), [None] * len(norms))
+    return kept
 
 
 def _lu(p: MatrixPolynomial, j: int) -> tuple:
     """The LU factorization of A_j under ``linalg``'s pivot rule, taken once
     per index, with P's kept infinity norm of A_j as the pivot scale; raises
     SingularMatrixError (every time) when A_j is singular."""
-    return p._cached(("factor", j), linalg._factor, p.stack[j], _norms(p, linalg.NormKind.INF)[j])
+    lu = p._lus[j]
+    if lu is None:
+        lu = p._lus[j] = linalg._factor(p.stack[j], _kept(p, linalg.NormKind.INF).norms[j])
+    return lu
 
 
-def _norms(p: MatrixPolynomial, kind: linalg.NormKind) -> list:
-    """The coefficient norms of P as a list of floats, taken once per kind;
-    a norm beyond the double range is inf, without numpy's overflow
-    warning."""
-
-    def reduce():
-        with np.errstate(over="ignore"):
-            return linalg.norm(p.stack, kind).tolist()
-
-    return p._cached(("norms", kind), reduce)
-
-
-def _chord(p: MatrixPolynomial, k: int, kind: linalg.NormKind) -> float:
+def _chord(kept: _Kept, k: int) -> float:
     """The highest chord at k of the points (j, log ||A_j||) over the
-    nonzero A_j with j != k (``rootloc._highest_chord``), taken once per
-    index and kind; -inf when no such pair straddles k."""
-
-    def build():
-        norms = _norms(p, kind)
+    nonzero A_j with j != k (``rootloc._highest_chord``), from the norms of
+    ``kept`` and kept there by index; -inf when no such pair straddles k."""
+    chord = kept.chord[k]
+    if chord is None:
+        norms = kept.norms
         js = [j for j, c in enumerate(norms) if j != k and c > 0.0]
-        return _highest_chord([math.log(norms[j]) for j in js], [float(j - k) for j in js])[0]
-
-    return p._cached(("chord", k, kind), build)
+        chord = kept.chord[k] = _highest_chord([math.log(norms[j]) for j in js],
+                                               [float(j - k) for j in js])[0]
+    return chord
 
 
 def _nu(p: MatrixPolynomial, j: int, kind: linalg.NormKind) -> float:
     """nu_j = 1/||A_j^-1||, taken once per index and kind: exactly 1.0 when
     A_j is exactly I (every norm of I is 1), else from P's LU of A_j;
     raises SingularMatrixError (every time) when A_j is singular."""
-    return p._cached(("nu", j, kind),
-                     lambda: 1.0 if _is_identity(p, j) else linalg._inv_norm_inv(_lu(p, j), kind))
+    kept = _kept(p, kind)
+    nu = kept.nu[j]
+    if nu is None:
+        nu = kept.nu[j] = 1.0 if _is_identity(p, j) else linalg._inv_norm_inv(_lu(p, j), kind)
+    return nu
 
 
 def monicize(p: MatrixPolynomial) -> MatrixPolynomial:
     """A_n^-1 P: same eigenvalues, leading coefficient exactly I."""
     return left_precondition(p, p.n)
-
-
-def _precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
-    # _solve returns a transposed view and checks that it is finite
-    stack = np.ascontiguousarray(linalg._solve(_lu(p, index), p.stack))
-    stack[index] = identity(p.m)
-    if not stack[-1].any():
-        raise SingularMatrixError("the preconditioned leading coefficient underflows to zero")
-    return MatrixPolynomial._from_checked(stack)
 
 
 def left_precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
@@ -218,9 +209,17 @@ def left_precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
     if not 0 <= index <= p.n:
         raise ValueError(f"index {index} out of range for degree {p.n}")
     if _is_identity(p, index):
-        # decided before the memo, which must never hold P itself
+        # decided before the slot, which must never hold P itself
         return p
-    return p._cached(("precondition", index), _precondition, p, index)
+    q = p._preconditioned[index]
+    if q is None:
+        # _solve returns a transposed view and checks that it is finite
+        stack = np.ascontiguousarray(linalg._solve(_lu(p, index), p.stack))
+        stack[index] = identity(p.m)
+        if not stack[-1].any():
+            raise SingularMatrixError("the preconditioned leading coefficient underflows to zero")
+        q = p._preconditioned[index] = MatrixPolynomial._from_checked(stack)
+    return q
 
 
 def reciprocal(p: MatrixPolynomial) -> MatrixPolynomial:
@@ -301,14 +300,11 @@ def _squared(p: MatrixPolynomial, use_reciprocal: bool) -> MatrixPolynomial:
     monic), replaced by its reciprocal for Q_R, shifted by z when its degree
     is odd, and squared.  Raises SingularMatrixError when a required pivot
     is singular or an entry of Q overflows the double range."""
-
-    def build():
-        base = monicize(p)
-        if use_reciprocal:
-            base = reciprocal(base)
-        return square_repartition(shift_by_z(base) if base.n % 2 else base)
-
-    return p._cached(("squared", use_reciprocal), build)
+    q = p._squares[use_reciprocal]
+    if q is None:
+        base = reciprocal(monicize(p)) if use_reciprocal else monicize(p)
+        q = p._squares[use_reciprocal] = square_repartition(shift_by_z(base) if base.n % 2 else base)
+    return q
 
 
 def to_json(p: MatrixPolynomial) -> str:

@@ -63,6 +63,7 @@ only use of h''), falling back to bisection.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -116,14 +117,19 @@ class SignedRadialPolynomial:
         if not max(coeffs) > 0.0:
             raise InvalidShapeError("need at least one positive coefficient besides the negative term")
         scale = max(max(coeffs), neg_value)
-        lognu = _log_ratio(neg_value, scale)
+        log, tiny = math.log, sys.float_info.min
+        # log(c / scale) is the log of the quotient while that is a normal
+        # float, else log c - log scale, which cannot underflow
+        nu = neg_value / scale
+        lognu = log(nu) if nu >= tiny else log(neg_value) - log(scale)
         logs, ds = [], []
         # T <= 0 on [tau1, tau2]: right of each falling line's zero, left of
         # each rising line's zero
         tau1, tau2 = -math.inf, math.inf
         for j, c in enumerate(coeffs):
             if c > 0.0:
-                a, d = _log_ratio(c, scale), float(j - neg_index)
+                r = c / scale
+                a, d = log(r) if r >= tiny else log(c) - log(scale), float(j - neg_index)
                 logs.append(a)
                 ds.append(d)
                 z = (lognu - a) / d
@@ -133,7 +139,7 @@ class SignedRadialPolynomial:
                     tau1 = max(tau1, z)
         # past the frozen __setattr__; _nu may underflow, _lognu does not
         self.__dict__.update(coeffs=coeffs, neg_index=neg_index, neg_value=neg_value,
-                             _logs=logs, _ds=ds, _nu=neg_value / scale, _lognu=lognu,
+                             _logs=logs, _ds=ds, _nu=nu, _lognu=lognu,
                              _tau1=tau1, _tau2=tau2)
 
     @property
@@ -151,12 +157,12 @@ class SignedRadialPolynomial:
     def _newton(self, t: float):
         """Return (h, h') at t; h' is the mean of j - k under the weights
         c_j e^{(j-k)t}."""
-        ds = self._ds
+        ds, exp = self._ds, math.exp
         s = [a + d * t for a, d in zip(self._logs, ds)]
         smax = max(s)
-        w = [math.exp(v - smax) for v in s]
+        w = [exp(v - smax) for v in s]
         tot = sum(w)
-        return smax + math.log(tot) - self._lognu, sum([wi * d for wi, d in zip(w, ds)]) / tot
+        return smax + math.log(tot) - self._lognu, sum(map(operator.mul, w, ds)) / tot
 
     def _stats(self, t: float):
         """Return (h, h', h''); h'' is the variance of j - k under the same
@@ -195,13 +201,6 @@ class PositiveRoots:
     def __post_init__(self):
         if self.kind == "two" and not self.x2 > self.x1 * (1.0 + 1e-12):
             raise InvalidShapeError(f"two roots must be separated: {self.x1}, {self.x2}")
-
-
-def _log_ratio(c: float, scale: float) -> float:
-    """log(c / scale) for 0 < c <= scale: the log of the quotient while it is
-    a normal float, else log c - log scale, which cannot underflow."""
-    r = c / scale
-    return math.log(r) if r >= sys.float_info.min else math.log(c) - math.log(scale)
 
 
 def _highest_chord(logs, ds):

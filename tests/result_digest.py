@@ -3,6 +3,7 @@
 Usage::
 
     python tests/result_digest.py --src <checkout>/src [--count N]
+    python tests/result_digest.py --src <checkout>/src --against <other>/src [--count N]
 
 imports ``pelletbounds`` from ``--src`` and, over the first N instances of
 ``conftest.criterion_1_instance`` (default 2000), prints the number of
@@ -20,14 +21,23 @@ exception raised instead, for, in all three norm kinds:
 and, once per instance, the stack and tag of each ``squared_polynomial``,
 the stack of each ``left_precondition(p, j)`` for j in 0..n, and the
 oracle's moduli.  The queries on an instance share one polynomial, as
-the sweep's do, so what one query keeps on it serves the next.  This
-file is a script, not a test module; pytest does not collect it.
+the sweep's do, so what one query keeps on it serves the next.
+
+With ``--against``, the results of both source trees are computed, each in
+its own process (``--lines`` prints them one by one, labelled), and
+compared in order: it prints how many results differ, and the first few,
+each with its index, its instance and query, and both values from a
+little before their first differing character.  This file is a script,
+not a test module; pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -52,7 +62,8 @@ def _stack(fn, *args):
 
 
 def results(count):
-    """Every result over the first ``count`` criterion-1 instances, in order."""
+    """(label, result) for every result over the first ``count``
+    criterion-1 instances, in order."""
     import pelletbounds as pb
     from pelletbounds.bounds import squared_polynomial
 
@@ -62,33 +73,85 @@ def results(count):
         p, n = criterion_1_instance(i)
         for kind in KINDS:
             for pre in (False, True):
-                yield _outcome(pb.cauchy_bounds, p, kind, pre)
+                yield (f"instance {i} cauchy_bounds {kind} precondition={pre}",
+                       _outcome(pb.cauchy_bounds, p, kind, pre))
             for use_reciprocal in (False, True):
                 for index in (None, 0, 1):
-                    yield _outcome(pb.squared_bounds, p, kind, use_reciprocal, index)
+                    yield (f"instance {i} squared_bounds {kind} use_reciprocal={use_reciprocal} "
+                           f"precondition_index={index}",
+                           _outcome(pb.squared_bounds, p, kind, use_reciprocal, index))
             for k in range(1, n):
                 for pre in (False, True):
-                    yield _outcome(pb.pellet_gap, p, k, kind, pre)
-                    yield _outcome(pb.squared_gap, p, k, kind, pre)
+                    yield (f"instance {i} pellet_gap k={k} {kind} precondition={pre}",
+                           _outcome(pb.pellet_gap, p, k, kind, pre))
+                    yield (f"instance {i} squared_gap k={k} {kind} precondition={pre}",
+                           _outcome(pb.squared_gap, p, k, kind, pre))
         for use_reciprocal in (False, True):
-            yield _stack(lambda: squared_polynomial(p, use_reciprocal)[0])
-            yield _outcome(lambda: squared_polynomial(p, use_reciprocal)[1])
+            label = f"instance {i} squared_polynomial use_reciprocal={use_reciprocal}"
+            yield label + " stack", _stack(lambda: squared_polynomial(p, use_reciprocal)[0])
+            yield label + " tag", _outcome(lambda: squared_polynomial(p, use_reciprocal)[1])
         for j in range(n + 1):
-            yield _stack(pb.left_precondition, p, j)
-        yield _outcome(lambda: pb.eigen_oracle(p).moduli.tobytes().hex())
+            yield f"instance {i} left_precondition j={j} stack", _stack(pb.left_precondition, p, j)
+        yield f"instance {i} eigen_oracle moduli", _outcome(
+            lambda: pb.eigen_oracle(p).moduli.tobytes().hex())
+
+
+def _excerpt(line, at, before=40, width=160):
+    """``line`` from ``before`` characters ahead of index ``at``, at most
+    ``width`` characters, with an ellipsis where it is cut."""
+    start = max(0, at - before)
+    text = line[start:start + width]
+    return ("..." if start else "") + text + ("..." if start + width < len(line) else "")
+
+
+def compare(src, against, count, shown=5):
+    """Print how many results of the two source trees differ, and the first
+    ``shown`` of them."""
+    children = [subprocess.Popen([sys.executable, __file__, "--src", tree, "--count", str(count),
+                                  "--lines"], stdout=subprocess.PIPE, text=True)
+                for tree in (src, against)]
+    total, differ, first = 0, 0, []
+    with children[0].stdout, children[1].stdout:
+        for index, pair in enumerate(itertools.zip_longest(*(c.stdout for c in children))):
+            total += 1
+            if pair[0] == pair[1]:
+                continue
+            differ += 1
+            if len(first) < shown:
+                first.append((index, *(json.loads(side) if side else None for side in pair)))
+    if any(child.wait() for child in children):
+        sys.exit("a result process failed")
+    print(f"{total} results, {differ} differ")
+    for index, ours, theirs in first:
+        label = (ours or theirs)[0]
+        ours, theirs = (side[1] if side else "(no result)" for side in (ours, theirs))
+        at = next((d for d, (a, b) in enumerate(zip(ours, theirs)) if a != b),
+                  min(len(ours), len(theirs)))
+        print(f"#{index} {label}")
+        print(f"  src:     {_excerpt(ours, at)}")
+        print(f"  against: {_excerpt(theirs, at)}")
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, help="the src directory of the checkout to run")
     parser.add_argument("--count", type=int, default=2000, help="instances (default 2000)")
+    parser.add_argument("--against", help="the src directory of a checkout to compare with")
+    parser.add_argument("--lines", action="store_true",
+                        help="print every result as a JSON [label, result] line")
     args = parser.parse_args(argv)
+    if args.against:
+        compare(args.src, args.against, args.count)
+        return
     sys.path.insert(0, str(Path(args.src).resolve()))
     digest, total = hashlib.sha256(), 0
-    for line in results(args.count):
+    for label, line in results(args.count):
+        if args.lines:
+            print(json.dumps([label, line]))
         digest.update(line.encode() + b"\n")
         total += 1
-    print(f"{total} results sha256 {digest.hexdigest()}")
+    if not args.lines:
+        print(f"{total} results sha256 {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -261,7 +261,7 @@ def test_squared_bounds_monicizes_and_tags(rng):
 def test_squared_polynomial_is_the_explicit_chain_and_its_tag_names_the_steps(rng):
     # over {monic, non-monic} x {even, odd n} x {Q, Q_R}: Q is, byte for byte,
     # square_repartition(shift_by_z?(reciprocal?(monicize(P)))) built on a
-    # memo-free copy of P, and the tag names exactly the steps taken
+    # copy of P with empty slots, and the tag names exactly the steps taken
     for monic in (True, False):
         for n in (4, 5):
             p = rand_poly(rng, 2, n, monic=monic)
@@ -362,7 +362,7 @@ def test_squared_gap_soundness(rng):
     assert gaps > 40
 
 
-# --- per-polynomial memo and the chord prefilter ----------------------------
+# --- kept per-polynomial data and the chord prefilter ----------------------
 
 def _full_pellet(p, k, kind, pre):
     """pellet_gap's result from the radial polynomial, with no prefilter."""
@@ -489,8 +489,8 @@ def test_singular_pivot_at_non_vertex_raises_every_time():
 
 
 def test_repeated_calls_reuse_the_memo_and_agree(rng):
-    # every norm kind in turn on one polynomial, twice, and on memo-free
-    # copies: a cached value never leaks across kinds, indices or routes
+    # every norm kind in turn on one polynomial, twice, and on copies with
+    # empty slots: a kept value never leaks across kinds, indices or routes
     def everything(q, n, kind):
         return ([cauchy_bounds(q, kind, precondition=pre) for pre in (False, True)]
                 + [squared_bounds(q, kind, use_reciprocal=rec) for rec in (False, True)]

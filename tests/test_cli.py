@@ -421,6 +421,18 @@ def test_eigenvalue_beyond_double_range_is_a_numerical_failure(capsys, tmp_path)
     assert err.startswith("numerical failure: NonFiniteEigenvalueError: ")
 
 
+def test_oracle_moduli_outside_the_cauchy_radii_are_a_numerical_failure(capsys):
+    # z^2 + 1e200 z + 1e200 has moduli 1 + 1e-200 and 1e200 - 1, but the
+    # companion eigensolve returns 0 and 1e200: the 1-norm Cauchy radius
+    # r = 1 contradicts the 0, so no modulus is printed
+    code, out, err = run_cli(capsys, "oracle", "--poly", "1,1e200,1e200")
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: SoundnessError: ")
+    assert "lower bound 1.0 > min modulus 0.0" in err
+    # a Cauchy radius past the double range tests nothing: the modulus stands
+    assert run_cli(capsys, "oracle", "--poly", "1,1e305")[:2] == (0, "1e+305\n")
+
+
 def test_near_identity_leading_coefficient_is_monicized(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--poly", "1.00000000000001,-3,2", "--variant", "q",
                            "--format", "csv")

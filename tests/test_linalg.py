@@ -403,3 +403,19 @@ def test_lapack_falls_back_to_scipy_linalg_without_the_extension_file(tmp_path):
         assert info == 0 and list(piv) == [1, 1]
         x, info = lapack.zgetrs(lu, piv, np.eye(2))
         assert info == 0 and np.allclose(a @ x, np.eye(2), atol=1e-15)
+
+
+@pytest.mark.parametrize("value", [*NormKind, "one", "inf", "two", "ONE", "Two", "bogus", 1, None,
+                                   ["one"]])
+def test_coerce_agrees_with_the_enum_lookup(value):
+    # the dict lookup of an exact value returns what NormKind(str(v).lower())
+    # returns, and anything else raises what it raises
+    def outcome(fn):
+        try:
+            return fn()
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    expected = outcome(lambda: NormKind(value) if isinstance(value, NormKind)
+                       else NormKind(str(value).lower()))
+    assert outcome(lambda: NormKind.coerce(value)) == expected

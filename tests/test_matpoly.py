@@ -14,6 +14,7 @@ from pelletbounds import (
     NotMonicError,
     OddDegreeError,
     SingularMatrixError,
+    cauchy_bounds,
     companion,
     eigen_oracle,
     evaluate,
@@ -27,12 +28,13 @@ from pelletbounds import (
     shift_by_z,
     square_repartition,
     squared_bounds,
+    squared_gap,
     to_json,
 )
 from pelletbounds import linalg, matpoly
 from pelletbounds.bounds import squared_polynomial
 
-from conftest import max_match_distance, rand_matrix, rand_poly
+from conftest import criterion_1_instance, max_match_distance, rand_matrix, rand_poly
 
 
 def test_construction_invariants(rng):
@@ -230,6 +232,53 @@ def test_one_factorization_per_index(rng, monkeypatch):
     assert left_precondition(monic, monic.n) is monic
 
 
+def _sweep_queries(p, n):
+    """Every query the criterion-1 sweep asks of one instance, in all three
+    norm kinds, with the oracle."""
+    eigen_oracle(p)
+    for kind in NormKind:
+        for pre in (False, True):
+            cauchy_bounds(p, kind, precondition=pre)
+        for use_reciprocal in (False, True):
+            squared_bounds(p, kind, use_reciprocal=use_reciprocal)
+        squared_bounds(p, kind, precondition_index=0)
+        for pre in (False, True):
+            for k in range(1, n):
+                pellet_gap(p, k, kind, precondition=pre)
+            for k in range(2, n - 1, 2):
+                squared_gap(p, k, kind, precondition=pre)
+
+
+def test_kept_data_is_computed_once(monkeypatch):
+    # over the sweep's queries on one polynomial and on every polynomial
+    # derived from it, each LU, nu_j and norm list is computed once, and
+    # asking everything again computes nothing; calls are told apart by the
+    # address of the coefficient or stack they read (every such array is
+    # kept alive by P) and by the kept LU they solve from
+    calls = collections.Counter()
+
+    def counted(name, fn, key):
+        def wrapper(*args):
+            calls[name, *key(*args)] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_factor", counted("factor", linalg._factor,
+                                                   lambda a, scale: (a.ctypes.data,)))
+    monkeypatch.setattr(linalg, "_inv_norm_inv", counted("nu", linalg._inv_norm_inv,
+                                                         lambda f, kind: (id(f), kind)))
+    monkeypatch.setattr(linalg, "norm", counted("norm", linalg.norm,
+                                                lambda a, kind: (a.ctypes.data, kind)))
+    p, n = criterion_1_instance(13)  # A_n is not I, and n = 6 is even
+    assert not p.is_monic() and n == 6
+    _sweep_queries(p, n)
+    first = dict(calls)
+    assert {name for name, *_ in first} == {"factor", "nu", "norm"}
+    assert max(first.values()) == 1
+    _sweep_queries(p, n)
+    assert calls == first
+
+
 def test_left_precondition_sets_identity(rng):
     p = rand_poly(rng, 3, 4)
     for k in range(p.n + 1):
@@ -269,14 +318,17 @@ def test_reciprocal_singular_constant():
 
 
 def test_identity_pivot_keeps_no_reference_to_its_polynomial(rng):
-    # I^-1 P is P, decided before the memo: a P kept in its own memo would be
-    # a cycle that only a full garbage collection frees
+    # I^-1 P is P, decided before its slot is read: a P kept in its own slots
+    # would be a cycle that only a full garbage collection frees
     monic = rand_poly(rng, 2, 3)
     assert left_precondition(monic, monic.n) is monic
     assert monicize(monic) is monic
     for kind in NormKind:
         assert matpoly._nu(monic, monic.n, kind) == 1.0
-    assert not any(value is monic for value in monic._memo.values())
+    squared_bounds(monic, "one", use_reciprocal=True)
+    kept = [value for name, slots in vars(monic).items() if name != "stack"
+            for value in (slots.values() if isinstance(slots, dict) else slots)]
+    assert kept and not any(value is monic for value in kept)
     ref = weakref.ref(monic)
     gc.disable()
     try:

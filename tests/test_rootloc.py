@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -254,13 +255,19 @@ def test_root_near_range_limit_is_found(coeffs, k, nu, root):
     assert got == pytest.approx(root, rel=1e-10)
 
 
+def _log_ratio(c, scale):
+    """log(c / scale), as log c - log scale where the quotient underflows."""
+    r = c / scale
+    return math.log(r) if r >= sys.float_info.min else math.log(c) - math.log(scale)
+
+
 def _envelope(f, t):
     """T(t) = max_j (a_j + (j - k) t) - log(nu) and the number N of terms,
     on the coefficients normalized by the largest (every positive one kept)."""
     scale = max(max(f.coeffs), f.neg_value)
-    lines = [rootloc._log_ratio(c, scale) + (j - f.neg_index) * t
+    lines = [_log_ratio(c, scale) + (j - f.neg_index) * t
              for j, c in enumerate(f.coeffs) if c > 0.0]
-    return (max(lines) - rootloc._log_ratio(f.neg_value, scale), len(lines),
+    return (max(lines) - _log_ratio(f.neg_value, scale), len(lines),
             max(abs(v) for v in lines))
 
 
