@@ -27,8 +27,7 @@ _SUBMODULE_NAMES = {
               "embed_odd", "to_scalar"),
     "experiments": ("ExperimentConfig", "ExperimentResult", "gen_ex1", "gen_ex2", "gen_ex3",
                     "gen_ex4", "run_experiment", "trial_rng"),
-    "linalg": ("NoConvergenceError", "NormKind", "SingularMatrixError", "eigenvalues",
-               "inv_norm_inv", "left_solve", "norm"),
+    "linalg": ("NoConvergenceError", "NormKind", "SingularMatrixError", "eigenvalues", "norm"),
     "matpoly": ("MatrixPolynomial", "NotMonicError", "OddDegreeError", "companion", "evaluate",
                 "from_json", "left_precondition", "monicize", "reciprocal", "scalar_polynomial",
                 "shift_by_z", "square_repartition", "to_json"),

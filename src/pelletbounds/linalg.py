@@ -1,22 +1,22 @@
 """Dense complex matrix primitives: induced norms, LU solves, eigenvalues.
 
-Matrices are plain 2-D ``numpy`` arrays of ``complex128``; ``norm`` and the
-right-hand side of ``left_solve`` also take a 3-D stack of such matrices,
-which is how a matrix polynomial's coefficients travel.  Every public entry
-point validates its input and rejects non-finite entries, so downstream
-code can assume clean data.  The 2-norm is the largest singular value from
-LAPACK's SVD: a 2-norm bound is sound only if the norm is never
-underestimated, which rules out iterations that can stop at a smaller
-singular value.
+Matrices are plain 2-D ``numpy`` arrays of ``complex128``; ``norm`` also
+takes a 3-D stack of such matrices, which is how a matrix polynomial's
+coefficients travel.  Every public entry point validates its input and
+rejects non-finite entries, so downstream code can assume clean data.  The
+2-norm is the largest singular value from LAPACK's SVD: a 2-norm bound is
+sound only if the norm is never underestimated, which rules out iterations
+that can stop at a smaller singular value.
 
-One function, ``_factor``, decides when a pivot is unusable: a zero
-matrix, an infinity norm beyond the double range, or an LU pivot below
+There is one pivot path, and ``matpoly`` is its only user: it keeps one
+factorization per coefficient (see there) and solves from it.  ``_factor``
+decides when a pivot is unusable: a zero matrix, an infinity norm (the
+caller's kept one) beyond the double range, or an LU pivot below
 ``SINGULARITY_RTOL`` times that norm, raises ``SingularMatrixError``, and
 the theorem that needed the pivot does not apply.  ``_solve`` solves from
-such a factorization and raises the same error when the solution is not
-finite.  ``left_solve`` and ``inv_norm_inv`` validate, factor and solve on
-every call; ``matpoly`` keeps one factorization per coefficient (see there)
-and solves from it through the same two functions.
+such a factorization, for a matrix or a 3-D stack on the right, and raises
+the same error when the solution is not finite; ``_inv_norm_inv`` is
+1/||a^-1|| from it.
 
 ``identity(m)`` is one read-only complex identity per size, built on first
 use and shared: callers copy from it or pass it to ``zgetrs``, which copies
@@ -109,11 +109,6 @@ def as_matrix(a) -> np.ndarray:
     return _as_finite(a, (2,))
 
 
-def _require_square(a: np.ndarray) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-
-
 @functools.cache
 def identity(m: int) -> np.ndarray:
     """The m-by-m complex identity: one read-only array per size, built on
@@ -144,12 +139,10 @@ def _norms(arr: np.ndarray, kind: NormKind):
     return np.linalg.svd(arr, compute_uv=False)[..., 0]
 
 
-def _factor(a: np.ndarray, scale: float | None = None) -> tuple:
+def _factor(a: np.ndarray, scale: float) -> tuple:
     """The LU factorization (lu, piv) of a validated square ``a`` under the
     pivot rule of the module docstring (a zero ``a`` included); ``scale`` is
-    the infinity norm of ``a`` when the caller has it already."""
-    if scale is None:
-        scale = float(np.abs(a).sum(axis=1).max())
+    the infinity norm of ``a``, inf beyond the double range."""
     if scale == 0.0:
         raise SingularMatrixError("zero matrix")
     if scale == np.inf:
@@ -176,47 +169,20 @@ def _solve(factor: tuple, b: np.ndarray) -> np.ndarray:
 
 
 def _inv_norm_inv(factor: tuple, kind: NormKind) -> float:
-    """1 / ||a^-1|| from the ``_factor`` of ``a``; raises
-    SingularMatrixError when the norm of the inverse overflows."""
+    """1 / ||a^-1|| from the ``_factor`` of ``a``: the coefficient that
+    takes the place of |a_k| when a scalar Pellet/Cauchy radial polynomial
+    is generalized to matrix coefficients.
+
+    The norm is taken of the explicit inverse, also for the 2-norm: sigma_min
+    from an SVD of ``a`` carries an absolute error of order eps * sigma_max
+    and overestimates 1/||a^-1|| on ill-conditioned matrices, which would
+    tighten a bound past the spectrum.  Raises SingularMatrixError when the
+    norm of the inverse overflows.
+    """
     nu = 1.0 / float(_norms(_solve(factor, identity(factor[0].shape[0])), kind))
     if not nu > 0.0:
         raise SingularMatrixError("the norm of the inverse overflows")
     return nu
-
-
-def inv_norm_inv(a, kind) -> float:
-    """1 / ||a^-1|| for the requested norm kind.
-
-    This is the coefficient that takes the place of |a_k| when a scalar
-    Pellet/Cauchy radial polynomial is generalized to matrix coefficients.
-    The norm is taken of the explicit inverse from the pivoted LU factors,
-    also for the 2-norm: sigma_min from an SVD of ``a`` carries an absolute
-    error of order eps * sigma_max and overestimates 1/||a^-1|| on
-    ill-conditioned matrices, which would tighten a bound past the
-    spectrum.  Raises SingularMatrixError when ``a`` fails the pivot rule
-    of ``_factor`` or the norm of its inverse overflows, in which case the
-    corresponding bound is inapplicable.
-    """
-    arr = as_matrix(a)
-    _require_square(arr)
-    return _inv_norm_inv(_factor(arr), NormKind.coerce(kind))
-
-
-def left_solve(a, b) -> np.ndarray:
-    """Solve a @ x = b for x (i.e. x = a^-1 b) via pivoted LU.
-
-    ``b`` may be a matrix or a stack of shape (k, m, p); a stack is solved
-    with one factorization of ``a`` and one solve of the (m, k*p)
-    concatenation of its matrices, and returned as a stack.  Raises
-    SingularMatrixError when ``a`` fails the pivot rule of ``_factor`` or
-    the solution is not finite.
-    """
-    arr = as_matrix(a)
-    _require_square(arr)
-    brr = _as_finite(b, (2, 3))
-    if brr.shape[-2] != arr.shape[0]:
-        raise ValueError(f"shapes not conformable: {arr.shape} vs {brr.shape}")
-    return _solve(_factor(arr), brr)
 
 
 def eigenvalues(a) -> np.ndarray:
@@ -226,7 +192,8 @@ def eigenvalues(a) -> np.ndarray:
     against accidentally feeding it huge companion matrices.
     """
     arr = as_matrix(a)
-    _require_square(arr)
+    if arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] > EIGEN_DIM_CAP:
         raise ValueError(f"matrix dimension {arr.shape[0]} exceeds cap {EIGEN_DIM_CAP}")
     try:

@@ -38,9 +38,10 @@ the one-sign-change root from tau1 when there are terms below k and from
 tau2 otherwise, and in the Pellet shape x1 from tau1 and x2 from tau2, on
 either side of the minimum of h.  It stops when a Newton step falls below
 the tolerance, or at h <= 0, which in exact arithmetic only the root
-reaches (the start too may round there).  Starts are clamped to |t| <= 700;
-h < 0 at a clamped start, or a step past that limit, puts the root beyond
-double range and raises InvalidShapeError instead of overflowing exp.
+reaches (the start too may round there).  Starts are clamped to |t| <=
+log(DBL_MAX), about 709.78, up to which e^t is finite; h < 0 at a clamped
+start, or a step past that limit, puts the root beyond double range and
+raises InvalidShapeError instead of overflowing exp.
 
 Verdicts in the Pellet shape.  The minimum of T is the chord test of the
 Newton polygon,
@@ -73,7 +74,7 @@ from dataclasses import dataclass
 # flagged marginal.
 GAP_RTOL = 1e-10
 
-_T_LIMIT = 700.0  # |log x| beyond this exceeds double range
+_T_LIMIT = math.log(sys.float_info.max)  # e^t is finite for |t| up to this
 _MAX_ITER = 200
 _ROOT_TOL = 1e-14  # relative Newton step at which a root of h is final
 _MIN_TOL = 1e-12   # the same, or bracket width, for the minimizer of h

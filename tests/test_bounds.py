@@ -21,9 +21,7 @@ from pelletbounds import (
     count_in_annulus,
     count_in_disk,
     eigen_oracle,
-    inv_norm_inv,
     left_precondition,
-    left_solve,
     monicize,
     pellet_gap,
     reciprocal,
@@ -531,9 +529,16 @@ def _outcome(fn, *args):
         return repr(exc)
 
 
-def _left_solved(q, j):
-    """A_j^-1 Q through the public left_solve, with index j set to I."""
-    stack = left_solve(q.stack[j], q.stack)
+def _fresh_factor(a):
+    """linalg._factor of a fresh copy of a coefficient, with that copy's own
+    infinity norm as the pivot scale."""
+    a = np.array(a)
+    return linalg._factor(a, linalg.norm(a, NormKind.INF))
+
+
+def _fresh_left_solved(q, j):
+    """A_j^-1 Q from a fresh factorization of A_j, with index j set to I."""
+    stack = linalg._solve(_fresh_factor(q.stack[j]), np.array(q.stack))
     stack[j] = np.eye(q.m)
     return stack.tobytes()
 
@@ -543,11 +548,14 @@ def _assert_built_like_input(t):
     assert np.array_equal(MatrixPolynomial(t.stack).stack, t.stack)
 
 
-def test_kept_pivots_match_the_public_reference_path():
-    # nu_j and A_j^-1 Q solved from Q's kept LU are bit for bit (or error
-    # for error) what inv_norm_inv and left_solve give, which validate and
-    # factor on every call; Q runs over the sweep's first 144 instances P
-    # and their companion-squared Q and Q_R
+def test_kept_pivots_match_a_fresh_factorization():
+    # nu_j and A_j^-1 Q solved from Q's kept LU, scaled by Q's kept norms,
+    # are bit for bit (or error for error) what linalg._factor, _solve and
+    # _inv_norm_inv give on a fresh copy of A_j with its own infinity norm;
+    # and, independently, they agree with numpy's inv and solve to 1e-12
+    # relative (at most 4.1e-16 measured: both are LAPACK's partially
+    # pivoted LU).  Q runs over the sweep's first 144 instances P and their
+    # companion-squared Q and Q_R
     for i in range(144):
         p, _ = criterion_1_instance(i)
         polys = [p]
@@ -561,24 +569,33 @@ def test_kept_pivots_match_the_public_reference_path():
             _assert_built_like_input(shift_by_z(q))
             for j in range(q.n + 1):
                 for kind in KINDS:
-                    assert (_outcome(lambda: matpoly._nu(q, j, kind).hex())
-                            == _outcome(lambda: inv_norm_inv(q.stack[j], kind).hex()))
+                    # nu > 0, so == on floats is equality bit for bit
+                    nu = _outcome(matpoly._nu, q, j, kind)
+                    assert nu == _outcome(
+                        lambda: linalg._inv_norm_inv(_fresh_factor(q.stack[j]), kind))
+                    if isinstance(nu, float):
+                        ref = 1.0 / linalg.norm(np.linalg.inv(q.stack[j]), kind)
+                        assert nu == pytest.approx(ref, rel=1e-12)
                 pre = _outcome(left_precondition, q, j)
                 if isinstance(pre, MatrixPolynomial):
                     _assert_built_like_input(pre)
+                    want = np.linalg.solve(q.stack[j], q.stack)
+                    want[j] = np.eye(q.m)
+                    assert np.abs(pre.stack - want).max() <= 1e-12 * np.abs(want).max()
                     pre = pre.stack.tobytes()
-                assert pre == _outcome(_left_solved, q, j)
+                assert pre == _outcome(_fresh_left_solved, q, j)
             for transform in (monicize, reciprocal):
                 t = _outcome(transform, q)
                 if isinstance(t, MatrixPolynomial):
                     _assert_built_like_input(t)
 
 
-def test_identity_pivots_match_the_public_reference_path():
+def test_identity_pivots_match_a_fresh_factorization():
     # a coefficient that is exactly I (a monic P's A_n, Q's and Q_R's
-    # leading coefficient, index 0 of B_0^-1 Q) has nu exactly 1.0 in every norm
-    # without an LU, as inv_norm_inv gives it, and I^-1 Q is Q itself; the
-    # identity they are tested against is one read-only array per size
+    # leading coefficient, index 0 of B_0^-1 Q) has nu exactly 1.0 in every
+    # norm without an LU, as a fresh factorization of it gives, and I^-1 Q
+    # is Q itself; the identity they are tested against is one read-only
+    # array per size
     pivots = 0
     for i in range(144):
         p, _ = criterion_1_instance(i)
@@ -597,8 +614,8 @@ def test_identity_pivots_match_the_public_reference_path():
                     continue
                 pivots += 1
                 for kind in KINDS:
-                    assert (matpoly._nu(q, j, kind).hex() == inv_norm_inv(q.stack[j], kind).hex()
-                            == (1.0).hex())
+                    assert (matpoly._nu(q, j, kind).hex() == (1.0).hex()
+                            == linalg._inv_norm_inv(_fresh_factor(q.stack[j]), kind).hex())
                 assert left_precondition(q, j) is q
                 eye = linalg.identity(q.m)
                 assert linalg.identity(q.m) is eye and not eye.flags.writeable

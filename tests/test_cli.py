@@ -296,6 +296,16 @@ def test_bounds_root_beyond_double_range_is_inapplicable(capsys):
     assert "InvalidShapeError" in err
 
 
+@pytest.mark.parametrize("root", [1e305, 1e-305])
+def test_bounds_root_near_the_double_range_limit_is_found(capsys, root):
+    # z + root has both radii at root, near an end of the double range
+    code, out, err = run_cli(capsys, "bounds", "--poly", f"1,{root!r}", "--format", "json")
+    assert code == 0, err
+    [row] = json.loads(out)
+    assert row["upper"] == pytest.approx(root, rel=1e-12)
+    assert row["lower"] == pytest.approx(root, rel=1e-12)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     ("bounds", "--poly", "1,1e200,1e200", "--variant", "q"),
@@ -429,8 +439,18 @@ def test_oracle_moduli_outside_the_cauchy_radii_are_a_numerical_failure(capsys):
     assert code == 3 and out == ""
     assert err.startswith("numerical failure: SoundnessError: ")
     assert "lower bound 1.0 > min modulus 0.0" in err
-    # a Cauchy radius past the double range tests nothing: the modulus stands
+    # a Cauchy radius near the top of the double range holds its modulus
     assert run_cli(capsys, "oracle", "--poly", "1,1e305")[:2] == (0, "1e+305\n")
+
+
+def test_oracle_moduli_stand_when_the_cauchy_radius_is_past_the_double_range(capsys, tmp_path):
+    # I z + A_0 with A_0 = [[1e308, 0], [1e308, 0]]: its 1-norm, 2e308, and
+    # so the radius pass the double range, which tests nothing, while the
+    # moduli 0 and 1e308 are finite
+    p = matpoly.MatrixPolynomial([np.array([[1e308, 0.0], [1e308, 0.0]]), np.eye(2)])
+    path = tmp_path / "p.json"
+    path.write_text(matpoly.to_json(p))
+    assert run_cli(capsys, "oracle", "--input", str(path))[:2] == (0, "0\n1e+308\n")
 
 
 def test_near_identity_leading_coefficient_is_monicized(capsys):

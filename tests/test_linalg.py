@@ -11,13 +11,12 @@ from pelletbounds import (
     SingularMatrixError,
     cauchy_bounds,
     eigenvalues,
-    inv_norm_inv,
-    left_solve,
+    left_precondition,
     norm,
     square_repartition,
     trial_rng,
 )
-from pelletbounds import linalg
+from pelletbounds import linalg, matpoly
 from pelletbounds.linalg import as_matrix
 
 from conftest import pelletbounds_env, rand_matrix
@@ -84,50 +83,64 @@ def test_one_norm_equals_adjoint_inf_norm_exactly(rng):
         assert norm(a, "one") == norm(a.conj().T, "inf")
 
 
+# The pivot path is the one the library takes: nu = 1/||A^-1|| and the left
+# solve A^-1 B run on the A_0 of A + B z, from the LU that the polynomial
+# keeps, scaled by its kept infinity norm.
+
+def _nu(a, kind):
+    """nu of A as the kept pivot A_0 of A + I z."""
+    return matpoly._nu(MatrixPolynomial([a, np.eye(len(a))]), 0, NormKind.coerce(kind))
+
+
+def _left_solved(a, *b):
+    """A^-1 B_1, ..., A^-1 B_k as the coefficients 1..k of A_0^-1 (A + B_1 z
+    + ... + B_k z^k), solved from the kept LU of A."""
+    return left_precondition(MatrixPolynomial([a, *b]), 0).stack[1:]
+
+
 def test_inv_norm_inv_examples():
-    assert inv_norm_inv(np.eye(3), "one") == pytest.approx(1.0)
-    assert inv_norm_inv(np.diag([2.0, 5.0]), "one") == pytest.approx(2.0)
+    assert _nu(np.eye(3), "one") == 1.0
+    assert _nu(np.diag([2.0, 5.0]), "one") == pytest.approx(2.0)
     with pytest.raises(SingularMatrixError):
-        inv_norm_inv(np.ones((2, 2)), "one")
+        _nu(np.ones((2, 2)), "one")
+    with pytest.raises(SingularMatrixError, match="zero matrix"):
+        _nu(np.zeros((2, 2)), "one")
 
 
 def test_inv_norm_inv_consistent_with_inverse_norm(rng):
     for _ in range(10):
         a = rand_matrix(rng, 4) + 2 * np.eye(4)
         for kind in KINDS:
-            product = inv_norm_inv(a, kind) * norm(np.linalg.inv(a), kind)
+            product = _nu(a, kind) * norm(np.linalg.inv(a), kind)
             assert product == pytest.approx(1.0, rel=1e-10)
 
 
 def test_left_solve_identity_and_diag(rng):
     b = rand_matrix(rng, 3)
-    assert np.allclose(left_solve(np.eye(3), b), b, atol=1e-14)
+    p = MatrixPolynomial([np.eye(3), b])
+    assert left_precondition(p, 0) is p  # I^-1 B is B, without a solve
     d = np.diag([2.0, 4.0])
-    assert np.allclose(left_solve(d, d), np.eye(2), atol=1e-14)
+    assert np.allclose(_left_solved(d, d)[0], np.eye(2), atol=1e-14)
 
 
 def test_left_solve_round_trip(rng):
     a = rand_matrix(rng, 2) + np.eye(2)
-    assert np.allclose(left_solve(a, a), np.eye(2), atol=1e-12)
+    assert np.allclose(_left_solved(a, a)[0], np.eye(2), atol=1e-12)
     b = rand_matrix(rng, 2)
-    x = left_solve(a, b)
+    x = _left_solved(a, b)[0]
     assert np.allclose(a @ x, b, atol=1e-12)
 
 
 def test_left_solve_stack_matches_per_matrix(rng):
     a = rand_matrix(rng, 4) + 2 * np.eye(4)
-    b = np.array([rand_matrix(rng, 4, scale=5.0) for _ in range(6)])
-    x = left_solve(a, b)
-    assert x.shape == b.shape
+    b = [rand_matrix(rng, 4, scale=5.0) for _ in range(6)]
+    x = _left_solved(a, *b)
+    assert x.shape == (6, 4, 4)
     for xj, bj in zip(x, b):
-        want = left_solve(a, bj)
+        want = _left_solved(a, bj)[0]
         assert np.abs(xj - want).max() <= 1e-13 * np.abs(want).max()
-    with pytest.raises(ValueError):
-        left_solve(a, np.ones((6, 3, 4)))  # rows do not match a
-    with pytest.raises(ValueError):
-        left_solve(a, np.full((2, 4, 4), np.nan))
     with pytest.raises(SingularMatrixError):
-        left_solve(np.ones((4, 4)), b)
+        _left_solved(np.ones((4, 4)), *b)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 20])
@@ -141,9 +154,9 @@ def test_batched_norms_equal_per_coefficient_norms(rng, m):
 
 def test_inv_norm_inv_two_singular_raises():
     with pytest.raises(SingularMatrixError):
-        inv_norm_inv(np.ones((3, 3)), "two")
+        _nu(np.ones((3, 3)), "two")
     with pytest.raises(SingularMatrixError):
-        inv_norm_inv(np.diag([1.0, 1e-16]), "two")
+        _nu(np.diag([1.0, 1e-16]), "two")
 
 
 def test_inv_norm_inv_two_ill_conditioned_pivot_not_overestimated():
@@ -165,29 +178,30 @@ def test_inv_norm_inv_two_ill_conditioned_pivot_not_overestimated():
     if rng.uniform() < 0.6:
         k = int(rng.integers(1, 2))
         coeffs[k] = coeffs[k] + scale * 10.0 ** rng.uniform(1.0, 4.0) * np.eye(3)
-    pivot = square_repartition(MatrixPolynomial(coeffs)).stack[0]
+    q = square_repartition(MatrixPolynomial(coeffs))
+    pivot = q.stack[0]
     s = np.linalg.svd(pivot, compute_uv=False)
     assert s[0] / s[-1] > 1e16
     with mpmath.workdps(80):
         exact = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in pivot])
         true_smin = float(min(mpmath.re(x) for x in mpmath.svd_c(exact, compute_uv=False)))
-    assert 0.0 < inv_norm_inv(pivot, "two") <= true_smin * (1.0 + 1e-6)
+    assert 0.0 < matpoly._nu(q, 0, NormKind.TWO) <= true_smin * (1.0 + 1e-6)
 
 
 def test_left_solve_singular():
+    with pytest.raises(SingularMatrixError, match="zero matrix"):
+        _left_solved(np.zeros((2, 2)), np.eye(2))
     with pytest.raises(SingularMatrixError):
-        left_solve(np.zeros((2, 2)), np.eye(2))
-    with pytest.raises(SingularMatrixError):
-        left_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
+        _left_solved(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
 
 
 def test_inverse_of_near_singular_raises():
     a = np.array([[1.0, 0.0], [0.0, 1e-16]])
     for kind in KINDS:
         with pytest.raises(SingularMatrixError):
-            inv_norm_inv(a, kind)
+            _nu(a, kind)
     with pytest.raises(SingularMatrixError):
-        left_solve(a, np.eye(2))
+        _left_solved(a, np.eye(2))
 
 
 # passes the LU pivot test (second pivot about 1e-312 against a threshold of
@@ -198,11 +212,11 @@ OVERFLOWING_INVERSE = 1e-300 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
 def test_overflowing_inverse_raises():
     for kind in KINDS:
         with pytest.raises(SingularMatrixError):
-            inv_norm_inv(OVERFLOWING_INVERSE, kind)
-    with pytest.raises(SingularMatrixError):
-        left_solve(OVERFLOWING_INVERSE, np.eye(2))
-    with pytest.raises(SingularMatrixError):
-        left_solve(OVERFLOWING_INVERSE, np.array([np.eye(2), np.eye(2)]))
+            _nu(OVERFLOWING_INVERSE, kind)
+    with pytest.raises(SingularMatrixError, match="not finite"):
+        _left_solved(OVERFLOWING_INVERSE, np.eye(2))
+    with pytest.raises(SingularMatrixError, match="not finite"):
+        _left_solved(OVERFLOWING_INVERSE, np.eye(2), np.eye(2))
 
 
 # well conditioned, but its infinity norm, 2e308, passes the double range
@@ -210,12 +224,11 @@ OVERFLOWING_NORM = np.array([[1e308, 1e308], [1e308, -1e308]])
 
 
 def test_overflowing_pivot_norm_is_named():
-    with np.errstate(over="ignore"):
-        for kind in KINDS:
-            with pytest.raises(SingularMatrixError, match="infinity norm overflows"):
-                inv_norm_inv(OVERFLOWING_NORM, kind)
+    for kind in KINDS:
         with pytest.raises(SingularMatrixError, match="infinity norm overflows"):
-            left_solve(OVERFLOWING_NORM, np.eye(2))
+            _nu(OVERFLOWING_NORM, kind)
+    with pytest.raises(SingularMatrixError, match="infinity norm overflows"):
+        _left_solved(OVERFLOWING_NORM, np.eye(2))
 
 
 def test_overflowing_inverse_leaves_lower_radius_absent():

@@ -247,6 +247,8 @@ def test_underflowing_terms_are_kept(coeffs, k, nu):
     ([0.0, 1e-300], 0, 1.0, 1e300),
     ([1.0, 0.0], 1, 1e300, 1e-300),
     ([1.0, 0.0, 1e-300], 1, 1.0, 1e300),
+    ([0.0, 1.0], 0, 1e305, 1e305),   # within e^10 of the double range's ends
+    ([1.0, 0.0], 1, 1e305, 1e-305),
 ])
 def test_root_near_range_limit_is_found(coeffs, k, nu, root):
     # the walk's last step is clamped to the range limit, not skipped
