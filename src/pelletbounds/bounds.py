@@ -49,13 +49,15 @@ polynomial to reject it.
 
 Everything these theorems read from a polynomial (its coefficient norms,
 nu_k, A_k^-1 P, Q and Q_R) is built once and kept on it by ``matpoly``;
-this module keeps only the theorems.
+this module keeps only the theorems.  The one value it keeps is a Cauchy
+radius, by index in ``matpoly``'s record of the polynomial whose radial
+polynomial it is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .linalg import NormKind, SingularMatrixError
 from .matpoly import (MatrixPolynomial, OddDegreeError, _chord, _kept, _nu, _squared,
@@ -113,10 +115,11 @@ class GapResult:
 
 def _pivot_profile(p: MatrixPolynomial, j: int, kind: NormKind, precondition: bool):
     """Coefficient norms and nu = 1/||A_j^-1|| of the radial polynomial that
-    pivots on A_j, or those of A_j^-1 P (where nu = 1) with ``precondition``.
-    Raises SingularMatrixError when A_j is singular."""
+    pivots on A_j, or with ``precondition`` the same of A_j^-1 P, whose j-th
+    coefficient is exactly I and so nu exactly 1.0.  Raises
+    SingularMatrixError when A_j is singular."""
     if precondition:
-        return _kept(left_precondition(p, j), kind).norms, 1.0
+        p = left_precondition(p, j)
     return _kept(p, kind).norms, _nu(p, j, kind)
 
 
@@ -131,14 +134,23 @@ def _radial_roots(norms: list, nu: float, k: int) -> PositiveRoots | None:
 
 def _cauchy_radius(p: MatrixPolynomial, k: int, kind: NormKind,
                    precondition: bool) -> float | None:
-    """The one positive root of f_k for k in {0, n}; None when A_k is singular,
-    0.0 when every other coefficient is zero (at k = n every eigenvalue is
-    then 0; at k = 0 the bound r = 0 is trivially valid)."""
+    """The one positive root of f_k for k in {0, n}, of P or with
+    ``precondition`` of A_k^-1 P, kept by index on that polynomial's record
+    for ``kind``; None when A_k is singular, 0.0 when every other
+    coefficient is zero (at k = n every eigenvalue is then 0; at k = 0 the
+    bound r = 0 is trivially valid).  A_k^-1 P is P itself when A_k is
+    exactly I, so then both variants solve one radial polynomial."""
     try:
-        roots = _radial_roots(*_pivot_profile(p, k, kind, precondition), k)
+        if precondition:
+            p = left_precondition(p, k)
+        kept = _kept(p, kind)
+        radius = kept.cauchy[k]
+        if radius is None:
+            roots = _radial_roots(kept.norms, _nu(p, k, kind), k)
+            radius = kept.cauchy[k] = 0.0 if roots is None else roots.x1
     except SingularMatrixError:
         return None
-    return 0.0 if roots is None else roots.x1
+    return radius
 
 
 def cauchy_bounds(p: MatrixPolynomial, kind, precondition: bool = False) -> CauchyBounds:
@@ -183,8 +195,7 @@ def _chord_proves_none(p: MatrixPolynomial, k: int, kind: NormKind, precondition
     nu = _nu(p, k, kind)
     kept = _kept(p, kind)
     norms = kept.norms
-    others = max(norms[:k] + norms[k + 1:])
-    chord = _chord(kept, k)
+    chord, others = _chord(kept, k)
     # each inequality divided by its scale to keep exp in range
     if precondition:
         scale = max(1.0, others / nu)
@@ -293,7 +304,9 @@ def squared_gap(p: MatrixPolynomial, k_even: int, kind,
     if precondition:
         variant += "+B-preconditioned"
     res = _pellet_query(q, kq, kind, precondition, k_even * p.m, variant)
-    return replace(res, k=k_even, x1=_unsquare(res.x1), x2=_unsquare(res.x2))
+    return GapResult(k=k_even, status=res.status, x1=_unsquare(res.x1), x2=_unsquare(res.x2),
+                     eig_count_inside=res.eig_count_inside, norm_kind=kind, variant=variant,
+                     marginal=res.marginal)
 
 
 __all__ = [

@@ -67,8 +67,7 @@ try:
                         embed_odd)
     from .linalg import NoConvergenceError, NormKind, SingularMatrixError
     from .matpoly import MatrixPolynomial, NotMonicError, OddDegreeError
-    from .oracle import (NonFiniteEigenvalueError, SoundnessError, check_lower, check_upper,
-                         eigen_oracle)
+    from .oracle import SoundnessError, check_lower, check_upper, eigen_oracle
     from .rootloc import InvalidShapeError
     gc.freeze()
 finally:
@@ -369,8 +368,9 @@ def main(argv=None) -> int:
     except _INAPPLICABLE as exc:
         print(f"inapplicable: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (NoConvergenceError, NonFiniteEigenvalueError, SoundnessError, FloatingPointError,
-            ArithmeticError) as exc:
+    except (NoConvergenceError, SoundnessError, ArithmeticError) as exc:
+        # ArithmeticError covers FloatingPointError and the oracle's
+        # NonFiniteEigenvalueError
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -80,6 +80,11 @@ class NormKind(enum.Enum):
     INF = "inf"
     TWO = "two"
 
+    # a member is a singleton (unpickling returns the same one), so its
+    # identity is its hash: a dict keyed by members, like the kept records
+    # of ``matpoly``, hashes without a Python-level call
+    __hash__ = object.__hash__
+
     @classmethod
     def coerce(cls, value) -> "NormKind":
         """The member itself, that of an exact value (one dict lookup), or

@@ -15,17 +15,22 @@ from it is computed here on first use and kept on it, each kind of data in
 its own slots: per index j, whether A_j is exactly I (``_is_identity``), the
 LU of A_j under ``linalg``'s pivot rule, scaled by the kept infinity norm of
 A_j (``_lu``), and A_j^-1 P solved from it (``left_precondition``); one slot
-each for Q and Q_R (``_squared``); and per norm kind one record (``_kept``):
-the coefficient norms, nu_j = 1/||A_j^-1|| (``_nu``) and the highest chord
-at j of the points (j, log ||A_j||) (``_chord``), by index.  No other module
-builds or caches such data.  Failures are not kept: a singular pivot raises
-on every call.  An A_j that is exactly I is never factored: nu_j is exactly
-1.0 in every norm, and I^-1 P is P itself, decided before the slot is read,
-so no slot of P ever holds P.
+each for Q and Q_R (``_squared``); and per norm kind one record (``_kept``)
+of the coefficient norms and, by index j, nu_j = 1/||A_j^-1|| (``_nu``), the
+highest chord at j of the points (j, log ||A_j||) with the largest norm but
+the j-th beside it (``_chord``), and the Cauchy radius of the radial
+polynomial that pivots on A_j, which ``bounds`` computes and keeps there for
+j in {0, n}.  No other module builds or caches such data.  Failures are not
+kept: a singular pivot raises on every call.  An A_j that is exactly I is
+never factored: nu_j is exactly 1.0 in every norm, and I^-1 P is P itself,
+decided before the slot is read, so no slot of P ever holds P.
 
 The public constructor checks what comes from outside; a transform here
 checks what it makes itself and freezes its own C-contiguous stack through
-``MatrixPolynomial._from_checked``, without a copy or a second test.
+``MatrixPolynomial._from_checked``, without a copy or a second test.  A
+transform that sets a coefficient to exactly I (A_j^-1 P at j, the
+reciprocal and Q at their leading index) marks it as such there, so that
+its identity test, and with it nu = 1.0, costs nothing.
 """
 
 from __future__ import annotations
@@ -58,8 +63,10 @@ class MatrixPolynomial:
     enforced by the constructor (or by the transform that made the stack,
     see the module docstring): degree n >= 1, all coefficients of the same
     square shape, all entries finite, and a nonzero leading coefficient
-    (the degree is genuine).  Its private slots of derived data (see the
-    module docstring) take no part in ``repr`` or equality.
+    (the degree is genuine).  The block size ``m`` and the degree ``n`` are
+    plain read-only attributes, set with the stack; they and the private
+    slots of derived data (see the module docstring) are not dataclass
+    fields and take no part in ``repr`` or equality.
     """
 
     stack: np.ndarray
@@ -82,30 +89,28 @@ class MatrixPolynomial:
         self._store(stack)
 
     @classmethod
-    def _from_checked(cls, stack: np.ndarray) -> "MatrixPolynomial":
+    def _from_checked(cls, stack: np.ndarray, identity_at: int | None = None) -> "MatrixPolynomial":
         """The polynomial of ``stack``, made by a transform of this module
         that has itself checked what the constructor would: no copy and no
         second test.  ``stack`` must be C-contiguous, as the constructor's
-        copy is, so that a norm sums it in the same order."""
+        copy is, so that a norm sums it in the same order.  ``identity_at``
+        is the index of a coefficient that the transform set to exactly I,
+        kept as such without a test."""
         p = object.__new__(cls)
         p._store(stack)
+        if identity_at is not None:
+            p._identities[identity_at] = True
         return p
 
     def _store(self, stack: np.ndarray) -> None:
         """Freeze a checked, C-contiguous ``stack`` and keep it with empty
         slots: the one place a polynomial's stack is stored."""
         stack.setflags(write=False)
+        size, m = stack.shape[:2]
         # past the frozen __setattr__; None marks a slot not yet filled
-        self.__dict__.update(stack=stack, _identities=[None] * len(stack), _lus=[None] * len(stack),
-                             _preconditioned=[None] * len(stack), _squares=[None, None], _kinds={})
-
-    @property
-    def m(self) -> int:
-        return self.stack.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.stack.shape[0] - 1
+        self.__dict__.update(stack=stack, m=m, n=size - 1, _identities=[None] * size,
+                             _lus=[None] * size, _preconditioned=[None] * size,
+                             _squares=[None, None], _kinds={})
 
     def is_monic(self) -> bool:
         """Whether A_n is exactly I; anything else, however close, must be
@@ -129,12 +134,16 @@ def evaluate(p: MatrixPolynomial, z: complex) -> np.ndarray:
 
 @dataclass(slots=True)
 class _Kept:
-    """What a polynomial keeps for one norm kind: its coefficient norms, and
-    nu_j and the chord at j by index (None until first asked for)."""
+    """What a polynomial keeps for one norm kind: its coefficient norms and,
+    by index j (None until first asked for), nu_j, the pair (chord at j,
+    largest norm but the j-th) of ``_chord``, and the Cauchy radius of the
+    radial polynomial that pivots on A_j, which ``bounds`` fills for j in
+    {0, n}."""
 
     norms: list
     nu: list
     chord: list
+    cauchy: list
 
 
 def _is_identity(p: MatrixPolynomial, j: int) -> bool:
@@ -154,7 +163,8 @@ def _kept(p: MatrixPolynomial, kind: linalg.NormKind) -> _Kept:
     if kept is None:
         with np.errstate(over="ignore"):
             norms = linalg.norm(p.stack, kind).tolist()
-        kept = p._kinds[kind] = _Kept(norms, [None] * len(norms), [None] * len(norms))
+        size = len(norms)
+        kept = p._kinds[kind] = _Kept(norms, [None] * size, [None] * size, [None] * size)
     return kept
 
 
@@ -168,16 +178,16 @@ def _lu(p: MatrixPolynomial, j: int) -> tuple:
     return lu
 
 
-def _chord(kept: _Kept, k: int) -> float:
-    """The highest chord at k of the points (j, log ||A_j||) over the
-    nonzero A_j with j != k (``rootloc._highest_chord``), from the norms of
-    ``kept`` and kept there by index; -inf when no such pair straddles k."""
+def _chord(kept: _Kept, k: int) -> tuple:
+    """(C, max_{j != k} ||A_j||) from the norms of ``kept``, kept there by
+    index: C is the highest chord at k of the points (j, log ||A_j||) over
+    the nonzero A_j with j != k (``rootloc._highest_chord``), -inf when no
+    such pair straddles k."""
     chord = kept.chord[k]
     if chord is None:
         norms = kept.norms
-        js = [j for j, c in enumerate(norms) if j != k and c > 0.0]
-        chord = kept.chord[k] = _highest_chord([math.log(norms[j]) for j in js],
-                                               [float(j - k) for j in js])[0]
+        terms = [(math.log(c), float(j - k)) for j, c in enumerate(norms) if j != k and c > 0.0]
+        chord = kept.chord[k] = (_highest_chord(terms)[0], max(norms[:k] + norms[k + 1:]))
     return chord
 
 
@@ -218,7 +228,7 @@ def left_precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
         stack[index] = identity(p.m)
         if not stack[-1].any():
             raise SingularMatrixError("the preconditioned leading coefficient underflows to zero")
-        q = p._preconditioned[index] = MatrixPolynomial._from_checked(stack)
+        q = p._preconditioned[index] = MatrixPolynomial._from_checked(stack, index)
     return q
 
 
@@ -230,7 +240,7 @@ def reciprocal(p: MatrixPolynomial) -> MatrixPolynomial:
     ``left_precondition`` accepts (SingularMatrixError otherwise).
     """
     reversed_stack = np.ascontiguousarray(left_precondition(p, 0).stack[::-1])
-    return MatrixPolynomial._from_checked(reversed_stack)
+    return MatrixPolynomial._from_checked(reversed_stack, p.n)
 
 
 def shift_by_z(p: MatrixPolynomial) -> MatrixPolynomial:
@@ -279,19 +289,21 @@ def square_repartition(p: MatrixPolynomial) -> MatrixPolynomial:
         raise OddDegreeError("companion squaring needs an even degree; shift odd degrees by z first")
     m, n, h = p.m, p.n, p.n // 2
     a = p.stack
-    top = a[0:n:2]  # A_0, A_2, ..., A_{n-2}: also the extra bottom-right terms
-    bottom = a[1:n:2]  # A_1, A_3, ..., A_{n-1}
-    extra_top = np.concatenate([np.zeros((1, m, m), dtype=np.complex128), a[1:n - 2:2]])
     q = np.zeros((h + 1, 2 * m, 2 * m), dtype=np.complex128)
-    q[:h, :m, :m] = top
-    q[:h, m:, :m] = bottom
+    q[:h, :m, :m] = a[0:n:2]  # A_0, A_2, ..., A_{n-2}
+    q[:h, m:, :m] = a[1:n:2]  # A_1, A_3, ..., A_{n-1}
+    # the added terms first, so that B_0's top right is -A_0 A_{n-1} plus
+    # its +0.0 block, which turns a -0.0 of the product into +0.0
+    q[1:h, :m, m:] = a[1:n - 2:2]
+    q[:h, m:, m:] = a[0:n:2]
     with np.errstate(over="ignore", invalid="ignore"):
-        q[:h, :m, m:] = -top @ a[n - 1] + extra_top
-        q[:h, m:, m:] = -bottom @ a[n - 1] + top
+        products = -a[:n] @ a[n - 1]  # every -A_j A_{n-1} in one batched product
+        q[:h, :m, m:] += products[0::2]
+        q[:h, m:, m:] += products[1::2]
     if not np.isfinite(q[:h]).all():
         raise SingularMatrixError("the companion-squared coefficients overflow the double range")
     q[h] = identity(2 * m)
-    return MatrixPolynomial._from_checked(q)
+    return MatrixPolynomial._from_checked(q, h)
 
 
 def _squared(p: MatrixPolynomial, use_reciprocal: bool) -> MatrixPolynomial:

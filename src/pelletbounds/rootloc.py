@@ -79,6 +79,8 @@ _MAX_ITER = 200
 _ROOT_TOL = 1e-14  # relative Newton step at which a root of h is final
 _MIN_TOL = 1e-12   # the same, or bracket width, for the minimizer of h
 
+_d = operator.itemgetter(1)  # d_j of a term (a_j, d_j)
+
 
 class InvalidShapeError(Exception):
     """The coefficient data violates the one-negative-term shape."""
@@ -91,10 +93,10 @@ class SignedRadialPolynomial:
     coeffs must be nonnegative with coeffs[neg_index] == 0, neg_value must be
     positive, and at least one other coefficient must be positive.  Once
     validated, the constructor also keeps f's log form (see the module
-    docstring) in private attributes, which are not dataclass fields: over
-    the positive terms the normalized a_j = log c_j (``_logs``) and
-    d_j = j - k (``_ds``), nu and log nu, and the envelope ends tau1 and
-    tau2.
+    docstring) in private attributes, which are not dataclass fields: the
+    positive terms in ascending j, each once, as the pairs (a_j, d_j) of the
+    normalized a_j = log c_j and d_j = j - k (``_terms``), nu and log nu,
+    and the envelope ends tau1 and tau2.
     """
 
     coeffs: tuple
@@ -115,15 +117,16 @@ class SignedRadialPolynomial:
             raise InvalidShapeError("coeffs[neg_index] must be zero (it is replaced by -neg_value)")
         if not math.isfinite(neg_value) or neg_value <= 0.0:
             raise InvalidShapeError("neg_value must be positive and finite")
-        if not max(coeffs) > 0.0:
+        largest = max(coeffs)
+        if not largest > 0.0:
             raise InvalidShapeError("need at least one positive coefficient besides the negative term")
-        scale = max(max(coeffs), neg_value)
+        scale = max(largest, neg_value)
         log, tiny = math.log, sys.float_info.min
         # log(c / scale) is the log of the quotient while that is a normal
         # float, else log c - log scale, which cannot underflow
         nu = neg_value / scale
         lognu = log(nu) if nu >= tiny else log(neg_value) - log(scale)
-        logs, ds = [], []
+        terms = []
         # T <= 0 on [tau1, tau2]: right of each falling line's zero, left of
         # each rising line's zero
         tau1, tau2 = -math.inf, math.inf
@@ -131,17 +134,16 @@ class SignedRadialPolynomial:
             if c > 0.0:
                 r = c / scale
                 a, d = log(r) if r >= tiny else log(c) - log(scale), float(j - neg_index)
-                logs.append(a)
-                ds.append(d)
+                terms.append((a, d))
                 z = (lognu - a) / d
                 if d > 0.0:
-                    tau2 = min(tau2, z)
-                else:
-                    tau1 = max(tau1, z)
+                    if z < tau2:
+                        tau2 = z
+                elif z > tau1:
+                    tau1 = z
         # past the frozen __setattr__; _nu may underflow, _lognu does not
         self.__dict__.update(coeffs=coeffs, neg_index=neg_index, neg_value=neg_value,
-                             _logs=logs, _ds=ds, _nu=nu, _lognu=lognu,
-                             _tau1=tau1, _tau2=tau2)
+                             _terms=terms, _nu=nu, _lognu=lognu, _tau1=tau1, _tau2=tau2)
 
     @property
     def degree(self) -> int:
@@ -158,19 +160,19 @@ class SignedRadialPolynomial:
     def _newton(self, t: float):
         """Return (h, h') at t; h' is the mean of j - k under the weights
         c_j e^{(j-k)t}."""
-        ds, exp = self._ds, math.exp
-        s = [a + d * t for a, d in zip(self._logs, ds)]
+        terms, exp = self._terms, math.exp
+        s = [a + d * t for a, d in terms]
         smax = max(s)
         w = [exp(v - smax) for v in s]
         tot = sum(w)
-        return smax + math.log(tot) - self._lognu, sum(map(operator.mul, w, ds)) / tot
+        return smax + math.log(tot) - self._lognu, sum(map(operator.mul, w, map(_d, terms))) / tot
 
     def _stats(self, t: float):
         """Return (h, h', h''); h'' is the variance of j - k under the same
         weights, hence h is convex."""
         h, mean = self._newton(t)
         top = h + self._lognu  # the log of the weights' sum
-        var = sum([math.exp(a + d * t - top) * (d - mean) ** 2 for a, d in zip(self._logs, self._ds)])
+        var = sum([math.exp(a + d * t - top) * (d - mean) ** 2 for a, d in self._terms])
         return h, mean, var
 
     def _phi(self, h: float) -> float:
@@ -182,7 +184,7 @@ class SignedRadialPolynomial:
 
     def _vertex(self):
         """(delta, t_c): the minimum of T and where it is reached."""
-        chord, tc = _highest_chord(self._logs, self._ds)
+        chord, tc = _highest_chord(self._terms)
         return chord - self._lognu, tc
 
 
@@ -204,13 +206,12 @@ class PositiveRoots:
             raise InvalidShapeError(f"two roots must be separated: {self.x1}, {self.x2}")
 
 
-def _highest_chord(logs, ds):
-    """(C, t_c) for the lines a + d t (a in logs, d in ds, no d zero): C is
-    the highest chord (d_j a_i - d_i a_j) / (d_j - d_i) over d_i < 0 < d_j,
-    the minimum of max(a + d t), and t_c where that pair of lines crosses;
-    (-inf, 0.0) when either sign is missing."""
+def _highest_chord(terms):
+    """(C, t_c) for the lines a + d t, one per pair (a, d) of ``terms`` (no
+    d zero): C is the highest chord (d_j a_i - d_i a_j) / (d_j - d_i) over
+    d_i < 0 < d_j, the minimum of max(a + d t), and t_c where that pair of
+    lines crosses; (-inf, 0.0) when either sign is missing."""
     best, tc = -math.inf, 0.0
-    terms = list(zip(logs, ds))
     for ai, di in terms:
         if di > 0.0:
             continue
@@ -247,7 +248,7 @@ def _minimizer(f: SignedRadialPolynomial, tc: float) -> float:
     """The zero of the nondecreasing h' within log N / min|j - k| of t_c:
     Newton's method on h' from t_c, safeguarded by bisection, until the
     bracket or a Newton step falls below _MIN_TOL relative."""
-    step = math.log(len(f._ds)) / min(abs(d) for d in f._ds)
+    step = math.log(len(f._terms)) / min(abs(d) for _, d in f._terms)
     lo, hi, t = tc - step, tc + step, tc
     for _ in range(_MAX_ITER):
         _, v, slope = f._stats(t)
@@ -283,7 +284,7 @@ def positive_roots(f: SignedRadialPolynomial) -> PositiveRoots:
     outer side.  The envelope settles most verdicts before the minimum is
     searched for (see the module docstring).
     """
-    below, above = f._ds[0] < 0.0, f._ds[-1] > 0.0
+    below, above = f._terms[0][1] < 0.0, f._terms[-1][1] > 0.0
     if not (below and above):
         # single sign change: h decreases when all the mass lies below k
         return PositiveRoots("one", x1=math.exp(_root(f, f._tau1 if below else f._tau2)))

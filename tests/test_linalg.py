@@ -1,4 +1,5 @@
 import json
+import pickle
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from pelletbounds import (
+    ExperimentConfig,
     MatrixPolynomial,
     NormKind,
     SingularMatrixError,
@@ -432,3 +434,21 @@ def test_coerce_agrees_with_the_enum_lookup(value):
     expected = outcome(lambda: NormKind(value) if isinstance(value, NormKind)
                        else NormKind(str(value).lower()))
     assert outcome(lambda: NormKind.coerce(value)) == expected
+
+
+def test_norm_kind_hashes_by_identity_and_survives_pickling():
+    # a member is a singleton, so its identity hash agrees with equality:
+    # an unpickled member is the same member and finds its dict entry
+    kept = {kind: kind.value for kind in NormKind}
+    for kind in NormKind:
+        assert hash(kind) == object.__hash__(kind)
+        restored = pickle.loads(pickle.dumps(kind))
+        assert restored is kind
+        assert kept[restored] == kind.value
+    assert kept[NormKind.coerce("one")] == "one" and kept[NormKind.coerce("TWO")] == "two"
+    assert pickle.loads(pickle.dumps(kept)) == kept
+    # a config of several kinds, as the forked ex1 workers receive it
+    cfg = ExperimentConfig("ex1", trials=3, seed=5, m=2, norm_kinds=("one", "inf", "two"))
+    restored = pickle.loads(pickle.dumps(cfg))
+    assert restored == cfg and hash(restored) == hash(cfg)
+    assert all(a is b for a, b in zip(restored.resolved_kinds, cfg.resolved_kinds))

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import gc
 import json
 import weakref
@@ -67,6 +68,16 @@ def test_construction_copies_and_freezes_the_stack(rng):
     q = MatrixPolynomial(arr)
     arr[1] = 0.0
     assert np.array_equal(q.stack[1], coeffs[1])
+    # m and n are plain attributes, read-only like the stack and equal to its
+    # shape, for the constructor's polynomials and the transforms' alike
+    made = [p, q, monicize(p), left_precondition(p, 1), reciprocal(p), shift_by_z(p),
+            square_repartition(monicize(p)), squared_polynomial(p, True)[0]]
+    for r in made:
+        assert (r.n + 1, r.m, r.m) == r.stack.shape
+        for name in ("m", "n"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, name, 1)
+    assert (monicize(p).m, shift_by_z(p).n, square_repartition(monicize(p)).m) == (2, 3, 4)
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -325,7 +336,7 @@ def test_identity_pivot_keeps_no_reference_to_its_polynomial(rng):
     for kind in NormKind:
         assert matpoly._nu(monic, monic.n, kind) == 1.0
     squared_bounds(monic, "one", use_reciprocal=True)
-    kept = [value for name, slots in vars(monic).items() if name != "stack"
+    kept = [value for name, slots in vars(monic).items() if name not in ("stack", "m", "n")
             for value in (slots.values() if isinstance(slots, dict) else slots)]
     assert kept and not any(value is monic for value in kept)
     ref = weakref.ref(monic)
@@ -418,6 +429,22 @@ def test_square_repartition_block_formulas(rng):
     assert np.allclose(q.stack[0][:2, 2:], -a[0] @ a[3])
     assert np.allclose(q.stack[0][2:, 2:], -a[1] @ a[3] + a[0])
     assert np.allclose(q.stack[1][:2, 2:], -a[2] @ a[3] + a[1])
+
+
+def test_square_repartition_keeps_the_positive_zero_of_the_added_block():
+    # -A_0 A_{n-1} is -0.0 here (the batched product of a zero A_0 gives
+    # -0.0 real parts against this A_1); B_0's top right is that product
+    # plus its +0.0 block, so +0.0, on which the 2-norm's SVD depends
+    m = 2
+    a1 = np.full((m, m), 1.0 - 1.0j)
+    assert np.signbit((-np.zeros((1, m, m), dtype=complex) @ a1).real).any()
+    p = MatrixPolynomial([np.zeros((m, m)), a1, np.eye(m)])
+    # the same block through the odd-degree route, whose shift by z makes A_0 = 0
+    odd = MatrixPolynomial([a1, np.eye(m)])
+    for q in (square_repartition(p), squared_polynomial(odd, False)[0]):
+        top_right = q.stack[0, :m, m:]
+        assert not np.signbit(top_right.real).any() and not np.signbit(top_right.imag).any()
+        assert not top_right.any()
 
 
 def test_square_repartition_rejects_bad_input(rng):

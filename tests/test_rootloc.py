@@ -294,7 +294,8 @@ def test_envelope_bounds_h_and_brackets_its_roots(f, ts):
         slack = 1e-13 * (1.0 + size + abs(f._lognu))
         h = f._stats(t)[0]
         assert env - slack <= h <= env + math.log(n_terms) + slack
-    if min(f._ds) < 0.0 < max(f._ds):
+    ds = [d for _, d in f._terms]
+    if min(ds) < 0.0 < max(ds):
         # the chord test is the envelope's minimum, reached at t_c
         delta, tc = f._vertex()
         for t in [tc, *ts]:
@@ -319,7 +320,7 @@ def test_envelope_bounds_h_and_brackets_its_roots(f, ts):
             assert env - slack <= 0.0 <= env + math.log(n_terms) + slack
             assert f._tau1 - slack <= t <= f._tau2 + slack
             # ... and within log N / min|j - k| of the nearer end
-            step = math.log(len(f._ds)) / min(abs(d) for d in f._ds)
+            step = math.log(len(ds)) / min(abs(d) for d in ds)
             assert min(t - f._tau1, f._tau2 - t) <= step + slack
 
 
