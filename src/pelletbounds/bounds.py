@@ -4,7 +4,7 @@ Four families of bounds on the eigenvalue moduli of P(z) = sum A_j z^j:
 
 * ``pellet_gap``     -- for an index k with A_k invertible, two positive
   roots x1 < x2 of the radial polynomial f_k certify that exactly k*m
-  eigenvalues lie in |z| <= x1 and none in x1 < |z| < x2.
+  eigenvalues lie in |z| <= x1 and none in x1 < |z| < x2; else "nogap".
 * ``cauchy_bounds``  -- outer radius R and inner radius r: Pellet's radial
   polynomial at k = n and at k = 0, where f_k has one sign change and so
   exactly one positive root.
@@ -57,6 +57,7 @@ polynomial it is.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .linalg import NormKind, SingularMatrixError
@@ -98,9 +99,9 @@ class GapResult:
     """Outcome of a Pellet query at index k.
 
     status ``gap`` carries the annulus (x1, x2) free of eigenvalues and the
-    exact count k*m of eigenvalues with modulus <= x1; ``upper-only`` is the
-    degenerate one-sign-change case (all eigenvalues have modulus <= x1);
-    ``nogap`` claims nothing.
+    exact count k*m of eigenvalues with modulus <= x1; ``nogap`` claims
+    nothing.  No query returns ``upper-only`` (every modulus <= x1), which
+    ``oracle.check_gap`` verifies for a result a caller builds.
     """
 
     k: int
@@ -114,13 +115,14 @@ class GapResult:
 
 
 def _pivot_profile(p: MatrixPolynomial, j: int, kind: NormKind, precondition: bool):
-    """Coefficient norms and nu = 1/||A_j^-1|| of the radial polynomial that
-    pivots on A_j, or with ``precondition`` the same of A_j^-1 P, whose j-th
-    coefficient is exactly I and so nu exactly 1.0.  Raises
-    SingularMatrixError when A_j is singular."""
+    """The kept record for ``kind`` (coefficient norms first) and
+    nu = 1/||A_j^-1|| of the polynomial whose radial polynomial pivots on
+    A_j: P itself, or with ``precondition`` A_j^-1 P, whose j-th coefficient
+    is exactly I and so nu exactly 1.0.  Raises SingularMatrixError when A_j
+    is singular."""
     if precondition:
         p = left_precondition(p, j)
-    return _kept(p, kind).norms, _nu(p, j, kind)
+    return _kept(p, kind), _nu(p, j, kind)
 
 
 def _radial_roots(norms: list, nu: float, k: int) -> PositiveRoots | None:
@@ -141,15 +143,13 @@ def _cauchy_radius(p: MatrixPolynomial, k: int, kind: NormKind,
     bound r = 0 is trivially valid).  A_k^-1 P is P itself when A_k is
     exactly I, so then both variants solve one radial polynomial."""
     try:
-        if precondition:
-            p = left_precondition(p, k)
-        kept = _kept(p, kind)
-        radius = kept.cauchy[k]
-        if radius is None:
-            roots = _radial_roots(kept.norms, _nu(p, k, kind), k)
-            radius = kept.cauchy[k] = 0.0 if roots is None else roots.x1
+        kept, nu = _pivot_profile(p, k, kind, precondition)
     except SingularMatrixError:
         return None
+    radius = kept.cauchy[k]
+    if radius is None:
+        roots = _radial_roots(kept.norms, nu, k)
+        radius = kept.cauchy[k] = 0.0 if roots is None else roots.x1
     return radius
 
 
@@ -171,17 +171,15 @@ def cauchy_bounds(p: MatrixPolynomial, kind, precondition: bool = False) -> Cauc
     return CauchyBounds(upper=upper, lower=lower, norm_kind=kind, variant=variant)
 
 
-def _radial_gap(norms: list, nu: float, k: int, count: int, kind: NormKind,
+def _radial_gap(kept, nu: float, k: int, count: int, kind: NormKind,
                 variant: str) -> GapResult:
-    roots = _radial_roots(norms, nu, k) or PositiveRoots("none")
+    """Pellet's verdict at 1 <= k <= n-1: A_n is nonzero, so f_k has a term
+    above k, and its roots are "two" (the annulus), "none", or "one" when
+    every term lies above k, a lower bound that certifies no annulus."""
+    roots = _radial_roots(kept.norms, nu, k)
     if roots.kind == "two":
         status, x1, x2 = GAP, roots.x1, roots.x2
-    elif roots.kind == "one" and not any(c > 0.0 for c in norms[k + 1:]):
-        status, x1, x2, count = UPPER_ONLY, roots.x1, None, None
     else:
-        # P = A_k z^k exactly, "none", or a one-sign-change shape whose
-        # single root only bounds the moduli from below: none of these
-        # certifies an annulus, so claim nothing
         status, x1, x2, count = NO_GAP, None, None, None
     return GapResult(k=k, status=status, x1=x1, x2=x2, eig_count_inside=count,
                      norm_kind=kind, variant=variant, marginal=roots.marginal)
@@ -224,6 +222,7 @@ def pellet_gap(p: MatrixPolynomial, k: int, kind, precondition: bool = False) ->
     singular (the theorem does not apply at this index).
     """
     kind = NormKind.coerce(kind)
+    k = operator.index(k)
     if not 1 <= k <= p.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} for degree {p.n}")
     variant = VARIANT_PRECONDITIONED if precondition else VARIANT_PLAIN
@@ -273,10 +272,11 @@ def squared_bounds(p: MatrixPolynomial, kind, use_reciprocal: bool = False,
     kind = NormKind.coerce(kind)
     q, tag = squared_polynomial(p, use_reciprocal)
     if precondition_index is not None:
+        precondition_index = operator.index(precondition_index)
         q = left_precondition(q, precondition_index)
         tag += f"+B{precondition_index}-preconditioned"
-    cb = cauchy_bounds(q, kind, precondition=False)
-    upper, lower = (cb.lower, cb.upper) if use_reciprocal else (cb.upper, cb.lower)
+    radii = [_cauchy_radius(q, k, kind, False) for k in (q.n, 0)]
+    upper, lower = radii[::-1] if use_reciprocal else radii
     return CauchyBounds(upper=_unsquare(upper, use_reciprocal),
                         lower=_unsquare(lower, use_reciprocal), norm_kind=kind, variant=tag)
 
@@ -293,6 +293,7 @@ def squared_gap(p: MatrixPolynomial, k_even: int, kind,
     singular, or an entry of Q overflows the double range.
     """
     kind = NormKind.coerce(kind)
+    k_even = operator.index(k_even)
     if p.n % 2 != 0:
         raise OddDegreeError("squared_gap needs an even degree")
     if k_even % 2 != 0:
@@ -308,17 +309,3 @@ def squared_gap(p: MatrixPolynomial, k_even: int, kind,
                      eig_count_inside=res.eig_count_inside, norm_kind=kind, variant=variant,
                      marginal=res.marginal)
 
-
-__all__ = [
-    "CauchyBounds",
-    "GapResult",
-    "GAP",
-    "NO_GAP",
-    "UPPER_ONLY",
-    "OddIndexError",
-    "cauchy_bounds",
-    "pellet_gap",
-    "squared_bounds",
-    "squared_gap",
-    "squared_polynomial",
-]

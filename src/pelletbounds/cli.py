@@ -225,8 +225,6 @@ def _cmd_gap(args) -> int:
                 lines.append(f"norm={g.norm_kind.value} k={g.k} gap: x1={g.x1:.12g} "
                              f"x2={g.x2:.12g} count={g.eig_count_inside}"
                              + (" (marginal)" if g.marginal else ""))
-            elif g.status == bounds_mod.UPPER_ONLY:
-                lines.append(f"norm={g.norm_kind.value} k={g.k} upper-only: x1={g.x1:.12g}")
             else:
                 lines.append(f"norm={g.norm_kind.value} k={g.k} no gap")
         _emit("\n".join(lines), args.out)

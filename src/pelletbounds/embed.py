@@ -26,6 +26,7 @@ so the branch is pinned for reproducibility.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ class LacunaryPolynomial:
     gamma: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", operator.index(self.n))
         for field in ("a", "b", "c", "alpha", "beta", "gamma"):
             object.__setattr__(self, field, complex(getattr(self, field)))
         if self.n < 5:

@@ -45,6 +45,7 @@ for any worker count.  ``taskset`` limits the workers; there is no setting.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -82,7 +83,8 @@ class ExperimentConfig:
     (1-norm for ex1/ex2, 2-norm for ex3/ex4); ex1 takes any distinct kinds,
     ex2-ex4 one.  ``m`` applies to ex1, ``eta`` to ex2, ``n`` to ex4.
     ``scale_per_entry`` switches ex1 to drawing one scale factor per
-    coefficient entry instead of one per coefficient matrix.
+    coefficient entry instead of one per coefficient matrix.  ``trials``,
+    ``seed``, ``m`` and ``n`` are kept as ints (``operator.index``).
     """
 
     example_id: str
@@ -97,6 +99,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.example_id not in EXAMPLE_IDS:
             raise ValueError(f"unknown example {self.example_id!r}")
+        for name in ("trials", "seed", "m", "n"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -513,7 +517,7 @@ def _run_ex1(cfg: ExperimentConfig) -> ExperimentResult:
             cb = cauchy_bounds(p, kind)
             sq = squared_bounds(p, kind)
             lowers = {"P": cb.lower, "Q": sq.lower,
-                      "A0invP": _lower_or_none(cauchy_bounds, p, kind, precondition=True),
+                      "A0invP": cauchy_bounds(p, kind, precondition=True).lower,
                       "B0invQ": _lower_or_none(squared_bounds, p, kind, precondition_index=0),
                       "QR": _lower_or_none(squared_bounds, p, kind, use_reciprocal=True)}
             label = f"ex1 trial {t} {kind.value}"

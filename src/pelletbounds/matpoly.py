@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,8 +215,10 @@ def left_precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
 
     Raises SingularMatrixError when A_index fails the pivot rule of
     ``linalg``, when the solve overflows, or when A_index^-1 A_n underflows
-    to zero: the pivot then cannot carry the polynomial.
+    to zero: the pivot then cannot carry the polynomial.  A non-integer
+    ``index`` raises TypeError before any slot is read.
     """
+    index = operator.index(index)
     if not 0 <= index <= p.n:
         raise ValueError(f"index {index} out of range for degree {p.n}")
     if _is_identity(p, index):

@@ -94,10 +94,11 @@ def check_lower(rep: EigenReport, value: float, label: str) -> None:
 def check_gap(rep: EigenReport, gap: GapResult, label: str) -> bool:
     """Verify a Pellet result; returns whether it claimed anything.
 
-    An ``upper-only`` result is checked as an upper bound.  A ``gap`` must
-    have exactly its claimed count inside |z| <= x1 and no modulus inside
-    the annulus, both counted at the default boundary slack.  ``nogap``
-    claims nothing.
+    A ``gap`` must have exactly its claimed count inside |z| <= x1 and no
+    modulus inside the annulus, both counted at the default boundary slack.
+    ``nogap`` claims nothing.  A Pellet query returns only these two; an
+    ``upper-only`` result, which a caller may build, is checked as an upper
+    bound.
     """
     if gap.status == UPPER_ONLY:
         check_upper(rep, gap.x1, label)

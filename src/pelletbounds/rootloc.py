@@ -105,7 +105,7 @@ class SignedRadialPolynomial:
 
     def __init__(self, coeffs, neg_index, neg_value):
         coeffs = tuple(map(float, coeffs))
-        neg_index = int(neg_index)
+        neg_index = operator.index(neg_index)
         neg_value = float(neg_value)
         if len(coeffs) < 2:
             raise InvalidShapeError("need degree >= 1")

@@ -33,6 +33,7 @@ from pelletbounds import (
 )
 from pelletbounds import bounds, linalg, matpoly
 from pelletbounds.bounds import squared_polynomial
+from pelletbounds.oracle import check_lower
 
 from conftest import criterion_1_instance, rand_matrix, rand_poly
 
@@ -174,9 +175,15 @@ def test_reciprocal_duality_matrix_preconditioned(rng):
 # --- pellet_gap -----------------------------------------------------------
 
 def test_pellet_no_gap():
-    g = pellet_gap(scalar_polynomial([1.0, 1.0, 1.0]), 1, "one")
-    assert g.status == NO_GAP
-    assert g.x1 is None and g.x2 is None
+    # z^2 + z + 1, whose f_1 has no positive root, and z^2 + z, whose terms
+    # at k = 1 all lie above k: f_1 = x^2 - x has the one root x = 1, which
+    # bounds the moduli only from below and certifies no annulus
+    assert bounds._radial_roots([0.0, 1.0, 1.0], 1.0, 1).kind == "one"
+    for coeffs in ([1.0, 1.0, 1.0], [0.0, 1.0, 1.0]):
+        for pre in (False, True):
+            g = pellet_gap(scalar_polynomial(coeffs), 1, "one", precondition=pre)
+            assert g.status == NO_GAP
+            assert g.x1 is None and g.x2 is None and g.eig_count_inside is None
 
 
 def test_pellet_block_diagonal_doubles_count():
@@ -202,6 +209,89 @@ def test_pellet_singular_pivot_raises():
     p = MatrixPolynomial([np.eye(2), np.diag([1.0, 0.0]), np.eye(2)])
     with pytest.raises(SingularMatrixError):
         pellet_gap(p, 1, "one")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_pivot_whose_inverse_norm_overflows_is_singular():
+    # A_1 = 1e-296 [[1, 1], [1, 1 + 1e-12]] passes the LU pivot test, but
+    # ||A_1^-1|| is about 1e308 / 1e-12: nu_1 cannot be formed in any norm
+    a1 = 1e-296 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+    p = MatrixPolynomial([np.eye(2), a1, np.eye(2)])
+    for kind in KINDS:
+        with pytest.raises(SingularMatrixError, match="the norm of the inverse overflows"):
+            pellet_gap(p, 1, kind)
+
+
+# --- index arguments ------------------------------------------------------
+
+def _no_slot_filled(p):
+    return p._kinds == {} and all(
+        v is None for v in p._identities + p._lus + p._preconditioned + p._squares)
+
+
+def test_a_bool_index_preconditions_at_its_integer_index():
+    # numpy reads p.stack[False] as an empty mask, which is vacuously "all
+    # equal to I": A_0 was taken for exactly I, and r came out 0.3028,
+    # above the smallest modulus 0.1771
+    q = scalar_polynomial([0.5, -3.0, 1.0])
+    assert left_precondition(q, False) is left_precondition(q, 0) is not q
+    rep = eigen_oracle(q)
+    for kind in KINDS:
+        check_lower(rep, cauchy_bounds(q, kind).lower, f"{kind} after a bool index")
+
+
+def test_a_bool_precondition_index_of_squared_bounds_is_its_integer():
+    # the tag read "+BFalse-", r was 1.0, and the Q kept on P was poisoned
+    p = scalar_polynomial([0.5, -3.0, 1.0])
+    fresh = scalar_polynomial([0.5, -3.0, 1.0])
+    rep = eigen_oracle(p)
+    sb = squared_bounds(p, "one", precondition_index=False)
+    assert sb == squared_bounds(fresh, "one", precondition_index=0)
+    assert sb.variant == "squared-Q+B0-preconditioned"
+    check_lower(rep, sb.lower, "B0")
+    assert squared_bounds(p, "one") == squared_bounds(scalar_polynomial([0.5, -3.0, 1.0]), "one")
+    check_lower(rep, squared_bounds(p, "one").lower, "Q after a bool index")
+
+
+def test_a_bool_pellet_index_keeps_the_pivot_slot_sound():
+    # p.stack[True] is a 4-D array, whose LU filled slot 1 and broke every
+    # later query at k = 1 on P
+    p = scalar_polynomial([2.0, -3.0, 1.0])
+    first = pellet_gap(p, True, "one")
+    assert first.k == 1 and type(first.k) is int and first.status == GAP
+    for kind in KINDS:
+        for pre in (False, True):
+            fresh = scalar_polynomial([2.0, -3.0, 1.0])
+            assert pellet_gap(p, 1, kind, pre) == pellet_gap(fresh, 1, kind, pre)
+
+
+def test_numpy_integer_indices_give_python_ints():
+    p = scalar_polynomial([2.0, -3.0, 1.0])
+    g = pellet_gap(p, np.int64(1), "one")
+    assert g == pellet_gap(p, 1, "one")
+    assert type(g.k) is int and type(g.eig_count_inside) is int
+    p4 = MatrixPolynomial([100 * np.eye(2), 0 * np.eye(2), -101 * np.eye(2), 0 * np.eye(2),
+                           np.eye(2)])
+    g = squared_gap(p4, np.int32(2), "one")
+    assert g.status == GAP and type(g.k) is int and type(g.eig_count_inside) is int
+    sb = squared_bounds(p4, "one", precondition_index=np.int64(0))
+    assert sb.variant.endswith("+B0-preconditioned")
+
+
+@pytest.mark.parametrize("index", [1.0, 1.5, "1", np.True_])
+def test_a_non_integer_index_raises_type_error_and_fills_no_slot(index):
+    p = scalar_polynomial([2.0, -3.0, 1.0])
+    p4 = scalar_polynomial([100.0, 0.0, -101.0, 0.0, 1.0])
+    even = index * 2 if isinstance(index, float) else index
+    for call, target in [(lambda: pellet_gap(p, index, "one"), p),
+                         (lambda: pellet_gap(p, index, "two", precondition=True), p),
+                         (lambda: left_precondition(p, index), p),
+                         (lambda: squared_gap(p4, even, "one"), p4)]:
+        with pytest.raises(TypeError):
+            call()
+        assert _no_slot_filled(target), index
+    with pytest.raises(TypeError):
+        squared_bounds(p4, "one", precondition_index=index)
 
 
 def test_pellet_soundness_and_precondition_dominance(rng):
@@ -403,6 +493,8 @@ def test_prefilter_equals_full_path_on_criterion_1_instances():
                 for public, full, target, k in cases:
                     got = _outcome(public, p, k, kind, pre)
                     assert got == _outcome(full, p, k, kind, pre), (i, kind, pre, k)
+                    # a Pellet query has two outcomes: the annulus or none
+                    assert got == "singular" or got.status in (GAP, NO_GAP), (i, kind, pre, k)
                     queries += 1
                     if got != "singular":
                         kq = k if public is pellet_gap else k // 2

@@ -46,6 +46,15 @@ def test_construction_guards():
         LacunaryPolynomial(8, 1, 1, 1, 0.0, 1, 1)
 
 
+def test_degree_must_be_an_integer():
+    # a float degree was truncated: 6.9 became 6
+    for n in (6.9, 6.0, "6"):
+        with pytest.raises(TypeError):
+            LacunaryPolynomial(n, 1, 0, 0, 1, 0, 1)
+    lac = LacunaryPolynomial(np.int64(6), 1, 0, 0, 1, 0, 1)
+    assert lac.n == 6 and type(lac.n) is int
+
+
 def test_parity_dispatch():
     lac = LacunaryPolynomial(8, 1, 0, 0, 1, 0, 1)
     with pytest.raises(InvalidDegreeError):

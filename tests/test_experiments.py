@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import os
 import pickle
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 from pelletbounds import (
     ExperimentConfig,
+    MatrixPolynomial,
     NoConvergenceError,
     NormKind,
     gen_ex1,
@@ -110,6 +112,8 @@ def test_config_validation():
         ExperimentConfig("ex1", trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig("ex4", n=7)
+    with pytest.raises(ValueError, match="m >= 1"):
+        ExperimentConfig("ex1", m=0)
     with pytest.raises(ValueError):
         ExperimentConfig("ex1", seed=-1)
     with pytest.raises(ValueError):
@@ -127,6 +131,81 @@ def test_config_validation():
     assert ExperimentConfig("ex3", seed=2**64 - 1).seed == 2**64 - 1
     cfg = ExperimentConfig("ex3", trials=5)
     assert cfg.resolved_kinds[0].value == "two"
+    assert ExperimentConfig("ex1", m=2, scale_per_entry=True).describe() == (
+        "ex1 trials=200 seed=0 norms=one m=2 scale_per_entry=true")
+
+
+@pytest.mark.parametrize("field", ["trials", "seed", "m", "n"])
+def test_config_integers_must_be_integers(field):
+    # seed=1.5 ran seed 1's tables under a seed=1.5 header, trials=2.5 was
+    # accepted, and m=2.0 failed later inside the generator
+    example = {"m": "ex1", "n": "ex4"}.get(field, "ex3")
+    for value in (6.0, 6.5, "6"):
+        with pytest.raises(TypeError):
+            ExperimentConfig(example, **{field: value})
+    cfg = ExperimentConfig(example, **{field: np.int64(6)})
+    assert getattr(cfg, field) == 6 and type(getattr(cfg, field)) is int
+
+
+def _patched_instances(monkeypatch, edit):
+    """Make every trial's instance ``edit`` of the one it would draw."""
+    draw = experiments._trial_instance
+    monkeypatch.setattr(experiments, "_trial_instance", lambda cfg, t: edit(draw(cfg, t)))
+
+
+def test_ex1_tallies_every_lower_variant_as_skipped_when_a0_is_zero(monkeypatch):
+    # with A_0 = 0 every lower variant pivots on a singular A_0 (or on Q's
+    # B_0, whose top row is zero), so each is skipped and none is best
+    def zero_a0(p):
+        stack = p.stack.copy()
+        stack[0] = 0.0
+        return MatrixPolynomial(stack)
+
+    _patched_instances(monkeypatch, zero_a0)
+    _force_workers(monkeypatch, 1)
+    cfg = ExperimentConfig("ex1", trials=3, seed=2, m=2)
+    res = run_experiment(cfg)
+    lower = table_rows(res, "ex1_lower_m2_one")
+    assert [row["variant"] for row in lower] == ["P", "Q", "A0invP", "B0invQ", "QR"]
+    for row in lower:
+        assert row["skipped"] == cfg.trials and row["best_count"] == 0, row
+        assert math.isnan(row["mean_ratio_percent"])
+    upper = table_rows(res, "ex1_upper_m2_one")
+    assert sum(row["best_count"] for row in upper) == cfg.trials
+    assert all(row["skipped"] == 0 for row in upper)
+
+
+def test_ex3_tallies_a_zero_pivot_as_skipped(monkeypatch):
+    # a_4 = 0: the scalar Pellet query at k = 4 has a singular pivot
+    def zero_a4(p):
+        stack = p.stack.copy()
+        stack[4] = 0.0
+        return MatrixPolynomial(stack)
+
+    _patched_instances(monkeypatch, zero_a4)
+    _force_workers(monkeypatch, 1)
+    cfg = ExperimentConfig("ex3", trials=4, seed=1)
+    freq = {row["k"]: row for row in table_rows(run_experiment(cfg), "ex3_gap_frequency")}
+    assert freq[4]["p_skipped"] == cfg.trials and freq[4]["p_total"] == 0
+    assert freq[12]["p_skipped"] == 0
+
+
+def test_a_worker_that_dies_raises_child_process_error(monkeypatch):
+    # a worker that exits without sending its reports is named with its
+    # trials and exit code, and no process is left behind
+    cfg = ExperimentConfig("ex3", trials=4, seed=1)
+    _force_workers(monkeypatch, 2)
+    caller, oracle = os.getpid(), experiments.eigen_oracle
+
+    def dying(p):
+        if os.getpid() != caller:
+            os._exit(3)
+        return oracle(p)
+
+    monkeypatch.setattr(experiments, "eigen_oracle", dying)
+    with pytest.raises(ChildProcessError, match=r"trials 2\.\.3 exited with code 3"):
+        list(experiments._oracle_trials(cfg))
+    assert multiprocessing.active_children() == []
 
 
 def test_ex1_run_stats_and_tables():

@@ -9,6 +9,7 @@ import pytest
 from pelletbounds import (
     ExperimentConfig,
     MatrixPolynomial,
+    NoConvergenceError,
     NormKind,
     SingularMatrixError,
     cauchy_bounds,
@@ -268,6 +269,17 @@ def test_eigenvalues_dimension_cap(monkeypatch):
     with pytest.raises(ValueError):
         eigenvalues(np.eye(5))
     assert len(eigenvalues(np.eye(4))) == 4
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues(np.ones((2, 3)))
+
+
+def test_eigensolver_failure_is_no_convergence(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        eigenvalues(np.eye(2))
 
 
 def test_as_matrix_rejects_bad_input():

@@ -202,6 +202,15 @@ def test_first_failed_check_names_the_error(coeffs, k, nu, message):
         radial(coeffs, k, nu)
 
 
+def test_neg_index_must_be_an_integer():
+    # a float index was truncated: 1.9 used k = 1
+    for k in (1.9, 1.0, "1"):
+        with pytest.raises(TypeError):
+            radial([1.0, 0.0, 1.0], k, 1.0)
+    f = radial([1.0, 0.0, 1.0], np.int64(1), 1.0)
+    assert f.neg_index == 1 and type(f.neg_index) is int
+
+
 def test_log_form_is_no_dataclass_field():
     # repr, equality, hashing and dataclasses.replace see the three
     # arguments only; replace builds the log form anew
