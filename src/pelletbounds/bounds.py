@@ -48,10 +48,9 @@ skipped, and it declines when a norm is infinite, which leaves the radial
 polynomial to reject it.
 
 Everything these theorems read from a polynomial (its coefficient norms,
-nu_k, A_k^-1 P, Q and Q_R) is built once and kept on it by ``matpoly``;
-this module keeps only the theorems.  The one value it keeps is a Cauchy
-radius, by index in ``matpoly``'s record of the polynomial whose radial
-polynomial it is.
+nu_k, the chord C, A_k^-1 P, Q and Q_R) is built once and kept on it by
+``matpoly``.  This module keeps only the theorems and writes nothing: each
+query is a pure function of what it reads, a Cauchy radius included.
 """
 
 from __future__ import annotations
@@ -77,6 +76,7 @@ UPPER_ONLY = "upper-only"
 # A Pellet query is skipped by the norms of P only when its bound clears
 # the chord test's threshold (10 * GAP_RTOL) twice over.
 _PREFILTER_RTOL = 20.0 * GAP_RTOL
+_NO_ROOTS = PositiveRoots("none")
 
 
 class OddIndexError(Exception):
@@ -115,14 +115,13 @@ class GapResult:
 
 
 def _pivot_profile(p: MatrixPolynomial, j: int, kind: NormKind, precondition: bool):
-    """The kept record for ``kind`` (coefficient norms first) and
-    nu = 1/||A_j^-1|| of the polynomial whose radial polynomial pivots on
-    A_j: P itself, or with ``precondition`` A_j^-1 P, whose j-th coefficient
-    is exactly I and so nu exactly 1.0.  Raises SingularMatrixError when A_j
-    is singular."""
+    """The coefficient norms for ``kind`` and nu = 1/||A_j^-1|| of the
+    polynomial whose radial polynomial pivots on A_j: P itself, or with
+    ``precondition`` A_j^-1 P, whose j-th coefficient is exactly I and so nu
+    exactly 1.0.  Raises SingularMatrixError when A_j is singular."""
     if precondition:
         p = left_precondition(p, j)
-    return _kept(p, kind), _nu(p, j, kind)
+    return _kept(p, kind).norms, _nu(p, j, kind)
 
 
 def _radial_roots(norms: list, nu: float, k: int) -> PositiveRoots | None:
@@ -137,20 +136,15 @@ def _radial_roots(norms: list, nu: float, k: int) -> PositiveRoots | None:
 def _cauchy_radius(p: MatrixPolynomial, k: int, kind: NormKind,
                    precondition: bool) -> float | None:
     """The one positive root of f_k for k in {0, n}, of P or with
-    ``precondition`` of A_k^-1 P, kept by index on that polynomial's record
-    for ``kind``; None when A_k is singular, 0.0 when every other
-    coefficient is zero (at k = n every eigenvalue is then 0; at k = 0 the
-    bound r = 0 is trivially valid).  A_k^-1 P is P itself when A_k is
-    exactly I, so then both variants solve one radial polynomial."""
+    ``precondition`` of A_k^-1 P; None when A_k is singular, 0.0 when every
+    other coefficient is zero (at k = n every eigenvalue is then 0; at k = 0
+    the bound r = 0 is trivially valid)."""
     try:
-        kept, nu = _pivot_profile(p, k, kind, precondition)
+        norms, nu = _pivot_profile(p, k, kind, precondition)
     except SingularMatrixError:
         return None
-    radius = kept.cauchy[k]
-    if radius is None:
-        roots = _radial_roots(kept.norms, nu, k)
-        radius = kept.cauchy[k] = 0.0 if roots is None else roots.x1
-    return radius
+    roots = _radial_roots(norms, nu, k)
+    return 0.0 if roots is None else roots.x1
 
 
 def cauchy_bounds(p: MatrixPolynomial, kind, precondition: bool = False) -> CauchyBounds:
@@ -171,14 +165,14 @@ def cauchy_bounds(p: MatrixPolynomial, kind, precondition: bool = False) -> Cauc
     return CauchyBounds(upper=upper, lower=lower, norm_kind=kind, variant=variant)
 
 
-def _radial_gap(kept, nu: float, k: int, count: int, kind: NormKind,
-                variant: str) -> GapResult:
-    """Pellet's verdict at 1 <= k <= n-1: A_n is nonzero, so f_k has a term
+def _gap_result(k: int, roots: PositiveRoots, count: int, kind: NormKind, variant: str,
+                radius=float) -> GapResult:
+    """Pellet's verdict at 1 <= k <= n-1 from the roots of f_k, each mapped
+    to the reported radius by ``radius``: A_n is nonzero, so f_k has a term
     above k, and its roots are "two" (the annulus), "none", or "one" when
     every term lies above k, a lower bound that certifies no annulus."""
-    roots = _radial_roots(kept.norms, nu, k)
     if roots.kind == "two":
-        status, x1, x2 = GAP, roots.x1, roots.x2
+        status, x1, x2 = GAP, radius(roots.x1), radius(roots.x2)
     else:
         status, x1, x2, count = NO_GAP, None, None, None
     return GapResult(k=k, status=status, x1=x1, x2=x2, eig_count_inside=count,
@@ -192,26 +186,23 @@ def _chord_proves_none(p: MatrixPolynomial, k: int, kind: NormKind, precondition
     A_k is singular."""
     nu = _nu(p, k, kind)
     kept = _kept(p, kind)
-    norms = kept.norms
     chord, others = _chord(kept, k)
     # each inequality divided by its scale to keep exp in range
     if precondition:
         scale = max(1.0, others / nu)
-        bound = math.exp(chord - math.log(norms[k]) - math.log(scale)) - 1.0 / scale
+        bound = math.exp(chord - math.log(kept.norms[k]) - math.log(scale)) - 1.0 / scale
     else:
         scale = max(others, nu)
         bound = math.exp(chord - math.log(scale)) - nu / scale
     return math.isfinite(scale) and bound >= _PREFILTER_RTOL
 
 
-def _pellet_query(p: MatrixPolynomial, k: int, kind: NormKind, precondition: bool,
-                  count: int, variant: str) -> GapResult:
-    """Pellet's theorem at index k of P, from the roots of the radial
-    polynomial; "nogap" early when P's norms prove it."""
+def _pellet_roots(p: MatrixPolynomial, k: int, kind: NormKind, precondition: bool) -> PositiveRoots:
+    """The roots of Pellet's radial polynomial at index k of P (with
+    ``precondition``, of A_k^-1 P); "none" early when P's norms prove it."""
     if _chord_proves_none(p, k, kind, precondition):
-        return GapResult(k=k, status=NO_GAP, x1=None, x2=None, eig_count_inside=None,
-                         norm_kind=kind, variant=variant)
-    return _radial_gap(*_pivot_profile(p, k, kind, precondition), k, count, kind, variant)
+        return _NO_ROOTS
+    return _radial_roots(*_pivot_profile(p, k, kind, precondition), k)
 
 
 def pellet_gap(p: MatrixPolynomial, k: int, kind, precondition: bool = False) -> GapResult:
@@ -226,7 +217,7 @@ def pellet_gap(p: MatrixPolynomial, k: int, kind, precondition: bool = False) ->
     if not 1 <= k <= p.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} for degree {p.n}")
     variant = VARIANT_PRECONDITIONED if precondition else VARIANT_PLAIN
-    return _pellet_query(p, k, kind, precondition, k * p.m, variant)
+    return _gap_result(k, _pellet_roots(p, k, kind, precondition), k * p.m, kind, variant)
 
 
 def squared_polynomial(p: MatrixPolynomial, use_reciprocal: bool) -> tuple:
@@ -300,12 +291,8 @@ def squared_gap(p: MatrixPolynomial, k_even: int, kind,
         raise OddIndexError(f"k must be even for the squared variant, got {k_even}")
     if not 2 <= k_even <= p.n - 2:
         raise ValueError(f"need 2 <= k <= n-2, got k={k_even} for degree {p.n}")
-    kq = k_even // 2
     q, variant = squared_polynomial(p, use_reciprocal=False)
     if precondition:
         variant += "+B-preconditioned"
-    res = _pellet_query(q, kq, kind, precondition, k_even * p.m, variant)
-    return GapResult(k=k_even, status=res.status, x1=_unsquare(res.x1), x2=_unsquare(res.x2),
-                     eig_count_inside=res.eig_count_inside, norm_kind=kind, variant=variant,
-                     marginal=res.marginal)
-
+    return _gap_result(k_even, _pellet_roots(q, k_even // 2, kind, precondition),
+                       k_even * p.m, kind, variant, radius=_unsquare)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import SingularMatrixError
 from .matpoly import MatrixPolynomial, scalar_polynomial
 
 
@@ -62,6 +63,8 @@ class LacunaryPolynomial:
             raise InvalidDegreeError("need n >= 5 so the coefficient clusters do not overlap")
         if self.a * self.alpha == 0:
             raise ZeroLeadingError("need a * alpha != 0")
+        if not all(map(cmath.isfinite, (self.a, self.b, self.c, self.alpha, self.beta, self.gamma))):
+            raise ValueError("coefficients must be finite")
 
     def __call__(self, z: complex) -> complex:
         return (self.a * z**self.n + self.b * z**(self.n - 1) + self.c * z**(self.n - 2)
@@ -80,15 +83,23 @@ def to_scalar(p: LacunaryPolynomial) -> MatrixPolynomial:
     return scalar_polynomial(coeffs)
 
 
+def _factors(a: complex, b: complex, c: complex) -> tuple:
+    """(sqrt(a), d+, d-) with a z^2 + b z + c = (sqrt(a) z + d+)(sqrt(a) z + d-)."""
+    s = cmath.sqrt(a)
+    dd = cmath.sqrt(c - b**2 / (4 * a))
+    return s, b / (2 * s) + 1j * dd, b / (2 * s) - 1j * dd
+
+
 def _cluster_matrices(p: LacunaryPolynomial):
-    sa = cmath.sqrt(p.a)
-    dd = cmath.sqrt(p.c - p.b**2 / (4 * p.a))
-    d_plus = p.b / (2 * sa) + 1j * dd
-    d_minus = p.b / (2 * sa) - 1j * dd
-    salpha = cmath.sqrt(p.alpha)
-    ww = cmath.sqrt(p.gamma - p.beta**2 / (4 * p.alpha))
-    w_plus = p.beta / (2 * salpha) + 1j * ww
-    w_minus = p.beta / (2 * salpha) - 1j * ww
+    """The factors of both clusters, and V and W; raises SingularMatrixError
+    when a factor overflows the double range, as c - b^2/4a can for finite p."""
+    try:
+        factors = _factors(p.a, p.b, p.c) + _factors(p.alpha, p.beta, p.gamma)
+    except OverflowError:  # as b^2 can
+        factors = (cmath.inf,)
+    if not all(map(cmath.isfinite, factors)):
+        raise SingularMatrixError("the embedding's cluster factors overflow the double range")
+    sa, d_plus, d_minus, salpha, w_plus, w_minus = factors
     v = np.array([[0, -salpha], [salpha, 0]], dtype=np.complex128)
     w = np.array([[0, -w_plus], [w_minus, 0]], dtype=np.complex128)
     return sa, d_plus, d_minus, v, w
@@ -99,6 +110,7 @@ def embed_even(p: LacunaryPolynomial) -> MatrixPolynomial:
     eigenvalues are exactly the zeros of p (n even).
 
     A and V are always nonsingular (a*alpha != 0); det W = gamma = p(0).
+    Raises SingularMatrixError when a cluster factor overflows (inapplicable).
     """
     if p.n % 2 != 0:
         raise InvalidDegreeError(f"embed_even needs an even degree, got {p.n}")
@@ -120,6 +132,7 @@ def embed_odd(p: LacunaryPolynomial) -> MatrixPolynomial:
     construction: the zeros of p are the n finite eigenvalues, and one
     eigenvalue is infinite.  For n = 5 the E and V terms share degree 1;
     they occupy disjoint entries (diagonal vs antidiagonal) and are summed.
+    Raises SingularMatrixError when a cluster factor overflows (inapplicable).
     """
     if p.n % 2 == 0:
         raise InvalidDegreeError(f"embed_odd needs an odd degree, got {p.n}")

@@ -16,14 +16,13 @@ its own slots: per index j, whether A_j is exactly I (``_is_identity``), the
 LU of A_j under ``linalg``'s pivot rule, scaled by the kept infinity norm of
 A_j (``_lu``), and A_j^-1 P solved from it (``left_precondition``); one slot
 each for Q and Q_R (``_squared``); and per norm kind one record (``_kept``)
-of the coefficient norms and, by index j, nu_j = 1/||A_j^-1|| (``_nu``), the
-highest chord at j of the points (j, log ||A_j||) with the largest norm but
-the j-th beside it (``_chord``), and the Cauchy radius of the radial
-polynomial that pivots on A_j, which ``bounds`` computes and keeps there for
-j in {0, n}.  No other module builds or caches such data.  Failures are not
-kept: a singular pivot raises on every call.  An A_j that is exactly I is
-never factored: nu_j is exactly 1.0 in every norm, and I^-1 P is P itself,
-decided before the slot is read, so no slot of P ever holds P.
+of the coefficient norms and, by index j, nu_j = 1/||A_j^-1|| (``_nu``) and
+the highest chord at j of the points (j, log ||A_j||) with the largest norm
+but the j-th beside it (``_chord``).  No other module builds or writes
+such data: ``bounds`` only reads it.  Failures are not kept: a singular
+pivot raises on every call.  An A_j that is exactly I is never factored:
+nu_j is exactly 1.0 in every norm, and I^-1 P is P itself, decided before
+the slot is read, so no slot of P ever holds P.
 
 The public constructor checks what comes from outside; a transform here
 checks what it makes itself and freezes its own C-contiguous stack through
@@ -136,15 +135,12 @@ def evaluate(p: MatrixPolynomial, z: complex) -> np.ndarray:
 @dataclass(slots=True)
 class _Kept:
     """What a polynomial keeps for one norm kind: its coefficient norms and,
-    by index j (None until first asked for), nu_j, the pair (chord at j,
-    largest norm but the j-th) of ``_chord``, and the Cauchy radius of the
-    radial polynomial that pivots on A_j, which ``bounds`` fills for j in
-    {0, n}."""
+    by index j (None until first asked for), nu_j and the pair (chord at j,
+    largest norm but the j-th) of ``_chord``.  Only this module fills it."""
 
     norms: list
     nu: list
     chord: list
-    cauchy: list
 
 
 def _is_identity(p: MatrixPolynomial, j: int) -> bool:
@@ -165,7 +161,7 @@ def _kept(p: MatrixPolynomial, kind: linalg.NormKind) -> _Kept:
         with np.errstate(over="ignore"):
             norms = linalg.norm(p.stack, kind).tolist()
         size = len(norms)
-        kept = p._kinds[kind] = _Kept(norms, [None] * size, [None] * size, [None] * size)
+        kept = p._kinds[kind] = _Kept(norms, [None] * size, [None] * size)
     return kept
 
 

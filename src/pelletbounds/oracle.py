@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .bounds import GAP, UPPER_ONLY, GapResult
-from .linalg import eigenvalues
 from .matpoly import MatrixPolynomial, companion, monicize
 
 DEFAULT_BOUNDARY_TOL = 1e-9
@@ -52,9 +52,12 @@ def eigen_oracle(p: MatrixPolynomial) -> EigenReport:
     Requires a nonsingular leading coefficient (SingularMatrixError
     otherwise: infinite eigenvalues present, transform first).  Raises
     NonFiniteEigenvalueError when the eigensolve returns an eigenvalue that
-    is not finite, as one beyond the double range is.
+    is not finite, as one beyond the double range is.  Raises ValueError,
+    before anything is built, when nm exceeds ``linalg.EIGEN_DIM_CAP``.
     """
-    vals = eigenvalues(companion(monicize(p)))
+    if p.n * p.m > linalg.EIGEN_DIM_CAP:
+        raise ValueError(f"matrix dimension {p.n * p.m} exceeds cap {linalg.EIGEN_DIM_CAP}")
+    vals = linalg.eigenvalues(companion(monicize(p)))
     if not np.isfinite(vals).all():
         raise NonFiniteEigenvalueError("an eigenvalue is not finite: it exceeds the double range")
     order = np.argsort(np.abs(vals), kind="stable")

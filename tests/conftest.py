@@ -14,8 +14,7 @@ def pelletbounds_env(**overrides):
     """Environment for a fresh Python process that imports this pelletbounds:
     the caller's, without the variables that set OpenBLAS's thread count,
     then ``overrides``."""
-    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env = {k: v for k, v in os.environ.items() if k not in pelletbounds._BLAS_THREAD_VARS}
     src = str(Path(pelletbounds.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     env.update(overrides)

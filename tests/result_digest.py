@@ -1,4 +1,4 @@
-"""Print a digest of every public result over criterion 1's instances.
+"""Print a digest of every public result over criterion 1's and ex4's instances.
 
 Usage::
 
@@ -21,7 +21,11 @@ exception raised instead, for, in all three norm kinds:
 and, once per instance, the stack and tag of each ``squared_polynomial``,
 the stack of each ``left_precondition(p, j)`` for j in 0..n, and the
 oracle's moduli.  The queries on an instance share one polynomial, as
-the sweep's do, so what one query keeps on it serves the next.
+the sweep's do, so what one query keeps on it serves the next.  After the
+instances come the lacunary ones: for each n in 6, 7 and 20, the first 200
+ex4 draws ``gen_ex4(trial_rng(CRITERION_1_SEED, t), n)``, each with the
+stack of ``to_scalar`` and of ``embed_even`` (even n) or ``embed_odd``
+(odd n), or the error raised instead.
 
 With ``--against``, the results of both source trees are computed, each in
 its own process (``--lines`` prints them one by one, labelled), and
@@ -42,6 +46,7 @@ import sys
 from pathlib import Path
 
 KINDS = ("one", "inf", "two")
+LACUNARY_DRAWS = 200
 
 
 def _outcome(fn, *args):
@@ -63,11 +68,11 @@ def _stack(fn, *args):
 
 def results(count):
     """(label, result) for every result over the first ``count``
-    criterion-1 instances, in order."""
+    criterion-1 instances, then over the lacunary draws, in order."""
     import pelletbounds as pb
     from pelletbounds.bounds import squared_polynomial
 
-    from conftest import criterion_1_instance
+    from conftest import CRITERION_1_SEED, criterion_1_instance
 
     for i in range(count):
         p, n = criterion_1_instance(i)
@@ -94,6 +99,12 @@ def results(count):
             yield f"instance {i} left_precondition j={j} stack", _stack(pb.left_precondition, p, j)
         yield f"instance {i} eigen_oracle moduli", _outcome(
             lambda: pb.eigen_oracle(p).moduli.tobytes().hex())
+    for n in (6, 7, 20):
+        embed = pb.embed_odd if n % 2 else pb.embed_even
+        for t in range(LACUNARY_DRAWS):
+            lac = pb.gen_ex4(pb.trial_rng(CRITERION_1_SEED, t), n)
+            yield f"ex4 n={n} draw {t} to_scalar stack", _stack(pb.to_scalar, lac)
+            yield f"ex4 n={n} draw {t} {embed.__name__} stack", _stack(embed, lac)
 
 
 def _excerpt(line, at, before=40, width=160):

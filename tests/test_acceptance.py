@@ -38,7 +38,7 @@ from pelletbounds import (
 from pelletbounds.oracle import check_gap, check_lower, check_upper
 
 from conftest import (CRITERION_1_SEED as SEED, criterion_1_instance, max_match_distance,
-                      table_rows)
+                      rand_matrix, table_rows)
 
 KINDS = (NormKind.ONE, NormKind.INF, NormKind.TWO)
 
@@ -49,10 +49,6 @@ def report(num, name, ok, detail=""):
         line += f" -- {detail}"
     print(line, flush=True)
     assert ok, line
-
-
-def _rand_matrix(rng, m, scale=1.0):
-    return scale * (rng.uniform(-1, 1, (m, m)) + 1j * rng.uniform(-1, 1, (m, m)))
 
 
 def test_criterion_1_soundness_sweep():
@@ -110,7 +106,7 @@ def test_criterion_2_squared_eigenvalue_identity():
         rng = trial_rng(SEED + 2, i)
         m = 1 + i % 3
         n = (2, 4, 6, 8)[i % 4]
-        p = MatrixPolynomial([_rand_matrix(rng, m) for _ in range(n)] + [np.eye(m)])
+        p = MatrixPolynomial([rand_matrix(rng, m) for _ in range(n)] + [np.eye(m)])
         q = square_repartition(p)
         squares = eigen_oracle(p).values ** 2
         worst = max(worst, max_match_distance(squares, eigen_oracle(q).values))

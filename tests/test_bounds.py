@@ -455,7 +455,8 @@ def test_squared_gap_soundness(rng):
 def _full_pellet(p, k, kind, pre):
     """pellet_gap's result from the radial polynomial, with no prefilter."""
     variant = "monic-preconditioned" if pre else "plain"
-    return bounds._radial_gap(*bounds._pivot_profile(p, k, kind, pre), k, k * p.m, kind, variant)
+    roots = bounds._radial_roots(*bounds._pivot_profile(p, k, kind, pre), k)
+    return bounds._gap_result(k, roots, k * p.m, kind, variant)
 
 
 def _full_squared(p, k_even, kind, pre):
@@ -464,9 +465,8 @@ def _full_squared(p, k_even, kind, pre):
     if pre:
         variant += "+B-preconditioned"
     kq = k_even // 2
-    res = bounds._radial_gap(*bounds._pivot_profile(q, kq, kind, pre), kq, k_even * p.m, kind,
-                             variant)
-    return replace(res, k=k_even, x1=bounds._unsquare(res.x1), x2=bounds._unsquare(res.x2))
+    roots = bounds._radial_roots(*bounds._pivot_profile(q, kq, kind, pre), kq)
+    return bounds._gap_result(k_even, roots, k_even * p.m, kind, variant, radius=bounds._unsquare)
 
 
 def _outcome(fn, *args):

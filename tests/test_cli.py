@@ -93,9 +93,9 @@ def test_embed_emits_valid_polynomial(capsys, tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("b", [1.0]), ("b", [1.0, 0.0, 99.0]), ("b", True), ("b", "1.5"), ("b", None), ("b", 10**400),
-    ("n", "6"), ("n", True), ("n", 6.9), ("n", 6.0),
+    ("b", float("inf")), ("n", "6"), ("n", True), ("n", 6.9), ("n", 6.0),
 ], ids=["one-element-pair", "three-element-pair", "bool", "string", "null", "int-beyond-double",
-        "string-n", "bool-n", "float-n", "integral-float-n"])
+        "infinite", "string-n", "bool-n", "float-n", "integral-float-n"])
 def test_malformed_lacunary_json_is_an_input_error(capsys, tmp_path, key, value):
     spec = {"n": 6, "a": [1.0, 0.0], "b": 2.0, "c": 0.0, "alpha": 1.0, "beta": 0.0, "gamma": 1.0}
     path = tmp_path / "lac.json"
@@ -125,6 +125,17 @@ def test_embed_low_degree_is_inapplicable_on_both_paths(capsys, tmp_path, poly, 
         assert code == 2 and out == ""
         assert err.startswith("inapplicable: InvalidDegreeError: ")
 
+
+@pytest.mark.parametrize("poly", ["1e-300,1e5,1,0,0,1,1,1", "1e-300,1e5,1,0,0,0,1,1,1",
+                                  "1e300,1e300,-1e300,0,0,0,1,1,1"])
+def test_embed_that_overflows_is_inapplicable(capsys, poly):
+    # finite input that bounds accepts; the embedding's factors overflow
+    assert run_cli(capsys, "bounds", "--poly", poly)[0] == 0
+    code, out, err = run_cli(capsys, "embed", "--poly", poly)
+    assert code == 2 and out == ""
+    assert err.startswith("inapplicable: SingularMatrixError: ") and "overflow" in err
+    # an input that is itself beyond the double range stays an input error
+    assert run_cli(capsys, "embed", "--poly", "1e400," + poly.split(",", 1)[1])[:2] == (1, "")
 
 def test_oracle_moduli(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--poly", "1,-3,2")

@@ -6,6 +6,7 @@ import pytest
 from pelletbounds import (
     InvalidDegreeError,
     LacunaryPolynomial,
+    SingularMatrixError,
     ZeroLeadingError,
     eigen_oracle,
     embed_even,
@@ -44,6 +45,9 @@ def test_construction_guards():
         LacunaryPolynomial(8, 0.0, 1, 1, 1, 1, 1)
     with pytest.raises(ZeroLeadingError):
         LacunaryPolynomial(8, 1, 1, 1, 0.0, 1, 1)
+    for bad in (np.inf, np.nan, complex(0.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            LacunaryPolynomial(8, 1, 1, 1, 1, bad, 1)
 
 
 def test_degree_must_be_an_integer():
@@ -63,6 +67,19 @@ def test_parity_dispatch():
     with pytest.raises(InvalidDegreeError):
         embed_even(lac7)
 
+
+# finite clusters with a * alpha != 0 whose factors overflow: c - b^2/4a is
+# about -2.5e309 in the first two, and b^2 overflows in the third
+OVERFLOWING = [(7, 1e-300, 1e5, 1.0, 1.0, 1.0, 1.0), (8, 1e-300, 1e5, 1.0, 1.0, 1.0, 1.0),
+               (8, 1e300, 1e300, -1e300, 1.0, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("coeffs", OVERFLOWING)
+def test_an_embedding_that_overflows_is_inapplicable(coeffs):
+    lac = LacunaryPolynomial(*coeffs)
+    with pytest.raises(SingularMatrixError, match="overflow"):
+        embed_even(lac) if lac.n % 2 == 0 else embed_odd(lac)
+    assert np.isfinite(to_scalar(lac).stack).all()
 
 def test_even_shape_and_sparse_case():
     # b=c=0, beta=gamma=0: only the leading block and the antidiagonal z-block

@@ -296,6 +296,32 @@ def test_left_precondition_sets_identity(rng):
         assert np.array_equal(q.stack[k], np.eye(3))
 
 
+def _transform_outputs(p, n):
+    """Every polynomial the transforms make from P: A_j^-1 P for each j,
+    the reciprocal, Q, Q_R and B_0^-1 Q, less those that raise."""
+    makers = [lambda j=j: left_precondition(p, j) for j in range(n + 1)]
+    makers += [lambda: reciprocal(p), lambda: squared_polynomial(p, False)[0],
+               lambda: squared_polynomial(p, True)[0],
+               lambda: left_precondition(squared_polynomial(p, False)[0], 0)]
+    for make in makers:
+        try:
+            yield make()
+        except SingularMatrixError:
+            continue
+
+
+def test_identity_flags_set_by_transforms_agree_with_the_stack():
+    # a transform marks the coefficient it sets to I without a test, and the
+    # mark makes nu = 1.0 and I^-1 P = P: each mark, and each flag tested
+    # after it, must say what the stack holds
+    preset = 0
+    for i in range(144):
+        for q in _transform_outputs(*criterion_1_instance(i)):
+            preset += sum(flag is not None for flag in q._identities)
+            for j in range(q.n + 1):
+                assert matpoly._is_identity(q, j) == np.array_equal(q.stack[j], np.eye(q.m)), (i, j)
+    assert preset > 1000
+
 def test_reciprocal_scalar():
     p = scalar_polynomial([2.0, -3.0, 1.0])  # z^2 - 3z + 2, roots {1, 2}
     pr = reciprocal(p)

@@ -17,6 +17,7 @@ from pelletbounds import (
     norm,
     scalar_polynomial,
 )
+from pelletbounds import oracle
 from pelletbounds.oracle import (EigenReport, NonFiniteEigenvalueError, SoundnessError, check_gap,
                                  check_lower, check_upper)
 
@@ -124,4 +125,19 @@ def test_eigenvalue_beyond_double_range_raises():
     # I z + A_0 with every entry of A_0 1e308 has the eigenvalue -2e308
     p = MatrixPolynomial([np.full((2, 2), 1e308), np.eye(2)])
     with pytest.raises(NonFiniteEigenvalueError):
+        eigen_oracle(p)
+
+
+def test_size_cap_is_checked_before_the_companion_is_built(monkeypatch):
+    # n*m = 2001 exceeds EIGEN_DIM_CAP = 2000: the oracle refuses before it
+    # builds the (nm)^2 companion matrix, with eigenvalues' own message
+    def no_companion(p):
+        raise AssertionError("companion built past the size cap")
+
+    monkeypatch.setattr(oracle, "companion", no_companion)
+    stack = np.ones((668, 3, 3))
+    stack[-1] = np.eye(3)
+    p = MatrixPolynomial(stack)
+    assert p.n * p.m == 2001
+    with pytest.raises(ValueError, match="^matrix dimension 2001 exceeds cap 2000$"):
         eigen_oracle(p)

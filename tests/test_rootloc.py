@@ -540,3 +540,28 @@ def test_every_root_changes_sign_exactly_and_is_approached_one_way(monkeypatch):
     for direction, iterates in paths:
         assert all(direction * (b - a) >= 0.0 for a, b in zip(iterates, iterates[1:])), iterates
     assert found["one"] > 100 and found["two"] > 40
+
+
+def test_minimizer_bisects_when_newton_leaves_the_bracket(monkeypatch):
+    # h'' divided by 1e6 makes every Newton step on h' a million times too
+    # long, so it leaves the bracket and the safeguard bisects instead; the
+    # minimizer still lands on the zero of h'
+    f = SignedRadialPolynomial([2.0, 0.0, 0.0, 1.0], 1, 0.5)
+    _, tc = f._vertex()
+    expected = rootloc._minimizer(f, tc)
+    points = []
+    stats = SignedRadialPolynomial._stats
+
+    def flattened(g, t):
+        points.append(t)
+        h, slope, curvature = stats(g, t)
+        return h, slope, curvature / 1e6
+
+    monkeypatch.setattr(SignedRadialPolynomial, "_stats", flattened)
+    got = rootloc._minimizer(f, tc)
+    assert abs(got - expected) <= 1e-9
+    # the first step from t_c is the midpoint of the half-bracket below or
+    # above it, and the bracket keeps halving from there
+    step = math.log(len(f._terms)) / min(abs(d) for _, d in f._terms)
+    assert points[0] == tc and points[1] in (0.5 * (tc - step + tc), 0.5 * (tc + tc + step))
+    assert len(points) > 20
