@@ -20,23 +20,23 @@ coefficient first, which never shrinks a gap since
 
 The chord test.  The radial polynomial's chord test (``rootloc``) answers
 "none" from the Newton polygon of its coefficients without evaluating h:
-when e^C' - nu >= 10*GAP_RTOL*s, where C' is the highest chord at k over
-its coefficients and s the largest of them and nu.  One prefilter tries
-that test on the norms of P before any radial polynomial is built, for
-plain and preconditioned queries alike.  Write c_j = ||A_j||,
-nu_k = 1/||A_k^-1|| and C for the highest chord at k of the points
-(j, log c_j), the maximum over i < k < j of
+when C' - log nu >= 10*GAP_RTOL, where C' is the highest chord at k over
+its coefficients.  That is a bound on h, so no scale takes part.  One
+prefilter tries the test on the norms of P before any radial polynomial
+is built, for plain and preconditioned queries alike.  Write c_j =
+||A_j||, nu_k = 1/||A_k^-1|| and C for the highest chord at k of the
+points (j, log c_j), the maximum over i < k < j of
 ((j-k) log c_i + (k-i) log c_j) / (j-i) (``rootloc._highest_chord``, the
 computation behind the chord test itself; ``matpoly`` keeps C per index and
 kind).  A plain query's radial polynomial has exactly these coefficients,
 so C' = C, and the query is "nogap" when
 
-    e^C - nu_k >= 20*GAP_RTOL * max(max_{j != k} c_j, nu_k).
+    C - log nu_k >= 20*GAP_RTOL.
 
-For A_k^-1 P, ||A_k^-1 A_j|| >= c_j / c_k, nu = 1 and
-||A_k^-1 A_j|| <= c_j / nu_k, so the preconditioned query is "nogap" when
+For A_k^-1 P, nu = 1 and ||A_k^-1 A_j|| >= c_j / c_k, so C' >= C - log c_k
+and the preconditioned query is "nogap" when
 
-    e^C / c_k - 1 >= 20*GAP_RTOL * max(1, max_{j != k} c_j / nu_k).
+    C - log c_k >= 20*GAP_RTOL.
 
 This needs C > log c_k, so it skips only an index that is not a vertex of
 the upper convex hull of the points (the Newton polygon of the norms).  The
@@ -44,8 +44,10 @@ factor 20 is twice the chord test's 10, so rounding in the norms cannot
 flip a verdict, and a skipped query is exactly the "nogap", not marginal,
 result that the root search would return.  The prefilter forms nu_k first,
 so a singular A_k raises SingularMatrixError whether or not the query is
-skipped, and it declines when a norm is infinite, which leaves the radial
-polynomial to reject it.
+skipped.  It declines when max_j c_j is infinite, which leaves the radial
+polynomial to reject the query, and for a preconditioned query when
+max_j c_j / nu_k is, which bounds the norms of A_k^-1 P: forming A_k^-1 P
+then decides, and raises SingularMatrixError when it overflows.
 
 Everything these theorems read from a polynomial (its coefficient norms,
 nu_k, the chord C, A_k^-1 P, Q and Q_R) is built once and kept on it by
@@ -186,15 +188,10 @@ def _chord_proves_none(p: MatrixPolynomial, k: int, kind: NormKind, precondition
     A_k is singular."""
     nu = _nu(p, k, kind)
     kept = _kept(p, kind)
-    chord, others = _chord(kept, k)
-    # each inequality divided by its scale to keep exp in range
+    top, pivot = max(kept.norms), nu
     if precondition:
-        scale = max(1.0, others / nu)
-        bound = math.exp(chord - math.log(kept.norms[k]) - math.log(scale)) - 1.0 / scale
-    else:
-        scale = max(others, nu)
-        bound = math.exp(chord - math.log(scale)) - nu / scale
-    return math.isfinite(scale) and bound >= _PREFILTER_RTOL
+        top, pivot = top / nu, kept.norms[k]
+    return top < math.inf and _chord(kept, k) - math.log(pivot) >= _PREFILTER_RTOL
 
 
 def _pellet_roots(p: MatrixPolynomial, k: int, kind: NormKind, precondition: bool) -> PositiveRoots:
@@ -259,6 +256,12 @@ def squared_bounds(p: MatrixPolynomial, kind, use_reciprocal: bool = False,
     cannot be formed: a required pivot is singular, or an entry of Q
     overflows the double range (Q holds products of P's monic coefficients,
     which overflow from about 1e154).
+
+    Unlike ``cauchy_bounds``, the radii depend on the unit of z, even in
+    exact arithmetic: Q's blocks mix coefficients of different degree, so
+    P(2^e z)'s radii times 2^e are not P's.  On a random 2x2 quartic whose
+    largest modulus is 1.54, the 1-norm Q upper radius is 2.56 at e = 0 and
+    4.12, 42.8 and 59.5 at e = 3, 10 and -10.
     """
     kind = NormKind.coerce(kind)
     q, tag = squared_polynomial(p, use_reciprocal)
@@ -281,7 +284,9 @@ def squared_gap(p: MatrixPolynomial, k_even: int, kind,
     |z| <= sqrt(y1) and none have modulus in (sqrt(y1), sqrt(y2)).  With
     ``precondition`` the query runs on B_{k_even/2}^-1 Q.  Raises
     SingularMatrixError when Q cannot be formed: a required pivot is
-    singular, or an entry of Q overflows the double range.
+    singular, or an entry of Q overflows the double range.  Like
+    ``squared_bounds`` and unlike ``pellet_gap``, the verdict and radii
+    depend on the unit of z, as Q does.
     """
     kind = NormKind.coerce(kind)
     k_even = operator.index(k_even)

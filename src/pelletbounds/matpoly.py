@@ -17,12 +17,12 @@ LU of A_j under ``linalg``'s pivot rule, scaled by the kept infinity norm of
 A_j (``_lu``), and A_j^-1 P solved from it (``left_precondition``); one slot
 each for Q and Q_R (``_squared``); and per norm kind one record (``_kept``)
 of the coefficient norms and, by index j, nu_j = 1/||A_j^-1|| (``_nu``) and
-the highest chord at j of the points (j, log ||A_j||) with the largest norm
-but the j-th beside it (``_chord``).  No other module builds or writes
-such data: ``bounds`` only reads it.  Failures are not kept: a singular
-pivot raises on every call.  An A_j that is exactly I is never factored:
-nu_j is exactly 1.0 in every norm, and I^-1 P is P itself, decided before
-the slot is read, so no slot of P ever holds P.
+the highest chord at j of the points (j, log ||A_j||) (``_chord``).  No
+other module builds or writes such data: ``bounds`` only reads it.
+Failures are not kept: a singular pivot raises on every call.  An A_j that
+is exactly I is never factored: nu_j is exactly 1.0 in every norm, and
+I^-1 P is P itself, decided before the slot is read, so no slot of P ever
+holds P.
 
 The public constructor checks what comes from outside; a transform here
 checks what it makes itself and freezes its own C-contiguous stack through
@@ -135,8 +135,8 @@ def evaluate(p: MatrixPolynomial, z: complex) -> np.ndarray:
 @dataclass(slots=True)
 class _Kept:
     """What a polynomial keeps for one norm kind: its coefficient norms and,
-    by index j (None until first asked for), nu_j and the pair (chord at j,
-    largest norm but the j-th) of ``_chord``.  Only this module fills it."""
+    by index j (None until first asked for), nu_j and the chord at j of
+    ``_chord``.  Only this module fills it."""
 
     norms: list
     nu: list
@@ -175,16 +175,14 @@ def _lu(p: MatrixPolynomial, j: int) -> tuple:
     return lu
 
 
-def _chord(kept: _Kept, k: int) -> tuple:
-    """(C, max_{j != k} ||A_j||) from the norms of ``kept``, kept there by
-    index: C is the highest chord at k of the points (j, log ||A_j||) over
-    the nonzero A_j with j != k (``rootloc._highest_chord``), -inf when no
-    such pair straddles k."""
+def _chord(kept: _Kept, k: int) -> float:
+    """C from the norms of ``kept``, kept there by index: the highest chord
+    at k of the points (j, log ||A_j||) over the nonzero A_j with j != k
+    (``rootloc._highest_chord``), -inf when no such pair straddles k."""
     chord = kept.chord[k]
     if chord is None:
-        norms = kept.norms
-        terms = [(math.log(c), float(j - k)) for j, c in enumerate(norms) if j != k and c > 0.0]
-        chord = kept.chord[k] = (_highest_chord(terms)[0], max(norms[:k] + norms[k + 1:]))
+        terms = [(math.log(c), float(j - k)) for j, c in enumerate(kept.norms) if j != k and c > 0.0]
+        chord = kept.chord[k] = _highest_chord(terms)[0]
     return chord
 
 

@@ -11,9 +11,11 @@ into the convex function
 
     h(t) = log(sum_j c_j e^{(j-k) t}) - log(nu),
 
-with f(x) < 0 exactly where h(t) < 0, and phi(x) := f(x)/x^k = nu*(e^h - 1).
-All root finding is done on h in log-x coordinates, over the log form that
-a SignedRadialPolynomial builds in its constructor, once validated: the
+with f(x) < 0 exactly where h(t) < 0.  h = log(f(x) / (nu x^k) + 1) is
+free of any scale: the unit change c_j -> c_j alpha^j, which maps each
+root x to x / alpha, only shifts h by log(alpha) in t.  All root finding
+is done on h in log-x coordinates, over the log form that a
+SignedRadialPolynomial builds in its constructor, once validated: the
 coefficients and nu are divided by the largest of them, a_j = log c_j is
 kept for each of the N positive terms, and log nu with them (each as
 log c - log scale where the quotient would underflow, so no term is lost),
@@ -48,14 +50,15 @@ Newton polygon,
 
     delta = max_{i < k < j} ((j-k) a_i + (k-i) a_j) / (j-i) - log(nu),
 
-reached at the crossing t_c of the maximizing pair.  phi_min is at least
-nu*expm1(delta), so nu*expm1(delta) >= 10*GAP_RTOL settles "none" (not
-marginal) without evaluating h; ``bounds`` tries the same test, at twice
-the margin, on a polynomial's kept norms before it builds a radial
-polynomial at all.  Otherwise h is evaluated once at
-t_c, and nu*expm1(h(t_c)) < -10*GAP_RTOL settles "two" (not marginal).
-Failing both, the minimizer of h decides "none" or "two" and the marginal
-flag against GAP_RTOL.  As T(t) >= delta + min|j - k| |t - t_c| and
+reached at the crossing t_c of the maximizing pair.  The verdict and its
+margin are read on h alone, so no scale takes part in them: "two" when
+h_min < -GAP_RTOL, else "none", and marginal when |h_min| < 10*GAP_RTOL.
+As h_min >= delta, delta >= 10*GAP_RTOL settles "none" (not marginal)
+without evaluating h; ``bounds`` tries the same test, at twice the margin,
+on a polynomial's kept norms before it builds a radial polynomial at all.
+Otherwise h is evaluated once at t_c, and h(t_c) < -10*GAP_RTOL settles
+"two" (not marginal).  Failing both, the minimizer of h decides "none" or
+"two" and the marginal flag.  As T(t) >= delta + min|j - k| |t - t_c| and
 h(t_c) <= delta + log N, it lies within log N / min|j - k| of t_c, the
 bracket of the one safeguarded search: Newton's method on h' with h'' (the
 only use of h''), falling back to bisection.
@@ -68,10 +71,10 @@ import operator
 import sys
 from dataclasses import dataclass
 
-# Existence tolerance for a gap, relative to the coefficient scale: when the
-# minimum of phi is within GAP_RTOL * scale of zero the two roots may
-# coincide, so no gap is reported.  Results within 10x of the threshold are
-# flagged marginal.
+# Existence tolerance for a gap, on h: when the minimum of h is not below
+# -GAP_RTOL, that is f(x) >= -GAP_RTOL nu x^k to first order, the two roots
+# may coincide, so no gap is reported.  Verdicts with |h_min| within 10x
+# of the threshold are flagged marginal.
 GAP_RTOL = 1e-10
 
 _T_LIMIT = math.log(sys.float_info.max)  # e^t is finite for |t| up to this
@@ -95,8 +98,8 @@ class SignedRadialPolynomial:
     validated, the constructor also keeps f's log form (see the module
     docstring) in private attributes, which are not dataclass fields: the
     positive terms in ascending j, each once, as the pairs (a_j, d_j) of the
-    normalized a_j = log c_j and d_j = j - k (``_terms``), nu and log nu,
-    and the envelope ends tau1 and tau2.
+    normalized a_j = log c_j and d_j = j - k (``_terms``), the normalized
+    log nu, and the envelope ends tau1 and tau2.
     """
 
     coeffs: tuple
@@ -141,9 +144,9 @@ class SignedRadialPolynomial:
                         tau2 = z
                 elif z > tau1:
                     tau1 = z
-        # past the frozen __setattr__; _nu may underflow, _lognu does not
+        # past the frozen __setattr__
         self.__dict__.update(coeffs=coeffs, neg_index=neg_index, neg_value=neg_value,
-                             _terms=terms, _nu=nu, _lognu=lognu, _tau1=tau1, _tau2=tau2)
+                             _terms=terms, _lognu=lognu, _tau1=tau1, _tau2=tau2)
 
     @property
     def degree(self) -> int:
@@ -174,13 +177,6 @@ class SignedRadialPolynomial:
         top = h + self._lognu  # the log of the weights' sum
         var = sum([math.exp(a + d * t - top) * (d - mean) ** 2 for a, d in self._terms])
         return h, mean, var
-
-    def _phi(self, h: float) -> float:
-        """phi = nu*(e^h - 1) on the normalized scale.  Past h = 1 it is
-        e^(log nu + h) - nu, which cannot overflow where it is used: at the
-        envelope's minimum log nu + delta <= 0, and h is at most log N above
-        it at t_c and at the minimizer."""
-        return self._nu * math.expm1(h) if h < 1.0 else math.exp(self._lognu + h) - self._nu
 
     def _vertex(self):
         """(delta, t_c): the minimum of T and where it is reached."""
@@ -278,11 +274,10 @@ def positive_roots(f: SignedRadialPolynomial) -> PositiveRoots:
     """Locate the positive roots of f.
 
     One sign change (Cauchy shapes and degenerate one-sided Pellet shapes)
-    yields the unique root.  Otherwise a minimum of phi = f/x^k above
-    -GAP_RTOL (on the normalized coefficient scale) means the two roots may
-    coincide and "none" is returned, else both roots are found from the
-    outer side.  The envelope settles most verdicts before the minimum is
-    searched for (see the module docstring).
+    yields the unique root.  Otherwise a minimum of h at or above -GAP_RTOL
+    means the two roots may coincide and "none" is returned, else both
+    roots are found from the outer side.  The envelope settles most
+    verdicts before the minimum is searched for (see the module docstring).
     """
     below, above = f._terms[0][1] < 0.0, f._terms[-1][1] > 0.0
     if not (below and above):
@@ -290,13 +285,13 @@ def positive_roots(f: SignedRadialPolynomial) -> PositiveRoots:
         return PositiveRoots("one", x1=math.exp(_root(f, f._tau1 if below else f._tau2)))
 
     delta, tc = f._vertex()
-    if f._phi(delta) >= 10.0 * GAP_RTOL:
+    if delta >= 10.0 * GAP_RTOL:
         return PositiveRoots("none")
     marginal = False
-    if f._phi(f._newton(tc)[0]) >= -10.0 * GAP_RTOL:
-        phimin = f._phi(f._newton(_minimizer(f, tc))[0])
-        marginal = abs(phimin) < 10.0 * GAP_RTOL
-        if phimin >= -GAP_RTOL:
+    if f._newton(tc)[0] >= -10.0 * GAP_RTOL:
+        hmin = f._newton(_minimizer(f, tc))[0]
+        marginal = abs(hmin) < 10.0 * GAP_RTOL
+        if hmin >= -GAP_RTOL:
             return PositiveRoots("none", marginal=marginal)
     x1, x2 = math.exp(_root(f, f._tau1)), math.exp(_root(f, f._tau2))
     return PositiveRoots("two", x1=x1, x2=x2, marginal=marginal)

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -33,9 +34,9 @@ from pelletbounds import (
 )
 from pelletbounds import bounds, linalg, matpoly
 from pelletbounds.bounds import squared_polynomial
-from pelletbounds.oracle import check_lower
+from pelletbounds.oracle import EigenReport, check_gap, check_lower
 
-from conftest import criterion_1_instance, rand_matrix, rand_poly
+from conftest import criterion_1_instance, rand_matrix, rand_poly, wide_polynomials
 
 KINDS = [NormKind.ONE, NormKind.INF, NormKind.TWO]
 
@@ -470,54 +471,82 @@ def _full_squared(p, k_even, kind, pre):
 
 
 def _outcome(fn, *args):
+    """fn(*args), or the type and message of the SingularMatrixError it raises."""
     try:
         return fn(*args)
-    except SingularMatrixError:
-        return "singular"
+    except SingularMatrixError as exc:
+        return repr(exc)
 
 
-def test_prefilter_equals_full_path_on_criterion_1_instances():
-    # every per-index query of the first 144 criterion-1 instances, in all
-    # three norms: the public result (tried on P's norms first) equals the
-    # root search's in status, x1, x2, count, variant and marginal flag
+def _prefilter_agrees(polynomials):
+    """Run every per-index Pellet query of ``polynomials`` in all three
+    norms, plain and preconditioned, and require the public result (tried
+    on P's norms first) to equal the root search's in status, x1, x2,
+    count, variant and marginal flag; (queries, skipped by the norms for
+    plain and for preconditioned queries)."""
     queries = 0
     skipped = {False: 0, True: 0}
-    for i in range(144):
-        p, n = criterion_1_instance(i)
+    for i, p in enumerate(polynomials):
+        n = p.n
         for kind in KINDS:
             for pre in (False, True):
                 cases = [(pellet_gap, _full_pellet, p, k) for k in range(1, n)]
                 if n % 2 == 0 and n >= 4:
-                    q = squared_polynomial(p, False)[0]
-                    cases += [(squared_gap, _full_squared, q, k) for k in range(2, n - 1, 2)]
+                    q = _outcome(lambda: squared_polynomial(p, False)[0])
+                    if not isinstance(q, str):
+                        cases += [(squared_gap, _full_squared, q, k) for k in range(2, n - 1, 2)]
                 for public, full, target, k in cases:
                     got = _outcome(public, p, k, kind, pre)
                     assert got == _outcome(full, p, k, kind, pre), (i, kind, pre, k)
                     # a Pellet query has two outcomes: the annulus or none
-                    assert got == "singular" or got.status in (GAP, NO_GAP), (i, kind, pre, k)
+                    assert isinstance(got, str) or got.status in (GAP, NO_GAP), (i, kind, pre, k)
                     queries += 1
-                    if got != "singular":
+                    if not isinstance(got, str):
                         kq = k if public is pellet_gap else k // 2
                         skipped[pre] += bounds._chord_proves_none(target, kq, kind, pre)
+    return queries, skipped
+
+
+def test_prefilter_equals_full_path_on_criterion_1_instances():
+    # the first 144 criterion-1 instances
+    queries, skipped = _prefilter_agrees(criterion_1_instance(i)[0] for i in range(144))
     assert queries > 4000
     # half the queries are plain and half preconditioned; the norms settle
     # most of each (2261 plain and 1769 preconditioned of 5280)
     assert skipped[False] > queries * 2 // 5
     assert skipped[True] > queries // 4
+    # and polynomials whose norms span 10^240, where a margin measured
+    # against the largest coefficient would differ most from one in h
+    queries, skipped = _prefilter_agrees(wide_polynomials(11, 300, 3, 8))
+    assert queries > 7000 and skipped[False] > 0 and skipped[True] > 0
+
+
+def test_prefilter_declines_where_the_preconditioned_scale_overflows():
+    # 1 + 1e-300 z + 1e10 z^2 at k = 1: the chord of the norms lies far
+    # above ||A_1||, but A_1^-1 P has the coefficient 1e310, beyond the
+    # double range; as max_j ||A_j|| / nu_1 is infinite the norms decline,
+    # and forming A_1^-1 P raises, as the plain query does not
+    p = scalar_polynomial([1.0, 1e-300, 1e10])
+    assert pellet_gap(p, 1, "one").status == NO_GAP
+    assert not bounds._chord_proves_none(p, 1, NormKind.ONE, True)
+    with pytest.raises(SingularMatrixError):
+        pellet_gap(p, 1, "one", precondition=True)
 
 
 def test_prefilter_keeps_marginal_near_tangent_shape(h_evaluations):
-    # z^3 + 5e-11 z + 1e-15: k = 1 lies below the chord of (0, 1e-15) and
-    # (3, 1), yet phi's minimum, about 1.4e-10, is within 10*GAP_RTOL of
-    # zero, so the chord test leaves it to the root search, which reports a
-    # marginal "none"
-    p = scalar_polynomial([1e-15, 5e-11, 0.0, 1.0])
-    logs = np.log([1e-15, 5e-11, 1.0])
-    assert logs[1] < (2.0 * logs[0] + logs[2]) / 3.0
-    g = pellet_gap(p, 1, "one")
-    assert h_evaluations
-    assert g.status == NO_GAP and g.marginal
-    assert g == _full_pellet(p, 1, NormKind.ONE, False)
+    # z^2 - slope z + 1 at k = 1: h's minimum is log(2 / slope), about
+    # -/+2.5e-10, within 10*GAP_RTOL of zero, so P's norms prove nothing,
+    # plain or preconditioned (A_1^-1 P has the same h), and the root search
+    # reports a marginal gap above slope 2 and a marginal "none" below it
+    for slope in (2.0 + 5e-10, 2.0 - 5e-10):
+        p = scalar_polynomial([1.0, -slope, 1.0])
+        for pre in (False, True):
+            assert not bounds._chord_proves_none(p, 1, NormKind.ONE, pre)
+            h_evaluations.clear()
+            g = pellet_gap(p, 1, "one", precondition=pre)
+            assert h_evaluations
+            assert g.status == (GAP if slope > 2.0 else NO_GAP) and g.marginal
+            assert g == _full_pellet(p, 1, NormKind.ONE, pre)
 
 
 @pytest.fixture
@@ -611,14 +640,6 @@ def test_underflowed_preconditioned_leading_coefficient_is_inapplicable():
         assert cauchy_bounds(p, kind).upper >= 1e200
         with pytest.raises(SingularMatrixError, match="underflows to zero"):
             pellet_gap(gap_p, 1, kind, precondition=True)
-
-
-def _outcome(fn, *args):
-    """fn(*args), or the type and message of the SingularMatrixError it raises."""
-    try:
-        return fn(*args)
-    except SingularMatrixError as exc:
-        return repr(exc)
 
 
 def _fresh_factor(a):
@@ -806,13 +827,14 @@ def test_no_valid_polynomial_ends_in_an_untyped_error(p):
             pass
 
 
-def test_preconditioned_prefilter_scale_uses_nu(h_evaluations):
-    # blocks 4e-6 + z and 1e-10 z + 1e6 z^2: the norms 4e-6, 1, 1e6 put
-    # k = 1 below the chord (e^C = 2), but nu_1 = 1e-10 makes A_1^-1 A_2 as
-    # large as 1e16, so the preconditioned phi's minimum, 4e5, is within
-    # 10*GAP_RTOL of that scale: a marginal "none" the prefilter must leave
-    # to the root search, as max_j ||A_j|| / nu_k bounds the scale
-    p = MatrixPolynomial([np.diag([4e-6, 0.0]), np.diag([1.0, 1e-10]), np.diag([0.0, 1e6])])
+def test_preconditioned_prefilter_uses_the_pivot_norm(h_evaluations):
+    # blocks 1 - (2 - 5e-10) z + z^2 and 1e-6 + 1e-3 z + 1e-6 z^2: the
+    # plain query's nu_1 = 1e-3 lies far below the chord of the norms, but
+    # A_1^-1 P is the first block over its middle coefficient, near-tangent
+    # with h's minimum about 2.5e-10, a marginal "none" the prefilter must
+    # leave to the root search, as ||A_1|| = 2 - 5e-10 lies above the chord
+    p = MatrixPolynomial([np.diag([1.0, 1e-6]), np.diag([-(2.0 - 5e-10), 1e-3]),
+                          np.diag([1.0, 1e-6])])
     for kind in KINDS:
         # the plain query is settled by P's norms without evaluating h
         h_evaluations.clear()
@@ -822,3 +844,88 @@ def test_preconditioned_prefilter_scale_uses_nu(h_evaluations):
         g = pellet_gap(p, 1, kind, precondition=True)
         assert g.status == NO_GAP and g.marginal
         assert g == _full_pellet(p, 1, kind, True)
+
+
+# --- the unit of z --------------------------------------------------------
+
+def _rescaled(p, e):
+    """P(2^e z), whose eigenvalues are P's divided by 2^e: A_j times
+    2^(e*j), exactly."""
+    return MatrixPolynomial(p.stack * np.ldexp(1.0, e * np.arange(p.n + 1))[:, None, None])
+
+
+def test_pellet_verdicts_do_not_depend_on_the_unit_of_z():
+    # z -> 2^e z changes no mantissa and no sign of a radial polynomial, so
+    # every plain and preconditioned Pellet query keeps its outcome and its
+    # marginal flag, and every radius scales by 2^-e, over polynomials whose
+    # norms span 10^240 (a margin measured against the largest coefficient
+    # flipped hundreds of these)
+    pairs = 0
+    for i, p in enumerate(wide_polynomials(11, 300, 3, 8)):
+        for kind in KINDS:
+            for pre in (False, True):
+                base = [_outcome(pellet_gap, p, k, kind, pre) for k in range(1, p.n)]
+                for e in (-6, -3, 1, 5):
+                    q = _rescaled(p, e)
+                    for k, g in enumerate(base, start=1):
+                        got = _outcome(pellet_gap, q, k, kind, pre)
+                        where = (i, kind, pre, k, e)
+                        pairs += 1
+                        if isinstance(g, str) or isinstance(got, str):
+                            assert got == g, where
+                            continue
+                        assert (got.status, got.marginal) == (g.status, g.marginal), where
+                        if g.status == GAP:
+                            assert math.ldexp(got.x1, e) == pytest.approx(g.x1, rel=1e-12, abs=0.0), where
+                            assert math.ldexp(got.x2, e) == pytest.approx(g.x2, rel=1e-12, abs=0.0), where
+    assert pairs > 25000
+
+
+def test_cauchy_radii_follow_the_unit_of_z_and_squared_radii_do_not(rng):
+    # a random 2x2 quartic: Cauchy radii of P(2^e z) are P's over 2^e to a
+    # few ulps, but Q mixes coefficients of different degree, so a squared
+    # radius is reproduced only at e = 0
+    p = rand_poly(rng, 2, 4)
+    base = {kind: (cauchy_bounds(p, kind), cauchy_bounds(p, kind, precondition=True),
+                   squared_bounds(p, kind), squared_bounds(p, kind, use_reciprocal=True))
+            for kind in KINDS}
+    for e in (1, 3, 10, -10):
+        q = _rescaled(p, e)
+        for kind in KINDS:
+            plain, pre, sq, sqr = base[kind]
+            for b, got in ((plain, cauchy_bounds(q, kind)),
+                           (pre, cauchy_bounds(q, kind, precondition=True))):
+                assert abs(math.ldexp(got.upper, e) / b.upper - 1.0) <= 16 * sys.float_info.epsilon
+                assert abs(math.ldexp(got.lower, e) / b.lower - 1.0) <= 16 * sys.float_info.epsilon
+            moved = (math.ldexp(squared_bounds(q, kind).upper, e) / sq.upper,
+                     math.ldexp(squared_bounds(q, kind, use_reciprocal=True).lower, e) / sqr.lower)
+            assert all(abs(r - 1.0) > 1e-3 for r in moved), (e, kind, moved)
+
+
+def _exact_report(p):
+    """The roots of a scalar P as an EigenReport: mpmath's Durand-Kerner
+    iteration at 150 digits, started from numpy's roots, which returns only
+    once every root is fixed to an absolute 1e-150."""
+    mpmath = pytest.importorskip("mpmath")
+    coeffs = p.stack[::-1, 0, 0]
+    with mpmath.workdps(150):
+        roots = mpmath.polyroots([mpmath.mpc(complex(c)) for c in coeffs], maxsteps=200,
+                                 extraprec=1000,
+                                 roots_init=[mpmath.mpc(complex(r)) for r in np.roots(coeffs)])
+        roots.sort(key=abs)
+        moduli = np.array([float(abs(r)) for r in roots])
+    return EigenReport(values=np.array([complex(r) for r in roots]), moduli=moduli, count=p.n)
+
+
+def test_gap_claims_on_wide_scalars_hold_against_exact_roots():
+    # every 1-norm gap claim, plain and preconditioned, over scalar
+    # polynomials whose coefficients span 10^120, holds at the oracle's
+    # slack against roots to 150 digits; the margin in h claims 354 here,
+    # where one against the largest coefficient claimed 258
+    claims = 0
+    for i, p in enumerate(wide_polynomials(21, 200, 1, 4)):
+        rep = _exact_report(p)
+        for k in range(1, p.n):
+            for pre in (False, True):
+                claims += check_gap(rep, pellet_gap(p, k, "one", pre), f"{i}: k={k}, pre={pre}")
+    assert claims > 300

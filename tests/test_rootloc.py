@@ -363,12 +363,12 @@ def test_every_evaluator_of_h_is_counted(h_evaluations):
 
 @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0 - 1e-9, 2.0 + 1e-9, 3.0])
 def test_closed_form_minimum_decides_verdict(nu, h_evaluations):
-    # x^2 - nu x + 1 at k = 1: phi = x + 1/x - nu, normalized by max(1, nu),
-    # has its minimum (2 - nu) / max(1, nu) at x = 1
-    phimin = (2.0 - nu) / max(1.0, nu)
+    # x^2 - nu x + 1 at k = 1: h = log(x + 1/x) - log(nu) has its minimum
+    # log(2 / nu) at x = 1
+    hmin = math.log(2.0 / nu)
     r = positive_roots(radial([1.0, 0.0, 1.0], 1, nu))
-    assert r.kind == ("two" if phimin < -rootloc.GAP_RTOL else "none")
-    assert r.marginal == (abs(phimin) < 10.0 * rootloc.GAP_RTOL)
+    assert r.kind == ("two" if hmin < -rootloc.GAP_RTOL else "none")
+    assert r.marginal == (abs(hmin) < 10.0 * rootloc.GAP_RTOL)
     if nu < 1.0:
         # the envelope's minimum delta = -log(nu) > 0 settles it unevaluated
         assert h_evaluations == []
