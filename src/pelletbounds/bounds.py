@@ -27,12 +27,15 @@ is built, for plain and preconditioned queries alike.  Write c_j =
 ||A_j||, nu_k = 1/||A_k^-1|| and C for the highest chord at k of the
 points (j, log c_j), the maximum over i < k < j of
 ((j-k) log c_i + (k-i) log c_j) / (j-i) (``rootloc._highest_chord``, the
-computation behind the chord test itself; ``matpoly`` keeps C per index and
-kind).  A plain query's radial polynomial has exactly these coefficients,
-so C' = C, and the query is "nogap" when
+computation behind the chord test itself; ``matpoly`` keeps log c_j per
+kind, and C with the t_c where it is reached per index and kind).  A plain
+query's radial polynomial is built from exactly these logs, with (C, t_c)
+as its vertex, so C' = C and its chord test reads the same float; the
+query is "nogap" when
 
-    C - log nu_k >= 20*GAP_RTOL.
+    C - log nu_k >= 10*GAP_RTOL,
 
+exactly the "nogap", not marginal, result that the root search returns.
 For A_k^-1 P, nu = 1 and ||A_k^-1 A_j|| >= c_j / c_k, so C' >= C - log c_k
 and the preconditioned query is "nogap" when
 
@@ -40,19 +43,20 @@ and the preconditioned query is "nogap" when
 
 This needs C > log c_k, so it skips only an index that is not a vertex of
 the upper convex hull of the points (the Newton polygon of the norms).  The
-factor 20 is twice the chord test's 10, so rounding in the norms cannot
-flip a verdict, and a skipped query is exactly the "nogap", not marginal,
-result that the root search would return.  The prefilter forms nu_k first,
-so a singular A_k raises SingularMatrixError whether or not the query is
-skipped.  It declines when max_j c_j is infinite, which leaves the radial
-polynomial to reject the query, and for a preconditioned query when
+factor 20 is twice the chord test's 10, so that the rounding of A_k^-1 P's
+norms against the bound cannot flip a verdict.  The prefilter forms nu_k
+first, so a singular A_k raises SingularMatrixError whether or not the
+query is skipped.  It declines when max_j c_j is infinite, which leaves the
+radial polynomial to reject the query, and for a preconditioned query when
 max_j c_j / nu_k is, which bounds the norms of A_k^-1 P: forming A_k^-1 P
 then decides, and raises SingularMatrixError when it overflows.
 
-Everything these theorems read from a polynomial (its coefficient norms,
-nu_k, the chord C, A_k^-1 P, Q and Q_R) is built once and kept on it by
-``matpoly``.  This module keeps only the theorems and writes nothing: each
-query is a pure function of what it reads, a Cauchy radius included.
+Everything these theorems read from a polynomial (its coefficient norms
+and their logs, nu_k, the chord (C, t_c), A_k^-1 P, Q and Q_R) is built
+once and kept on it by ``matpoly``.  This module keeps only the theorems
+and writes nothing: each query is a pure function of what it reads, a
+Cauchy radius included, and builds its radial polynomial from the kept
+logs without taking one.
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ from dataclasses import dataclass
 from .linalg import NormKind, SingularMatrixError
 from .matpoly import (MatrixPolynomial, OddDegreeError, _chord, _kept, _nu, _squared,
                       left_precondition)
-from .rootloc import GAP_RTOL, PositiveRoots, SignedRadialPolynomial, positive_roots
+from .rootloc import (_MARGIN, GAP_RTOL, InvalidShapeError, PositiveRoots, SignedRadialPolynomial,
+                      positive_roots)
 
 VARIANT_PLAIN = "plain"
 VARIANT_PRECONDITIONED = "monic-preconditioned"
@@ -75,8 +80,8 @@ GAP = "gap"
 NO_GAP = "nogap"
 UPPER_ONLY = "upper-only"
 
-# A Pellet query is skipped by the norms of P only when its bound clears
-# the chord test's threshold (10 * GAP_RTOL) twice over.
+# A preconditioned Pellet query is skipped by the norms of P only when its
+# bound clears the chord test's threshold (rootloc._MARGIN) twice over.
 _PREFILTER_RTOL = 20.0 * GAP_RTOL
 _NO_ROOTS = PositiveRoots("none")
 
@@ -117,22 +122,31 @@ class GapResult:
 
 
 def _pivot_profile(p: MatrixPolynomial, j: int, kind: NormKind, precondition: bool):
-    """The coefficient norms for ``kind`` and nu = 1/||A_j^-1|| of the
-    polynomial whose radial polynomial pivots on A_j: P itself, or with
+    """The kept record for ``kind`` (``matpoly._Kept``) and nu = 1/||A_j^-1||
+    of the polynomial whose radial polynomial pivots on A_j: P itself, or with
     ``precondition`` A_j^-1 P, whose j-th coefficient is exactly I and so nu
     exactly 1.0.  Raises SingularMatrixError when A_j is singular."""
     if precondition:
         p = left_precondition(p, j)
-    return _kept(p, kind).norms, _nu(p, j, kind)
+    return _kept(p, kind), _nu(p, j, kind)
 
 
-def _radial_roots(norms: list, nu: float, k: int) -> PositiveRoots | None:
-    """Positive roots of f_k(x) = sum_{j != k} norms[j] x^j - nu x^k, or
-    None when every coefficient but the k-th is zero (P = A_k z^k)."""
-    coeffs = norms[:k] + [0.0] + norms[k + 1:]
-    if not any(c > 0.0 for c in coeffs):
+def _radial_roots(kept, nu: float, k: int, chord: tuple | None = None) -> PositiveRoots | None:
+    """Positive roots of f_k(x) = sum_{j != k} ||A_j|| x^j - nu x^k over the
+    norms and their logs in ``kept``, with the kept highest chord (C, t_c)
+    at k when given; None when every coefficient but the k-th is zero
+    (P = A_k z^k).  A norm beyond the double range (inf, or NaN from an SVD
+    whose entries' moduli overflow) raises InvalidShapeError, with the
+    radial polynomial's own message."""
+    norms = kept.norms
+    coeffs = (*norms[:k], 0.0, *norms[k + 1:])
+    # the sum is finite unless a norm is not, or finite norms overflow it
+    if not sum(coeffs) < math.inf and not all(c < math.inf for c in coeffs):
+        raise InvalidShapeError("coefficients must be finite and nonnegative")
+    if not any(coeffs):
         return None
-    return positive_roots(SignedRadialPolynomial(coeffs, k, nu))
+    return positive_roots(SignedRadialPolynomial._from_logs(coeffs, k, nu, kept.logs, math.log(nu),
+                                                            chord))
 
 
 def _cauchy_radius(p: MatrixPolynomial, k: int, kind: NormKind,
@@ -142,10 +156,10 @@ def _cauchy_radius(p: MatrixPolynomial, k: int, kind: NormKind,
     other coefficient is zero (at k = n every eigenvalue is then 0; at k = 0
     the bound r = 0 is trivially valid)."""
     try:
-        norms, nu = _pivot_profile(p, k, kind, precondition)
+        kept, nu = _pivot_profile(p, k, kind, precondition)
     except SingularMatrixError:
         return None
-    roots = _radial_roots(norms, nu, k)
+    roots = _radial_roots(kept, nu, k)
     return 0.0 if roots is None else roots.x1
 
 
@@ -188,18 +202,20 @@ def _chord_proves_none(p: MatrixPolynomial, k: int, kind: NormKind, precondition
     A_k is singular."""
     nu = _nu(p, k, kind)
     kept = _kept(p, kind)
-    top, pivot = max(kept.norms), nu
+    top = max(kept.norms)
     if precondition:
-        top, pivot = top / nu, kept.norms[k]
-    return top < math.inf and _chord(kept, k) - math.log(pivot) >= _PREFILTER_RTOL
+        return top / nu < math.inf and _chord(kept, k)[0] - kept.logs[k] >= _PREFILTER_RTOL
+    return top < math.inf and _chord(kept, k)[0] - math.log(nu) >= _MARGIN
 
 
 def _pellet_roots(p: MatrixPolynomial, k: int, kind: NormKind, precondition: bool) -> PositiveRoots:
     """The roots of Pellet's radial polynomial at index k of P (with
-    ``precondition``, of A_k^-1 P); "none" early when P's norms prove it."""
+    ``precondition``, of A_k^-1 P), whose vertex is the kept chord; "none"
+    early when P's norms prove it."""
     if _chord_proves_none(p, k, kind, precondition):
         return _NO_ROOTS
-    return _radial_roots(*_pivot_profile(p, k, kind, precondition), k)
+    kept, nu = _pivot_profile(p, k, kind, precondition)
+    return _radial_roots(kept, nu, k, _chord(kept, k))
 
 
 def pellet_gap(p: MatrixPolynomial, k: int, kind, precondition: bool = False) -> GapResult:

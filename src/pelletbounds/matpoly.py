@@ -16,9 +16,12 @@ its own slots: per index j, whether A_j is exactly I (``_is_identity``), the
 LU of A_j under ``linalg``'s pivot rule, scaled by the kept infinity norm of
 A_j (``_lu``), and A_j^-1 P solved from it (``left_precondition``); one slot
 each for Q and Q_R (``_squared``); and per norm kind one record (``_kept``)
-of the coefficient norms and, by index j, nu_j = 1/||A_j^-1|| (``_nu``) and
-the highest chord at j of the points (j, log ||A_j||) (``_chord``).  No
-other module builds or writes such data: ``bounds`` only reads it.
+of the coefficient norms, their logs, one ``math.log`` each, and, by index
+j, nu_j = 1/||A_j^-1|| (``_nu``) and the highest chord (C, t_c) at j of
+the points (j, log ||A_j||) (``_chord``), which serves both the prefilter
+of ``bounds`` and, as its vertex, the radial polynomial at j, built from
+the same logs.  No other module builds or writes such data: ``bounds``
+only reads it, and no module divides it by a scale.
 Failures are not kept: a singular pivot raises on every call.  An A_j that
 is exactly I is never factored: nu_j is exactly 1.0 in every norm, and
 I^-1 P is P itself, decided before the slot is read, so no slot of P ever
@@ -134,11 +137,15 @@ def evaluate(p: MatrixPolynomial, z: complex) -> np.ndarray:
 
 @dataclass(slots=True)
 class _Kept:
-    """What a polynomial keeps for one norm kind: its coefficient norms and,
-    by index j (None until first asked for), nu_j and the chord at j of
-    ``_chord``.  Only this module fills it."""
+    """What a polynomial keeps for one norm kind: its coefficient norms,
+    their logs, one ``math.log`` each (-inf for a zero norm, inf or NaN for
+    one beyond the double range), and, by index k (None until first asked
+    for), nu_k and the highest chord (C, t_c) at k of ``_chord``, which the
+    radial polynomial at k takes as its vertex.  Only this module fills
+    it."""
 
     norms: list
+    logs: list
     nu: list
     chord: list
 
@@ -153,15 +160,16 @@ def _is_identity(p: MatrixPolynomial, j: int) -> bool:
 
 
 def _kept(p: MatrixPolynomial, kind: linalg.NormKind) -> _Kept:
-    """P's record for ``kind``, made with its coefficient norms on the first
-    call; a norm beyond the double range is inf, without numpy's overflow
-    warning."""
+    """P's record for ``kind``, made with its coefficient norms and their
+    logs on the first call; a norm beyond the double range is inf, without
+    numpy's overflow warning."""
     kept = p._kinds.get(kind)
     if kept is None:
         with np.errstate(over="ignore"):
             norms = linalg.norm(p.stack, kind).tolist()
+        logs = [-math.inf if c == 0.0 else math.log(c) for c in norms]
         size = len(norms)
-        kept = p._kinds[kind] = _Kept(norms, [None] * size, [None] * size)
+        kept = p._kinds[kind] = _Kept(norms, logs, [None] * size, [None] * size)
     return kept
 
 
@@ -175,14 +183,15 @@ def _lu(p: MatrixPolynomial, j: int) -> tuple:
     return lu
 
 
-def _chord(kept: _Kept, k: int) -> float:
-    """C from the norms of ``kept``, kept there by index: the highest chord
-    at k of the points (j, log ||A_j||) over the nonzero A_j with j != k
-    (``rootloc._highest_chord``), -inf when no such pair straddles k."""
+def _chord(kept: _Kept, k: int) -> tuple:
+    """(C, t_c) from the logs of ``kept``, kept there by index: the highest
+    chord at k of the points (j, log ||A_j||) over the nonzero A_j with
+    j != k and where it is reached (``rootloc._highest_chord``), (-inf, 0.0)
+    when no such pair straddles k."""
     chord = kept.chord[k]
     if chord is None:
-        terms = [(math.log(c), float(j - k)) for j, c in enumerate(kept.norms) if j != k and c > 0.0]
-        chord = kept.chord[k] = _highest_chord(terms)[0]
+        terms = [(a, float(j - k)) for j, a in enumerate(kept.logs) if j != k and a > -math.inf]
+        chord = kept.chord[k] = _highest_chord(terms)
     return chord
 
 

@@ -15,13 +15,15 @@ with f(x) < 0 exactly where h(t) < 0.  h = log(f(x) / (nu x^k) + 1) is
 free of any scale: the unit change c_j -> c_j alpha^j, which maps each
 root x to x / alpha, only shifts h by log(alpha) in t.  All root finding
 is done on h in log-x coordinates, over the log form that a
-SignedRadialPolynomial builds in its constructor, once validated: the
-coefficients and nu are divided by the largest of them, a_j = log c_j is
-kept for each of the N positive terms, and log nu with them (each as
-log c - log scale where the quotient would underflow, so no term is lost),
-and h is a log-sum-exp over them, so degrees up to 100 and widely scaled
-coefficients cannot overflow.  N is small, so h is evaluated with plain
-Python floats: numpy's per-call cost would exceed the arithmetic.
+SignedRadialPolynomial keeps: a_j = log c_j for each of the N positive
+terms and log nu, taken as they are, with no scale and no quotient.  h is
+a log-sum-exp over them, shifted by its largest term, so degrees up to
+100 and coefficients anywhere in the double range cannot overflow.  The
+public constructor validates its arguments and takes these logs;
+``bounds`` hands the same builder the logs of the norms that ``matpoly``
+has checked and keeps (``SignedRadialPolynomial._from_logs``).  N is
+small, so h is evaluated with plain Python floats: numpy's per-call cost
+would exceed the arithmetic.
 
 The envelope.  The Newton-polygon (tropical) envelope of h,
 
@@ -50,12 +52,18 @@ Newton polygon,
 
     delta = max_{i < k < j} ((j-k) a_i + (k-i) a_j) / (j-i) - log(nu),
 
-reached at the crossing t_c of the maximizing pair.  The verdict and its
-margin are read on h alone, so no scale takes part in them: "two" when
-h_min < -GAP_RTOL, else "none", and marginal when |h_min| < 10*GAP_RTOL.
-As h_min >= delta, delta >= 10*GAP_RTOL settles "none" (not marginal)
-without evaluating h; ``bounds`` tries the same test, at twice the margin,
-on a polynomial's kept norms before it builds a radial polynomial at all.
+reached at the crossing t_c of the maximizing pair: C - log(nu) and t_c
+for the highest chord (C, t_c) of ``_highest_chord`` over the terms.
+``matpoly`` keeps (C, t_c) per polynomial, norm kind and index, and
+``bounds`` hands it to the radial polynomial as its vertex, so the chord
+is computed once; the public constructor's polynomial computes it when
+asked.  The verdict and its margin are read on h alone, so no scale takes
+part in them: "two" when h_min < -GAP_RTOL, else "none", and marginal when
+|h_min| < 10*GAP_RTOL.  As h_min >= delta, delta >= 10*GAP_RTOL settles
+"none" (not marginal) without evaluating h.  ``bounds`` tries this test on
+a polynomial's kept norms before it builds a radial polynomial at all: for
+a plain query it is the same float C - log(nu) against the same margin,
+and for a preconditioned one a bound on it at twice the margin.
 Otherwise h is evaluated once at t_c, and h(t_c) < -10*GAP_RTOL settles
 "two" (not marginal).  Failing both, the minimizer of h decides "none" or
 "two" and the marginal flag.  As T(t) >= delta + min|j - k| |t - t_c| and
@@ -74,8 +82,10 @@ from dataclasses import dataclass
 # Existence tolerance for a gap, on h: when the minimum of h is not below
 # -GAP_RTOL, that is f(x) >= -GAP_RTOL nu x^k to first order, the two roots
 # may coincide, so no gap is reported.  Verdicts with |h_min| within 10x
-# of the threshold are flagged marginal.
+# of the threshold (_MARGIN) are flagged marginal, and a chord test at or
+# above it settles "none".
 GAP_RTOL = 1e-10
+_MARGIN = 10.0 * GAP_RTOL
 
 _T_LIMIT = math.log(sys.float_info.max)  # e^t is finite for |t| up to this
 _MAX_ITER = 200
@@ -95,11 +105,12 @@ class SignedRadialPolynomial:
 
     coeffs must be nonnegative with coeffs[neg_index] == 0, neg_value must be
     positive, and at least one other coefficient must be positive.  Once
-    validated, the constructor also keeps f's log form (see the module
-    docstring) in private attributes, which are not dataclass fields: the
-    positive terms in ascending j, each once, as the pairs (a_j, d_j) of the
-    normalized a_j = log c_j and d_j = j - k (``_terms``), the normalized
-    log nu, and the envelope ends tau1 and tau2.
+    validated, the constructor takes the logs and hands them to ``_build``,
+    the one builder, which keeps f's log form (see the module docstring) in
+    private attributes, which are not dataclass fields: the positive terms
+    in ascending j, each once, as the pairs (a_j, d_j) of a_j = log c_j and
+    d_j = j - k (``_terms``), log nu (``_lognu``), the envelope ends tau1
+    and tau2, and the highest chord (C, t_c) when it was given (``_chord``).
     """
 
     coeffs: tuple
@@ -120,23 +131,33 @@ class SignedRadialPolynomial:
             raise InvalidShapeError("coeffs[neg_index] must be zero (it is replaced by -neg_value)")
         if not math.isfinite(neg_value) or neg_value <= 0.0:
             raise InvalidShapeError("neg_value must be positive and finite")
-        largest = max(coeffs)
-        if not largest > 0.0:
+        if not max(coeffs) > 0.0:
             raise InvalidShapeError("need at least one positive coefficient besides the negative term")
-        scale = max(largest, neg_value)
-        log, tiny = math.log, sys.float_info.min
-        # log(c / scale) is the log of the quotient while that is a normal
-        # float, else log c - log scale, which cannot underflow
-        nu = neg_value / scale
-        lognu = log(nu) if nu >= tiny else log(neg_value) - log(scale)
+        logs = [-math.inf if c == 0.0 else math.log(c) for c in coeffs]
+        self._build(coeffs, neg_index, neg_value, logs, math.log(neg_value))
+
+    @classmethod
+    def _from_logs(cls, coeffs: tuple, neg_index: int, neg_value: float, logs: list,
+                   lognu: float, chord: tuple | None) -> "SignedRadialPolynomial":
+        """The radial polynomial of arguments that the constructor would
+        accept, with log c_j (-inf where c_j = 0) and log nu already taken,
+        and the highest chord (C, t_c) of ``_highest_chord`` over its terms
+        or None: no check and no second log."""
+        f = object.__new__(cls)
+        f._build(coeffs, neg_index, neg_value, logs, lognu, chord)
+        return f
+
+    def _build(self, coeffs, neg_index, neg_value, logs, lognu, chord=None):
+        """Keep the fields and the log form: the terms (a_j, d_j) with
+        a_j = logs[j] for each positive c_j, log nu, the envelope ends, and
+        the chord when given (else ``_vertex`` computes it)."""
         terms = []
         # T <= 0 on [tau1, tau2]: right of each falling line's zero, left of
         # each rising line's zero
         tau1, tau2 = -math.inf, math.inf
         for j, c in enumerate(coeffs):
             if c > 0.0:
-                r = c / scale
-                a, d = log(r) if r >= tiny else log(c) - log(scale), float(j - neg_index)
+                a, d = logs[j], float(j - neg_index)
                 terms.append((a, d))
                 z = (lognu - a) / d
                 if d > 0.0:
@@ -146,7 +167,7 @@ class SignedRadialPolynomial:
                     tau1 = z
         # past the frozen __setattr__
         self.__dict__.update(coeffs=coeffs, neg_index=neg_index, neg_value=neg_value,
-                             _terms=terms, _lognu=lognu, _tau1=tau1, _tau2=tau2)
+                             _terms=terms, _lognu=lognu, _tau1=tau1, _tau2=tau2, _chord=chord)
 
     @property
     def degree(self) -> int:
@@ -180,7 +201,7 @@ class SignedRadialPolynomial:
 
     def _vertex(self):
         """(delta, t_c): the minimum of T and where it is reached."""
-        chord, tc = _highest_chord(self._terms)
+        chord, tc = self._chord or _highest_chord(self._terms)
         return chord - self._lognu, tc
 
 
@@ -285,12 +306,12 @@ def positive_roots(f: SignedRadialPolynomial) -> PositiveRoots:
         return PositiveRoots("one", x1=math.exp(_root(f, f._tau1 if below else f._tau2)))
 
     delta, tc = f._vertex()
-    if delta >= 10.0 * GAP_RTOL:
+    if delta >= _MARGIN:
         return PositiveRoots("none")
     marginal = False
-    if f._newton(tc)[0] >= -10.0 * GAP_RTOL:
+    if f._newton(tc)[0] >= -_MARGIN:
         hmin = f._newton(_minimizer(f, tc))[0]
-        marginal = abs(hmin) < 10.0 * GAP_RTOL
+        marginal = abs(hmin) < _MARGIN
         if hmin >= -GAP_RTOL:
             return PositiveRoots("none", marginal=marginal)
     x1, x2 = math.exp(_root(f, f._tau1)), math.exp(_root(f, f._tau2))

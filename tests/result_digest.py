@@ -29,10 +29,15 @@ stack of ``to_scalar`` and of ``embed_even`` (even n) or ``embed_odd``
 
 With ``--against``, the results of both source trees are computed, each in
 its own process (``--lines`` prints them one by one, labelled), and
-compared in order: it prints how many results differ, and the first few,
-each with its index, its instance and query, and both values from a
-little before their first differing character.  This file is a script,
-not a test module; pytest does not collect it.
+compared in order: it prints how many results differ and, when some do,
+how many of those differ only in float digits (the same result with every
+float replaced, a stack or the moduli of the same shape, their bytes read
+as complex128 or float64) and how many in any other way, the largest
+relative move of a float with its label, and the first few results that
+differ in any other way (else the first few float moves), each with its
+index, its instance and query, and both values from a little before their
+first differing character.  This file is a script, not a test module;
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -41,12 +46,20 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 KINDS = ("one", "inf", "two")
 LACUNARY_DRAWS = 200
+
+# a float's repr has a point or an exponent (or is inf or nan); an integer
+# (an index, a count, a shape) has neither and is not a float
+_FLOAT = re.compile(r"-?(?:\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+|\binf\b|\bnan\b)")
+# the bytes of a stack line, after its shape, or of the oracle's moduli
+_BYTES = re.compile(r"(\([\d, ]*\) )([0-9a-f]*)|'([0-9a-f]*)'")
 
 
 def _outcome(fn, *args):
@@ -115,32 +128,77 @@ def _excerpt(line, at, before=40, width=160):
     return ("..." if start else "") + text + ("..." if start + width < len(line) else "")
 
 
-def compare(src, against, count, shown=5):
-    """Print how many results of the two source trees differ, and the first
-    ``shown`` of them."""
-    children = [subprocess.Popen([sys.executable, __file__, "--src", tree, "--count", str(count),
-                                  "--lines"], stdout=subprocess.PIPE, text=True)
-                for tree in (src, against)]
-    total, differ, first = 0, 0, []
-    with children[0].stdout, children[1].stdout:
-        for index, pair in enumerate(itertools.zip_longest(*(c.stdout for c in children))):
-            total += 1
-            if pair[0] == pair[1]:
-                continue
-            differ += 1
-            if len(first) < shown:
-                first.append((index, *(json.loads(side) if side else None for side in pair)))
-    if any(child.wait() for child in children):
-        sys.exit("a result process failed")
-    print(f"{total} results, {differ} differ")
-    for index, ours, theirs in first:
+def _skeleton(label, result):
+    """(the result with every float replaced, its floats): a stack line's
+    shape and its bytes read as complex128, the moduli's as float64."""
+    match = _BYTES.fullmatch(result) if label.endswith((" stack", " moduli")) else None
+    if match:
+        import numpy as np
+
+        shape, data = (match[1], match[2]) if match[1] else ("", match[3])
+        dtype = np.complex128 if shape else np.float64
+        return shape + f"<{len(data)}>", np.frombuffer(bytes.fromhex(data), dtype).tolist()
+    return _FLOAT.sub("#", result), [float(v) for v in _FLOAT.findall(result)]
+
+
+def _move(a, b) -> float:
+    """The relative move |a - b| / max(|a|, |b|) of a float (or complex),
+    0.0 for equal values, inf where either is not finite."""
+    if a == b or (a != a and b != b):
+        return 0.0
+    move = abs(a - b) / max(abs(a), abs(b))
+    return move if move == move else math.inf
+
+
+def _float_move(ours, theirs):
+    """The largest relative move of a float between two results whose
+    label is ``ours[0]``, or None when they differ in any other way."""
+    (shape, x), (other, y) = _skeleton(*ours), _skeleton(*theirs)
+    if shape != other or len(x) != len(y):
+        return None
+    return max(map(_move, x, y), default=0.0)
+
+
+def _report(pairs, shown=5):
+    """The lines that ``compare`` prints for ``pairs``, each a pair of JSON
+    ``[label, result]`` lines (None where one side has no more)."""
+    total, floats, other, largest = 0, [], [], (0.0, None)
+    for index, pair in enumerate(pairs):
+        total += 1
+        if pair[0] == pair[1]:
+            continue
+        ours, theirs = (json.loads(side) if side else None for side in pair)
+        move = _float_move(ours, theirs) if ours and theirs else None
+        kind = other if move is None else floats
+        kind.append((index, ours, theirs))
+        if move is not None and (largest[1] is None or move > largest[0]):
+            largest = (move, ours[0])
+    lines = [f"{total} results, {len(floats) + len(other)} differ"]
+    if floats or other:
+        lines.append(f"{len(floats)} differ only in float digits, {len(other)} in any other way")
+    if floats:
+        lines.append(f"largest relative float move {largest[0]:.3g}: {largest[1]}")
+    for index, ours, theirs in (other or floats)[:shown]:
         label = (ours or theirs)[0]
         ours, theirs = (side[1] if side else "(no result)" for side in (ours, theirs))
         at = next((d for d, (a, b) in enumerate(zip(ours, theirs)) if a != b),
                   min(len(ours), len(theirs)))
-        print(f"#{index} {label}")
-        print(f"  src:     {_excerpt(ours, at)}")
-        print(f"  against: {_excerpt(theirs, at)}")
+        lines += [f"#{index} {label}", f"  src:     {_excerpt(ours, at)}",
+                  f"  against: {_excerpt(theirs, at)}"]
+    return lines
+
+
+def compare(src, against, count, shown=5):
+    """Print how many results of the two source trees differ, how (see the
+    module docstring), and the first ``shown`` of them."""
+    children = [subprocess.Popen([sys.executable, __file__, "--src", tree, "--count", str(count),
+                                  "--lines"], stdout=subprocess.PIPE, text=True)
+                for tree in (src, against)]
+    with children[0].stdout, children[1].stdout:
+        lines = _report(itertools.zip_longest(*(c.stdout for c in children)), shown)
+    if any(child.wait() for child in children):
+        sys.exit("a result process failed")
+    print("\n".join(lines))
 
 
 def main(argv=None):

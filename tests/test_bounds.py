@@ -32,8 +32,8 @@ from pelletbounds import (
     squared_bounds,
     squared_gap,
 )
-from pelletbounds import bounds, linalg, matpoly
-from pelletbounds.bounds import squared_polynomial
+from pelletbounds import bounds, linalg, matpoly, rootloc
+from pelletbounds.bounds import GapResult, squared_polynomial
 from pelletbounds.oracle import EigenReport, check_gap, check_lower
 
 from conftest import criterion_1_instance, rand_matrix, rand_poly, wide_polynomials
@@ -179,7 +179,8 @@ def test_pellet_no_gap():
     # z^2 + z + 1, whose f_1 has no positive root, and z^2 + z, whose terms
     # at k = 1 all lie above k: f_1 = x^2 - x has the one root x = 1, which
     # bounds the moduli only from below and certifies no annulus
-    assert bounds._radial_roots([0.0, 1.0, 1.0], 1.0, 1).kind == "one"
+    f = scalar_polynomial([0.0, 1.0, 1.0])
+    assert bounds._radial_roots(*bounds._pivot_profile(f, 1, NormKind.ONE, False), 1).kind == "one"
     for coeffs in ([1.0, 1.0, 1.0], [0.0, 1.0, 1.0]):
         for pre in (False, True):
             g = pellet_gap(scalar_polynomial(coeffs), 1, "one", precondition=pre)
@@ -212,10 +213,12 @@ def test_pellet_singular_pivot_raises():
         pellet_gap(p, 1, "one")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_pivot_whose_inverse_norm_overflows_is_singular():
     # A_1 = 1e-296 [[1, 1], [1, 1 + 1e-12]] passes the LU pivot test, but
-    # ||A_1^-1|| is about 1e308 / 1e-12: nu_1 cannot be formed in any norm
+    # ||A_1^-1|| is about 1e308 / 1e-12: nu_1 cannot be formed in any norm,
+    # and its 1- and infinity-norm sums pass the double range without
+    # numpy's overflow warning
     a1 = 1e-296 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
     p = MatrixPolynomial([np.eye(2), a1, np.eye(2)])
     for kind in KINDS:
@@ -478,6 +481,14 @@ def _outcome(fn, *args):
         return repr(exc)
 
 
+def _outcome_type(fn):
+    """fn(), or the name of the type of the typed error it raises."""
+    try:
+        return fn()
+    except _INAPPLICABLE as exc:
+        return type(exc).__name__
+
+
 def _prefilter_agrees(polynomials):
     """Run every per-index Pellet query of ``polynomials`` in all three
     norms, plain and preconditioned, and require the public result (tried
@@ -552,15 +563,16 @@ def test_prefilter_keeps_marginal_near_tangent_shape(h_evaluations):
 @pytest.fixture
 def radial_polynomials(monkeypatch):
     """The list of SignedRadialPolynomial constructions, each as its
-    arguments."""
+    arguments: the public constructor and ``bounds``' build from the kept
+    logs both go through ``_build``."""
     built = []
-    init = SignedRadialPolynomial.__init__
+    build = SignedRadialPolynomial._build
 
     def counted(f, *args):
         built.append(args)
-        init(f, *args)
+        build(f, *args)
 
-    monkeypatch.setattr(SignedRadialPolynomial, "__init__", counted)
+    monkeypatch.setattr(SignedRadialPolynomial, "_build", counted)
     return built
 
 
@@ -589,6 +601,44 @@ def test_plain_prefilter_builds_no_radial_polynomial_on_a_criterion_1_instance(
             g = pellet_gap(p, k, kind)
             assert radial_polynomials == [], (kind, k)
             assert g.status == NO_GAP and g == _full_pellet(p, k, kind, False)
+        radial_polynomials.clear()
+        pellet_gap(p, 3, kind)
+        assert len(radial_polynomials) == 1
+
+
+def test_each_chord_is_computed_once_per_polynomial_kind_and_index(monkeypatch):
+    # the chord (C, t_c) at k of a polynomial's norms in one kind serves the
+    # prefilter and the vertex of its radial polynomial, from matpoly's
+    # record: over two passes of every query, rootloc._highest_chord runs at
+    # most once per (norms, k), and never where a Cauchy radius asked
+    calls, highest = [], rootloc._highest_chord
+
+    def counted(terms):
+        # keyed by the kept norms (one list per polynomial and kind) and k,
+        # read off the caller that holds them
+        key, cauchy, frame = None, False, sys._getframe(1)
+        while frame is not None:
+            name, local = frame.f_code.co_name, frame.f_locals
+            if key is None and name in ("_chord", "_radial_roots"):
+                norms = local["kept"].norms if "kept" in local else local["norms"]
+                key = (id(norms), local["k"])
+            cauchy = cauchy or name == "_cauchy_radius"
+            frame = frame.f_back
+        calls.append((key, cauchy))
+        return highest(terms)
+
+    monkeypatch.setattr(rootloc, "_highest_chord", counted)
+    monkeypatch.setattr(matpoly, "_highest_chord", counted)
+    instances = [criterion_1_instance(i) for i in range(144)]  # alive, so no id is reused
+    for _ in range(2):
+        for p, _ in instances:
+            for kind in KINDS:
+                for _, query in _queries(p, kind):
+                    _outcome_type(query)
+    keys = [key for key, _ in calls]
+    assert calls and None not in keys
+    assert not any(cauchy for _, cauchy in calls)
+    assert len(set(keys)) == len(keys)
 
 
 def test_singular_pivot_at_non_vertex_raises_every_time():
@@ -783,6 +833,19 @@ def test_a_pivot_scale_beyond_the_double_range_does_not_warn():
                     pellet_gap(p, 1, kind, precondition=pre)
 
 
+def test_a_two_norm_lost_to_overflow_is_no_zero_coefficient():
+    # |1.5e308 + 1.5e308j| overflows, and LAPACK's SVD returns NaN for the
+    # 2-norm of z + A_0 with that A_0: a NaN norm was read as a zero
+    # coefficient, and the upper radius came out 0.0 with the eigenvalue
+    # beyond the double range; every norm kind is now inapplicable
+    p = MatrixPolynomial([[[1.5e308 + 1.5e308j]], [[1.0]]])
+    assert math.isnan(linalg.norm(p.stack[0], "two"))
+    for kind in KINDS:
+        for pre in (False, True):
+            with pytest.raises(InvalidShapeError, match="coefficients must be finite"):
+                cauchy_bounds(p, kind, pre)
+
+
 # the errors by which a query on a valid polynomial says that a theorem does
 # not apply; anything else (a ValueError above all) is a fault
 _INAPPLICABLE = (SingularMatrixError, InvalidShapeError, OddDegreeError, OddIndexError)
@@ -804,10 +867,9 @@ def _wide_range_polynomials(draw):
     return MatrixPolynomial(stack)
 
 
-# a 1-/inf-norm of a pivot's inverse (nu) beyond the double range still
-# warns (numpy's overflow RuntimeWarning; the coefficient norms and the
-# pivot scale do not); the verdict there is "inapplicable"
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# no norm beyond the double range warns: not a coefficient's, not a
+# pivot's (its LU scale) and not that of a pivot's inverse (nu)
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=400, deadline=None)
 @given(_wide_range_polynomials())
 def test_no_valid_polynomial_ends_in_an_untyped_error(p):
@@ -879,6 +941,66 @@ def test_pellet_verdicts_do_not_depend_on_the_unit_of_z():
                             assert math.ldexp(got.x1, e) == pytest.approx(g.x1, rel=1e-12, abs=0.0), where
                             assert math.ldexp(got.x2, e) == pytest.approx(g.x2, rel=1e-12, abs=0.0), where
     assert pairs > 25000
+
+
+def _block_diagonal(p):
+    """P + P: each coefficient A_j replaced by diag(A_j, A_j), so every
+    eigenvalue of P twice."""
+    d = np.zeros((p.n + 1, 2 * p.m, 2 * p.m), dtype=np.complex128)
+    d[:, :p.m, :p.m] = d[:, p.m:, p.m:] = p.stack
+    return MatrixPolynomial(d)
+
+
+def _queries(p, kind, indices=(None, 0, 1)):
+    """(name, thunk) for every public query of ``tests/result_digest.py`` on
+    P in ``kind``: Cauchy, squared and Pellet, plain and preconditioned,
+    the squared bounds at each ``precondition_index`` of ``indices``."""
+    for pre in (False, True):
+        yield f"cauchy {pre}", lambda pre=pre: cauchy_bounds(p, kind, pre)
+        for k in range(1, p.n):
+            yield f"pellet {k} {pre}", lambda k=k, pre=pre: pellet_gap(p, k, kind, pre)
+            yield f"squared_gap {k} {pre}", lambda k=k, pre=pre: squared_gap(p, k, kind, pre)
+    for use_reciprocal in (False, True):
+        for index in indices:
+            yield (f"squared_bounds {use_reciprocal} {index}",
+                   lambda r=use_reciprocal, j=index: squared_bounds(p, kind, r, j))
+
+
+def _same_radius(got, want):
+    return got is None and want is None or (
+        got is not None and want is not None and got == pytest.approx(want, rel=1e-13, abs=0.0))
+
+
+def test_block_diagonal_doubles_every_count_and_keeps_every_radius():
+    # P + P has P's eigenvalues, each twice, and in every norm kind the same
+    # coefficient norms and nu_k as P: so each query keeps its status (a
+    # marginal verdict excepted) or its error type, a gap counts twice the
+    # eigenvalues, and every radius agrees to rounding; B_1 of Q is too
+    # often ill-conditioned for B_1^-1 Q to agree so closely (3e-6 relative
+    # on one instance here), so the squared bounds leave index 1 out
+    pairs = 0
+    for i, p in enumerate(wide_polynomials(11, 300, 3, 8)):
+        d = _block_diagonal(p)
+        for kind in KINDS:
+            for (name, query), (_, doubled) in zip(_queries(p, kind, (None, 0)),
+                                                   _queries(d, kind, (None, 0))):
+                where = (i, kind, name)
+                pairs += 1
+                want, got = (_outcome_type(q) for q in (query, doubled))
+                if isinstance(want, str) or isinstance(got, str):
+                    assert got == want, where
+                elif isinstance(want, GapResult):
+                    if want.marginal or got.marginal:
+                        continue
+                    assert got.status == want.status, where
+                    if want.status == GAP:
+                        assert got.eig_count_inside == 2 * want.eig_count_inside, where
+                    assert _same_radius(got.x1, want.x1) and _same_radius(got.x2, want.x2), where
+                else:
+                    assert got.variant == want.variant, where
+                    assert _same_radius(got.upper, want.upper), where
+                    assert _same_radius(got.lower, want.lower), where
+    assert pairs > 19000
 
 
 def test_cauchy_radii_follow_the_unit_of_z_and_squared_radii_do_not(rng):

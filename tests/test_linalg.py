@@ -155,6 +155,28 @@ def test_batched_norms_equal_per_coefficient_norms(rng, m):
         assert list(batched) == [norm(c, kind) for c in p.stack]
 
 
+def test_two_norm_does_not_depend_on_the_sign_of_a_zero():
+    # LAPACK's largest singular value of [[-0.0, -1.2], [1.1, 0.4]] was
+    # 0x1.5f98423df9a07p+0, and 0x1.5f98423df9a05p+0 with +0.0
+    a = np.array([[-0.0, -1.2], [1.1, 0.4]])
+    twin = np.array([[0.0, -1.2], [1.1, 0.4]])
+    assert norm(a, "two").hex() == norm(twin, "two").hex() == "0x1.5f98423df9a05p+0"
+    assert [v.hex() for v in norm(np.array([a, twin]), "two")] == ["0x1.5f98423df9a05p+0"] * 2
+    # seeded 1x1 to 3x3 matrices with zero real and imaginary parts, each
+    # of a random sign, against a twin with every zero's sign redrawn
+    rng = np.random.default_rng(2027)
+    for _ in range(2000):
+        m = int(rng.integers(1, 4))
+        parts = rng.uniform(-2.0, 2.0, (2, m, m))
+        zero = rng.uniform(size=(2, m, m)) < 0.4
+        signs, redrawn = (rng.choice([-1.0, 1.0], (2, m, m)) for _ in range(2))
+        a, twin = (np.empty((m, m), np.complex128) for _ in range(2))
+        for z, sign in ((a, signs), (twin, redrawn)):
+            z.real, z.imag = np.where(zero, np.copysign(0.0, sign), parts)
+        for kind in KINDS:
+            assert norm(a, kind).hex() == norm(twin, kind).hex()
+
+
 def test_inv_norm_inv_two_singular_raises():
     with pytest.raises(SingularMatrixError):
         _nu(np.ones((3, 3)), "two")
