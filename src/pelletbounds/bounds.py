@@ -135,13 +135,11 @@ def _radial_roots(kept, nu: float, k: int, chord: tuple | None = None) -> Positi
     """Positive roots of f_k(x) = sum_{j != k} ||A_j|| x^j - nu x^k over the
     norms and their logs in ``kept``, with the kept highest chord (C, t_c)
     at k when given; None when every coefficient but the k-th is zero
-    (P = A_k z^k).  A norm beyond the double range (inf, or NaN from an SVD
-    whose entries' moduli overflow) raises InvalidShapeError, with the
-    radial polynomial's own message."""
+    (P = A_k z^k).  A norm beyond the double range, kept as inf, raises
+    InvalidShapeError, with the radial polynomial's own message."""
     norms = kept.norms
     coeffs = (*norms[:k], 0.0, *norms[k + 1:])
-    # the sum is finite unless a norm is not, or finite norms overflow it
-    if not sum(coeffs) < math.inf and not all(c < math.inf for c in coeffs):
+    if not all(c < math.inf for c in coeffs):
         raise InvalidShapeError("coefficients must be finite and nonnegative")
     if not any(coeffs):
         return None

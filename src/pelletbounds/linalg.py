@@ -45,7 +45,6 @@ import glob
 import importlib.machinery
 import importlib.util
 import os
-import sys
 
 import numpy as np
 
@@ -140,22 +139,11 @@ def _norms(arr: np.ndarray, kind: NormKind):
     """Norms over the last two axes of a validated array.  The 2-norm is
     taken of ``arr + 0.0``, in which every -0.0 is +0.0: LAPACK's largest
     singular value can move by an ulp with the sign of a zero entry."""
-    if kind is NormKind.TWO:
-        return np.linalg.svd(arr + 0.0, compute_uv=False)[..., 0]
-    return _sums(np.abs(arr), kind)
-
-
-def _sums(moduli: np.ndarray, kind: NormKind):
-    """The 1-norm (largest column sum) or infinity norm (largest row sum)
-    over the last two axes, from the entries' moduli."""
-    return moduli.sum(axis=-2 if kind is NormKind.ONE else -1).max(axis=-1)
-
-
-def _finite(x: np.ndarray) -> np.ndarray:
-    """``x``, a solution; SingularMatrixError when an entry is not finite."""
-    if not np.isfinite(x).all():
-        raise SingularMatrixError("solution is not finite")
-    return x
+    if kind is NormKind.ONE:
+        return np.abs(arr).sum(axis=-2).max(axis=-1)
+    if kind is NormKind.INF:
+        return np.abs(arr).sum(axis=-1).max(axis=-1)
+    return np.linalg.svd(arr + 0.0, compute_uv=False)[..., 0]
 
 
 def _factor(a: np.ndarray, scale: float) -> tuple:
@@ -181,7 +169,10 @@ def _solve(factor: tuple, b: np.ndarray) -> np.ndarray:
         k, m, p = b.shape
         x = _solve(factor, b.transpose(1, 0, 2).reshape(m, k * p))
         return x.reshape(m, k, p).transpose(1, 0, 2)
-    return _finite(lapack.zgetrs(*factor, b)[0])
+    x = lapack.zgetrs(*factor, b)[0]
+    if not np.isfinite(x).all():
+        raise SingularMatrixError("solution is not finite")
+    return x
 
 
 def _inv_norm_inv(factor: tuple, kind: NormKind) -> float:
@@ -195,20 +186,8 @@ def _inv_norm_inv(factor: tuple, kind: NormKind) -> float:
     tighten a bound past the spectrum.  Raises SingularMatrixError when the
     norm of the inverse overflows, without numpy's overflow warning.
     """
-    m = factor[0].shape[0]
-    if kind is NormKind.TWO:
-        norm = _norms(_solve(factor, identity(m)), kind)
-    else:
-        # the moduli serve the finiteness test and the sums alike; a sum of
-        # m of them can pass the double range only above DBL_MAX / m
-        inv = lapack.zgetrs(*factor, identity(m))[0]
-        moduli = np.abs(inv)
-        if moduli.max() <= sys.float_info.max / m:
-            norm = _sums(moduli, kind)
-        else:
-            _finite(inv)
-            with np.errstate(over="ignore"):
-                norm = _sums(moduli, kind)
+    with np.errstate(over="ignore"):
+        norm = _norms(_solve(factor, identity(factor[0].shape[0])), kind)
     nu = 1.0 / float(norm)
     if not nu > 0.0:
         raise SingularMatrixError("the norm of the inverse overflows")

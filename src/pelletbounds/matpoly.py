@@ -138,8 +138,8 @@ def evaluate(p: MatrixPolynomial, z: complex) -> np.ndarray:
 @dataclass(slots=True)
 class _Kept:
     """What a polynomial keeps for one norm kind: its coefficient norms,
-    their logs, one ``math.log`` each (-inf for a zero norm, inf or NaN for
-    one beyond the double range), and, by index k (None until first asked
+    their logs, one ``math.log`` each (-inf for a zero norm, inf for one
+    beyond the double range), and, by index k (None until first asked
     for), nu_k and the highest chord (C, t_c) at k of ``_chord``, which the
     radial polynomial at k takes as its vertex.  Only this module fills
     it."""
@@ -162,11 +162,12 @@ def _is_identity(p: MatrixPolynomial, j: int) -> bool:
 def _kept(p: MatrixPolynomial, kind: linalg.NormKind) -> _Kept:
     """P's record for ``kind``, made with its coefficient norms and their
     logs on the first call; a norm beyond the double range is inf, without
-    numpy's overflow warning."""
+    numpy's overflow warning, also where LAPACK's SVD returns NaN for it
+    (an entry whose modulus overflows)."""
     kept = p._kinds.get(kind)
     if kept is None:
         with np.errstate(over="ignore"):
-            norms = linalg.norm(p.stack, kind).tolist()
+            norms = [math.inf if math.isnan(c) else c for c in linalg.norm(p.stack, kind).tolist()]
         logs = [-math.inf if c == 0.0 else math.log(c) for c in norms]
         size = len(norms)
         kept = p._kinds[kind] = _Kept(norms, logs, [None] * size, [None] * size)

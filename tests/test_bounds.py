@@ -220,10 +220,14 @@ def test_pivot_whose_inverse_norm_overflows_is_singular():
     # and its 1- and infinity-norm sums pass the double range without
     # numpy's overflow warning
     a1 = 1e-296 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
-    p = MatrixPolynomial([np.eye(2), a1, np.eye(2)])
-    for kind in KINDS:
-        with pytest.raises(SingularMatrixError, match="the norm of the inverse overflows"):
-            pellet_gap(p, 1, kind)
+    # and a 1x1 pivot whose inverse, about 1.5e308 (1 - 1j), has finite
+    # parts but a modulus beyond the double range
+    b1 = [[3.3e-309 * (1.0 + 1.0j)]]
+    for p in (MatrixPolynomial([np.eye(2), a1, np.eye(2)]),
+              MatrixPolynomial([[[1.0]], b1, [[1.0]]])):
+        for kind in KINDS:
+            with pytest.raises(SingularMatrixError, match="the norm of the inverse overflows"):
+                pellet_gap(p, 1, kind)
 
 
 # --- index arguments ------------------------------------------------------
@@ -844,6 +848,13 @@ def test_a_two_norm_lost_to_overflow_is_no_zero_coefficient():
         for pre in (False, True):
             with pytest.raises(InvalidShapeError, match="coefficients must be finite"):
                 cauchy_bounds(p, kind, pre)
+    # the record keeps that norm as inf, so the plain Pellet prefilter
+    # declines wherever it sits (a NaN read by max() after a finite norm
+    # gave "nogap"), and the radial polynomial rejects the query
+    big = [[1.5e308 + 1.5e308j]]
+    for stack in ([[[1.0]], [[1e-3]], [[1.0]], big], [big, [[1.0]], [[1e-3]], [[1.0]]]):
+        with pytest.raises(InvalidShapeError, match="coefficients must be finite"):
+            pellet_gap(MatrixPolynomial(stack), 1, "two")
 
 
 # the errors by which a query on a valid polynomial says that a theorem does
