@@ -16,10 +16,10 @@ degree via --poly "1,-3,2".
 Exit codes: 0 success, 1 input error (an unwritable --out or a closed
 stdout included), 2 singular/inapplicable, 3 numerical failure (an
 eigensolve that does not converge, an eigenvalue beyond the double range,
-or oracle moduli outside the 1-norm Cauchy radii).  A query runs with
-numpy's overflow and invalid-value warnings off: where a norm or a product
-overflows, the exit code and its message already say that the query is
-inapplicable.
+or oracle moduli outside the 1-norm Cauchy radii).  Where a norm or a
+product overflows, the library itself returns inf or raises, without
+numpy's warning (``linalg.norm``, ``matpoly.square_repartition``), so the
+exit code and its message are all that a query prints about it.
 
 A query pays for what it runs.  The command line is a program and not a
 library, so importing this module sets two process-wide things:
@@ -59,8 +59,6 @@ if not any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
 # no collector pass ever walks what these imports make (module docstring)
 gc.disable()
 try:
-    import numpy as np
-
     from . import bounds as bounds_mod
     from . import matpoly
     from .embed import (InvalidDegreeError, LacunaryPolynomial, ZeroLeadingError, embed_even,
@@ -357,9 +355,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags; remap to the input-error code
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        # numpy's overflow warnings would only repeat the verdict below
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+        return args.func(args)
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -84,7 +84,8 @@ class ExperimentConfig:
     ex2-ex4 one.  ``m`` applies to ex1, ``eta`` to ex2, ``n`` to ex4.
     ``scale_per_entry`` switches ex1 to drawing one scale factor per
     coefficient entry instead of one per coefficient matrix.  ``trials``,
-    ``seed``, ``m`` and ``n`` are kept as ints (``operator.index``).
+    ``seed``, ``m`` and ``n`` are kept as ints (``operator.index``), and
+    ``scale_per_entry`` must be a bool: each raises TypeError otherwise.
     """
 
     example_id: str
@@ -101,6 +102,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown example {self.example_id!r}")
         for name in ("trials", "seed", "m", "n"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
+        if not isinstance(self.scale_per_entry, bool):
+            raise TypeError("scale_per_entry must be a bool")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:

@@ -6,7 +6,9 @@ coefficients travel.  Every public entry point validates its input and
 rejects non-finite entries, so downstream code can assume clean data.  The
 2-norm is the largest singular value from LAPACK's SVD: a 2-norm bound is
 sound only if the norm is never underestimated, which rules out iterations
-that can stop at a smaller singular value.
+that can stop at a smaller singular value.  A norm beyond the double range
+is inf in every kind, without numpy's overflow warning; this module alone
+decides that, and callers read the inf as it is.
 
 There is one pivot path, and ``matpoly`` is its only user: it keeps one
 factorization per coefficient (see there) and solves from it.  ``_factor``
@@ -128,22 +130,30 @@ def norm(a, kind):
 
     For a 2-D matrix this is a float; for a stack of shape (k, m, m) it is
     the array of the k norms, taken in one reduction (one batched SVD for
-    the 2-norm).
+    the 2-norm).  A norm beyond the double range is inf, without numpy's
+    overflow warning, in every kind: this function and ``_norms`` are where
+    that rule lives.  For the 2-norm it maps to inf the NaN that LAPACK's
+    SVD returns when the modulus of an entry overflows.
     """
     arr = _as_finite(a, (2, 3))
-    norms = _norms(arr, NormKind.coerce(kind))
+    kind = NormKind.coerce(kind)
+    norms = _norms(arr, kind)
+    if kind is NormKind.TWO:
+        norms = np.where(np.isnan(norms), np.inf, norms)
     return float(norms) if arr.ndim == 2 else norms
 
 
 def _norms(arr: np.ndarray, kind: NormKind):
-    """Norms over the last two axes of a validated array.  The 2-norm is
-    taken of ``arr + 0.0``, in which every -0.0 is +0.0: LAPACK's largest
-    singular value can move by an ulp with the sign of a zero entry."""
-    if kind is NormKind.ONE:
-        return np.abs(arr).sum(axis=-2).max(axis=-1)
-    if kind is NormKind.INF:
-        return np.abs(arr).sum(axis=-1).max(axis=-1)
-    return np.linalg.svd(arr + 0.0, compute_uv=False)[..., 0]
+    """Norms over the last two axes of a validated array; a 1- or
+    infinity-norm beyond the double range is inf, summed without numpy's
+    overflow warning.  The 2-norm is taken of ``arr + 0.0``, in which every
+    -0.0 is +0.0: LAPACK's largest singular value can move by an ulp with
+    the sign of a zero entry.  It is NaN where the modulus of an entry
+    overflows, which ``norm`` maps to inf."""
+    if kind is NormKind.TWO:
+        return np.linalg.svd(arr + 0.0, compute_uv=False)[..., 0]
+    with np.errstate(over="ignore"):
+        return np.abs(arr).sum(axis=-2 if kind is NormKind.ONE else -1).max(axis=-1)
 
 
 def _factor(a: np.ndarray, scale: float) -> tuple:
@@ -184,11 +194,11 @@ def _inv_norm_inv(factor: tuple, kind: NormKind) -> float:
     from an SVD of ``a`` carries an absolute error of order eps * sigma_max
     and overestimates 1/||a^-1|| on ill-conditioned matrices, which would
     tighten a bound past the spectrum.  Raises SingularMatrixError when the
-    norm of the inverse overflows, without numpy's overflow warning.
+    norm of the inverse overflows: ``_norms`` sums it to inf without a
+    warning, and a 2-norm lost to an overflowing entry is NaN, whose
+    reciprocal fails the same test.
     """
-    with np.errstate(over="ignore"):
-        norm = _norms(_solve(factor, identity(factor[0].shape[0])), kind)
-    nu = 1.0 / float(norm)
+    nu = 1.0 / float(_norms(_solve(factor, identity(factor[0].shape[0])), kind))
     if not nu > 0.0:
         raise SingularMatrixError("the norm of the inverse overflows")
     return nu

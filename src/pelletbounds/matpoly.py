@@ -161,13 +161,11 @@ def _is_identity(p: MatrixPolynomial, j: int) -> bool:
 
 def _kept(p: MatrixPolynomial, kind: linalg.NormKind) -> _Kept:
     """P's record for ``kind``, made with its coefficient norms and their
-    logs on the first call; a norm beyond the double range is inf, without
-    numpy's overflow warning, also where LAPACK's SVD returns NaN for it
-    (an entry whose modulus overflows)."""
+    logs on the first call; a norm beyond the double range is inf, as
+    ``linalg.norm`` returns it."""
     kept = p._kinds.get(kind)
     if kept is None:
-        with np.errstate(over="ignore"):
-            norms = [math.inf if math.isnan(c) else c for c in linalg.norm(p.stack, kind).tolist()]
+        norms = linalg.norm(p.stack, kind).tolist()
         logs = [-math.inf if c == 0.0 else math.log(c) for c in norms]
         size = len(norms)
         kept = p._kinds[kind] = _Kept(norms, logs, [None] * size, [None] * size)

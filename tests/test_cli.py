@@ -426,10 +426,14 @@ def _overflowing_norm_poly(tmp_path, n):
 
 
 def test_overflowing_norm_prints_only_the_verdict(tmp_path):
-    # the 1-norm sum overflows in numpy, whose RuntimeWarning the query
-    # keeps off stderr: the one line there is the verdict
+    # the 1-norm sum overflows in numpy, and LAPACK's SVD returns NaN for a
+    # 2-norm whose entry's modulus overflows; the library reads both as inf
+    # without numpy's RuntimeWarning, so the one line on stderr is the verdict
+    two = tmp_path / "two.json"
+    two.write_text(matpoly.to_json(matpoly.MatrixPolynomial([[[1.5e308 + 1.5e308j]], [[1.0]]])))
     for argv in (("bounds", "--input", _overflowing_norm_poly(tmp_path, 1)),
-                 ("gap", "--input", _overflowing_norm_poly(tmp_path, 2), "--k", "1")):
+                 ("gap", "--input", _overflowing_norm_poly(tmp_path, 2), "--k", "1"),
+                 ("bounds", "--input", str(two), "--norm", "two")):
         proc = _run_fresh(argv, capture_output=True, text=True)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.splitlines() == [

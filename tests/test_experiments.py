@@ -147,6 +147,16 @@ def test_config_integers_must_be_integers(field):
     assert getattr(cfg, field) == 6 and type(getattr(cfg, field)) is int
 
 
+def test_config_scale_per_entry_must_be_a_bool():
+    # scale_per_entry="no" was kept as a truthy string: ex1 drew one scale
+    # per entry and the header said scale_per_entry=true
+    for value in ("no", 1, None, np.bool_(True)):
+        with pytest.raises(TypeError, match="scale_per_entry must be a bool"):
+            ExperimentConfig("ex1", scale_per_entry=value)
+    assert ExperimentConfig("ex1", scale_per_entry=False).describe() == (
+        "ex1 trials=200 seed=0 norms=one m=10")
+
+
 def _patched_instances(monkeypatch, edit):
     """Make every trial's instance ``edit`` of the one it would draw."""
     draw = experiments._trial_instance

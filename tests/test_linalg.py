@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 import subprocess
 import sys
@@ -175,6 +176,20 @@ def test_two_norm_does_not_depend_on_the_sign_of_a_zero():
             z.real, z.imag = np.where(zero, np.copysign(0.0, sign), parts)
         for kind in KINDS:
             assert norm(a, kind).hex() == norm(twin, kind).hex()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_norm_past_the_double_range_is_inf_without_a_warning():
+    # the 1- and infinity-norm sums overflowed with numpy's RuntimeWarning,
+    # and LAPACK's SVD returned NaN for the 2-norm of an entry whose
+    # modulus overflows
+    for a, kind in (([[1e308], [1e308]], "one"), ([[1e308, 1e308]], "inf"),
+                    ([[1.5e308 + 1.5e308j]], "two")):
+        assert norm(a, kind) == math.inf
+        # stacked over [[1.0]], padded with zeros to the shape of a
+        unit = np.zeros(np.shape(a))
+        unit[0, 0] = 1.0
+        assert list(norm(np.array([a, unit]), kind)) == [math.inf, 1.0]
 
 
 def test_inv_norm_inv_two_singular_raises():
