@@ -46,10 +46,12 @@ the upper convex hull of the points (the Newton polygon of the norms).  The
 factor 20 is twice the chord test's 10, so that the rounding of A_k^-1 P's
 norms against the bound cannot flip a verdict.  The prefilter forms nu_k
 first, so a singular A_k raises SingularMatrixError whether or not the
-query is skipped.  It declines when max_j c_j is infinite, which leaves the
-radial polynomial to reject the query, and for a preconditioned query when
-max_j c_j / nu_k is, which bounds the norms of A_k^-1 P: forming A_k^-1 P
-then decides, and raises SingularMatrixError when it overflows.
+query is skipped.  It declines only when max_j c_j is infinite, which
+leaves the radial polynomial to reject the query.  The preconditioned bound
+holds for the exact A_k^-1 P, whether or not its coefficients fit in
+doubles, so "nogap" stands even where forming A_k^-1 P would raise: the
+prefilter does not predict the transform, which ``matpoly.left_precondition``
+alone decides.
 
 Everything these theorems read from a polynomial (its coefficient norms
 and their logs, nu_k, the chord (C, t_c), A_k^-1 P, Q and Q_R) is built
@@ -196,13 +198,14 @@ def _gap_result(k: int, roots: PositiveRoots, count: int, kind: NormKind, varian
 def _chord_proves_none(p: MatrixPolynomial, k: int, kind: NormKind, precondition: bool) -> bool:
     """Whether P's coefficient norms, nu_k and their chord C at k prove the
     chord test's "none" at k, for P itself or, with ``precondition``, for
-    A_k^-1 P (see the module docstring); raises SingularMatrixError when
-    A_k is singular."""
+    the exact A_k^-1 P, whether or not ``left_precondition`` can form it
+    (see the module docstring); raises SingularMatrixError when A_k is
+    singular."""
     nu = _nu(p, k, kind)
     kept = _kept(p, kind)
     top = max(kept.norms)
     if precondition:
-        return top / nu < math.inf and _chord(kept, k)[0] - kept.logs[k] >= _PREFILTER_RTOL
+        return top < math.inf and _chord(kept, k)[0] - kept.logs[k] >= _PREFILTER_RTOL
     return top < math.inf and _chord(kept, k)[0] - math.log(nu) >= _MARGIN
 
 

@@ -63,7 +63,7 @@ try:
     from . import matpoly
     from .embed import (InvalidDegreeError, LacunaryPolynomial, ZeroLeadingError, embed_even,
                         embed_odd)
-    from .linalg import NoConvergenceError, NormKind, SingularMatrixError
+    from .linalg import NoConvergenceError, SingularMatrixError
     from .matpoly import MatrixPolynomial, NotMonicError, OddDegreeError
     from .oracle import SoundnessError, check_lower, check_upper, eigen_oracle
     from .rootloc import InvalidShapeError
@@ -179,16 +179,15 @@ def _fmt_opt(v) -> str:
 
 def _cmd_bounds(args) -> int:
     p = _load_polynomial(args)
-    kinds = [NormKind.coerce(k) for k in (args.norm or ["one"])]
     rows = []
-    for kind in kinds:
+    for kind in args.norm or ["one"]:
         if args.variant == "p":
             cb = bounds_mod.cauchy_bounds(p, kind, precondition=args.precondition)
         else:
             idx = 0 if args.precondition else None
             cb = bounds_mod.squared_bounds(p, kind, use_reciprocal=(args.variant == "qr"),
                                            precondition_index=idx)
-        rows.append((kind.value, cb))
+        rows.append((cb.norm_kind.value, cb))
     if args.format == "json":
         payload = [{"norm": k, "variant": cb.variant, "upper": cb.upper, "lower": cb.lower}
                    for k, cb in rows]
@@ -207,9 +206,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_gap(args) -> int:
     p = _load_polynomial(args)
-    kinds = [NormKind.coerce(k) for k in (args.norm or ["one"])]
     query = bounds_mod.squared_gap if args.variant == "q" else bounds_mod.pellet_gap
-    results = [query(p, args.k, kind, precondition=args.precondition) for kind in kinds]
+    results = [query(p, args.k, kind, precondition=args.precondition)
+               for kind in args.norm or ["one"]]
     if args.format == "json":
         payload = [{"norm": g.norm_kind.value, "variant": g.variant, "k": g.k,
                     "status": g.status, "x1": g.x1, "x2": g.x2,
@@ -249,7 +248,7 @@ def _cmd_oracle(args) -> int:
     # moduli that the 1-norm Cauchy radii contradict are a numerical failure;
     # an absent radius, or one past the double range, tests nothing
     try:
-        cb = bounds_mod.cauchy_bounds(p, NormKind.ONE)
+        cb = bounds_mod.cauchy_bounds(p, "one")
         checks = ((check_upper, cb.upper), (check_lower, cb.lower))
     except InvalidShapeError:
         checks = ()

@@ -366,17 +366,6 @@ def _pct(count: int, denom: int) -> float:
     return 100.0 * count / denom if denom else math.nan
 
 
-def _best_index(values, names, maximize: bool):
-    """Index of the winning variant; ties keep the first-listed one."""
-    best = None
-    for i, v in enumerate(values):
-        if v is None:
-            continue
-        if best is None or (v > values[best] if maximize else v < values[best]):
-            best = i
-    return None if best is None else names[best]
-
-
 class _BoundRatios:
     """Upper or lower radii of named variants over trials.
 
@@ -403,9 +392,10 @@ class _BoundRatios:
             else:
                 check_lower(rep, value, f"{label} lower {name}")
                 ratios.append(100.0 * value / rep.min_modulus)
-        win = _best_index([values[v] for v in self.best_of], self.best_of, maximize=not self.upper)
-        if win is not None:
-            self.best[win] += 1
+        present = [v for v in self.best_of if values[v] is not None]
+        if present:
+            # min and max keep the first of equal values
+            self.best[(min if self.upper else max)(present, key=values.get)] += 1
 
     def rows(self) -> list:
         """[variant, mean, std, best_count, skipped] per variant; mean and std

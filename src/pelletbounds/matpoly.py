@@ -22,10 +22,14 @@ the points (j, log ||A_j||) (``_chord``), which serves both the prefilter
 of ``bounds`` and, as its vertex, the radial polynomial at j, built from
 the same logs.  No other module builds or writes such data: ``bounds``
 only reads it, and no module divides it by a scale.
-Failures are not kept: a singular pivot raises on every call.  An A_j that
-is exactly I is never factored: nu_j is exactly 1.0 in every norm, and
-I^-1 P is P itself, decided before the slot is read, so no slot of P ever
-holds P.
+Failures are not kept: a singular pivot raises on every call.
+``left_precondition`` alone decides whether A_k^-1 P can be used: it
+raises SingularMatrixError when the pivot fails ``linalg``'s rule or a
+coefficient that P has is lost in the solve, to overflow or underflow, and
+every transform built on it (``monicize``, ``reciprocal``, Q and Q_R)
+inherits that verdict.  An A_j that is exactly I is never factored: nu_j
+is exactly 1.0 in every norm, and I^-1 P is P itself, decided before the
+slot is read, so no slot of P ever holds P.
 
 The public constructor checks what comes from outside; a transform here
 checks what it makes itself and freezes its own C-contiguous stack through
@@ -47,6 +51,14 @@ import numpy as np
 from . import linalg
 from .linalg import SingularMatrixError, identity
 from .rootloc import _highest_chord
+
+# The smallest normal double: an A_k^-1 A_j with no entry this large has lost
+# its coefficient to underflow.
+_NORMAL_MIN = 2.0 ** -1022
+# ||A_k^-1 A_j|| >= ||A_j|| / ||A_k||, and an m-by-m matrix has an entry of
+# at least its infinity norm over m: where ||A_j|| >= 2^-960 ||A_k||, that
+# entry lies 2^62 / m above _NORMAL_MIN, beyond what the solve can round away.
+_LOSS_RATIO = 2.0 ** -960
 
 
 class NotMonicError(Exception):
@@ -216,9 +228,14 @@ def left_precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
     A_index is exactly I, this is P itself: no LU, no solve, no copy.
 
     Raises SingularMatrixError when A_index fails the pivot rule of
-    ``linalg``, when the solve overflows, or when A_index^-1 A_n underflows
-    to zero: the pivot then cannot carry the polynomial.  A non-integer
-    ``index`` raises TypeError before any slot is read.
+    ``linalg``, or when a coefficient that P has (A_j != 0) is lost in the
+    solve: A_index^-1 A_j overflows, or none of its entries reaches the
+    normal double range.  The pivot then cannot carry the polynomial, and
+    this is the one place that decides so.  As ||A_index^-1 A_j|| >=
+    ||A_j|| / ||A_index||, only an A_j whose kept infinity norm is below
+    ``_LOSS_RATIO`` times that of A_index can lose every entry, and only
+    such an A_j has its entries read.  A non-integer ``index`` raises
+    TypeError before any slot is read.
     """
     index = operator.index(index)
     if not 0 <= index <= p.n:
@@ -231,8 +248,12 @@ def left_precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
         # _solve returns a transposed view and checks that it is finite
         stack = np.ascontiguousarray(linalg._solve(_lu(p, index), p.stack))
         stack[index] = identity(p.m)
-        if not stack[-1].any():
-            raise SingularMatrixError("the preconditioned leading coefficient underflows to zero")
+        norms = _kept(p, linalg.NormKind.INF).norms
+        floor = _LOSS_RATIO * norms[index]
+        for j, c in enumerate(norms):
+            if 0.0 < c < floor and not np.abs(stack[j]).max() >= _NORMAL_MIN:
+                raise SingularMatrixError(f"the preconditioned coefficient A_{index}^-1 A_{j} "
+                                          "underflows the normal double range")
         q = p._preconditioned[index] = MatrixPolynomial._from_checked(stack, index)
     return q
 

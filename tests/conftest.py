@@ -53,16 +53,16 @@ def criterion_1_instance(i):
     return MatrixPolynomial(coeffs), n
 
 
-def wide_polynomials(seed, count, max_m, max_n):
+def wide_polynomials(seed, count, max_m, max_n, span=60.0):
     """``count`` seeded polynomials of wide dynamic range: m in 1..max_m,
-    n in 2..max_n, and each coefficient entry 10^U(-60, 60) times
+    n in 2..max_n, and each coefficient entry 10^U(-span, span) times
     U(-1, 1) + i U(-1, 1)."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         m, n = int(rng.integers(1, max_m + 1)), int(rng.integers(2, max_n + 1))
         shape = (n + 1, m, m)
         phase = rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
-        yield MatrixPolynomial(10.0 ** rng.uniform(-60.0, 60.0, shape) * phase)
+        yield MatrixPolynomial(10.0 ** rng.uniform(-span, span, shape) * phase)
 
 
 def max_match_distance(a, b):

@@ -493,6 +493,19 @@ def _outcome_type(fn):
         return type(exc).__name__
 
 
+def _gap_queries(p):
+    """Every per-index Pellet query of P: (public, full path, the polynomial
+    the prefilter reads, k) for ``pellet_gap`` and, when Q can be formed,
+    ``squared_gap``."""
+    n = p.n
+    cases = [(pellet_gap, _full_pellet, p, k) for k in range(1, n)]
+    if n % 2 == 0 and n >= 4:
+        q = _outcome(lambda: squared_polynomial(p, False)[0])
+        if not isinstance(q, str):
+            cases += [(squared_gap, _full_squared, q, k) for k in range(2, n - 1, 2)]
+    return cases
+
+
 def _prefilter_agrees(polynomials):
     """Run every per-index Pellet query of ``polynomials`` in all three
     norms, plain and preconditioned, and require the public result (tried
@@ -502,14 +515,9 @@ def _prefilter_agrees(polynomials):
     queries = 0
     skipped = {False: 0, True: 0}
     for i, p in enumerate(polynomials):
-        n = p.n
+        cases = _gap_queries(p)
         for kind in KINDS:
             for pre in (False, True):
-                cases = [(pellet_gap, _full_pellet, p, k) for k in range(1, n)]
-                if n % 2 == 0 and n >= 4:
-                    q = _outcome(lambda: squared_polynomial(p, False)[0])
-                    if not isinstance(q, str):
-                        cases += [(squared_gap, _full_squared, q, k) for k in range(2, n - 1, 2)]
                 for public, full, target, k in cases:
                     got = _outcome(public, p, k, kind, pre)
                     assert got == _outcome(full, p, k, kind, pre), (i, kind, pre, k)
@@ -536,16 +544,54 @@ def test_prefilter_equals_full_path_on_criterion_1_instances():
     assert queries > 7000 and skipped[False] > 0 and skipped[True] > 0
 
 
-def test_prefilter_declines_where_the_preconditioned_scale_overflows():
+def test_preconditioned_prefilter_settles_where_the_transform_overflows():
     # 1 + 1e-300 z + 1e10 z^2 at k = 1: the chord of the norms lies far
-    # above ||A_1||, but A_1^-1 P has the coefficient 1e310, beyond the
-    # double range; as max_j ||A_j|| / nu_1 is infinite the norms decline,
-    # and forming A_1^-1 P raises, as the plain query does not
+    # above ||A_1||, which proves "none" for the exact A_1^-1 P although its
+    # coefficient 1e310 is beyond the double range: the public query is the
+    # non-marginal "nogap", while forming A_1^-1 P raises
     p = scalar_polynomial([1.0, 1e-300, 1e10])
-    assert pellet_gap(p, 1, "one").status == NO_GAP
-    assert not bounds._chord_proves_none(p, 1, NormKind.ONE, True)
-    with pytest.raises(SingularMatrixError):
-        pellet_gap(p, 1, "one", precondition=True)
+    for kind in KINDS:
+        assert pellet_gap(p, 1, kind).status == NO_GAP
+        assert bounds._chord_proves_none(p, 1, kind, True)
+        g = pellet_gap(p, 1, kind, precondition=True)
+        assert g.status == NO_GAP and not g.marginal
+        with pytest.raises(SingularMatrixError, match="not finite"):
+            _full_pellet(p, 1, kind, True)
+
+
+def _typed_outcome(fn, *args):
+    """fn(*args), or the type and message of the typed error it raises."""
+    try:
+        return fn(*args)
+    except _INAPPLICABLE as exc:
+        return repr(exc)
+
+
+def test_prefilter_contract_on_extreme_polynomials():
+    # entries 10^U(-300, 300), so that A_k^-1 P and Q overflow and underflow
+    # often: where the root search returns, the public result equals it;
+    # where it raises, the public result is the same error or the
+    # non-marginal "nogap" that P's norms prove for the exact A_k^-1 P,
+    # whether or not it fits in doubles
+    queries = settled = lost = 0
+    for i, p in enumerate(wide_polynomials(3, 4000, 2, 7, span=300.0)):
+        cases = _gap_queries(p)
+        for kind in KINDS:
+            for pre in (False, True):
+                for public, full, _, k in cases:
+                    got = _typed_outcome(public, p, k, kind, pre)
+                    want = _typed_outcome(full, p, k, kind, pre)
+                    queries += 1
+                    if got == want:
+                        continue
+                    assert pre and isinstance(want, str) and not isinstance(got, str), (i, kind, k)
+                    assert got.status == NO_GAP and not got.marginal, (i, kind, pre, k)
+                    settled += 1
+                    lost += "underflows the normal double range" in want
+    # about one preconditioned query in five (8,349 of 42,165) is settled
+    # where forming A_k^-1 P (or B_k^-1 Q) raises, 1,596 of them where a
+    # coefficient is lost to underflow
+    assert queries > 80000 and settled > 5000 and lost > 1000
 
 
 def test_prefilter_keeps_marginal_near_tangent_shape(h_evaluations):
@@ -692,8 +738,31 @@ def test_underflowed_preconditioned_leading_coefficient_is_inapplicable():
         cb = cauchy_bounds(p, kind, precondition=True)
         assert (cb.upper, cb.lower) == (None, None)
         assert cauchy_bounds(p, kind).upper >= 1e200
-        with pytest.raises(SingularMatrixError, match="underflows to zero"):
+        with pytest.raises(SingularMatrixError, match=r"A_1\^-1 A_2 underflows"):
             pellet_gap(gap_p, 1, kind, precondition=True)
+
+
+def _with_block_copy(coeffs):
+    """The scalar polynomial of ``coeffs`` and its 2x2 block-diagonal copy,
+    whose coefficients are a_j I."""
+    return [scalar_polynomial(coeffs), MatrixPolynomial([c * np.eye(2) for c in coeffs])]
+
+
+def test_a_preconditioned_lower_coefficient_lost_to_underflow_is_inapplicable():
+    # 1e200 z^2 + 1e-200 has eigenvalues of modulus 1e-200, but A_2^-1 A_0
+    # = 1e-400 is zero in doubles, and A_2^-1 P = z^2 gave the upper radius
+    # 0; A_0^-1 A_2 = 1e400 overflows, so both radii are absent
+    for p in _with_block_copy([1e-200, 0.0, 1e200]):
+        for kind in KINDS:
+            cb = cauchy_bounds(p, kind, precondition=True)
+            assert (cb.upper, cb.lower) == (None, None)
+    # z^3 + 1e200 z^2 + 1e-50 z + 1e-150: the two small eigenvalues have
+    # |z|^2 = a_0 / a_2 = 1e-350, but A_2^-1 A_0 = 1e-350 underflows, and
+    # the rest claimed the annulus (1e-250, 1e200) free of them
+    for p in _with_block_copy([1e-150, 1e-50, 1e200, 1.0]):
+        for kind in KINDS:
+            with pytest.raises(SingularMatrixError, match=r"A_2\^-1 A_0 underflows"):
+                pellet_gap(p, 2, kind, precondition=True)
 
 
 def _fresh_factor(a):

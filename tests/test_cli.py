@@ -335,16 +335,36 @@ def test_overflowing_squared_coefficients_are_inapplicable(capsys, argv):
 
 def test_underflowed_preconditioned_leading_coefficient_is_inapplicable(capsys):
     # A_0^-1 A_2 = 1e-400 underflows to zero (and A_2^-1 A_0 overflows):
-    # absent radii, and an inapplicable gap query, not an input error
-    code, out, err = run_cli(capsys, "bounds", "--poly", "1e-200,1,1e200", "--precondition",
-                             "--format", "csv")
-    assert (code, err) == (0, "")
-    assert out == "norm,variant,upper,lower\none,monic-preconditioned,absent,absent\n"
+    # absent radii, and an inapplicable gap query, not an input error; so
+    # for 1e200 z^2 + 1e-200, whose upper radius through A_2^-1 A_0 = 1e-400
+    # was 0, below the moduli 1e-200
+    for poly in ("1e-200,1,1e200", "1e200,0,1e-200"):
+        code, out, err = run_cli(capsys, "bounds", "--poly", poly, "--precondition",
+                                 "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == "norm,variant,upper,lower\none,monic-preconditioned,absent,absent\n"
     code, out, err = run_cli(capsys, "gap", "--poly", "1e-200,1e200,1", "--k", "1",
                              "--precondition")
     assert code == 2 and out == ""
-    assert err == ("inapplicable: SingularMatrixError: the preconditioned leading coefficient "
-                   "underflows to zero\n")
+    assert err == ("inapplicable: SingularMatrixError: the preconditioned coefficient "
+                   "A_1^-1 A_2 underflows the normal double range\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--poly", "1e200,0,1e-200", "--variant", "q"),
+    ("gap", "--poly", "1,1e200,1e-50,1e-150", "--k", "2", "--precondition"),
+    ("oracle", "--poly", "1e200,0,1e-200"),
+], ids=["bounds-q", "gap", "oracle"])
+def test_underflowed_preconditioned_lower_coefficient_is_inapplicable(capsys, argv):
+    # 1e200 z^2 + 1e-200 has eigenvalues of modulus 1e-200 and
+    # z^3 + 1e200 z^2 + 1e-50 z + 1e-150 two of modulus 1e-175, but A_2^-1 A_0
+    # (1e-400 and 1e-350) is zero in doubles: monicized, the first became z^2
+    # (moduli 0, so the oracle exited 3), and the second claimed the annulus
+    # (1e-250, 1e200) free of eigenvalues
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("inapplicable: SingularMatrixError: the preconditioned coefficient "
+                   "A_2^-1 A_0 underflows the normal double range\n")
 
 
 def _run_fresh(argv, env=None, **kwargs):

@@ -34,7 +34,8 @@ from pelletbounds import (
 from pelletbounds import linalg, matpoly
 from pelletbounds.bounds import squared_polynomial
 
-from conftest import criterion_1_instance, max_match_distance, rand_matrix, rand_poly
+from conftest import (criterion_1_instance, max_match_distance, rand_matrix, rand_poly,
+                      wide_polynomials)
 
 
 def test_construction_invariants(rng):
@@ -381,11 +382,60 @@ def test_underflowed_preconditioned_leading_coefficient_is_singular():
     for p in (scalar_polynomial([1e200, 1.0, 1e-200]),
               MatrixPolynomial([1e200 * eye, eye, np.diag([1e-200, 0.0])])):
         for _ in range(2):
-            with pytest.raises(SingularMatrixError, match="underflows to zero"):
+            with pytest.raises(SingularMatrixError, match=r"A_0\^-1 A_2 underflows"):
                 left_precondition(p, 0)
-            with pytest.raises(SingularMatrixError, match="underflows to zero"):
+            with pytest.raises(SingularMatrixError, match=r"A_0\^-1 A_2 underflows"):
                 reciprocal(p)
         assert np.array_equal(left_precondition(p, 1).stack[1], np.eye(p.m))
+
+
+def test_every_coefficient_lost_to_underflow_is_singular():
+    # A_2^-1 A_0 of 1e200 z^2 + z + a_0: 1e-400 is zero and 1e-310 is
+    # subnormal, so A_0 is lost, as is the constant term of the monicized
+    # polynomial and the oracle built from it; 1e-300 is a normal double and
+    # is kept, as is a zero A_1 or an A_0 with one entry left normal
+    eye = np.eye(2)
+    for a_0 in (1e-200, 1e-110):
+        for p in (scalar_polynomial([a_0, 1.0, 1e200]),
+                  MatrixPolynomial([np.diag([a_0, 0.0]), eye, 1e200 * eye])):
+            for transform in (lambda: left_precondition(p, 2), lambda: monicize(p),
+                              lambda: eigen_oracle(p)):
+                with pytest.raises(SingularMatrixError, match=r"A_2\^-1 A_0 underflows"):
+                    transform()
+    for p in (scalar_polynomial([1e-100, 0.0, 1e200]),
+              MatrixPolynomial([np.diag([1e-100, 1e-250]), np.zeros((2, 2)), 1e200 * eye])):
+        q = left_precondition(p, 2)
+        assert abs(q.stack[0, 0, 0]) == pytest.approx(1e-300, rel=1e-15)
+        assert not q.stack[1].any()
+
+
+def test_a_preconditioned_polynomial_is_refused_exactly_where_a_coefficient_is_lost():
+    # on polynomials whose entries span 10^-300..10^300, a pivot that passes
+    # the pivot rule and a solve that stays finite give A_k^-1 P unless some
+    # A_j != 0 comes out with no entry of normal magnitude; every such A_j
+    # has an infinity norm below 2^-960 ||A_k||, the only ones whose entries
+    # left_precondition reads
+    formed = refused = 0
+    for p in wide_polynomials(5, 1000, 2, 6, span=300.0):
+        norms = linalg.norm(p.stack, NormKind.INF)
+        for k in range(p.n + 1):
+            try:
+                stack = linalg._solve(matpoly._lu(p, k), p.stack)
+            except SingularMatrixError:
+                continue
+            lost = [j for j in range(p.n + 1) if j != k and norms[j] > 0.0
+                    and np.abs(stack[j]).max() < np.finfo(float).tiny]
+            assert all(norms[j] < 2.0 ** -960 * norms[k] for j in lost)
+            if lost:
+                refused += 1
+                with pytest.raises(SingularMatrixError, match=f"A_{k}\\^-1 A_{lost[0]} underflows"):
+                    left_precondition(p, k)
+            else:
+                formed += 1
+                stack[k] = np.eye(p.m)
+                assert np.array_equal(left_precondition(p, k).stack, stack)
+    # 1,037 formed and 744 refused
+    assert formed > 1000 and refused > 700
 
 
 def test_shift_by_z():
