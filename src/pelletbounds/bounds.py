@@ -26,32 +26,35 @@ prefilter tries the test on the norms of P before any radial polynomial
 is built, for plain and preconditioned queries alike.  Write c_j =
 ||A_j||, nu_k = 1/||A_k^-1|| and C for the highest chord at k of the
 points (j, log c_j), the maximum over i < k < j of
-((j-k) log c_i + (k-i) log c_j) / (j-i) (``rootloc._highest_chord``, the
-computation behind the chord test itself; ``matpoly`` keeps log c_j per
-kind, and C with the t_c where it is reached per index and kind).  A plain
-query's radial polynomial is built from exactly these logs, with (C, t_c)
-as its vertex, so C' = C and its chord test reads the same float; the
-query is "nogap" when
+((j-k) log c_i + (k-i) log c_j) / (j-i): the height at k of the edge of
+their upper convex hull (the Newton polygon of the norms) that straddles
+k.  ``matpoly`` keeps log c_j and that hull per kind, and reads C at k
+from it, with the t_c where the edge's two lines cross.  The query is
+"nogap" when
 
-    C - log nu_k >= 10*GAP_RTOL,
+    C - pivot >= 10*GAP_RTOL,
 
-exactly the "nogap", not marginal, result that the root search returns.
-For A_k^-1 P, nu = 1 and ||A_k^-1 A_j|| >= c_j / c_k, so C' >= C - log c_k
-and the preconditioned query is "nogap" when
+the chord test's own margin, with pivot = log nu_k for a plain query and
+log c_k for a preconditioned one.  A plain query's radial polynomial is
+built from exactly these logs, with (C, t_c) as its vertex, so C' = C and
+its chord test reads the same float: the prefilter's "nogap" is exactly
+the "nogap", not marginal, that the root search returns.  For A_k^-1 P,
+nu = 1 and ||A_k^-1 A_j|| >= c_j / c_k, so C' >= C - log c_k, which needs
+C > log c_k: the preconditioned test skips only an index that is not a
+vertex of the hull.  The rounding of A_k^-1 P's norms needs no room in
+the margin.  Its h is at least the log-sum-exp of the two terms of the
+hull edge at k, whose minimum over t is their chord plus the binary
+entropy H(p / (p + q)) in nats, p and q being the distances of the edge's
+ends from k.  So h_min >= C' + H, with H >= H(1/n) >= log(n) / n, and any
+C' >= 0 ends in "none", not marginal, on the full path too.
 
-    C - log c_k >= 20*GAP_RTOL.
-
-This needs C > log c_k, so it skips only an index that is not a vertex of
-the upper convex hull of the points (the Newton polygon of the norms).  The
-factor 20 is twice the chord test's 10, so that the rounding of A_k^-1 P's
-norms against the bound cannot flip a verdict.  The prefilter forms nu_k
-first, so a singular A_k raises SingularMatrixError whether or not the
-query is skipped.  It declines only when max_j c_j is infinite, which
-leaves the radial polynomial to reject the query.  The preconditioned bound
-holds for the exact A_k^-1 P, whether or not its coefficients fit in
-doubles, so "nogap" stands even where forming A_k^-1 P would raise: the
-prefilter does not predict the transform, which ``matpoly.left_precondition``
-alone decides.
+The prefilter forms nu_k first, so a singular A_k raises
+SingularMatrixError whether or not the query is skipped.  It declines only
+when max_j c_j is infinite, which leaves the radial polynomial to reject
+the query.  The preconditioned bound holds for the exact A_k^-1 P, whether
+or not its coefficients fit in doubles, so "nogap" stands even where
+forming A_k^-1 P would raise: the prefilter does not predict the
+transform, which ``matpoly.left_precondition`` alone decides.
 
 Everything these theorems read from a polynomial (its coefficient norms
 and their logs, nu_k, the chord (C, t_c), A_k^-1 P, Q and Q_R) is built
@@ -70,7 +73,7 @@ from dataclasses import dataclass
 from .linalg import NormKind, SingularMatrixError
 from .matpoly import (MatrixPolynomial, OddDegreeError, _chord, _kept, _nu, _squared,
                       left_precondition)
-from .rootloc import (_MARGIN, GAP_RTOL, InvalidShapeError, PositiveRoots, SignedRadialPolynomial,
+from .rootloc import (_MARGIN, InvalidShapeError, PositiveRoots, SignedRadialPolynomial,
                       positive_roots)
 
 VARIANT_PLAIN = "plain"
@@ -82,9 +85,6 @@ GAP = "gap"
 NO_GAP = "nogap"
 UPPER_ONLY = "upper-only"
 
-# A preconditioned Pellet query is skipped by the norms of P only when its
-# bound clears the chord test's threshold (rootloc._MARGIN) twice over.
-_PREFILTER_RTOL = 20.0 * GAP_RTOL
 _NO_ROOTS = PositiveRoots("none")
 
 
@@ -135,10 +135,14 @@ def _pivot_profile(p: MatrixPolynomial, j: int, kind: NormKind, precondition: bo
 
 def _radial_roots(kept, nu: float, k: int, chord: tuple | None = None) -> PositiveRoots | None:
     """Positive roots of f_k(x) = sum_{j != k} ||A_j|| x^j - nu x^k over the
-    norms and their logs in ``kept``, with the kept highest chord (C, t_c)
-    at k when given; None when every coefficient but the k-th is zero
-    (P = A_k z^k).  A norm beyond the double range, kept as inf, raises
-    InvalidShapeError, with the radial polynomial's own message."""
+    norms and their logs in ``kept``, with the chord (C, t_c) at k read
+    from the kept hull when given; None when every coefficient but the k-th
+    is zero (P = A_k z^k).  A norm beyond the double range, kept as inf,
+    raises InvalidShapeError, with the radial polynomial's own message.
+    Such a norm is one of the queried polynomial's own (P's, or Q's on the
+    squared route): ``left_precondition`` refuses an A_k^-1 P whose 1- or
+    infinity norm passes the range, and its 2-norm lies below the larger of
+    the two."""
     norms = kept.norms
     coeffs = (*norms[:k], 0.0, *norms[k + 1:])
     if not all(c < math.inf for c in coeffs):
@@ -201,12 +205,9 @@ def _chord_proves_none(p: MatrixPolynomial, k: int, kind: NormKind, precondition
     the exact A_k^-1 P, whether or not ``left_precondition`` can form it
     (see the module docstring); raises SingularMatrixError when A_k is
     singular."""
-    nu = _nu(p, k, kind)
-    kept = _kept(p, kind)
-    top = max(kept.norms)
-    if precondition:
-        return top < math.inf and _chord(kept, k)[0] - kept.logs[k] >= _PREFILTER_RTOL
-    return top < math.inf and _chord(kept, k)[0] - math.log(nu) >= _MARGIN
+    nu, kept = _nu(p, k, kind), _kept(p, kind)
+    pivot = kept.logs[k] if precondition else math.log(nu)
+    return max(kept.norms) < math.inf and _chord(kept, k)[0] - pivot >= _MARGIN
 
 
 def _pellet_roots(p: MatrixPolynomial, k: int, kind: NormKind, precondition: bool) -> PositiveRoots:

@@ -16,18 +16,20 @@ its own slots: per index j, whether A_j is exactly I (``_is_identity``), the
 LU of A_j under ``linalg``'s pivot rule, scaled by the kept infinity norm of
 A_j (``_lu``), and A_j^-1 P solved from it (``left_precondition``); one slot
 each for Q and Q_R (``_squared``); and per norm kind one record (``_kept``)
-of the coefficient norms, their logs, one ``math.log`` each, and, by index
-j, nu_j = 1/||A_j^-1|| (``_nu``) and the highest chord (C, t_c) at j of
-the points (j, log ||A_j||) (``_chord``), which serves both the prefilter
-of ``bounds`` and, as its vertex, the radial polynomial at j, built from
-the same logs.  No other module builds or writes such data: ``bounds``
-only reads it, and no module divides it by a scale.
+of the coefficient norms, their logs, one ``math.log`` each, by index j
+nu_j = 1/||A_j^-1|| (``_nu``), and the upper convex hull of the points
+(j, log ||A_j||), their Newton polygon, built on the first chord read.
+The chord (C, t_c) at k, read from that hull (``_chord``), serves both
+the prefilter of ``bounds`` and, as its vertex, the radial polynomial at
+k, built from the same logs.  No other module builds or writes such
+data: ``bounds`` only reads it, and no module divides it by a scale.
 Failures are not kept: a singular pivot raises on every call.
 ``left_precondition`` alone decides whether A_k^-1 P can be used: it
 raises SingularMatrixError when the pivot fails ``linalg``'s rule or a
-coefficient that P has is lost in the solve, to overflow or underflow, and
-every transform built on it (``monicize``, ``reciprocal``, Q and Q_R)
-inherits that verdict.  An A_j that is exactly I is never factored: nu_j
+coefficient that P has is lost in the solve, to overflow or underflow, or
+comes out with a 1- or infinity norm past the double range, and every
+transform built on it (``monicize``, ``reciprocal``, Q and Q_R) inherits
+that verdict.  An A_j that is exactly I is never factored: nu_j
 is exactly 1.0 in every norm, and I^-1 P is P itself, decided before the
 slot is read, so no slot of P ever holds P.
 
@@ -50,7 +52,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import SingularMatrixError, identity
-from .rootloc import _highest_chord
+from .rootloc import _hull_chord, _upper_hull
 
 # The smallest normal double: an A_k^-1 A_j with no entry this large has lost
 # its coefficient to underflow.
@@ -59,6 +61,10 @@ _NORMAL_MIN = 2.0 ** -1022
 # at least its infinity norm over m: where ||A_j|| >= 2^-960 ||A_k||, that
 # entry lies 2^62 / m above _NORMAL_MIN, beyond what the solve can round away.
 _LOSS_RATIO = 2.0 ** -960
+# The 1- and infinity-norms of an m-by-m matrix are sums of m moduli, each
+# at most sqrt(2) times the largest real or imaginary part: where every part
+# lies below this over 2m, neither norm can round past the double range.
+_DBL_MAX = float(np.finfo(np.float64).max)
 
 
 class NotMonicError(Exception):
@@ -151,15 +157,15 @@ def evaluate(p: MatrixPolynomial, z: complex) -> np.ndarray:
 class _Kept:
     """What a polynomial keeps for one norm kind: its coefficient norms,
     their logs, one ``math.log`` each (-inf for a zero norm, inf for one
-    beyond the double range), and, by index k (None until first asked
-    for), nu_k and the highest chord (C, t_c) at k of ``_chord``, which the
-    radial polynomial at k takes as its vertex.  Only this module fills
-    it."""
+    beyond the double range), by index k nu_k (None until first asked
+    for), and the upper hull of the points (log ||A_j||, j) of the nonzero
+    A_j (``rootloc._upper_hull``; None until ``_chord`` first reads it,
+    which no Cauchy radius does).  Only this module fills it."""
 
     norms: list
     logs: list
     nu: list
-    chord: list
+    hull: list | None = None
 
 
 def _is_identity(p: MatrixPolynomial, j: int) -> bool:
@@ -179,8 +185,7 @@ def _kept(p: MatrixPolynomial, kind: linalg.NormKind) -> _Kept:
     if kept is None:
         norms = linalg.norm(p.stack, kind).tolist()
         logs = [-math.inf if c == 0.0 else math.log(c) for c in norms]
-        size = len(norms)
-        kept = p._kinds[kind] = _Kept(norms, logs, [None] * size, [None] * size)
+        kept = p._kinds[kind] = _Kept(norms, logs, [None] * len(norms))
     return kept
 
 
@@ -195,15 +200,25 @@ def _lu(p: MatrixPolynomial, j: int) -> tuple:
 
 
 def _chord(kept: _Kept, k: int) -> tuple:
-    """(C, t_c) from the logs of ``kept``, kept there by index: the highest
-    chord at k of the points (j, log ||A_j||) over the nonzero A_j with
-    j != k and where it is reached (``rootloc._highest_chord``), (-inf, 0.0)
-    when no such pair straddles k."""
-    chord = kept.chord[k]
-    if chord is None:
-        terms = [(a, float(j - k)) for j, a in enumerate(kept.logs) if j != k and a > -math.inf]
-        chord = kept.chord[k] = _highest_chord(terms)
-    return chord
+    """(C, t_c) at k of the points (j, log ||A_j||) over the nonzero A_j
+    with j != k: the height at k of the edge of their upper hull that
+    straddles k, the highest chord over them, and where the edge's two
+    lines cross (``rootloc._hull_chord``); (-inf, 0.0) when no point lies
+    on one side of k.  The hull of all the points is built on the first
+    call and kept.  Where k is not one of its vertices, that hull is also
+    the hull of the other points and is read as it is; where k is one, the
+    hull of the other points is built by the same chain for the call."""
+    if kept.hull is None:
+        kept.hull = _upper_hull(_points(kept.logs))
+    chord = _hull_chord(kept.hull, k)
+    # -inf: k is a vertex, or no point lies on one side of it
+    return chord if chord[0] > -math.inf else _hull_chord(_upper_hull(_points(kept.logs, k)), k)
+
+
+def _points(logs: list, skip: int | None = None) -> list:
+    """The points (log ||A_j||, j) of the nonzero A_j with j != skip, in
+    ascending j."""
+    return [(a, j) for j, a in enumerate(logs) if j != skip and a > -math.inf]
 
 
 def _nu(p: MatrixPolynomial, j: int, kind: linalg.NormKind) -> float:
@@ -229,13 +244,18 @@ def left_precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
 
     Raises SingularMatrixError when A_index fails the pivot rule of
     ``linalg``, or when a coefficient that P has (A_j != 0) is lost in the
-    solve: A_index^-1 A_j overflows, or none of its entries reaches the
-    normal double range.  The pivot then cannot carry the polynomial, and
-    this is the one place that decides so.  As ||A_index^-1 A_j|| >=
-    ||A_j|| / ||A_index||, only an A_j whose kept infinity norm is below
-    ``_LOSS_RATIO`` times that of A_index can lose every entry, and only
-    such an A_j has its entries read.  A non-integer ``index`` raises
-    TypeError before any slot is read.
+    solve: A_index^-1 A_j overflows, its 1- or infinity norm passes the
+    double range, or none of its entries reaches the normal double range.
+    The pivot then cannot carry the polynomial, and this is the one place
+    that decides so: every norm of A_index^-1 P that a query reads is
+    finite.  As ||A_index^-1 A_j|| >= ||A_j|| / ||A_index||, only an A_j
+    whose kept infinity norm is below ``_LOSS_RATIO`` times that of A_index
+    can lose every entry, and only such an A_j has its entries read for
+    it.  Both norms of an m-by-m matrix lie below 2m times its largest real
+    or imaginary part, so one pass over the solved stack takes that part,
+    and the norms of each A_index^-1 A_j are summed only where it reaches
+    DBL_MAX / 2m.  A non-integer ``index`` raises TypeError before any slot
+    is read.
     """
     index = operator.index(index)
     if not 0 <= index <= p.n:
@@ -250,10 +270,14 @@ def left_precondition(p: MatrixPolynomial, index: int) -> MatrixPolynomial:
         stack[index] = identity(p.m)
         norms = _kept(p, linalg.NormKind.INF).norms
         floor = _LOSS_RATIO * norms[index]
+        near_overflow = np.abs(stack.view(np.float64)).max() >= _DBL_MAX / (2 * p.m)
         for j, c in enumerate(norms):
             if 0.0 < c < floor and not np.abs(stack[j]).max() >= _NORMAL_MIN:
                 raise SingularMatrixError(f"the preconditioned coefficient A_{index}^-1 A_{j} "
                                           "underflows the normal double range")
+            if near_overflow and not all(linalg._norms(stack[j], kind) < math.inf
+                                         for kind in (linalg.NormKind.ONE, linalg.NormKind.INF)):
+                raise SingularMatrixError(f"a norm of A_{index}^-1 A_{j} overflows the double range")
         q = p._preconditioned[index] = MatrixPolynomial._from_checked(stack, index)
     return q
 

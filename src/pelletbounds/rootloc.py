@@ -52,18 +52,24 @@ Newton polygon,
 
     delta = max_{i < k < j} ((j-k) a_i + (k-i) a_j) / (j-i) - log(nu),
 
-reached at the crossing t_c of the maximizing pair: C - log(nu) and t_c
-for the highest chord (C, t_c) of ``_highest_chord`` over the terms.
-``matpoly`` keeps (C, t_c) per polynomial, norm kind and index, and
-``bounds`` hands it to the radial polynomial as its vertex, so the chord
-is computed once; the public constructor's polynomial computes it when
-asked.  The verdict and its margin are read on h alone, so no scale takes
-part in them: "two" when h_min < -GAP_RTOL, else "none", and marginal when
-|h_min| < 10*GAP_RTOL.  As h_min >= delta, delta >= 10*GAP_RTOL settles
-"none" (not marginal) without evaluating h.  ``bounds`` tries this test on
-a polynomial's kept norms before it builds a radial polynomial at all: for
-a plain query it is the same float C - log(nu) against the same margin,
-and for a preconditioned one a bound on it at twice the margin.
+reached at the crossing t_c of the maximizing pair.  That pair is the
+edge of the upper convex hull of the points (j, a_j) that straddles k, so
+the maximum is read off the hull (``_upper_hull``, Andrew's monotone
+chain, and ``_hull_chord``, its reader): C - log(nu) and t_c for the
+edge's height C at k and the crossing t_c of its two lines.  ``matpoly``
+keeps one hull per polynomial and norm kind, reads (C, t_c) at k from it,
+and ``bounds`` hands that to the radial polynomial as its vertex; the
+public constructor's polynomial reads it from the hull of its own terms
+when asked.  The verdict and its margin are read on h alone, so no scale
+takes part in them: "two" when h_min < -GAP_RTOL, else "none", and
+marginal when |h_min| < 10*GAP_RTOL.  As h_min >= delta, delta >=
+10*GAP_RTOL settles "none" (not marginal) without evaluating h.  In fact
+h_min >= delta + H(p / (p + q)), with H the binary entropy in nats and p,
+q the distances of the edge's ends from k: h is at least the log-sum-exp
+of the edge's two terms, whose minimum over t is that.  ``bounds`` tries
+the chord test on a polynomial's kept norms before it builds a radial
+polynomial at all, at the same margin: for a plain query it is the same
+float C - log(nu), and for a preconditioned one a bound on it.
 Otherwise h is evaluated once at t_c, and h(t_c) < -10*GAP_RTOL settles
 "two" (not marginal).  Failing both, the minimizer of h decides "none" or
 "two" and the marginal flag.  As T(t) >= delta + min|j - k| |t - t_c| and
@@ -110,7 +116,8 @@ class SignedRadialPolynomial:
     private attributes, which are not dataclass fields: the positive terms
     in ascending j, each once, as the pairs (a_j, d_j) of a_j = log c_j and
     d_j = j - k (``_terms``), log nu (``_lognu``), the envelope ends tau1
-    and tau2, and the highest chord (C, t_c) when it was given (``_chord``).
+    and tau2, and the vertex (C, t_c) of the chord test when it was given
+    (``_chord``).
     """
 
     coeffs: tuple
@@ -141,8 +148,8 @@ class SignedRadialPolynomial:
                    lognu: float, chord: tuple | None) -> "SignedRadialPolynomial":
         """The radial polynomial of arguments that the constructor would
         accept, with log c_j (-inf where c_j = 0) and log nu already taken,
-        and the highest chord (C, t_c) of ``_highest_chord`` over its terms
-        or None: no check and no second log."""
+        and the chord test's vertex (C, t_c) over its terms (``_hull_chord``
+        of their upper hull at k) or None: no check and no second log."""
         f = object.__new__(cls)
         f._build(coeffs, neg_index, neg_value, logs, lognu, chord)
         return f
@@ -150,7 +157,7 @@ class SignedRadialPolynomial:
     def _build(self, coeffs, neg_index, neg_value, logs, lognu, chord=None):
         """Keep the fields and the log form: the terms (a_j, d_j) with
         a_j = logs[j] for each positive c_j, log nu, the envelope ends, and
-        the chord when given (else ``_vertex`` computes it)."""
+        the chord when given (else ``_vertex`` reads it from the hull)."""
         terms = []
         # T <= 0 on [tau1, tau2]: right of each falling line's zero, left of
         # each rising line's zero
@@ -201,7 +208,7 @@ class SignedRadialPolynomial:
 
     def _vertex(self):
         """(delta, t_c): the minimum of T and where it is reached."""
-        chord, tc = self._chord or _highest_chord(self._terms)
+        chord, tc = self._chord or _hull_chord(_upper_hull(self._terms), 0.0)
         return chord - self._lognu, tc
 
 
@@ -223,22 +230,32 @@ class PositiveRoots:
             raise InvalidShapeError(f"two roots must be separated: {self.x1}, {self.x2}")
 
 
-def _highest_chord(terms):
-    """(C, t_c) for the lines a + d t, one per pair (a, d) of ``terms`` (no
-    d zero): C is the highest chord (d_j a_i - d_i a_j) / (d_j - d_i) over
-    d_i < 0 < d_j, the minimum of max(a + d t), and t_c where that pair of
-    lines crosses; (-inf, 0.0) when either sign is missing."""
-    best, tc = -math.inf, 0.0
-    for ai, di in terms:
-        if di > 0.0:
-            continue
-        for aj, dj in terms:
-            if dj < 0.0:
-                continue
-            v = (dj * ai - di * aj) / (dj - di)
-            if v > best:
-                best, tc = v, (ai - aj) / (dj - di)
-    return best, tc
+def _upper_hull(points):
+    """The upper convex hull of ``points``, pairs (a, x) in ascending x, by
+    Andrew's monotone chain: its vertices in ascending x, each point on or
+    below the segment of its neighbours dropped."""
+    hull = []
+    for a, x in points:
+        while len(hull) > 1:
+            (a0, x0), (a1, x1) = hull[-2], hull[-1]
+            if (a1 - a0) * (x - x0) > (a - a0) * (x1 - x0):
+                break  # (a1, x1) lies above the segment from (a0, x0) to (a, x)
+            hull.pop()
+        hull.append((a, x))
+    return hull
+
+
+def _hull_chord(hull, x):
+    """(C, t_c) of the edge of ``hull`` (``_upper_hull``) that straddles x:
+    with d = x_j - x at either end, C = (d_j a_i - d_i a_j) / (d_j - d_i)
+    is the edge's height at x, the minimum over t of the larger of its two
+    lines a + d t, and t_c = (a_i - a_j) / (d_j - d_i) is where they cross;
+    (-inf, 0.0) when no edge has one end below x and one above."""
+    for (ai, xi), (aj, xj) in zip(hull, hull[1:]):
+        if xi < x < xj:
+            di, dj = xi - x, xj - x
+            return (dj * ai - di * aj) / (dj - di), (ai - aj) / (dj - di)
+    return -math.inf, 0.0
 
 
 def _root(f: SignedRadialPolynomial, tau: float) -> float:

@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -63,6 +64,45 @@ def wide_polynomials(seed, count, max_m, max_n, span=60.0):
         shape = (n + 1, m, m)
         phase = rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
         yield MatrixPolynomial(10.0 ** rng.uniform(-span, span, shape) * phase)
+
+
+def near_collinear_polynomials(seed, count, max_m, max_n):
+    """``count`` seeded polynomials whose coefficient norms lie on or near
+    one line in log scale: m in 1..max_m, n in 2..max_n, and A_j =
+    e^(alpha + beta j + eta_j) D_j with D_j diagonal, of entries of modulus
+    one.  Each eta_j is, with chance 1/4 each, 0, within 1e-12 of 0,
+    U(-2, 0) or U(0, 3), so that many chords pass within ulps of a point and
+    some points stand above the line."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = int(rng.integers(1, max_m + 1)), int(rng.integers(2, max_n + 1))
+        alpha, beta = rng.uniform(-5.0, 5.0), rng.uniform(-3.0, 3.0)
+        eta = np.choose(rng.integers(0, 4, n + 1),
+                        [np.zeros(n + 1), 1e-12 * rng.uniform(-1.0, 1.0, n + 1),
+                         rng.uniform(-2.0, 0.0, n + 1), rng.uniform(0.0, 3.0, n + 1)])
+        scale = np.exp(alpha + beta * np.arange(n + 1) + eta)
+        phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (n + 1, m)))
+        yield MatrixPolynomial(scale[:, None, None] * np.eye(m) * phases[:, None, :])
+
+
+def pair_chord(terms):
+    """(C, t_c) of the lines a + d t, one per pair (a, d) of ``terms`` (no d
+    zero), by brute force over every pair d_i < 0 < d_j: C is the highest
+    (d_j a_i - d_i a_j) / (d_j - d_i), the first met on a tie, and t_c =
+    (a_i - a_j) / (d_j - d_i) where that pair's lines cross; (-inf, 0.0)
+    when either sign is missing.  The reference for the upper hull of
+    ``rootloc``."""
+    best, tc = -math.inf, 0.0
+    for ai, di in terms:
+        if di > 0.0:
+            continue
+        for aj, dj in terms:
+            if dj < 0.0:
+                continue
+            v = (dj * ai - di * aj) / (dj - di)
+            if v > best:
+                best, tc = v, (ai - aj) / (dj - di)
+    return best, tc
 
 
 def max_match_distance(a, b):

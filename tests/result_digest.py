@@ -1,4 +1,4 @@
-"""Print a digest of every public result over criterion 1's and ex4's instances.
+"""Print a digest of every public result over the criterion-1, ex4 and seeded-family inputs.
 
 Usage::
 
@@ -25,7 +25,14 @@ the sweep's do, so what one query keeps on it serves the next.  After the
 instances come the lacunary ones: for each n in 6, 7 and 20, the first 200
 ex4 draws ``gen_ex4(trial_rng(CRITERION_1_SEED, t), n)``, each with the
 stack of ``to_scalar`` and of ``embed_even`` (even n) or ``embed_odd``
-(odd n), or the error raised instead.
+(odd n), or the error raised instead, and ex4's own queries on each of
+the two, in all three norm kinds: ``cauchy_bounds``, and ``pellet_gap``
+at k = 2 and n - 2 (k // 2 on the embedding).  Last come the first
+min(N, 300) polynomials of two seeded families, each with the queries of
+an instance: ``conftest.wide_polynomials(11, ...)``, whose norms span
+10^+-60, and ``conftest.near_collinear_polynomials(5, ...)``, whose
+log-norms lie on or within ulps of a line, where two chords of the
+Newton polygon can tie.
 
 With ``--against``, the results of both source trees are computed, each in
 its own process (``--lines`` prints them one by one, labelled), and
@@ -54,6 +61,9 @@ from pathlib import Path
 
 KINDS = ("one", "inf", "two")
 LACUNARY_DRAWS = 200
+FAMILY_SIZE = 300
+WIDE_SEED = 11
+NEAR_COLLINEAR_SEED = 5
 
 # a float's repr has a point or an exponent (or is inf or nan); an integer
 # (an index, a count, a shape) has neither and is not a float
@@ -79,45 +89,90 @@ def _stack(fn, *args):
     return f"{s.shape} {s.tobytes().hex()}"
 
 
-def results(count):
-    """(label, result) for every result over the first ``count``
-    criterion-1 instances, then over the lacunary draws, in order."""
+def _polynomial_results(name, p, n):
+    """(label, result) for every query on the polynomial P of degree n that
+    the module docstring lists per instance, each label led by ``name``."""
     import pelletbounds as pb
     from pelletbounds.bounds import squared_polynomial
 
-    from conftest import CRITERION_1_SEED, criterion_1_instance
+    for kind in KINDS:
+        for pre in (False, True):
+            yield (f"{name} cauchy_bounds {kind} precondition={pre}",
+                   _outcome(pb.cauchy_bounds, p, kind, pre))
+        for use_reciprocal in (False, True):
+            for index in (None, 0, 1):
+                yield (f"{name} squared_bounds {kind} use_reciprocal={use_reciprocal} "
+                       f"precondition_index={index}",
+                       _outcome(pb.squared_bounds, p, kind, use_reciprocal, index))
+        for k in range(1, n):
+            for pre in (False, True):
+                yield (f"{name} pellet_gap k={k} {kind} precondition={pre}",
+                       _outcome(pb.pellet_gap, p, k, kind, pre))
+                yield (f"{name} squared_gap k={k} {kind} precondition={pre}",
+                       _outcome(pb.squared_gap, p, k, kind, pre))
+    for use_reciprocal in (False, True):
+        label = f"{name} squared_polynomial use_reciprocal={use_reciprocal}"
+        yield label + " stack", _stack(lambda: squared_polynomial(p, use_reciprocal)[0])
+        yield label + " tag", _outcome(lambda: squared_polynomial(p, use_reciprocal)[1])
+    for j in range(n + 1):
+        yield f"{name} left_precondition j={j} stack", _stack(pb.left_precondition, p, j)
+    yield f"{name} eigen_oracle moduli", _outcome(
+        lambda: pb.eigen_oracle(p).moduli.tobytes().hex())
+
+
+def _lacunary_results(name, lac, n, make):
+    """(label, result) for ex4's own queries on the polynomial ``make(lac)``
+    of a lacunary draw of degree n, in every norm kind: its Cauchy bounds
+    and its Pellet query for ex4's k = 2 and n - 2 (k // 2 on an
+    embedding, whose blocks are 2x2); each the error ``make`` raised, when
+    it raised one."""
+    import pelletbounds as pb
+
+    try:
+        q = make(lac)
+    except Exception as exc:  # noqa: BLE001
+        q = exc
+
+    def query(fn, *args):
+        if isinstance(q, Exception):
+            return f"{type(q).__name__}: {q}"
+        return _outcome(fn, q, *args)
+
+    for kind in KINDS:
+        yield f"{name} {make.__name__} cauchy_bounds {kind}", query(pb.cauchy_bounds, kind)
+        for k in (2, n - 2):
+            index = k if make is pb.to_scalar else k // 2
+            yield (f"{name} {make.__name__} pellet_gap k={k} {kind}",
+                   query(pb.pellet_gap, index, kind))
+
+
+def results(count):
+    """(label, result) for every result over the first ``count``
+    criterion-1 instances, then over the lacunary draws and the first
+    min(``count``, FAMILY_SIZE) polynomials of each seeded family, in
+    order."""
+    import pelletbounds as pb
+
+    from conftest import (CRITERION_1_SEED, criterion_1_instance, near_collinear_polynomials,
+                          wide_polynomials)
 
     for i in range(count):
         p, n = criterion_1_instance(i)
-        for kind in KINDS:
-            for pre in (False, True):
-                yield (f"instance {i} cauchy_bounds {kind} precondition={pre}",
-                       _outcome(pb.cauchy_bounds, p, kind, pre))
-            for use_reciprocal in (False, True):
-                for index in (None, 0, 1):
-                    yield (f"instance {i} squared_bounds {kind} use_reciprocal={use_reciprocal} "
-                           f"precondition_index={index}",
-                           _outcome(pb.squared_bounds, p, kind, use_reciprocal, index))
-            for k in range(1, n):
-                for pre in (False, True):
-                    yield (f"instance {i} pellet_gap k={k} {kind} precondition={pre}",
-                           _outcome(pb.pellet_gap, p, k, kind, pre))
-                    yield (f"instance {i} squared_gap k={k} {kind} precondition={pre}",
-                           _outcome(pb.squared_gap, p, k, kind, pre))
-        for use_reciprocal in (False, True):
-            label = f"instance {i} squared_polynomial use_reciprocal={use_reciprocal}"
-            yield label + " stack", _stack(lambda: squared_polynomial(p, use_reciprocal)[0])
-            yield label + " tag", _outcome(lambda: squared_polynomial(p, use_reciprocal)[1])
-        for j in range(n + 1):
-            yield f"instance {i} left_precondition j={j} stack", _stack(pb.left_precondition, p, j)
-        yield f"instance {i} eigen_oracle moduli", _outcome(
-            lambda: pb.eigen_oracle(p).moduli.tobytes().hex())
+        yield from _polynomial_results(f"instance {i}", p, n)
     for n in (6, 7, 20):
         embed = pb.embed_odd if n % 2 else pb.embed_even
         for t in range(LACUNARY_DRAWS):
             lac = pb.gen_ex4(pb.trial_rng(CRITERION_1_SEED, t), n)
             yield f"ex4 n={n} draw {t} to_scalar stack", _stack(pb.to_scalar, lac)
             yield f"ex4 n={n} draw {t} {embed.__name__} stack", _stack(embed, lac)
+            for make in (pb.to_scalar, embed):
+                yield from _lacunary_results(f"ex4 n={n} draw {t}", lac, n, make)
+    size = min(count, FAMILY_SIZE)
+    families = (("wide", wide_polynomials(WIDE_SEED, size, 3, 8)),
+                ("near-collinear", near_collinear_polynomials(NEAR_COLLINEAR_SEED, size, 3, 10)))
+    for family, polynomials in families:
+        for i, p in enumerate(polynomials):
+            yield from _polynomial_results(f"{family} {i}", p, p.n)
 
 
 def _excerpt(line, at, before=40, width=160):

@@ -626,6 +626,37 @@ def radial_polynomials(monkeypatch):
     return built
 
 
+def test_preconditioned_prefilter_uses_the_chord_test_margin(radial_polynomials):
+    # z^2 + e^-1.5e-9 z + 1 at k = 1: C - log ||A_1|| = 1.5e-9 clears the
+    # chord test's margin 10*GAP_RTOL, so P's norms settle the preconditioned
+    # query before a radial polynomial is built; A_1^-1 P's h has its
+    # minimum log 2 + 1.5e-9 (the chord plus the entropy of the pair), so
+    # the full path's verdict is the same non-marginal "none"
+    p = scalar_polynomial([1.0, math.exp(-1.5e-9), 1.0])
+    kept = matpoly._kept(p, NormKind.ONE)
+    assert matpoly._chord(kept, 1)[0] - kept.logs[1] == pytest.approx(1.5e-9, rel=1e-6)
+    for kind in KINDS:
+        radial_polynomials.clear()
+        g = pellet_gap(p, 1, kind, precondition=True)
+        assert radial_polynomials == []
+        assert g.status == NO_GAP and not g.marginal
+        assert g == _full_pellet(p, 1, kind, True)
+
+
+def test_a_preconditioned_coefficient_whose_norm_overflows_is_refused():
+    # [[1e308, 0], [0.7e308, 0]] + I z + 0.9 I z^2: every entry of
+    # A_2^-1 A_0 is finite, but its 1-norm, 1.89e308, is past the double
+    # range; left_precondition refuses the pivot, so the preconditioned
+    # upper radius is absent in every norm, as for any refused pivot
+    p = MatrixPolynomial([[[1e308, 0.0], [0.7e308, 0.0]], np.eye(2), 0.9 * np.eye(2)])
+    with pytest.raises(SingularMatrixError, match=r"^a norm of A_2\^-1 A_0 overflows"):
+        left_precondition(p, 2)
+    for kind in KINDS:
+        assert cauchy_bounds(p, kind, precondition=True) == bounds.CauchyBounds(
+            None, None, NormKind.coerce(kind), "monic-preconditioned")
+        assert cauchy_bounds(p, kind).upper is not None
+
+
 def test_plain_prefilter_skips_a_vertex_with_small_nu(h_evaluations, radial_polynomials):
     # I + diag(3, 1e-3) z + I z^2: ||A_1|| = 3 is a vertex of the norms'
     # Newton polygon (the chord at k = 1 is e^C = 1), but nu_1 = 1e-3 lies
@@ -656,29 +687,29 @@ def test_plain_prefilter_builds_no_radial_polynomial_on_a_criterion_1_instance(
         assert len(radial_polynomials) == 1
 
 
-def test_each_chord_is_computed_once_per_polynomial_kind_and_index(monkeypatch):
-    # the chord (C, t_c) at k of a polynomial's norms in one kind serves the
-    # prefilter and the vertex of its radial polynomial, from matpoly's
-    # record: over two passes of every query, rootloc._highest_chord runs at
-    # most once per (norms, k), and never where a Cauchy radius asked
-    calls, highest = [], rootloc._highest_chord
+def test_one_hull_is_built_per_polynomial_and_kind(monkeypatch):
+    # the upper hull of a polynomial's log-norms in one kind serves the
+    # prefilter and the vertex of every radial polynomial, from matpoly's
+    # record: over two passes of every query, the kept hull is built once
+    # per record, a hull is built only where a chord is read, and never
+    # where a Cauchy radius asked
+    calls, upper_hull = [], rootloc._upper_hull
 
-    def counted(terms):
-        # keyed by the kept norms (one list per polynomial and kind) and k,
-        # read off the caller that holds them
+    def counted(points):
+        # keyed by the record (one per polynomial and kind) whose chord is
+        # read; a kept build finds the record's hull slot still empty
         key, cauchy, frame = None, False, sys._getframe(1)
         while frame is not None:
-            name, local = frame.f_code.co_name, frame.f_locals
-            if key is None and name in ("_chord", "_radial_roots"):
-                norms = local["kept"].norms if "kept" in local else local["norms"]
-                key = (id(norms), local["k"])
-            cauchy = cauchy or name == "_cauchy_radius"
+            if key is None and frame.f_code.co_name == "_chord":
+                kept = frame.f_locals["kept"]
+                key = (id(kept), kept.hull is None)
+            cauchy = cauchy or frame.f_code.co_name == "_cauchy_radius"
             frame = frame.f_back
         calls.append((key, cauchy))
-        return highest(terms)
+        return upper_hull(points)
 
-    monkeypatch.setattr(rootloc, "_highest_chord", counted)
-    monkeypatch.setattr(matpoly, "_highest_chord", counted)
+    monkeypatch.setattr(rootloc, "_upper_hull", counted)
+    monkeypatch.setattr(matpoly, "_upper_hull", counted)
     instances = [criterion_1_instance(i) for i in range(144)]  # alive, so no id is reused
     for _ in range(2):
         for p, _ in instances:
@@ -688,7 +719,12 @@ def test_each_chord_is_computed_once_per_polynomial_kind_and_index(monkeypatch):
     keys = [key for key, _ in calls]
     assert calls and None not in keys
     assert not any(cauchy for _, cauchy in calls)
-    assert len(set(keys)) == len(keys)
+    kept = [record for record, first in keys if first]
+    # 1,495 kept hulls, and 5,028 hulls of the points but a vertex k
+    assert len(set(kept)) == len(kept) > 1000
+    # every other build is the hull of the points but a vertex k, for the
+    # chord at k, on a record whose hull is kept
+    assert {record for record, first in keys if not first} <= set(kept)
 
 
 def test_singular_pivot_at_non_vertex_raises_every_time():

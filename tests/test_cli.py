@@ -182,6 +182,19 @@ def test_overflowing_pivot_inverse(capsys, tmp_path):
         assert "Singular" in err
 
 
+def test_preconditioned_coefficient_whose_norm_overflows_is_absent(capsys, tmp_path):
+    # [[1e308, 0], [0.7e308, 0]] + I z + 0.9 I z^2: the 1-norm of A_2^-1 A_0
+    # is past the double range, so the preconditioned upper radius is
+    # absent at exit 0, as for any pivot left_precondition refuses
+    path = tmp_path / "p.json"
+    path.write_text(matpoly.to_json(matpoly.MatrixPolynomial(
+        [[[1e308, 0.0], [0.7e308, 0.0]], np.eye(2), 0.9 * np.eye(2)])))
+    code, out, err = run_cli(capsys, "bounds", "--input", str(path), "--norm", "one",
+                             "--precondition")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "| one | monic-preconditioned | absent | absent |"
+
+
 def test_overflowing_pivot_norm_is_named(capsys, tmp_path):
     # I z^2 + A_1 z + I with a well-conditioned A_1 whose infinity norm
     # passes the double range: inapplicable, and not called singular

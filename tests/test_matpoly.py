@@ -412,10 +412,11 @@ def test_every_coefficient_lost_to_underflow_is_singular():
 def test_a_preconditioned_polynomial_is_refused_exactly_where_a_coefficient_is_lost():
     # on polynomials whose entries span 10^-300..10^300, a pivot that passes
     # the pivot rule and a solve that stays finite give A_k^-1 P unless some
-    # A_j != 0 comes out with no entry of normal magnitude; every such A_j
-    # has an infinity norm below 2^-960 ||A_k||, the only ones whose entries
-    # left_precondition reads
-    formed = refused = 0
+    # A_j != 0 comes out with no entry of normal magnitude, or with a 1- or
+    # infinity norm past the double range; every A_j of the first kind has
+    # an infinity norm below 2^-960 ||A_k||, the only ones whose entries
+    # left_precondition reads for it
+    formed = refused = overflowed = 0
     for p in wide_polynomials(5, 1000, 2, 6, span=300.0):
         norms = linalg.norm(p.stack, NormKind.INF)
         for k in range(p.n + 1):
@@ -423,19 +424,24 @@ def test_a_preconditioned_polynomial_is_refused_exactly_where_a_coefficient_is_l
                 stack = linalg._solve(matpoly._lu(p, k), p.stack)
             except SingularMatrixError:
                 continue
+            stack[k] = np.eye(p.m)
             lost = [j for j in range(p.n + 1) if j != k and norms[j] > 0.0
                     and np.abs(stack[j]).max() < np.finfo(float).tiny]
+            over = [j for j in range(p.n + 1)
+                    if max(linalg.norm(stack[j], kind) for kind in ("one", "inf")) == np.inf]
             assert all(norms[j] < 2.0 ** -960 * norms[k] for j in lost)
-            if lost:
+            if lost or over:
                 refused += 1
-                with pytest.raises(SingularMatrixError, match=f"A_{k}\\^-1 A_{lost[0]} underflows"):
+                overflowed += min(lost + over) in over
+                with pytest.raises(SingularMatrixError,
+                                   match=f"A_{k}\\^-1 A_{min(lost + over)} (underflows|overflows)"):
                     left_precondition(p, k)
             else:
                 formed += 1
-                stack[k] = np.eye(p.m)
                 assert np.array_equal(left_precondition(p, k).stack, stack)
-    # 1,037 formed and 744 refused
-    assert formed > 1000 and refused > 700
+    # 1,036 formed and 745 refused, one of them for a norm past the double
+    # range
+    assert formed > 1000 and refused > 700 and overflowed
 
 
 def test_shift_by_z():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from pelletbounds import InvalidShapeError, PositiveRoots, SignedRadialPolynomial, positive_roots, rootloc
 
+from conftest import near_collinear_polynomials, pair_chord, wide_polynomials
+
 
 def radial(coeffs, k, nu):
     return SignedRadialPolynomial(coeffs, k, nu)
@@ -555,3 +557,107 @@ def test_minimizer_bisects_when_newton_leaves_the_bracket(monkeypatch):
     step = math.log(len(f._terms)) / min(abs(d) for _, d in f._terms)
     assert points[0] == tc and points[1] in (0.5 * (tc - step + tc), 0.5 * (tc + tc + step))
     assert len(points) > 20
+
+
+# --- the upper hull of the Newton polygon ----------------------------------
+
+def test_upper_hull_keeps_only_strict_vertices():
+    # points on or below the segment of their neighbours are dropped, so a
+    # point on a chord is no vertex; the reader takes the edge that
+    # straddles x, and has none at a vertex or beyond either end
+    hull = rootloc._upper_hull([(0.0, 0), (1.0, 1), (2.0, 2), (1.0, 3), (-5.0, 4), (0.0, 6)])
+    assert hull == [(0.0, 0), (2.0, 2), (0.0, 6)]
+    assert rootloc._hull_chord(hull, 1) == (1.0, -1.0)
+    assert rootloc._hull_chord(hull, 3) == (1.5, 0.5)
+    for x in (-1, 0, 2, 6, 7):
+        assert rootloc._hull_chord(hull, x) == (-math.inf, 0.0)
+
+
+def _chords_against_pairs(polynomials):
+    """For every polynomial, kind and k: (the kept hull's (C, t_c) at k from
+    ``matpoly._chord``, that of the brute-force pair loop over the same
+    terms, the kept record and k)."""
+    from pelletbounds import matpoly
+    from pelletbounds.linalg import NormKind
+
+    for p in polynomials:
+        for kind in NormKind:
+            kept = matpoly._kept(p, kind)
+            for k in range(p.n + 1):
+                terms = [(a, float(j - k)) for j, a in enumerate(kept.logs)
+                         if j != k and a > -math.inf]
+                yield matpoly._chord(kept, k), pair_chord(terms), kept, k
+
+
+def test_hull_chord_equals_the_pair_loop_on_wide_polynomials():
+    # the height at k of the upper hull of the other points, and where its
+    # edge's lines cross, are the highest chord over every pair and its
+    # crossing, bit for bit, on norms that span 10^+-60; the radial
+    # polynomial's own vertex, read from the hull of its terms, too
+    chords = vertices = 0
+    for hull, pairs, kept, k in _chords_against_pairs(wide_polynomials(11, 1000, 3, 8)):
+        assert hull == pairs, k
+        chords += 1
+        coeffs = [0.0 if j == k else c for j, c in enumerate(kept.norms)]
+        if 0 < k < len(coeffs) - 1 and any(coeffs[:k]):
+            f = SignedRadialPolynomial(coeffs, k, 1.0)
+            assert f._vertex() == pair_chord(f._terms)
+            vertices += 1
+    # 17,775 chords and 11,775 vertices
+    assert chords > 15000 and vertices > 10000
+
+
+def test_hull_chord_stays_within_ulps_of_the_pair_loop_near_collinear_points():
+    # where several chords pass within ulps of each other, the hull and the
+    # pair loop may read the same height from different pairs: the hull's
+    # is one of the pair loop's candidates, so never above its maximum, and
+    # within 1e-12 of it; the chord test and the radial polynomial's
+    # verdict are the same either way
+    moved = chords = 0
+    for hull, pairs, kept, k in _chords_against_pairs(near_collinear_polynomials(5, 1000, 3, 10)):
+        chords += 1
+        assert pairs[0] - 1e-12 <= hull[0] <= pairs[0], k
+        moved += hull != pairs
+        coeffs = tuple(0.0 if j == k else c for j, c in enumerate(kept.norms))
+        if not (0 < k < len(coeffs) - 1 and any(coeffs[:k])):
+            continue
+        # nu = ||A_k||, which lies on or near the chord for most k, so
+        # that the chord test C - log nu lies near its margin
+        nu = kept.norms[k]
+        verdicts = [positive_roots(SignedRadialPolynomial._from_logs(
+            coeffs, k, nu, kept.logs, math.log(nu), vertex)) for vertex in (hull, pairs)]
+        assert verdicts[0] == verdicts[1], k
+        assert (hull[0] - math.log(nu) >= rootloc._MARGIN) == (
+            pairs[0] - math.log(nu) >= rootloc._MARGIN)
+    # 100 of 20,667 chords moved
+    assert chords > 20000 and moved > 50
+
+
+def test_pellet_minimum_clears_the_chord_by_the_entropy_of_its_pair():
+    # h >= log(e^(a_i + d_i t) + e^(a_j + d_j t)) - log nu for the hull edge
+    # (i, j) that straddles k, whose minimum over t is the chord C plus the
+    # binary entropy H(p / (p + q)) in nats, p = -d_i and q = d_j: so
+    # h_min - delta >= H > 0, and a chord test delta at or above 0 ends in
+    # "none", not marginal, also on the full path
+    rng = np.random.default_rng(31)
+    checked = 0
+    while checked < 3000:
+        n = int(rng.integers(2, 13))
+        k = int(rng.integers(1, n))
+        span = (2.0, 30.0, 250.0)[checked % 3]
+        coeffs = 10.0 ** rng.uniform(-span, span, n + 1)
+        coeffs[rng.uniform(size=n + 1) < 0.3] = 0.0
+        coeffs[k] = 0.0
+        if not (coeffs[:k].any() and coeffs[k + 1:].any()):
+            continue
+        logs = [math.log(c) for c in coeffs if c > 0.0]
+        chord = pair_chord([(a, float(j - k)) for j, a in zip(np.flatnonzero(coeffs), logs)])[0]
+        f = radial(coeffs, k, math.exp(chord - rng.uniform(-1.0, 0.2)))
+        delta, tc = f._vertex()
+        hull = rootloc._upper_hull(f._terms)
+        (_, di), (_, dj) = next(e for e in zip(hull, hull[1:]) if e[0][1] < 0.0 < e[1][1])
+        w = -di / (dj - di)
+        entropy = -w * math.log(w) - (1.0 - w) * math.log(1.0 - w)
+        hmin = f._newton(rootloc._minimizer(f, tc))[0]
+        assert hmin - delta >= entropy - 1e-13
+        checked += 1
