@@ -21,47 +21,50 @@ coefficient first, which never shrinks a gap since
 The chord test.  The radial polynomial's chord test (``rootloc``) answers
 "none" from the Newton polygon of its coefficients without evaluating h:
 when C' - log nu >= 10*GAP_RTOL, where C' is the highest chord at k over
-its coefficients.  That is a bound on h, so no scale takes part.  One
-prefilter tries the test on the norms of P before any radial polynomial
-is built, for plain and preconditioned queries alike.  Write c_j =
-||A_j||, nu_k = 1/||A_k^-1|| and C for the highest chord at k of the
-points (j, log c_j), the maximum over i < k < j of
-((j-k) log c_i + (k-i) log c_j) / (j-i): the height at k of the edge of
-their upper convex hull (the Newton polygon of the norms) that straddles
-k.  ``matpoly`` keeps log c_j and that hull per kind, and reads C at k
-from it, with the t_c where the edge's two lines cross.  The query is
-"nogap" when
+its coefficients.  That is a bound on h, so no scale takes part.  The
+Pellet query itself first tries the test on the norms of P, before any
+log form of a radial polynomial is built, for plain and preconditioned
+queries alike.  Write c_j = ||A_j||, nu_k = 1/||A_k^-1|| and C for the
+highest chord at k of the points (j, log c_j), the maximum over i < k < j
+of ((j-k) log c_i + (k-i) log c_j) / (j-i): the height at k of the edge
+of their upper convex hull (the Newton polygon of the norms) that
+straddles k.  ``matpoly`` keeps log c_j and that hull per kind, and reads
+C at k from it, with the t_c where the edge's two lines cross.  The query
+is "nogap" when
 
     C - pivot >= 10*GAP_RTOL,
 
 the chord test's own margin, with pivot = log nu_k for a plain query and
-log c_k for a preconditioned one.  A plain query's radial polynomial is
-built from exactly these logs, with (C, t_c) as its vertex, so C' = C and
-its chord test reads the same float: the prefilter's "nogap" is exactly
-the "nogap", not marginal, that the root search returns.  For A_k^-1 P,
-nu = 1 and ||A_k^-1 A_j|| >= c_j / c_k, so C' >= C - log c_k, which needs
-C > log c_k: the preconditioned test skips only an index that is not a
-vertex of the hull.  The rounding of A_k^-1 P's norms needs no room in
-the margin.  Its h is at least the log-sum-exp of the two terms of the
-hull edge at k, whose minimum over t is their chord plus the binary
-entropy H(p / (p + q)) in nats, p and q being the distances of the edge's
-ends from k.  So h_min >= C' + H, with H >= H(1/n) >= log(n) / n, and any
-C' >= 0 ends in "none", not marginal, on the full path too.
+log c_k for a preconditioned one.  The query reads nu_k first, then P's
+kept record and the chord at k, once each.  A plain query hands exactly
+these logs to ``rootloc``'s one builder, with (C, t_c) as the vertex, so
+C' = C and its chord test reads the same float: the prefilter's "nogap"
+is exactly the "nogap", not marginal, that the root search returns.  A
+preconditioned query reads A_k^-1 P's record and chord for its roots.
+There nu = 1 and ||A_k^-1 A_j|| >= c_j / c_k, so C' >= C - log c_k,
+which needs C > log c_k: the preconditioned test skips only an index
+that is not a vertex of the hull.  The rounding of A_k^-1 P's norms
+needs no room in the margin.  Its h is at least the log-sum-exp of the
+two terms of the hull edge at k, whose minimum over t is their chord
+plus the binary entropy H(p / (p + q)) in nats, p and q being the
+distances of the edge's ends from k.  So h_min >= C' + H, with H >=
+H(1/n) >= log(n) / n, and any C' >= 0 ends in "none", not marginal, on
+the full path too.
 
-The prefilter forms nu_k first, so a singular A_k raises
-SingularMatrixError whether or not the query is skipped.  It declines only
-when max_j c_j is infinite, which leaves the radial polynomial to reject
-the query.  The preconditioned bound holds for the exact A_k^-1 P, whether
-or not its coefficients fit in doubles, so "nogap" stands even where
-forming A_k^-1 P would raise: the prefilter does not predict the
-transform, which ``matpoly.left_precondition`` alone decides.
+As nu_k is read first, a singular A_k raises SingularMatrixError whether
+or not the query is skipped.  The prefilter declines only when max_j c_j
+is infinite, which leaves the one builder to reject the query.  The
+preconditioned bound holds for the exact A_k^-1 P, whether or not its
+coefficients fit in doubles, so "nogap" stands even where forming
+A_k^-1 P would raise: the prefilter does not predict the transform,
+which ``matpoly.left_precondition`` alone decides.
 
 Everything these theorems read from a polynomial (its coefficient norms
 and their logs, nu_k, the chord (C, t_c), A_k^-1 P, Q and Q_R) is built
 once and kept on it by ``matpoly``.  This module keeps only the theorems
 and writes nothing: each query is a pure function of what it reads, a
-Cauchy radius included, and builds its radial polynomial from the kept
-logs without taking one.
+Cauchy radius included, and hands the kept logs of the norms to
+``rootloc``'s one builder (``_LogForm``), taking no log of a norm itself.
 """
 
 from __future__ import annotations
@@ -73,8 +76,7 @@ from dataclasses import dataclass
 from .linalg import NormKind, SingularMatrixError
 from .matpoly import (MatrixPolynomial, OddDegreeError, _chord, _kept, _nu, _squared,
                       left_precondition)
-from .rootloc import (_MARGIN, InvalidShapeError, PositiveRoots, SignedRadialPolynomial,
-                      positive_roots)
+from .rootloc import _MARGIN, PositiveRoots, _LogForm, positive_roots
 
 VARIANT_PLAIN = "plain"
 VARIANT_PRECONDITIONED = "monic-preconditioned"
@@ -123,34 +125,19 @@ class GapResult:
     marginal: bool = False
 
 
-def _pivot_profile(p: MatrixPolynomial, j: int, kind: NormKind, precondition: bool):
-    """The kept record for ``kind`` (``matpoly._Kept``) and nu = 1/||A_j^-1||
-    of the polynomial whose radial polynomial pivots on A_j: P itself, or with
-    ``precondition`` A_j^-1 P, whose j-th coefficient is exactly I and so nu
-    exactly 1.0.  Raises SingularMatrixError when A_j is singular."""
-    if precondition:
-        p = left_precondition(p, j)
-    return _kept(p, kind), _nu(p, j, kind)
-
-
-def _radial_roots(kept, nu: float, k: int, chord: tuple | None = None) -> PositiveRoots | None:
-    """Positive roots of f_k(x) = sum_{j != k} ||A_j|| x^j - nu x^k over the
-    norms and their logs in ``kept``, with the chord (C, t_c) at k read
-    from the kept hull when given; None when every coefficient but the k-th
-    is zero (P = A_k z^k).  A norm beyond the double range, kept as inf,
-    raises InvalidShapeError, with the radial polynomial's own message.
-    Such a norm is one of the queried polynomial's own (P's, or Q's on the
-    squared route): ``left_precondition`` refuses an A_k^-1 P whose 1- or
-    infinity norm passes the range, and its 2-norm lies below the larger of
-    the two."""
-    norms = kept.norms
-    coeffs = (*norms[:k], 0.0, *norms[k + 1:])
-    if not all(c < math.inf for c in coeffs):
-        raise InvalidShapeError("coefficients must be finite and nonnegative")
-    if not any(coeffs):
-        return None
-    return positive_roots(SignedRadialPolynomial._from_logs(coeffs, k, nu, kept.logs, math.log(nu),
-                                                            chord))
+def _radial_roots(kept, k: int, lognu: float, chord: tuple | None = None) -> PositiveRoots | None:
+    """Positive roots of f_k(x) = sum_{j != k} ||A_j|| x^j - nu x^k from the
+    logs of the norms in ``kept`` and log nu, with the chord (C, t_c) at k
+    read from the kept hull as the vertex when given; None when every
+    coefficient but the k-th is zero (P = A_k z^k).  A norm beyond the
+    double range, kept as inf, raises InvalidShapeError in the one builder
+    (``rootloc._LogForm``), with the public constructor's message.  Such a
+    norm is one of the queried polynomial's own (P's, or Q's on the squared
+    route): ``left_precondition`` refuses an A_k^-1 P whose 1- or infinity
+    norm passes the range, and its 2-norm lies below the larger of the
+    two."""
+    form = _LogForm(kept.logs, k, lognu, chord)
+    return positive_roots(form) if form._terms else None
 
 
 def _cauchy_radius(p: MatrixPolynomial, k: int, kind: NormKind,
@@ -160,10 +147,12 @@ def _cauchy_radius(p: MatrixPolynomial, k: int, kind: NormKind,
     other coefficient is zero (at k = n every eigenvalue is then 0; at k = 0
     the bound r = 0 is trivially valid)."""
     try:
-        kept, nu = _pivot_profile(p, k, kind, precondition)
+        if precondition:
+            p = left_precondition(p, k)
+        lognu = math.log(_nu(p, k, kind))
     except SingularMatrixError:
         return None
-    roots = _radial_roots(kept, nu, k)
+    roots = _radial_roots(_kept(p, kind), k, lognu)
     return 0.0 if roots is None else roots.x1
 
 
@@ -199,25 +188,24 @@ def _gap_result(k: int, roots: PositiveRoots, count: int, kind: NormKind, varian
                      norm_kind=kind, variant=variant, marginal=roots.marginal)
 
 
-def _chord_proves_none(p: MatrixPolynomial, k: int, kind: NormKind, precondition: bool) -> bool:
-    """Whether P's coefficient norms, nu_k and their chord C at k prove the
-    chord test's "none" at k, for P itself or, with ``precondition``, for
-    the exact A_k^-1 P, whether or not ``left_precondition`` can form it
-    (see the module docstring); raises SingularMatrixError when A_k is
-    singular."""
-    nu, kept = _nu(p, k, kind), _kept(p, kind)
-    pivot = kept.logs[k] if precondition else math.log(nu)
-    return max(kept.norms) < math.inf and _chord(kept, k)[0] - pivot >= _MARGIN
-
-
 def _pellet_roots(p: MatrixPolynomial, k: int, kind: NormKind, precondition: bool) -> PositiveRoots:
     """The roots of Pellet's radial polynomial at index k of P (with
     ``precondition``, of A_k^-1 P), whose vertex is the kept chord; "none"
-    early when P's norms prove it."""
-    if _chord_proves_none(p, k, kind, precondition):
+    early when P's norms prove it (see the module docstring).  P's nu_k,
+    record and chord at k are read once each, nu_k first, so that a
+    singular A_k raises SingularMatrixError before anything else."""
+    lognu = math.log(_nu(p, k, kind))
+    kept = _kept(p, kind)
+    chord = _chord(kept, k)
+    pivot = kept.logs[k] if precondition else lognu
+    if max(kept.norms) < math.inf and chord[0] - pivot >= _MARGIN:
         return _NO_ROOTS
-    kept, nu = _pivot_profile(p, k, kind, precondition)
-    return _radial_roots(kept, nu, k, _chord(kept, k))
+    if precondition:
+        # A_k^-1 P's k-th coefficient is exactly I, so its nu_k is 1.0
+        p = left_precondition(p, k)
+        lognu, kept = 0.0, _kept(p, kind)
+        chord = _chord(kept, k)
+    return _radial_roots(kept, k, lognu, chord)
 
 
 def pellet_gap(p: MatrixPolynomial, k: int, kind, precondition: bool = False) -> GapResult:

@@ -19,9 +19,9 @@ each for Q and Q_R (``_squared``); and per norm kind one record (``_kept``)
 of the coefficient norms, their logs, one ``math.log`` each, by index j
 nu_j = 1/||A_j^-1|| (``_nu``), and the upper convex hull of the points
 (j, log ||A_j||), their Newton polygon, built on the first chord read.
-The chord (C, t_c) at k, read from that hull (``_chord``), serves both
-the prefilter of ``bounds`` and, as its vertex, the radial polynomial at
-k, built from the same logs.  No other module builds or writes such
+The chord (C, t_c) at k, read from that hull (``_chord``) once per
+Pellet query, serves both the prefilter of ``bounds`` and, as its vertex,
+the log form of the radial polynomial at k, built from the same logs.  No other module builds or writes such
 data: ``bounds`` only reads it, and no module divides it by a scale.
 Failures are not kept: a singular pivot raises on every call.
 ``left_precondition`` alone decides whether A_k^-1 P can be used: it

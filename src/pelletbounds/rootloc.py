@@ -14,16 +14,24 @@ into the convex function
 with f(x) < 0 exactly where h(t) < 0.  h = log(f(x) / (nu x^k) + 1) is
 free of any scale: the unit change c_j -> c_j alpha^j, which maps each
 root x to x / alpha, only shifts h by log(alpha) in t.  All root finding
-is done on h in log-x coordinates, over the log form that a
-SignedRadialPolynomial keeps: a_j = log c_j for each of the N positive
-terms and log nu, taken as they are, with no scale and no quotient.  h is
-a log-sum-exp over them, shifted by its largest term, so degrees up to
-100 and coefficients anywhere in the double range cannot overflow.  The
-public constructor validates its arguments and takes these logs;
-``bounds`` hands the same builder the logs of the norms that ``matpoly``
-has checked and keeps (``SignedRadialPolynomial._from_logs``).  N is
-small, so h is evaluated with plain Python floats: numpy's per-call cost
-would exceed the arithmetic.
+is done on h in log-x coordinates, over the log form of f: a_j = log c_j
+for each of the N positive terms and log nu, taken as they are, with no
+scale and no quotient.  h is a log-sum-exp over them, shifted by its
+largest term, so degrees up to 100 and coefficients anywhere in the
+double range cannot overflow.  N is small, so h is evaluated with plain
+Python floats: numpy's per-call cost would exceed the arithmetic.
+
+One builder (``_LogForm``) turns a list of logs by index j into the log
+form: the terms (a_j, j - k), log nu and the envelope ends tau1 and tau2
+below.  A log of -inf stands for a zero coefficient, and a log of +inf
+raises InvalidShapeError, with the message of a coefficient that is not
+finite.  ``bounds`` hands it the logs of the norms that ``matpoly`` keeps,
+with the chord at k as the vertex, and passes the log form to
+``positive_roots`` as it is.  SignedRadialPolynomial is the validated
+public front over the same builder: its constructor checks its arguments
+and takes their logs, and the polynomial is itself a log form.  Root
+isolation (``_root``, ``_minimizer`` and the verdict in
+``positive_roots``) reads only the log form and its vertex.
 
 The envelope.  The Newton-polygon (tropical) envelope of h,
 
@@ -58,18 +66,19 @@ the maximum is read off the hull (``_upper_hull``, Andrew's monotone
 chain, and ``_hull_chord``, its reader): C - log(nu) and t_c for the
 edge's height C at k and the crossing t_c of its two lines.  ``matpoly``
 keeps one hull per polynomial and norm kind, reads (C, t_c) at k from it,
-and ``bounds`` hands that to the radial polynomial as its vertex; the
-public constructor's polynomial reads it from the hull of its own terms
-when asked.  The verdict and its margin are read on h alone, so no scale
-takes part in them: "two" when h_min < -GAP_RTOL, else "none", and
-marginal when |h_min| < 10*GAP_RTOL.  As h_min >= delta, delta >=
-10*GAP_RTOL settles "none" (not marginal) without evaluating h.  In fact
-h_min >= delta + H(p / (p + q)), with H the binary entropy in nats and p,
-q the distances of the edge's ends from k: h is at least the log-sum-exp
-of the edge's two terms, whose minimum over t is that.  ``bounds`` tries
-the chord test on a polynomial's kept norms before it builds a radial
-polynomial at all, at the same margin: for a plain query it is the same
-float C - log(nu), and for a preconditioned one a bound on it.
+and ``bounds`` hands that to the log form as its vertex; a log form
+built without one, the public constructor's polynomial among them, reads
+it from the hull of its own terms when asked.  The verdict and its
+margin are read on h alone, so no scale takes part in them: "two" when
+h_min < -GAP_RTOL, else "none", and marginal when
+|h_min| < 10*GAP_RTOL.  As h_min >= delta, delta >= 10*GAP_RTOL settles
+"none" (not marginal) without evaluating h.  In fact
+h_min >= delta + H(p / (p + q)), with H the binary entropy in nats and
+p, q the distances of the edge's ends from k: h is at least the
+log-sum-exp of the edge's two terms, whose minimum over t is that.
+``bounds`` tries the chord test on a polynomial's kept norms before it
+builds a log form at all, at the same margin: for a plain query it is
+the same float C - log(nu), and for a preconditioned one a bound on it.
 Otherwise h is evaluated once at t_c, and h(t_c) < -10*GAP_RTOL settles
 "two" (not marginal).  Failing both, the minimizer of h decides "none" or
 "two" and the marginal flag.  As T(t) >= delta + min|j - k| |t - t_c| and
@@ -105,88 +114,40 @@ class InvalidShapeError(Exception):
     """The coefficient data violates the one-negative-term shape."""
 
 
-@dataclass(frozen=True)
-class SignedRadialPolynomial:
-    """f(x) = sum_{j != neg_index} coeffs[j] x^j - neg_value * x^neg_index.
+class _LogForm:
+    """The log form of f (see the module docstring), which is all that root
+    isolation reads: the positive terms in ascending j, each once, as the
+    pairs (a_j, d_j) of a_j = log c_j and d_j = j - k (``_terms``), log nu
+    (``_lognu``), the envelope ends tau1 and tau2, and the vertex (C, t_c)
+    of the chord test when it was given (``_chord``).  ``bounds`` builds it
+    from the logs that ``matpoly`` keeps; a SignedRadialPolynomial is one,
+    built from the logs of its validated coefficients."""
 
-    coeffs must be nonnegative with coeffs[neg_index] == 0, neg_value must be
-    positive, and at least one other coefficient must be positive.  Once
-    validated, the constructor takes the logs and hands them to ``_build``,
-    the one builder, which keeps f's log form (see the module docstring) in
-    private attributes, which are not dataclass fields: the positive terms
-    in ascending j, each once, as the pairs (a_j, d_j) of a_j = log c_j and
-    d_j = j - k (``_terms``), log nu (``_lognu``), the envelope ends tau1
-    and tau2, and the vertex (C, t_c) of the chord test when it was given
-    (``_chord``).
-    """
-
-    coeffs: tuple
-    neg_index: int
-    neg_value: float
-
-    def __init__(self, coeffs, neg_index, neg_value):
-        coeffs = tuple(map(float, coeffs))
-        neg_index = operator.index(neg_index)
-        neg_value = float(neg_value)
-        if len(coeffs) < 2:
-            raise InvalidShapeError("need degree >= 1")
-        if not 0 <= neg_index < len(coeffs):
-            raise InvalidShapeError(f"neg_index {neg_index} out of range")
-        if not all(0.0 <= c < math.inf for c in coeffs):
-            raise InvalidShapeError("coefficients must be finite and nonnegative")
-        if coeffs[neg_index] != 0.0:
-            raise InvalidShapeError("coeffs[neg_index] must be zero (it is replaced by -neg_value)")
-        if not math.isfinite(neg_value) or neg_value <= 0.0:
-            raise InvalidShapeError("neg_value must be positive and finite")
-        if not max(coeffs) > 0.0:
-            raise InvalidShapeError("need at least one positive coefficient besides the negative term")
-        logs = [-math.inf if c == 0.0 else math.log(c) for c in coeffs]
-        self._build(coeffs, neg_index, neg_value, logs, math.log(neg_value))
-
-    @classmethod
-    def _from_logs(cls, coeffs: tuple, neg_index: int, neg_value: float, logs: list,
-                   lognu: float, chord: tuple | None) -> "SignedRadialPolynomial":
-        """The radial polynomial of arguments that the constructor would
-        accept, with log c_j (-inf where c_j = 0) and log nu already taken,
-        and the chord test's vertex (C, t_c) over its terms (``_hull_chord``
-        of their upper hull at k) or None: no check and no second log."""
-        f = object.__new__(cls)
-        f._build(coeffs, neg_index, neg_value, logs, lognu, chord)
-        return f
-
-    def _build(self, coeffs, neg_index, neg_value, logs, lognu, chord=None):
-        """Keep the fields and the log form: the terms (a_j, d_j) with
-        a_j = logs[j] for each positive c_j, log nu, the envelope ends, and
-        the chord when given (else ``_vertex`` reads it from the hull)."""
+    def __init__(self, logs, k: int, lognu: float, chord: tuple | None = None):
+        """The one builder: the log form of the logs of c_j by index j (-inf
+        for a zero c_j; the k-th is not read), k and log nu, with the vertex
+        ``chord`` (``_hull_chord`` of the terms' upper hull at k) or None, in
+        which case ``_vertex`` reads it from that hull.  A log of +inf, a c_j
+        beyond the double range, raises InvalidShapeError."""
         terms = []
         # T <= 0 on [tau1, tau2]: right of each falling line's zero, left of
         # each rising line's zero
         tau1, tau2 = -math.inf, math.inf
-        for j, c in enumerate(coeffs):
-            if c > 0.0:
-                a, d = logs[j], float(j - neg_index)
-                terms.append((a, d))
-                z = (lognu - a) / d
-                if d > 0.0:
-                    if z < tau2:
-                        tau2 = z
-                elif z > tau1:
-                    tau1 = z
-        # past the frozen __setattr__
-        self.__dict__.update(coeffs=coeffs, neg_index=neg_index, neg_value=neg_value,
-                             _terms=terms, _lognu=lognu, _tau1=tau1, _tau2=tau2, _chord=chord)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: float) -> float:
-        """Evaluate f(x) directly (Horner); fine away from overflow range."""
-        acc = 0.0
-        for j in range(self.degree, -1, -1):
-            c = -self.neg_value if j == self.neg_index else self.coeffs[j]
-            acc = acc * x + c
-        return acc
+        for j, a in enumerate(logs):
+            if j == k or a == -math.inf:
+                continue
+            if a == math.inf:
+                raise InvalidShapeError("coefficients must be finite and nonnegative")
+            d = float(j - k)
+            terms.append((a, d))
+            z = (lognu - a) / d
+            if d > 0.0:
+                if z < tau2:
+                    tau2 = z
+            elif z > tau1:
+                tau1 = z
+        # past a frozen subclass's __setattr__
+        self.__dict__.update(_terms=terms, _lognu=lognu, _tau1=tau1, _tau2=tau2, _chord=chord)
 
     def _newton(self, t: float):
         """Return (h, h') at t; h' is the mean of j - k under the weights
@@ -210,6 +171,55 @@ class SignedRadialPolynomial:
         """(delta, t_c): the minimum of T and where it is reached."""
         chord, tc = self._chord or _hull_chord(_upper_hull(self._terms), 0.0)
         return chord - self._lognu, tc
+
+
+@dataclass(frozen=True)
+class SignedRadialPolynomial(_LogForm):
+    """f(x) = sum_{j != neg_index} coeffs[j] x^j - neg_value * x^neg_index.
+
+    coeffs must be nonnegative with coeffs[neg_index] == 0, neg_value must be
+    positive, and at least one other coefficient must be positive.  Once
+    validated, the constructor hands the logs of the coefficients and of
+    neg_value to the one builder (``_LogForm``): f is its own log form, kept
+    in private attributes, which are not dataclass fields.
+    """
+
+    coeffs: tuple
+    neg_index: int
+    neg_value: float
+
+    def __init__(self, coeffs, neg_index, neg_value):
+        coeffs = tuple(map(float, coeffs))
+        neg_index = operator.index(neg_index)
+        neg_value = float(neg_value)
+        if len(coeffs) < 2:
+            raise InvalidShapeError("need degree >= 1")
+        if not 0 <= neg_index < len(coeffs):
+            raise InvalidShapeError(f"neg_index {neg_index} out of range")
+        if not all(0.0 <= c < math.inf for c in coeffs):
+            raise InvalidShapeError("coefficients must be finite and nonnegative")
+        if coeffs[neg_index] != 0.0:
+            raise InvalidShapeError("coeffs[neg_index] must be zero (it is replaced by -neg_value)")
+        if not math.isfinite(neg_value) or neg_value <= 0.0:
+            raise InvalidShapeError("neg_value must be positive and finite")
+        if not max(coeffs) > 0.0:
+            raise InvalidShapeError("need at least one positive coefficient besides the negative term")
+        # past the frozen __setattr__
+        self.__dict__.update(coeffs=coeffs, neg_index=neg_index, neg_value=neg_value)
+        super().__init__([-math.inf if c == 0.0 else math.log(c) for c in coeffs], neg_index,
+                         math.log(neg_value))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __call__(self, x: float) -> float:
+        """Evaluate f(x) directly (Horner); fine away from overflow range."""
+        acc = 0.0
+        for j in range(self.degree, -1, -1):
+            c = -self.neg_value if j == self.neg_index else self.coeffs[j]
+            acc = acc * x + c
+        return acc
 
 
 @dataclass(frozen=True)
@@ -258,7 +268,7 @@ def _hull_chord(hull, x):
     return -math.inf, 0.0
 
 
-def _root(f: SignedRadialPolynomial, tau: float) -> float:
+def _root(f: _LogForm, tau: float) -> float:
     """The root of h reached by Newton's method from tau, a finite end of
     [tau1, tau2] and so on the root's outer side (see the module docstring)."""
     t = min(max(tau, -_T_LIMIT), _T_LIMIT)
@@ -278,7 +288,7 @@ def _root(f: SignedRadialPolynomial, tau: float) -> float:
     return t
 
 
-def _minimizer(f: SignedRadialPolynomial, tc: float) -> float:
+def _minimizer(f: _LogForm, tc: float) -> float:
     """The zero of the nondecreasing h' within log N / min|j - k| of t_c:
     Newton's method on h' from t_c, safeguarded by bisection, until the
     bracket or a Newton step falls below _MIN_TOL relative."""
@@ -308,8 +318,9 @@ def _minimizer(f: SignedRadialPolynomial, tc: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def positive_roots(f: SignedRadialPolynomial) -> PositiveRoots:
-    """Locate the positive roots of f.
+def positive_roots(f: _LogForm) -> PositiveRoots:
+    """Locate the positive roots of f, a SignedRadialPolynomial or the log
+    form that ``bounds`` builds from kept logs (``_LogForm``).
 
     One sign change (Cauchy shapes and degenerate one-sided Pellet shapes)
     yields the unique root.  Otherwise a minimum of h at or above -GAP_RTOL

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pelletbounds
-from pelletbounds import MatrixPolynomial, SignedRadialPolynomial, trial_rng
+from pelletbounds import MatrixPolynomial, rootloc, trial_rng
 
 CRITERION_1_SEED = 20260810
 
@@ -127,13 +127,14 @@ def rng():
 @pytest.fixture
 def h_evaluations(monkeypatch):
     """The list of points at which h is evaluated.  Every evaluation goes
-    through the (h, h') evaluator: the (h, h', h'') one calls it."""
+    through the one (h, h') evaluator of the log form, which a
+    SignedRadialPolynomial is too: the (h, h', h'') one calls it."""
     points = []
-    newton = SignedRadialPolynomial._newton
+    newton = rootloc._LogForm._newton
 
     def counted(f, t):
         points.append(t)
         return newton(f, t)
 
-    monkeypatch.setattr(SignedRadialPolynomial, "_newton", counted)
+    monkeypatch.setattr(rootloc._LogForm, "_newton", counted)
     return points

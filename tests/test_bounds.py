@@ -180,7 +180,7 @@ def test_pellet_no_gap():
     # at k = 1 all lie above k: f_1 = x^2 - x has the one root x = 1, which
     # bounds the moduli only from below and certifies no annulus
     f = scalar_polynomial([0.0, 1.0, 1.0])
-    assert bounds._radial_roots(*bounds._pivot_profile(f, 1, NormKind.ONE, False), 1).kind == "one"
+    assert _full_roots(f, 1, NormKind.ONE, False).kind == "one"
     for coeffs in ([1.0, 1.0, 1.0], [0.0, 1.0, 1.0]):
         for pre in (False, True):
             g = pellet_gap(scalar_polynomial(coeffs), 1, "one", precondition=pre)
@@ -460,11 +460,19 @@ def test_squared_gap_soundness(rng):
 
 # --- kept per-polynomial data and the chord prefilter ----------------------
 
+def _full_roots(p, k, kind, pre):
+    """The roots of the radial polynomial at k of P, or with ``pre`` of
+    A_k^-1 P, from its kept logs and nu_k, with no prefilter and no kept
+    chord: the log form reads its vertex from the hull of its own terms."""
+    if pre:
+        p = left_precondition(p, k)
+    return bounds._radial_roots(matpoly._kept(p, kind), k, math.log(matpoly._nu(p, k, kind)))
+
+
 def _full_pellet(p, k, kind, pre):
     """pellet_gap's result from the radial polynomial, with no prefilter."""
     variant = "monic-preconditioned" if pre else "plain"
-    roots = bounds._radial_roots(*bounds._pivot_profile(p, k, kind, pre), k)
-    return bounds._gap_result(k, roots, k * p.m, kind, variant)
+    return bounds._gap_result(k, _full_roots(p, k, kind, pre), k * p.m, kind, variant)
 
 
 def _full_squared(p, k_even, kind, pre):
@@ -472,8 +480,7 @@ def _full_squared(p, k_even, kind, pre):
     q, variant = squared_polynomial(p, False)
     if pre:
         variant += "+B-preconditioned"
-    kq = k_even // 2
-    roots = bounds._radial_roots(*bounds._pivot_profile(q, kq, kind, pre), kq)
+    roots = _full_roots(q, k_even // 2, kind, pre)
     return bounds._gap_result(k_even, roots, k_even * p.m, kind, variant, radius=bounds._unsquare)
 
 
@@ -494,45 +501,46 @@ def _outcome_type(fn):
 
 
 def _gap_queries(p):
-    """Every per-index Pellet query of P: (public, full path, the polynomial
-    the prefilter reads, k) for ``pellet_gap`` and, when Q can be formed,
-    ``squared_gap``."""
+    """Every per-index Pellet query of P: (public, full path, k) for
+    ``pellet_gap`` and, when Q can be formed, ``squared_gap``."""
     n = p.n
-    cases = [(pellet_gap, _full_pellet, p, k) for k in range(1, n)]
+    cases = [(pellet_gap, _full_pellet, k) for k in range(1, n)]
     if n % 2 == 0 and n >= 4:
         q = _outcome(lambda: squared_polynomial(p, False)[0])
         if not isinstance(q, str):
-            cases += [(squared_gap, _full_squared, q, k) for k in range(2, n - 1, 2)]
+            cases += [(squared_gap, _full_squared, k) for k in range(2, n - 1, 2)]
     return cases
 
 
-def _prefilter_agrees(polynomials):
+def _prefilter_agrees(polynomials, built):
     """Run every per-index Pellet query of ``polynomials`` in all three
     norms, plain and preconditioned, and require the public result (tried
     on P's norms first) to equal the root search's in status, x1, x2,
     count, variant and marginal flag; (queries, skipped by the norms for
-    plain and for preconditioned queries)."""
+    plain and for preconditioned queries), a query being skipped when it
+    returns with no log form in ``built`` (the ``radial_polynomials``
+    fixture)."""
     queries = 0
     skipped = {False: 0, True: 0}
     for i, p in enumerate(polynomials):
         cases = _gap_queries(p)
         for kind in KINDS:
             for pre in (False, True):
-                for public, full, target, k in cases:
+                for public, full, k in cases:
+                    built.clear()
                     got = _outcome(public, p, k, kind, pre)
+                    skipped[pre] += not (isinstance(got, str) or built)
                     assert got == _outcome(full, p, k, kind, pre), (i, kind, pre, k)
                     # a Pellet query has two outcomes: the annulus or none
                     assert isinstance(got, str) or got.status in (GAP, NO_GAP), (i, kind, pre, k)
                     queries += 1
-                    if not isinstance(got, str):
-                        kq = k if public is pellet_gap else k // 2
-                        skipped[pre] += bounds._chord_proves_none(target, kq, kind, pre)
     return queries, skipped
 
 
-def test_prefilter_equals_full_path_on_criterion_1_instances():
+def test_prefilter_equals_full_path_on_criterion_1_instances(radial_polynomials):
     # the first 144 criterion-1 instances
-    queries, skipped = _prefilter_agrees(criterion_1_instance(i)[0] for i in range(144))
+    queries, skipped = _prefilter_agrees((criterion_1_instance(i)[0] for i in range(144)),
+                                         radial_polynomials)
     assert queries > 4000
     # half the queries are plain and half preconditioned; the norms settle
     # most of each (2261 plain and 1769 preconditioned of 5280)
@@ -540,20 +548,22 @@ def test_prefilter_equals_full_path_on_criterion_1_instances():
     assert skipped[True] > queries // 4
     # and polynomials whose norms span 10^240, where a margin measured
     # against the largest coefficient would differ most from one in h
-    queries, skipped = _prefilter_agrees(wide_polynomials(11, 300, 3, 8))
+    queries, skipped = _prefilter_agrees(wide_polynomials(11, 300, 3, 8), radial_polynomials)
     assert queries > 7000 and skipped[False] > 0 and skipped[True] > 0
 
 
-def test_preconditioned_prefilter_settles_where_the_transform_overflows():
+def test_preconditioned_prefilter_settles_where_the_transform_overflows(radial_polynomials):
     # 1 + 1e-300 z + 1e10 z^2 at k = 1: the chord of the norms lies far
     # above ||A_1||, which proves "none" for the exact A_1^-1 P although its
     # coefficient 1e310 is beyond the double range: the public query is the
-    # non-marginal "nogap", while forming A_1^-1 P raises
+    # non-marginal "nogap", settled before a log form is built, while
+    # forming A_1^-1 P raises
     p = scalar_polynomial([1.0, 1e-300, 1e10])
     for kind in KINDS:
         assert pellet_gap(p, 1, kind).status == NO_GAP
-        assert bounds._chord_proves_none(p, 1, kind, True)
+        radial_polynomials.clear()
         g = pellet_gap(p, 1, kind, precondition=True)
+        assert radial_polynomials == []
         assert g.status == NO_GAP and not g.marginal
         with pytest.raises(SingularMatrixError, match="not finite"):
             _full_pellet(p, 1, kind, True)
@@ -578,7 +588,7 @@ def test_prefilter_contract_on_extreme_polynomials():
         cases = _gap_queries(p)
         for kind in KINDS:
             for pre in (False, True):
-                for public, full, _, k in cases:
+                for public, full, k in cases:
                     got = _typed_outcome(public, p, k, kind, pre)
                     want = _typed_outcome(full, p, k, kind, pre)
                     queries += 1
@@ -594,35 +604,37 @@ def test_prefilter_contract_on_extreme_polynomials():
     assert queries > 80000 and settled > 5000 and lost > 1000
 
 
-def test_prefilter_keeps_marginal_near_tangent_shape(h_evaluations):
+def test_prefilter_keeps_marginal_near_tangent_shape(h_evaluations, radial_polynomials):
     # z^2 - slope z + 1 at k = 1: h's minimum is log(2 / slope), about
     # -/+2.5e-10, within 10*GAP_RTOL of zero, so P's norms prove nothing,
-    # plain or preconditioned (A_1^-1 P has the same h), and the root search
-    # reports a marginal gap above slope 2 and a marginal "none" below it
+    # plain or preconditioned (A_1^-1 P has the same h): the query builds
+    # its log form, and the root search reports a marginal gap above slope
+    # 2 and a marginal "none" below it
     for slope in (2.0 + 5e-10, 2.0 - 5e-10):
         p = scalar_polynomial([1.0, -slope, 1.0])
         for pre in (False, True):
-            assert not bounds._chord_proves_none(p, 1, NormKind.ONE, pre)
             h_evaluations.clear()
+            radial_polynomials.clear()
             g = pellet_gap(p, 1, "one", precondition=pre)
-            assert h_evaluations
+            assert len(radial_polynomials) == 1 and h_evaluations
             assert g.status == (GAP if slope > 2.0 else NO_GAP) and g.marginal
             assert g == _full_pellet(p, 1, NormKind.ONE, pre)
 
 
 @pytest.fixture
 def radial_polynomials(monkeypatch):
-    """The list of SignedRadialPolynomial constructions, each as its
-    arguments: the public constructor and ``bounds``' build from the kept
-    logs both go through ``_build``."""
+    """The list of log forms built, each as its type and the builder's
+    arguments: ``bounds``' build from the kept logs and the public
+    SignedRadialPolynomial constructor both go through the one builder,
+    ``rootloc._LogForm``."""
     built = []
-    build = SignedRadialPolynomial._build
+    build = rootloc._LogForm.__init__
 
     def counted(f, *args):
-        built.append(args)
+        built.append((type(f), args))
         build(f, *args)
 
-    monkeypatch.setattr(SignedRadialPolynomial, "_build", counted)
+    monkeypatch.setattr(rootloc._LogForm, "__init__", counted)
     return built
 
 
@@ -720,11 +732,63 @@ def test_one_hull_is_built_per_polynomial_and_kind(monkeypatch):
     assert calls and None not in keys
     assert not any(cauchy for _, cauchy in calls)
     kept = [record for record, first in keys if first]
-    # 1,495 kept hulls, and 5,028 hulls of the points but a vertex k
+    # 1,495 kept hulls, and 4,270 hulls of the points but a vertex k (5,028
+    # when a plain query read its chord twice)
     assert len(set(kept)) == len(kept) > 1000
     # every other build is the hull of the points but a vertex k, for the
     # chord at k, on a record whose hull is kept
     assert {record for record, first in keys if not first} <= set(kept)
+
+
+def test_a_plain_query_reads_its_chord_once_and_builds_no_public_polynomial(
+        monkeypatch, radial_polynomials):
+    # over the sweep's 144 criterion-1 instances, a plain Pellet query reads
+    # P's chord at k once, for the prefilter and, where that settles
+    # nothing, as the vertex of its log form; and no query of bounds builds
+    # a SignedRadialPolynomial: each hands the kept logs to the one builder
+    reads, chord = [], matpoly._chord
+
+    def counted(kept, k):
+        reads.append(k)
+        return chord(kept, k)
+
+    monkeypatch.setattr(bounds, "_chord", counted)
+    full = 0
+    for i in range(144):
+        p, n = criterion_1_instance(i)
+        for kind in KINDS:
+            for k in range(1, n):
+                reads.clear()
+                radial_polynomials.clear()
+                if isinstance(_outcome(pellet_gap, p, k, kind), str):
+                    assert reads == []  # a singular A_k raises before any read
+                    continue
+                assert reads == [k], (i, kind, k)
+                full += len(radial_polynomials)
+            radial_polynomials.clear()
+            for _, query in _queries(p, kind):
+                _outcome_type(query)
+            assert radial_polynomials and not any(
+                t is SignedRadialPolynomial for t, _ in radial_polynomials), (i, kind)
+    # 350 of the 2,160 plain queries went the full path, each with its one read
+    assert full > 300
+
+
+def test_a_kept_record_is_read_as_the_public_constructor_reads_its_coefficients():
+    # a norm beyond the double range (kept as inf) beside the pivot raises
+    # the public constructor's message for a coefficient that is not
+    # finite, and a record whose only nonzero norm is the pivot's, P =
+    # A_k z^k, has no radial polynomial
+    record = matpoly._Kept([1.0, 2.0, math.inf], [0.0, math.log(2.0), math.inf], [None] * 3)
+    with pytest.raises(InvalidShapeError) as public:
+        SignedRadialPolynomial([1.0, 0.0, math.inf], 1, 2.0)
+    with pytest.raises(InvalidShapeError) as kept:
+        bounds._radial_roots(record, 1, math.log(2.0))
+    assert str(kept.value) == str(public.value) == "coefficients must be finite and nonnegative"
+    lone = matpoly._Kept([0.0, 2.0, 0.0], [-math.inf, math.log(2.0), -math.inf], [None] * 3)
+    assert bounds._radial_roots(lone, 1, math.log(2.0)) is None
+    # so the upper Cauchy radius of 2z is 0.0
+    assert cauchy_bounds(scalar_polynomial([0.0, 2.0]), "one").upper == 0.0
 
 
 def test_singular_pivot_at_non_vertex_raises_every_time():
@@ -820,6 +884,7 @@ def _assert_built_like_input(t):
     assert np.array_equal(MatrixPolynomial(t.stack).stack, t.stack)
 
 
+@pytest.mark.identity
 def test_kept_pivots_match_a_fresh_factorization():
     # nu_j and A_j^-1 Q solved from Q's kept LU, scaled by Q's kept norms,
     # are bit for bit (or error for error) what linalg._factor, _solve and
@@ -862,6 +927,7 @@ def test_kept_pivots_match_a_fresh_factorization():
                     _assert_built_like_input(t)
 
 
+@pytest.mark.identity
 def test_identity_pivots_match_a_fresh_factorization():
     # a coefficient that is exactly I (a monic P's A_n, Q's and Q_R's
     # leading coefficient, index 0 of B_0^-1 Q) has nu exactly 1.0 in every
@@ -1006,7 +1072,7 @@ def test_no_valid_polynomial_ends_in_an_untyped_error(p):
             pass
 
 
-def test_preconditioned_prefilter_uses_the_pivot_norm(h_evaluations):
+def test_preconditioned_prefilter_uses_the_pivot_norm(h_evaluations, radial_polynomials):
     # blocks 1 - (2 - 5e-10) z + z^2 and 1e-6 + 1e-3 z + 1e-6 z^2: the
     # plain query's nu_1 = 1e-3 lies far below the chord of the norms, but
     # A_1^-1 P is the first block over its middle coefficient, near-tangent
@@ -1015,12 +1081,14 @@ def test_preconditioned_prefilter_uses_the_pivot_norm(h_evaluations):
     p = MatrixPolynomial([np.diag([1.0, 1e-6]), np.diag([-(2.0 - 5e-10), 1e-3]),
                           np.diag([1.0, 1e-6])])
     for kind in KINDS:
-        # the plain query is settled by P's norms without evaluating h
+        # the plain query is settled by P's norms without evaluating h, and
+        # before a log form is built; the preconditioned one is not
         h_evaluations.clear()
+        radial_polynomials.clear()
         assert pellet_gap(p, 1, kind).status == NO_GAP and h_evaluations == []
-        assert bounds._chord_proves_none(p, 1, kind, False)
-        assert not bounds._chord_proves_none(p, 1, kind, True)
+        assert radial_polynomials == []
         g = pellet_gap(p, 1, kind, precondition=True)
+        assert len(radial_polynomials) == 1
         assert g.status == NO_GAP and g.marginal
         assert g == _full_pellet(p, 1, kind, True)
 
@@ -1033,6 +1101,7 @@ def _rescaled(p, e):
     return MatrixPolynomial(p.stack * np.ldexp(1.0, e * np.arange(p.n + 1))[:, None, None])
 
 
+@pytest.mark.identity
 def test_pellet_verdicts_do_not_depend_on_the_unit_of_z():
     # z -> 2^e z changes no mantissa and no sign of a radial polynomial, so
     # every plain and preconditioned Pellet query keeps its outcome and its
@@ -1088,6 +1157,7 @@ def _same_radius(got, want):
         got is not None and want is not None and got == pytest.approx(want, rel=1e-13, abs=0.0))
 
 
+@pytest.mark.identity
 def test_block_diagonal_doubles_every_count_and_keeps_every_radius():
     # P + P has P's eigenvalues, each twice, and in every norm kind the same
     # coefficient norms and nu_k as P: so each query keeps its status (a
@@ -1120,6 +1190,7 @@ def test_block_diagonal_doubles_every_count_and_keeps_every_radius():
     assert pairs > 19000
 
 
+@pytest.mark.identity
 def test_cauchy_radii_follow_the_unit_of_z_and_squared_radii_do_not(rng):
     # a random 2x2 quartic: Cauchy radii of P(2^e z) are P's over 2^e to a
     # few ulps, but Q mixes coefficients of different degree, so a squared

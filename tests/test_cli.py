@@ -442,6 +442,7 @@ def test_failed_import_leaves_the_collector_on():
     assert (proc.returncode, proc.stdout) == (0, "ImportError True\n"), proc.stderr
 
 
+@pytest.mark.identity
 def test_experiment_query_reproduces_a_golden_csv():
     proc = _run_fresh(["experiment", "--example", "ex3", "--trials", "60", "--seed", "1",
                        "--format", "csv"], capture_output=True)
@@ -508,6 +509,7 @@ def test_near_identity_leading_coefficient_is_monicized(capsys):
     assert out.splitlines()[1].startswith("one,squared-Q+monicized,")
 
 
+@pytest.mark.identity
 def test_benchmark_queries_reproduce_their_reference_output(capsys, monkeypatch):
     # the recorded exit code and stdout of each CLI query of the benchmark,
     # byte for byte, run from the repository root as the benchmark runs them

@@ -318,6 +318,7 @@ def _force_workers(monkeypatch, workers):
     monkeypatch.setattr(experiments, "_worker_count", lambda trials: min(trials, workers))
 
 
+@pytest.mark.identity
 @pytest.mark.parametrize("name, cfg", GOLDEN_CASES)
 def test_csv_matches_golden(name, cfg, monkeypatch):
     # any change to an ensemble, a tally or the number format shows here,
@@ -328,6 +329,7 @@ def test_csv_matches_golden(name, cfg, monkeypatch):
         assert run_experiment(cfg).to_csv() == expected, f"{workers} worker(s)"
 
 
+@pytest.mark.identity
 def test_golden_csvs_with_two_blas_threads():
     # test_csv_matches_golden runs on the one-thread default; here a fresh
     # process with two threads per pool, where ex2's eigensolve is split,

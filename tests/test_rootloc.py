@@ -346,6 +346,27 @@ def test_stats_match_direct_sums():
         assert f._stats(t) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+def _roots_or_error(f):
+    """positive_roots(f), or the repr of the InvalidShapeError it raises
+    (a root beyond double range)."""
+    try:
+        return positive_roots(f)
+    except InvalidShapeError as exc:
+        return repr(exc)
+
+
+def test_the_public_front_and_the_kept_logs_build_the_same_log_form():
+    # the constructor takes the logs of its checked coefficients and hands
+    # them to the one builder, which bounds calls with the kept logs: the
+    # two log forms are equal, term for term and bit for bit
+    for f in _seeded_shapes(np.random.default_rng(29), 400):
+        logs = [-math.inf if c == 0.0 else math.log(c) for c in f.coeffs]
+        form = rootloc._LogForm(logs, f.neg_index, math.log(f.neg_value))
+        assert type(form) is rootloc._LogForm and isinstance(f, rootloc._LogForm)
+        assert vars(form) == {k: v for k, v in vars(f).items() if k.startswith("_")}
+        assert _roots_or_error(form) == _roots_or_error(f)
+
+
 def test_every_evaluator_of_h_is_counted(h_evaluations):
     f = radial([1.0, 0.0, 1.0], 1, 3.0)
     f._newton(0.5)
@@ -494,7 +515,7 @@ def test_every_root_changes_sign_exactly_and_is_approached_one_way(monkeypatch):
     # each returned root x lies within the search's tolerance e of a sign
     # change of f, checked in rationals at x e^-e and x e^e, and the Newton
     # iterates of each root move in one direction, inward from tau
-    newton, root = SignedRadialPolynomial._newton, rootloc._root
+    newton, root = rootloc._LogForm._newton, rootloc._root
     searching, paths = [], []  # the iterates of the search under way; of each search
 
     def traced_newton(f, t):
@@ -511,7 +532,7 @@ def test_every_root_changes_sign_exactly_and_is_approached_one_way(monkeypatch):
         paths.append((1.0 if tau == f._tau1 else -1.0, iterates + [t]))
         return t
 
-    monkeypatch.setattr(SignedRadialPolynomial, "_newton", traced_newton)
+    monkeypatch.setattr(rootloc._LogForm, "_newton", traced_newton)
     monkeypatch.setattr(rootloc, "_root", traced_root)
     found = {"one": 0, "two": 0}
     for f in _seeded_shapes(np.random.default_rng(23), 400):
@@ -542,14 +563,14 @@ def test_minimizer_bisects_when_newton_leaves_the_bracket(monkeypatch):
     _, tc = f._vertex()
     expected = rootloc._minimizer(f, tc)
     points = []
-    stats = SignedRadialPolynomial._stats
+    stats = rootloc._LogForm._stats
 
     def flattened(g, t):
         points.append(t)
         h, slope, curvature = stats(g, t)
         return h, slope, curvature / 1e6
 
-    monkeypatch.setattr(SignedRadialPolynomial, "_stats", flattened)
+    monkeypatch.setattr(rootloc._LogForm, "_stats", flattened)
     got = rootloc._minimizer(f, tc)
     assert abs(got - expected) <= 1e-9
     # the first step from t_c is the midpoint of the half-bracket below or
@@ -624,8 +645,8 @@ def test_hull_chord_stays_within_ulps_of_the_pair_loop_near_collinear_points():
         # nu = ||A_k||, which lies on or near the chord for most k, so
         # that the chord test C - log nu lies near its margin
         nu = kept.norms[k]
-        verdicts = [positive_roots(SignedRadialPolynomial._from_logs(
-            coeffs, k, nu, kept.logs, math.log(nu), vertex)) for vertex in (hull, pairs)]
+        verdicts = [positive_roots(rootloc._LogForm(kept.logs, k, math.log(nu), vertex))
+                    for vertex in (hull, pairs)]
         assert verdicts[0] == verdicts[1], k
         assert (hull[0] - math.log(nu) >= rootloc._MARGIN) == (
             pairs[0] - math.log(nu) >= rootloc._MARGIN)
