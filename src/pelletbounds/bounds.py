@@ -201,9 +201,8 @@ def _pellet_roots(p: MatrixPolynomial, k: int, kind: NormKind, precondition: boo
     if max(kept.norms) < math.inf and chord[0] - pivot >= _MARGIN:
         return _NO_ROOTS
     if precondition:
-        # A_k^-1 P's k-th coefficient is exactly I, so its nu_k is 1.0
         p = left_precondition(p, k)
-        lognu, kept = 0.0, _kept(p, kind)
+        lognu, kept = math.log(_nu(p, k, kind)), _kept(p, kind)
         chord = _chord(kept, k)
     return _radial_roots(kept, k, lognu, chord)
 

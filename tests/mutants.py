@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tests/mutants.py [--only NAME ...] [--marker EXPR]
+    python tests/mutants.py
 
 Each mutant below is a named edit of one or two lines of
 ``src/pelletbounds``, each of which breaks one rule that the bounds rely
@@ -13,14 +13,13 @@ temporary directory, applies the edit there (an edit whose line is not
 found exactly once stops the script: the list is stale), and runs Tier-1
 in the copy, criterion 5 deselected, since it takes about half of Tier-1
 and repeats the golden tables.  A mutant is killed when some test fails on
-it; the script prints the failing tests of each and marks those that only
-``identity`` tests kill.  Those are the byte-identity and exact-equality
+it.  The script prints, for each, how many tests fail and how many of
+those are not ``identity`` tests, and lists them, each ``identity`` test
+tagged, so one run gives the kills with and without them.  Those are the byte-identity and exact-equality
 tests (``pytest.mark.identity``): the golden CSVs, the CLI and benchmark
 reference outputs, the fresh factorization, block-diagonal and unit-of-z
 tests.  None of them checks which side an error lies on, so a mutant that
 only they kill goes unseen once those outputs are re-recorded.
-``--marker`` passes a marker expression to pytest, so that
-``--marker "not identity"`` reports the kills without them.
 
 The unmutated tree runs first; the script stops if it fails.  Each run
 takes about 45 s on two cores, and one that takes 15 minutes is reported
@@ -125,7 +124,7 @@ def _apply(tree: Path, edits) -> None:
         path.write_text(path.read_text().replace(old, new))
 
 
-def _failures(tree: Path, marker: str | None) -> list:
+def _failures(tree: Path) -> list:
     """The tests that fail in ``tree``, criterion 5 deselected; ["timeout"]
     when the run takes longer than TIMEOUT_S."""
     # hypothesis's pytest plugin imports libcst to report a failing example,
@@ -134,8 +133,6 @@ def _failures(tree: Path, marker: str | None) -> list:
     # tests run without the plugin
     argv = [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE", "-p", "no:cacheprovider",
             "-p", "no:hypothesispytest", "--deselect", CRITERION_5]
-    if marker:
-        argv += ["-m", marker]
     try:
         proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -154,38 +151,29 @@ def _identity_tests(tree: Path) -> set:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--only", nargs="+", metavar="NAME", choices=sorted(MUTANTS),
-                    help="run only these mutants")
-    ap.add_argument("--marker", help='a pytest marker expression, e.g. "not identity"')
-    args = ap.parse_args()
-    names = args.only or list(MUTANTS)
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         base = Path(tmp) / "base"
         shutil.copytree(ROOT, base, ignore=_COPY_IGNORE)
-        for name in names:  # a stale edit stops the script before any run
-            for file, old, _ in MUTANTS[name][1]:
+        for name, (_, edits) in MUTANTS.items():  # a stale edit stops the script before any run
+            for file, old, _ in edits:
                 if (base / PACKAGE / file).read_text().count(old) != 1:
                     raise SystemExit(f"stale mutant {name}: {old!r} not found once in {file}")
         identity = _identity_tests(base)
-        failed = _failures(base, args.marker)
+        failed = _failures(base)
         if failed:
             raise SystemExit(f"the unmutated tree fails: {failed}")
-        print(f"unmutated tree passes; {len(identity)} tests are marked identity"
-              + (f"; marker {args.marker!r}" if args.marker else ""), flush=True)
-        for name in names:
+        print(f"unmutated tree passes; {len(identity)} tests are marked identity", flush=True)
+        for name, (what, edits) in MUTANTS.items():
             tree = Path(tmp) / name
             shutil.copytree(base, tree)
-            _apply(tree, MUTANTS[name][1])
-            failed = _failures(tree, args.marker)
+            _apply(tree, edits)
+            failed = _failures(tree)
             shutil.rmtree(tree)
-            if not failed:
-                verdict = "SURVIVED"
-            elif set(failed) <= identity:
-                verdict = f"killed by {len(failed)}, identity tests only"
-            else:
-                verdict = f"killed by {len(failed)}"
-            print(f"{name}: {verdict}  ({MUTANTS[name][0]})", flush=True)
+            other = len(set(failed) - identity)
+            verdict = (f"killed by {len(failed)}, {other} without identity tests"
+                       + ("" if other else " (identity tests only)")) if failed else "SURVIVED"
+            print(f"{name}: {verdict}  ({what})", flush=True)
             for test in failed:
                 print(f"    {test}{'  [identity]' if test in identity else ''}", flush=True)
 

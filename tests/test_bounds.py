@@ -787,8 +787,6 @@ def test_a_kept_record_is_read_as_the_public_constructor_reads_its_coefficients(
     assert str(kept.value) == str(public.value) == "coefficients must be finite and nonnegative"
     lone = matpoly._Kept([0.0, 2.0, 0.0], [-math.inf, math.log(2.0), -math.inf], [None] * 3)
     assert bounds._radial_roots(lone, 1, math.log(2.0)) is None
-    # so the upper Cauchy radius of 2z is 0.0
-    assert cauchy_bounds(scalar_polynomial([0.0, 2.0]), "one").upper == 0.0
 
 
 def test_singular_pivot_at_non_vertex_raises_every_time():
