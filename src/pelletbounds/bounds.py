@@ -28,19 +28,20 @@ queries alike.  Write c_j = ||A_j||, nu_k = 1/||A_k^-1|| and C for the
 highest chord at k of the points (j, log c_j), the maximum over i < k < j
 of ((j-k) log c_i + (k-i) log c_j) / (j-i): the height at k of the edge
 of their upper convex hull (the Newton polygon of the norms) that
-straddles k.  ``matpoly`` keeps log c_j and that hull per kind, and reads
-C at k from it, with the t_c where the edge's two lines cross.  The query
-is "nogap" when
+straddles k.  ``matpoly`` keeps log c_j per kind, and ``rootloc._chord``
+reads C at k from those logs, the one chord function that also gives a
+log form its vertex.  The query is "nogap" when
 
     C - pivot >= 10*GAP_RTOL,
 
 the chord test's own margin, with pivot = log nu_k for a plain query and
 log c_k for a preconditioned one.  The query reads nu_k first, then P's
-kept record and the chord at k, once each.  A plain query hands exactly
-these logs to ``rootloc``'s one builder, with (C, t_c) as the vertex, so
-C' = C and its chord test reads the same float: the prefilter's "nogap"
-is exactly the "nogap", not marginal, that the root search returns.  A
-preconditioned query reads A_k^-1 P's record and chord for its roots.
+kept record, and computes P's chord at k once.  A plain query hands
+exactly these logs to ``rootloc``'s one builder, whose vertex is the
+chord of the same logs by the same function, so C' = C and its chord
+test reads the same float: the prefilter's "nogap" is exactly the
+"nogap", not marginal, that the root search returns.  A preconditioned
+query hands A_k^-1 P's record to the builder for its roots.
 There nu = 1 and ||A_k^-1 A_j|| >= c_j / c_k, so C' >= C - log c_k,
 which needs C > log c_k: the preconditioned test skips only an index
 that is not a vertex of the hull.  The rounding of A_k^-1 P's norms
@@ -60,8 +61,8 @@ A_k^-1 P would raise: the prefilter does not predict the transform,
 which ``matpoly.left_precondition`` alone decides.
 
 Everything these theorems read from a polynomial (its coefficient norms
-and their logs, nu_k, the chord (C, t_c), A_k^-1 P, Q and Q_R) is built
-once and kept on it by ``matpoly``.  This module keeps only the theorems
+and their logs, nu_k, A_k^-1 P, Q and Q_R) is built once and kept on it
+by ``matpoly``.  This module keeps only the theorems
 and writes nothing: each query is a pure function of what it reads, a
 Cauchy radius included, and hands the kept logs of the norms to
 ``rootloc``'s one builder (``_LogForm``), taking no log of a norm itself.
@@ -74,9 +75,8 @@ import operator
 from dataclasses import dataclass
 
 from .linalg import NormKind, SingularMatrixError
-from .matpoly import (MatrixPolynomial, OddDegreeError, _chord, _kept, _nu, _squared,
-                      left_precondition)
-from .rootloc import _MARGIN, PositiveRoots, _LogForm, positive_roots
+from .matpoly import MatrixPolynomial, OddDegreeError, _kept, _nu, _squared, left_precondition
+from .rootloc import _MARGIN, PositiveRoots, _chord, _LogForm, positive_roots
 
 VARIANT_PLAIN = "plain"
 VARIANT_PRECONDITIONED = "monic-preconditioned"
@@ -125,18 +125,17 @@ class GapResult:
     marginal: bool = False
 
 
-def _radial_roots(kept, k: int, lognu: float, chord: tuple | None = None) -> PositiveRoots | None:
+def _radial_roots(kept, k: int, lognu: float) -> PositiveRoots | None:
     """Positive roots of f_k(x) = sum_{j != k} ||A_j|| x^j - nu x^k from the
-    logs of the norms in ``kept`` and log nu, with the chord (C, t_c) at k
-    read from the kept hull as the vertex when given; None when every
-    coefficient but the k-th is zero (P = A_k z^k).  A norm beyond the
-    double range, kept as inf, raises InvalidShapeError in the one builder
+    logs of the norms in ``kept`` and log nu; None when every coefficient
+    but the k-th is zero (P = A_k z^k).  A norm beyond the double range,
+    kept as inf, raises InvalidShapeError in the one builder
     (``rootloc._LogForm``), with the public constructor's message.  Such a
     norm is one of the queried polynomial's own (P's, or Q's on the squared
     route): ``left_precondition`` refuses an A_k^-1 P whose 1- or infinity
     norm passes the range, and its 2-norm lies below the larger of the
     two."""
-    form = _LogForm(kept.logs, k, lognu, chord)
+    form = _LogForm(kept.logs, k, lognu)
     return positive_roots(form) if form._terms else None
 
 
@@ -190,21 +189,19 @@ def _gap_result(k: int, roots: PositiveRoots, count: int, kind: NormKind, varian
 
 def _pellet_roots(p: MatrixPolynomial, k: int, kind: NormKind, precondition: bool) -> PositiveRoots:
     """The roots of Pellet's radial polynomial at index k of P (with
-    ``precondition``, of A_k^-1 P), whose vertex is the kept chord; "none"
-    early when P's norms prove it (see the module docstring).  P's nu_k,
-    record and chord at k are read once each, nu_k first, so that a
-    singular A_k raises SingularMatrixError before anything else."""
+    ``precondition``, of A_k^-1 P); "none" early when P's norms prove it
+    (see the module docstring).  P's nu_k and record are read once each,
+    nu_k first, so that a singular A_k raises SingularMatrixError before
+    anything else, and P's chord at k is computed once."""
     lognu = math.log(_nu(p, k, kind))
     kept = _kept(p, kind)
-    chord = _chord(kept, k)
     pivot = kept.logs[k] if precondition else lognu
-    if max(kept.norms) < math.inf and chord[0] - pivot >= _MARGIN:
+    if max(kept.norms) < math.inf and _chord(kept.logs, k)[0] - pivot >= _MARGIN:
         return _NO_ROOTS
     if precondition:
         p = left_precondition(p, k)
         lognu, kept = math.log(_nu(p, k, kind)), _kept(p, kind)
-        chord = _chord(kept, k)
-    return _radial_roots(kept, k, lognu, chord)
+    return _radial_roots(kept, k, lognu)
 
 
 def pellet_gap(p: MatrixPolynomial, k: int, kind, precondition: bool = False) -> GapResult:

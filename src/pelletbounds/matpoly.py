@@ -16,13 +16,11 @@ its own slots: per index j, whether A_j is exactly I (``_is_identity``), the
 LU of A_j under ``linalg``'s pivot rule, scaled by the kept infinity norm of
 A_j (``_lu``), and A_j^-1 P solved from it (``left_precondition``); one slot
 each for Q and Q_R (``_squared``); and per norm kind one record (``_kept``)
-of the coefficient norms, their logs, one ``math.log`` each, by index j
-nu_j = 1/||A_j^-1|| (``_nu``), and the upper convex hull of the points
-(j, log ||A_j||), their Newton polygon, built on the first chord read.
-The chord (C, t_c) at k, read from that hull (``_chord``) once per
-Pellet query, serves both the prefilter of ``bounds`` and, as its vertex,
-the log form of the radial polynomial at k, built from the same logs.  No other module builds or writes such
-data: ``bounds`` only reads it, and no module divides it by a scale.
+of the coefficient norms, their logs, one ``math.log`` each, and by index
+j nu_j = 1/||A_j^-1|| (``_nu``).  It keeps no Newton polygon: ``rootloc``
+reads the chord at k from the logs themselves.  No other module builds or
+writes such data: ``bounds`` only reads it, and no module divides it by a
+scale.  This module depends on ``linalg`` alone.
 Failures are not kept: a singular pivot raises on every call.
 ``left_precondition`` alone decides whether A_k^-1 P can be used: it
 raises SingularMatrixError when the pivot fails ``linalg``'s rule or a
@@ -52,7 +50,6 @@ import numpy as np
 
 from . import linalg
 from .linalg import SingularMatrixError, identity
-from .rootloc import _hull_chord, _upper_hull
 
 # The smallest normal double: an A_k^-1 A_j with no entry this large has lost
 # its coefficient to underflow.
@@ -157,15 +154,12 @@ def evaluate(p: MatrixPolynomial, z: complex) -> np.ndarray:
 class _Kept:
     """What a polynomial keeps for one norm kind: its coefficient norms,
     their logs, one ``math.log`` each (-inf for a zero norm, inf for one
-    beyond the double range), by index k nu_k (None until first asked
-    for), and the upper hull of the points (log ||A_j||, j) of the nonzero
-    A_j (``rootloc._upper_hull``; None until ``_chord`` first reads it,
-    which no Cauchy radius does).  Only this module fills it."""
+    beyond the double range), and by index k nu_k (None until first asked
+    for).  Only this module fills it."""
 
     norms: list
     logs: list
     nu: list
-    hull: list | None = None
 
 
 def _is_identity(p: MatrixPolynomial, j: int) -> bool:
@@ -197,28 +191,6 @@ def _lu(p: MatrixPolynomial, j: int) -> tuple:
     if lu is None:
         lu = p._lus[j] = linalg._factor(p.stack[j], _kept(p, linalg.NormKind.INF).norms[j])
     return lu
-
-
-def _chord(kept: _Kept, k: int) -> tuple:
-    """(C, t_c) at k of the points (j, log ||A_j||) over the nonzero A_j
-    with j != k: the height at k of the edge of their upper hull that
-    straddles k, the highest chord over them, and where the edge's two
-    lines cross (``rootloc._hull_chord``); (-inf, 0.0) when no point lies
-    on one side of k.  The hull of all the points is built on the first
-    call and kept.  Where k is not one of its vertices, that hull is also
-    the hull of the other points and is read as it is; where k is one, the
-    hull of the other points is built by the same chain for the call."""
-    if kept.hull is None:
-        kept.hull = _upper_hull(_points(kept.logs))
-    chord = _hull_chord(kept.hull, k)
-    # -inf: k is a vertex, or no point lies on one side of it
-    return chord if chord[0] > -math.inf else _hull_chord(_upper_hull(_points(kept.logs, k)), k)
-
-
-def _points(logs: list, skip: int | None = None) -> list:
-    """The points (log ||A_j||, j) of the nonzero A_j with j != skip, in
-    ascending j."""
-    return [(a, j) for j, a in enumerate(logs) if j != skip and a > -math.inf]
 
 
 def _nu(p: MatrixPolynomial, j: int, kind: linalg.NormKind) -> float:

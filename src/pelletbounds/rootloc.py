@@ -26,12 +26,12 @@ form: the terms (a_j, j - k), log nu and the envelope ends tau1 and tau2
 below.  A log of -inf stands for a zero coefficient, and a log of +inf
 raises InvalidShapeError, with the message of a coefficient that is not
 finite.  ``bounds`` hands it the logs of the norms that ``matpoly`` keeps,
-with the chord at k as the vertex, and passes the log form to
-``positive_roots`` as it is.  SignedRadialPolynomial is the validated
-public front over the same builder: its constructor checks its arguments
-and takes their logs, and the polynomial is itself a log form.  Root
-isolation (``_root``, ``_minimizer`` and the verdict in
-``positive_roots``) reads only the log form and its vertex.
+and passes the log form to ``positive_roots`` as it is.
+SignedRadialPolynomial is the validated public front over the same
+builder: its constructor checks its arguments and takes their logs, and
+the polynomial is itself a log form.  Root isolation (``_root``,
+``_minimizer`` and the verdict in ``positive_roots``) reads only the log
+form.
 
 The envelope.  The Newton-polygon (tropical) envelope of h,
 
@@ -61,18 +61,17 @@ Newton polygon,
     delta = max_{i < k < j} ((j-k) a_i + (k-i) a_j) / (j-i) - log(nu),
 
 reached at the crossing t_c of the maximizing pair.  That pair is the
-edge of the upper convex hull of the points (j, a_j) that straddles k, so
-the maximum is read off the hull (``_upper_hull``, Andrew's monotone
-chain, and ``_hull_chord``, its reader): C - log(nu) and t_c for the
-edge's height C at k and the crossing t_c of its two lines.  ``matpoly``
-keeps one hull per polynomial and norm kind, reads (C, t_c) at k from it,
-and ``bounds`` hands that to the log form as its vertex; a log form
-built without one, the public constructor's polynomial among them, reads
-it from the hull of its own terms when asked.  The verdict and its
-margin are read on h alone, so no scale takes part in them: "two" when
-h_min < -GAP_RTOL, else "none", and marginal when
-|h_min| < 10*GAP_RTOL.  As h_min >= delta, delta >= 10*GAP_RTOL settles
-"none" (not marginal) without evaluating h.  In fact
+edge of the upper convex hull of the points (j, a_j), j != k, that
+straddles k, so the maximum is read off that hull by one function,
+``_chord``: it builds the hull (``_upper_hull``, Andrew's monotone chain)
+and reads the edge (``_hull_chord``), the edge's height C at k and the
+crossing t_c of its two lines.  A log form's vertex is always ``_chord``
+of its own logs, and ``bounds`` reads C for its prefilter through the
+same function.  The verdict and its margin are read on h alone, so no
+scale takes part in them: "two" when h_min < -GAP_RTOL, else "none", and
+marginal when |h_min| < 10*GAP_RTOL.  As h_min >= delta,
+delta >= 10*GAP_RTOL settles "none" (not marginal) without evaluating h.
+In fact
 h_min >= delta + H(p / (p + q)), with H the binary entropy in nats and
 p, q the distances of the edge's ends from k: h is at least the
 log-sum-exp of the edge's two terms, whose minimum over t is that.
@@ -116,19 +115,17 @@ class InvalidShapeError(Exception):
 
 class _LogForm:
     """The log form of f (see the module docstring), which is all that root
-    isolation reads: the positive terms in ascending j, each once, as the
-    pairs (a_j, d_j) of a_j = log c_j and d_j = j - k (``_terms``), log nu
-    (``_lognu``), the envelope ends tau1 and tau2, and the vertex (C, t_c)
-    of the chord test when it was given (``_chord``).  ``bounds`` builds it
-    from the logs that ``matpoly`` keeps; a SignedRadialPolynomial is one,
-    built from the logs of its validated coefficients."""
+    isolation reads: the logs it was built from and k (``_logs``, ``_k``),
+    the positive terms in ascending j, each once, as the pairs (a_j, d_j)
+    of a_j = log c_j and d_j = j - k (``_terms``), log nu (``_lognu``) and
+    the envelope ends tau1 and tau2.  ``bounds`` builds it from the logs
+    that ``matpoly`` keeps; a SignedRadialPolynomial is one, built from the
+    logs of its validated coefficients."""
 
-    def __init__(self, logs, k: int, lognu: float, chord: tuple | None = None):
+    def __init__(self, logs, k: int, lognu: float):
         """The one builder: the log form of the logs of c_j by index j (-inf
-        for a zero c_j; the k-th is not read), k and log nu, with the vertex
-        ``chord`` (``_hull_chord`` of the terms' upper hull at k) or None, in
-        which case ``_vertex`` reads it from that hull.  A log of +inf, a c_j
-        beyond the double range, raises InvalidShapeError."""
+        for a zero c_j; the k-th is not read), k and log nu.  A log of +inf,
+        a c_j beyond the double range, raises InvalidShapeError."""
         terms = []
         # T <= 0 on [tau1, tau2]: right of each falling line's zero, left of
         # each rising line's zero
@@ -147,7 +144,7 @@ class _LogForm:
             elif z > tau1:
                 tau1 = z
         # past a frozen subclass's __setattr__
-        self.__dict__.update(_terms=terms, _lognu=lognu, _tau1=tau1, _tau2=tau2, _chord=chord)
+        self.__dict__.update(_logs=logs, _k=k, _terms=terms, _lognu=lognu, _tau1=tau1, _tau2=tau2)
 
     def _newton(self, t: float):
         """Return (h, h') at t; h' is the mean of j - k under the weights
@@ -168,8 +165,9 @@ class _LogForm:
         return h, mean, var
 
     def _vertex(self):
-        """(delta, t_c): the minimum of T and where it is reached."""
-        chord, tc = self._chord or _hull_chord(_upper_hull(self._terms), 0.0)
+        """(delta, t_c): the minimum of T and where it is reached, from the
+        chord at k of the log form's own logs."""
+        chord, tc = _chord(self._logs, self._k)
         return chord - self._lognu, tc
 
 
@@ -266,6 +264,17 @@ def _hull_chord(hull, x):
             di, dj = xi - x, xj - x
             return (dj * ai - di * aj) / (dj - di), (ai - aj) / (dj - di)
     return -math.inf, 0.0
+
+
+def _chord(logs, k: int) -> tuple:
+    """(C, t_c) at k of the points (j, a_j) of ``logs`` with j != k and
+    a_j > -inf: ``_hull_chord`` at k of their upper hull (``_upper_hull``),
+    the highest chord over them at k and where its two lines cross;
+    (-inf, 0.0) when no point lies on one side of k.  The one chord
+    function: the vertex of every log form and the prefilter of ``bounds``
+    read it."""
+    return _hull_chord(_upper_hull([(a, j) for j, a in enumerate(logs)
+                                    if j != k and a > -math.inf]), k)
 
 
 def _root(f: _LogForm, tau: float) -> float:

@@ -86,12 +86,9 @@ MUTANTS = {
     "norms-down-1e-12": ("every coefficient norm rounded down by 1e-12 relative", (
         ("matpoly.py", "norms = linalg.norm(p.stack, kind).tolist()",
          "norms = (linalg.norm(p.stack, kind) * (1.0 - 1e-12)).tolist()"),)),
-    "preconditioned-prefilter-margin-0": (
-        "the preconditioned prefilter at C - log||A_k|| >= 0; as sound as the "
-        "chord test's margin, since h_min >= C' + H (not a soundness mutant)", (
-            ("bounds.py", "if max(kept.norms) < math.inf and chord[0] - pivot >= _MARGIN:",
-             "if max(kept.norms) < math.inf and chord[0] - pivot >= "
-             "(0.0 if precondition else _MARGIN):"),)),
+    "preconditioned-prefilter-pivot-nu": (
+        "the preconditioned prefilter against log nu_k, not log||A_k||", (
+            ("bounds.py", "pivot = kept.logs[k] if precondition else lognu", "pivot = lognu"),)),
     "two-norm-signed-zero": ("the 2-norm of the matrix as it is, -0.0 entries included", (
         ("linalg.py", "return np.linalg.svd(arr + 0.0, compute_uv=False)[..., 0]",
          "return np.linalg.svd(arr, compute_uv=False)[..., 0]"),)),
@@ -127,12 +124,8 @@ def _apply(tree: Path, edits) -> None:
 def _failures(tree: Path) -> list:
     """The tests that fail in ``tree``, criterion 5 deselected; ["timeout"]
     when the run takes longer than TIMEOUT_S."""
-    # hypothesis's pytest plugin imports libcst to report a failing example,
-    # and under a test's filterwarnings("error") mark that import's
-    # DeprecationWarning ends the session in an internal error; the @given
-    # tests run without the plugin
     argv = [sys.executable, "-m", "pytest", "-q", "--tb=no", "-rfE", "-p", "no:cacheprovider",
-            "-p", "no:hypothesispytest", "--deselect", CRITERION_5]
+            "--deselect", CRITERION_5]
     try:
         proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:

@@ -76,6 +76,15 @@ def test_package_import_loads_neither_numpy_nor_scipy():
     assert loaded == []
 
 
+def test_matpoly_does_not_load_root_isolation():
+    # matpoly depends on linalg alone: the Newton polygon of the kept logs
+    # is read by rootloc, which matpoly neither keeps nor imports
+    out = _fresh("import sys\n"
+                 "import pelletbounds.matpoly\n"
+                 "print('pelletbounds.rootloc' in sys.modules)")
+    assert out == ["False"]
+
+
 def test_linalg_loads_only_scipys_lapack_extension():
     out = _fresh("import sys\n"
                  "from pelletbounds import linalg\n"

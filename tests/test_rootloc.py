@@ -595,9 +595,9 @@ def test_upper_hull_keeps_only_strict_vertices():
 
 
 def _chords_against_pairs(polynomials):
-    """For every polynomial, kind and k: (the kept hull's (C, t_c) at k from
-    ``matpoly._chord``, that of the brute-force pair loop over the same
-    terms, the kept record and k)."""
+    """For every polynomial, kind and k: ((C, t_c) at k of the kept logs
+    from ``rootloc._chord``, that of the brute-force pair loop over the
+    same terms, the kept record and k)."""
     from pelletbounds import matpoly
     from pelletbounds.linalg import NormKind
 
@@ -607,14 +607,14 @@ def _chords_against_pairs(polynomials):
             for k in range(p.n + 1):
                 terms = [(a, float(j - k)) for j, a in enumerate(kept.logs)
                          if j != k and a > -math.inf]
-                yield matpoly._chord(kept, k), pair_chord(terms), kept, k
+                yield rootloc._chord(kept.logs, k), pair_chord(terms), kept, k
 
 
 def test_hull_chord_equals_the_pair_loop_on_wide_polynomials():
     # the height at k of the upper hull of the other points, and where its
     # edge's lines cross, are the highest chord over every pair and its
     # crossing, bit for bit, on norms that span 10^+-60; the radial
-    # polynomial's own vertex, read from the hull of its terms, too
+    # polynomial's own vertex, read from its own logs, too
     chords = vertices = 0
     for hull, pairs, kept, k in _chords_against_pairs(wide_polynomials(11, 1000, 3, 8)):
         assert hull == pairs, k
@@ -628,12 +628,13 @@ def test_hull_chord_equals_the_pair_loop_on_wide_polynomials():
     assert chords > 15000 and vertices > 10000
 
 
-def test_hull_chord_stays_within_ulps_of_the_pair_loop_near_collinear_points():
+def test_hull_chord_stays_within_ulps_of_the_pair_loop_near_collinear_points(monkeypatch):
     # where several chords pass within ulps of each other, the hull and the
     # pair loop may read the same height from different pairs: the hull's
     # is one of the pair loop's candidates, so never above its maximum, and
     # within 1e-12 of it; the chord test and the radial polynomial's
-    # verdict are the same either way
+    # verdict are the same either way (the pair loop's chord given to the
+    # log form in place of rootloc's one chord function)
     moved = chords = 0
     for hull, pairs, kept, k in _chords_against_pairs(near_collinear_polynomials(5, 1000, 3, 10)):
         chords += 1
@@ -644,12 +645,15 @@ def test_hull_chord_stays_within_ulps_of_the_pair_loop_near_collinear_points():
             continue
         # nu = ||A_k||, which lies on or near the chord for most k, so
         # that the chord test C - log nu lies near its margin
-        nu = kept.norms[k]
-        verdicts = [positive_roots(rootloc._LogForm(kept.logs, k, math.log(nu), vertex))
-                    for vertex in (hull, pairs)]
+        lognu = math.log(kept.norms[k])
+        verdicts = [positive_roots(rootloc._LogForm(kept.logs, k, lognu))]
+        with monkeypatch.context() as patched:
+            patched.setattr(rootloc, "_chord", lambda logs, at: pairs)
+            form = rootloc._LogForm(kept.logs, k, lognu)
+            assert form._vertex() == (pairs[0] - lognu, pairs[1])
+            verdicts.append(positive_roots(form))
         assert verdicts[0] == verdicts[1], k
-        assert (hull[0] - math.log(nu) >= rootloc._MARGIN) == (
-            pairs[0] - math.log(nu) >= rootloc._MARGIN)
+        assert (hull[0] - lognu >= rootloc._MARGIN) == (pairs[0] - lognu >= rootloc._MARGIN)
     # 100 of 20,667 chords moved
     assert chords > 20000 and moved > 50
 
