@@ -18,54 +18,48 @@ Preconditioned variants left-multiply by the inverse of the pivotal
 coefficient first, which never shrinks a gap since
 ||A_k^-1 A_j|| <= ||A_k^-1|| ||A_j||.
 
-The chord test.  The radial polynomial's chord test (``rootloc``) answers
-"none" from the Newton polygon of its coefficients without evaluating h:
-when C' - log nu >= 10*GAP_RTOL, where C' is the highest chord at k over
-its coefficients.  That is a bound on h, so no scale takes part.  The
-Pellet query itself first tries the test on the norms of P, before any
-log form of a radial polynomial is built, for plain and preconditioned
-queries alike.  Write c_j = ||A_j||, nu_k = 1/||A_k^-1|| and C for the
-highest chord at k of the points (j, log c_j), the maximum over i < k < j
-of ((j-k) log c_i + (k-i) log c_j) / (j-i): the height at k of the edge
-of their upper convex hull (the Newton polygon of the norms) that
-straddles k.  ``matpoly`` keeps log c_j per kind, and ``rootloc._chord``
-reads C at k from those logs, the one chord function that also gives a
-log form its vertex.  The query is "nogap" when
+One query path.  Every query reaches one helper, ``_query_roots``, with
+P (Q on the squared routes), an index k, a norm kind and whether to
+precondition: a Cauchy radius is its end case k = n or k = 0, a Pellet
+query an interior k.  At an interior k it reads P's nu_k first, then P's
+kept logs, once, and tries on them the radial polynomial's chord test
+before any log form is built: the prefilter.  ``rootloc``'s docstring
+gives the test, its margin and why no scale takes part.  The query is
+"nogap" when
 
     C - pivot >= 10*GAP_RTOL,
 
-the chord test's own margin, with pivot = log nu_k for a plain query and
-log c_k for a preconditioned one.  The query reads nu_k first, then P's
-kept record, and computes P's chord at k once.  A plain query hands
-exactly these logs to ``rootloc``'s one builder, whose vertex is the
-chord of the same logs by the same function, so C' = C and its chord
-test reads the same float: the prefilter's "nogap" is exactly the
-"nogap", not marginal, that the root search returns.  A preconditioned
-query hands A_k^-1 P's record to the builder for its roots.
-There nu = 1 and ||A_k^-1 A_j|| >= c_j / c_k, so C' >= C - log c_k,
-which needs C > log c_k: the preconditioned test skips only an index
-that is not a vertex of the hull.  The rounding of A_k^-1 P's norms
-needs no room in the margin.  Its h is at least the log-sum-exp of the
-two terms of the hull edge at k, whose minimum over t is their chord
-plus the binary entropy H(p / (p + q)) in nats, p and q being the
-distances of the edge's ends from k.  So h_min >= C' + H, with H >=
-H(1/n) >= log(n) / n, and any C' >= 0 ends in "none", not marginal, on
-the full path too.
+with C the chord at k of P's logs, read by ``rootloc._chord``, and pivot =
+log nu_k for a plain query and log ||A_k|| for a preconditioned one.
+Otherwise, and at once at k in {0, n}, it forms A_k^-1 P if asked and
+hands the kept logs and log nu_k of the polynomial queried to
+``rootloc``'s one builder.  A Cauchy radius reads neither P's nu_k nor a
+chord, so a preconditioned one forms A_k^-1 P before it reads any nu.
+
+A plain query hands the builder the same logs, whose vertex is the chord
+by the same function, so its chord test reads the same float: the
+prefilter's "nogap" is exactly the non-marginal "nogap" of the root
+search.  For A_k^-1 P, nu = 1 and ||A_k^-1 A_j|| >= ||A_j|| / ||A_k||, so
+its chord test value is at least C - log ||A_k||, and ``rootloc``'s
+entropy bound makes any value >= 0 a non-marginal "none" there too: the
+preconditioned test skips only an index that is not a vertex of the
+hull, and the rounding of A_k^-1 P's norms needs no room in the margin.
 
 As nu_k is read first, a singular A_k raises SingularMatrixError whether
-or not the query is skipped.  The prefilter declines only when max_j c_j
-is infinite, which leaves the one builder to reject the query.  The
+or not the query is skipped.  The prefilter declines only when a norm of
+P is infinite, which leaves the one builder to reject the query.  The
 preconditioned bound holds for the exact A_k^-1 P, whether or not its
 coefficients fit in doubles, so "nogap" stands even where forming
 A_k^-1 P would raise: the prefilter does not predict the transform,
 which ``matpoly.left_precondition`` alone decides.
 
-Everything these theorems read from a polynomial (its coefficient norms
-and their logs, nu_k, A_k^-1 P, Q and Q_R) is built once and kept on it
-by ``matpoly``.  This module keeps only the theorems
-and writes nothing: each query is a pure function of what it reads, a
-Cauchy radius included, and hands the kept logs of the norms to
-``rootloc``'s one builder (``_LogForm``), taking no log of a norm itself.
+Everything these theorems read from a polynomial (the logs of its
+coefficient norms, nu_k, A_k^-1 P, Q and Q_R) is built once and kept on
+it by ``matpoly``, which alone reads the norms themselves.  This module
+keeps only the theorems and writes nothing: each query is a pure
+function of what it reads, a Cauchy radius included, and hands the kept
+logs of the norms to ``rootloc``'s one builder (``_LogForm``), taking no
+log of a norm itself.
 """
 
 from __future__ import annotations
@@ -139,19 +133,36 @@ def _radial_roots(kept, k: int, lognu: float) -> PositiveRoots | None:
     return positive_roots(form) if form._terms else None
 
 
+def _query_roots(p: MatrixPolynomial, k: int, kind: NormKind,
+                 precondition: bool) -> PositiveRoots | None:
+    """The roots of Pellet's radial polynomial f_k of P, or with
+    ``precondition`` of A_k^-1 P, at any 0 <= k <= n: the one query path of
+    this module (see its docstring).  At an interior k, P's nu_k is read
+    first, so that a singular A_k raises SingularMatrixError before
+    anything else, then P's kept logs, once, and "none" comes early when
+    their chord at k proves it.  At k in {0, n} (a Cauchy radius) neither
+    P's nu_k nor a chord is read.  None when every coefficient but the k-th
+    is zero (``_radial_roots``)."""
+    if 0 < k < p.n:
+        lognu, logs = math.log(_nu(p, k, kind)), _kept(p, kind).logs
+        pivot = logs[k] if precondition else lognu
+        if max(logs) < math.inf and _chord(logs, k)[0] - pivot >= _MARGIN:
+            return _NO_ROOTS
+    if precondition:
+        p = left_precondition(p, k)
+    return _radial_roots(_kept(p, kind), k, math.log(_nu(p, k, kind)))
+
+
 def _cauchy_radius(p: MatrixPolynomial, k: int, kind: NormKind,
                    precondition: bool) -> float | None:
-    """The one positive root of f_k for k in {0, n}, of P or with
-    ``precondition`` of A_k^-1 P; None when A_k is singular, 0.0 when every
-    other coefficient is zero (at k = n every eigenvalue is then 0; at k = 0
-    the bound r = 0 is trivially valid)."""
+    """The one positive root of f_k for k in {0, n} (``_query_roots``); None
+    when A_k is singular, 0.0 when every other coefficient is zero (at k = n
+    every eigenvalue is then 0; at k = 0 the bound r = 0 is trivially
+    valid)."""
     try:
-        if precondition:
-            p = left_precondition(p, k)
-        lognu = math.log(_nu(p, k, kind))
+        roots = _query_roots(p, k, kind, precondition)
     except SingularMatrixError:
         return None
-    roots = _radial_roots(_kept(p, kind), k, lognu)
     return 0.0 if roots is None else roots.x1
 
 
@@ -187,23 +198,6 @@ def _gap_result(k: int, roots: PositiveRoots, count: int, kind: NormKind, varian
                      norm_kind=kind, variant=variant, marginal=roots.marginal)
 
 
-def _pellet_roots(p: MatrixPolynomial, k: int, kind: NormKind, precondition: bool) -> PositiveRoots:
-    """The roots of Pellet's radial polynomial at index k of P (with
-    ``precondition``, of A_k^-1 P); "none" early when P's norms prove it
-    (see the module docstring).  P's nu_k and record are read once each,
-    nu_k first, so that a singular A_k raises SingularMatrixError before
-    anything else, and P's chord at k is computed once."""
-    lognu = math.log(_nu(p, k, kind))
-    kept = _kept(p, kind)
-    pivot = kept.logs[k] if precondition else lognu
-    if max(kept.norms) < math.inf and _chord(kept.logs, k)[0] - pivot >= _MARGIN:
-        return _NO_ROOTS
-    if precondition:
-        p = left_precondition(p, k)
-        lognu, kept = math.log(_nu(p, k, kind)), _kept(p, kind)
-    return _radial_roots(kept, k, lognu)
-
-
 def pellet_gap(p: MatrixPolynomial, k: int, kind, precondition: bool = False) -> GapResult:
     """Generalized Pellet query at index k (1 <= k <= n-1, A_k invertible).
 
@@ -216,7 +210,7 @@ def pellet_gap(p: MatrixPolynomial, k: int, kind, precondition: bool = False) ->
     if not 1 <= k <= p.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} for degree {p.n}")
     variant = VARIANT_PRECONDITIONED if precondition else VARIANT_PLAIN
-    return _gap_result(k, _pellet_roots(p, k, kind, precondition), k * p.m, kind, variant)
+    return _gap_result(k, _query_roots(p, k, kind, precondition), k * p.m, kind, variant)
 
 
 def squared_polynomial(p: MatrixPolynomial, use_reciprocal: bool) -> tuple:
@@ -301,5 +295,5 @@ def squared_gap(p: MatrixPolynomial, k_even: int, kind,
     q, variant = squared_polynomial(p, use_reciprocal=False)
     if precondition:
         variant += "+B-preconditioned"
-    return _gap_result(k_even, _pellet_roots(q, k_even // 2, kind, precondition),
+    return _gap_result(k_even, _query_roots(q, k_even // 2, kind, precondition),
                        k_even * p.m, kind, variant, radius=_unsquare)

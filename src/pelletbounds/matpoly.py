@@ -362,7 +362,8 @@ def _json_int(d: dict, key: str) -> int:
 def from_json(text: str) -> MatrixPolynomial:
     """Parse the ``to_json`` schema: m and n must be JSON integers, coeffs
     must have exactly the shape (n+1, m, m, 2), and every entry must be a
-    JSON number."""
+    JSON number.  An entry beyond the double range, an integer as a float
+    like 1e400, is not finite, as the constructor says."""
     d = json.loads(text)
     m, n = _json_int(d, "m"), _json_int(d, "n")
     entries = np.array(d["coeffs"], dtype=object)
@@ -371,4 +372,8 @@ def from_json(text: str) -> MatrixPolynomial:
                          f"got {entries.shape}")
     if not all(type(v) in (int, float) for v in entries.flat):
         raise ValueError("matrix entries must be JSON numbers")
-    return MatrixPolynomial(entries.astype(np.float64).view(np.complex128).reshape(n + 1, m, m))
+    try:
+        parts = entries.astype(np.float64)
+    except OverflowError:  # an integer past the double range, which json parses exactly
+        raise ValueError("matrix entries must be finite") from None
+    return MatrixPolynomial(parts.view(np.complex128).reshape(n + 1, m, m))

@@ -768,6 +768,35 @@ def test_a_plain_query_reads_its_chord_once_and_builds_no_public_polynomial(
     assert full > 300
 
 
+def test_a_preconditioned_cauchy_radius_asks_no_nu_of_p_itself(monkeypatch):
+    # a Cauchy radius is the query path at k in {0, n}, where a
+    # preconditioned radius forms A_k^-1 P before it reads any nu: on a
+    # fresh polynomial, bounds asks nu only of A_n^-1 P and A_0^-1 P, or of
+    # P itself where that pivot is exactly I (A_k^-1 P is then P), and of
+    # each such form once it can be made
+    asked, nu = [], matpoly._nu
+
+    def recorded(q, j, kind):
+        asked.append((q, j))
+        return nu(q, j, kind)
+
+    monkeypatch.setattr(bounds, "_nu", recorded)
+    itself = 0
+    for i in range(144):
+        for kind in KINDS:
+            p, n = criterion_1_instance(i)
+            asked.clear()
+            cauchy_bounds(p, kind, precondition=True)
+            formed = [j for j in (n, 0)
+                      if matpoly._is_identity(p, j) or p._preconditioned[j] is not None]
+            assert [j for _, j in asked] == formed, (i, kind)
+            for q, j in asked:
+                assert q is p._preconditioned[j] or q is p and matpoly._is_identity(p, j), (i, kind, j)
+                itself += q is p
+    # the 72 instances with an identity A_n ask it of P itself in each norm
+    assert itself == 216
+
+
 def test_a_kept_record_is_read_as_the_public_constructor_reads_its_coefficients():
     # a norm beyond the double range (kept as inf) beside the pivot raises
     # the public constructor's message for a coefficient that is not
@@ -1194,6 +1223,37 @@ def _unitary(rng, m):
     return q * (d / np.abs(d))
 
 
+def _assert_alike(p, q, kinds, e=0, count=1, where=()):
+    """Assert that Q's Cauchy radii and Pellet verdicts, plain and
+    preconditioned, in each norm of ``kinds``, are P's: a radius absent or
+    a pivot refused (SingularMatrixError) for both or neither, equal
+    statuses, ``count`` times P's eigenvalue count in a gap, and every
+    radius of Q times 2^e within 1e-12 relative of P's.  Returns the number
+    of Pellet queries."""
+    def same(got, want):
+        return math.ldexp(got, e) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    queries = 0
+    for kind in kinds:
+        for pre in (False, True):
+            want, got = cauchy_bounds(p, kind, pre), cauchy_bounds(q, kind, pre)
+            for a, b in ((want.upper, got.upper), (want.lower, got.lower)):
+                assert (a is None) == (b is None), (*where, kind, pre)
+                assert a is None or same(b, a), (*where, kind, pre)
+            for k in range(1, p.n):
+                want, got = (_outcome(pellet_gap, r, k, kind, pre) for r in (p, q))
+                at = (*where, kind, pre, k)
+                queries += 1
+                assert isinstance(want, str) == isinstance(got, str), at
+                if isinstance(want, str):
+                    continue
+                assert got.status == want.status, at
+                if want.status == GAP:
+                    assert got.eig_count_inside == count * want.eig_count_inside, at
+                    assert same(got.x1, want.x1) and same(got.x2, want.x2), at
+    return queries
+
+
 def test_two_norm_results_are_unitarily_invariant():
     # ||U A V||_2 = ||A||_2 and nu_2(U A V) = nu_2(A) for unitary U and V,
     # and (U A_k V)^-1 (U A_j V) = V* A_k^-1 A_j V: U P V has P's 2-norm data
@@ -1204,29 +1264,56 @@ def test_two_norm_results_are_unitarily_invariant():
     rng = np.random.default_rng(34)
     queries = 0
     for i in range(144):
-        p, n = criterion_1_instance(i)
+        p, _ = criterion_1_instance(i)
         if p.m < 2:
             continue
         u, v = _unitary(rng, p.m), _unitary(rng, p.m)
-        q = MatrixPolynomial(u @ p.stack @ v)
-        for pre in (False, True):
-            want, got = cauchy_bounds(p, "two", pre), cauchy_bounds(q, "two", pre)
-            for a, b in ((want.upper, got.upper), (want.lower, got.lower)):
-                assert (a is None) == (b is None), (i, pre)
-                assert a is None or b == pytest.approx(a, rel=1e-12, abs=0.0), (i, pre)
-            for k in range(1, n):
-                want, got = (_outcome(pellet_gap, r, k, "two", pre) for r in (p, q))
-                where = (i, k, pre)
-                queries += 1
-                assert isinstance(want, str) == isinstance(got, str), where
-                if isinstance(want, str):
-                    continue
-                assert got.status == want.status, where
-                if want.status == GAP:
-                    assert got.x1 == pytest.approx(want.x1, rel=1e-12, abs=0.0), where
-                    assert got.x2 == pytest.approx(want.x2, rel=1e-12, abs=0.0), where
+        queries += _assert_alike(p, MatrixPolynomial(u @ p.stack @ v), ("two",), where=(i,))
     # 1,080 Pellet queries on 108 instances; the largest move is 2.7e-15
     assert queries > 1000
+
+
+@st.composite
+def _criterion_1_shapes(draw):
+    """A polynomial of criterion 1's family (``criterion_1_instance``): m
+    in {1, 2, 3, 5}, n in 2..10, entries of scale 10^U(-1, 1.5), an exact
+    identity or a random leading coefficient, and perhaps one coefficient
+    raised by scale * 10^U(1, 4) times I; the entries from a drawn seed.
+    Beyond criterion 1, perhaps one coefficient below the leading one has
+    its first row zeroed, a singular pivot."""
+    m, n = draw(st.sampled_from((1, 2, 3, 5))), draw(st.integers(2, 10))
+    scale = 10.0 ** draw(st.floats(-1.0, 1.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = [rand_matrix(rng, m, scale) for _ in range(n + 1)]
+    if draw(st.booleans()):
+        coeffs[-1] = np.eye(m)
+    spike = draw(st.none() | st.integers(1, n - 1))
+    if spike is not None:
+        coeffs[spike] = coeffs[spike] + scale * 10.0 ** draw(st.floats(1.0, 4.0)) * np.eye(m)
+    singular = draw(st.none() | st.integers(0, n - 1))
+    if singular is not None:
+        coeffs[singular][0] = 0.0
+    return MatrixPolynomial(coeffs)
+
+
+@pytest.mark.identity
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_criterion_1_shapes(), st.integers(-30, -1) | st.integers(1, 30))
+def test_unit_of_z_keeps_every_verdict_on_criterion_1_shapes(p, e):
+    # P(2^e z) has P's eigenvalues over 2^e and radial polynomials of the
+    # same mantissas: every Cauchy and Pellet status, plain and
+    # preconditioned, is P's, and every radius times 2^e is P's
+    _assert_alike(p, _rescaled(p, e), KINDS, e=e)
+
+
+@pytest.mark.identity
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_criterion_1_shapes())
+def test_block_diagonal_keeps_every_verdict_on_criterion_1_shapes(p):
+    # P + P has P's coefficient norms and nu_k in every norm kind: every
+    # Cauchy and Pellet status and pivot refusal, plain and preconditioned,
+    # is P's, a gap counts twice the eigenvalues, and every radius is P's
+    _assert_alike(p, _block_diagonal(p), KINDS, count=2)
 
 
 @pytest.mark.identity

@@ -622,3 +622,12 @@ def test_json_round_trip_random_stacks(stack):
 def test_from_json_validates():
     with pytest.raises(ValueError):
         from_json(json.dumps({"m": 2, "n": 2, "coeffs": [[[[0.0, 0.0]]]]}))
+
+
+def test_from_json_refuses_an_entry_beyond_the_double_range_as_not_finite():
+    # json reads 1e400 as inf and a 401-digit integer exactly; both lie past
+    # the double range, and both are refused with the constructor's message
+    for big in ("1e400", "1" + "0" * 400, "-1" + "0" * 400):
+        text = '{"m": 1, "n": 1, "coeffs": [[[[%s, 0.0]]], [[[1.0, 0.0]]]]}' % big
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            from_json(text)
